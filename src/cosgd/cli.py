@@ -34,12 +34,29 @@ def _default_out_dir() -> str:
 
 
 def _parse_seeds(spec: str):
-    """'0-19' (inclusive range), '0,3,7', or a single integer."""
+    """'0-19' (inclusive range), '0,3,7', or a single integer; seeds are
+    non-negative and a range runs upwards."""
     spec = str(spec)
-    if "-" in spec:
-        lo, hi = spec.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
+    try:
+        if "-" in spec:
+            lo, hi = spec.split("-", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(f"invalid seed spec {spec!r}: expected a range 'A-B' "
+                          "with 0 <= A <= B, a list 'a,b,c' or one integer >= 0")
+    return seeds
+
+
+def _stride(value: str) -> int:
+    """argparse type of --csv-stride: an integer >= 1."""
+    stride = int(value)
+    if stride < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {stride}")
+    return stride
 
 
 def _inline_run_config(args) -> ExperimentConfig:
@@ -92,7 +109,7 @@ def _cmd_run(args) -> int:
 
     res = run_replicated(cfg.run, cfg.seeds, workers=cfg.workers,
                          keep_traces=True)
-    stride = max(1, cfg.csv_stride)
+    stride = cfg.csv_stride
     for seed, trace in zip(cfg.seeds, res.traces):
         steps = range(0, cfg.run.horizon + 1, stride)
         write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
@@ -222,8 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("first_bias", "zero", "warm_start"))
     r.add_argument("--oracle-v", dest="oracle_v", type=float, default=0.0)
     r.add_argument("--out-dir", dest="out_dir", default=None)
-    r.add_argument("--workers", type=int, default=1)
-    r.add_argument("--csv-stride", dest="csv_stride", type=int, default=10)
+    r.add_argument("--workers", type=int, default=1,
+                   help="deprecated and ignored")
+    r.add_argument("--csv-stride", dest="csv_stride", type=_stride,
+                   default=10)
     r.set_defaults(func=_cmd_run)
 
     f = sub.add_parser("figure", help="reproduce a figure's CSV data")
@@ -231,8 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--T", type=int, default=figures.DEFAULT_T)
     f.add_argument("--seeds", default="0-19")
     f.add_argument("--out-dir", dest="out_dir", default=None)
-    f.add_argument("--workers", type=int, default=1)
-    f.add_argument("--csv-stride", dest="csv_stride", type=int, default=10)
+    f.add_argument("--workers", type=int, default=1,
+                   help="deprecated and ignored")
+    f.add_argument("--csv-stride", dest="csv_stride", type=_stride,
+                   default=10)
     f.set_defaults(func=_cmd_figure)
 
     b = sub.add_parser("bounds", help="evaluate a convergence bound")

@@ -63,7 +63,7 @@ class ExperimentConfig:
     sweep_values: list = field(default_factory=list)
     sweep_alpha_rule: str | None = None
     out_dir: str | None = None
-    workers: int = 1
+    workers: int = 1  # deprecated and ignored
     csv_stride: int = 10
 
     def to_dict(self) -> dict:
@@ -133,10 +133,16 @@ class ExperimentConfig:
         seeds = [int(s) for s in d.get("seeds", [0])]
         if not seeds:
             raise ConfigError("seeds must be non-empty")
+        try:
+            csv_stride = int(d.get("csv_stride", 10))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"csv_stride: {e}") from e
+        if csv_stride < 1:
+            raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")
         return cls(run=run, seeds=seeds, sweep_axis=sweep_axis,
                    sweep_values=sweep_values, sweep_alpha_rule=sweep_rule,
                    out_dir=d.get("out_dir"), workers=int(d.get("workers", 1)),
-                   csv_stride=int(d.get("csv_stride", 10)))
+                   csv_stride=csv_stride)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -82,11 +82,11 @@ class FigureResult:
     chosen: dict = field(default_factory=dict)
 
 
-def _grid_search(cfg_for_eta, seeds, workers: int, grid=ETA_GRID):
-    """Pick the step size with the lowest mean plateau loss."""
+def _grid_search(base: RunConfig, seeds, workers: int, grid=ETA_GRID):
+    """Pick the step size with the lowest mean plateau loss; the first
+    grid value wins ties."""
     best = None
-    for eta in grid:
-        res = run_replicated(cfg_for_eta(eta), seeds, workers=workers)
+    for eta, res in sweep(base, "eta", grid, seeds, workers=workers):
         if best is None or res.plateau_mean < best[1].plateau_mean:
             best = (eta, res)
     return best
@@ -105,16 +105,12 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
     alpha = n / (n + 1.0)
     out = FigureResult()
 
-    def alone_cfg(eta):
-        return RunConfig(main, colls, "alone",
-                         CollaborationWeights(0.0, [1.0]), eta, horizon, x0)
-
-    def wga_cfg(eta):
-        return RunConfig(main, colls, "wga",
-                         CollaborationWeights(alpha, [1.0]), eta, horizon, x0)
-
-    eta_alone, res_alone = _grid_search(alone_cfg, seeds, workers)
-    eta_wga, res_wga = _grid_search(wga_cfg, seeds, workers)
+    alone = RunConfig(main, colls, "alone", CollaborationWeights(0.0, [1.0]),
+                      ETA_GRID[0], horizon, x0)
+    wga = RunConfig(main, colls, "wga", CollaborationWeights(alpha, [1.0]),
+                    ETA_GRID[0], horizon, x0)
+    eta_alone, res_alone = _grid_search(alone, seeds, workers)
+    eta_wga, res_wga = _grid_search(wga, seeds, workers)
     bc = RunConfig(main, colls, "bc",
                    CollaborationWeights(alpha, [1.0], beta=bc_beta),
                    bc_eta, horizon, x0, c0_policy="zero")

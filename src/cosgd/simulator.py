@@ -5,19 +5,21 @@ configured aggregator's pseudo-gradient built from per-agent stochastic
 gradients.  Every agent's noise comes from its own counter-based stream
 keyed by (seed, agent), so:
 
-  - runs are bit-reproducible and independent of thread count,
+  - runs are bit-reproducible and independent of batching,
   - methods compared under the same seed share random numbers,
   - alpha = 0 reproduces the Alone trace bit-for-bit (collaborator
     streams are drawn either way).
 
-Seeds are vectorized through one kernel: all per-step operations are
-elementwise across seed lanes, which makes a batched run bitwise equal
-to the corresponding single-seed runs.
+Seeds and swept configs are vectorized through one kernel: a lane is one
+(config, seed) pair, every per-step operation is elementwise across
+lanes and each config's parameters are broadcast over its own lanes,
+which makes a batched run bitwise equal to the corresponding single
+runs.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +32,10 @@ AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
 C0_POLICIES = ("first_bias", "zero", "warm_start")
 
 DIVERGENCE_LIMIT = 1e12
-_CHUNK = 4096
+# Standard normals per agent in one noise pre-draw chunk.  A chunk spans
+# _CHUNK_DRAWS // (lanes * d) steps, so its memory stays flat as lanes
+# widen.
+_CHUNK_DRAWS = 1 << 14
 
 
 @dataclass
@@ -131,159 +136,264 @@ def _validate(cfg: RunConfig) -> None:
         raise ValueError("BC requires weights.beta")
 
 
-def _run_batch(cfg: RunConfig, seeds) -> list:
-    """Run one config under many seeds through a vectorized kernel.
+def _batch_key(cfg: RunConfig) -> tuple:
+    """Configs with equal keys share one kernel call.
 
-    Returns one Trace per seed, bitwise identical to running each seed
-    alone (all per-step operations are elementwise across seed lanes).
+    They agree on everything that shapes the kernel's arrays or picks a
+    code path; all other parameters are broadcast per lane.
     """
-    _validate(cfg)
+    agents = [cfg.main_task] + list(cfg.collaborators)
+    return (cfg.aggregator, cfg.horizon, cfg.main_task.dim, len(agents),
+            cfg.c0_policy, cfg.iterate_stride,
+            tuple(task.noise_scale == 0 for task in agents))
+
+
+@dataclass
+class _Lanes:
+    """Per-lane parameters of a batch, lane axis first.
+
+    A lane is one (config, seed) pair; each config's values are repeated
+    over its seeds.  Per-agent entries are lists indexed by agent (main
+    task first), per-collaborator ones by collaborator.  Entries a mode
+    does not use are None.
+    """
+
+    curv: list  # (L, d) curvature
+    opt: list  # (L, d) optimum
+    std: list  # (L, 1) noise_std
+    var: list  # (L, 1) noise_std ** 2
+    scale: list  # (L, 1) noise_scale
+    tau: list | None  # (L, 1)
+    alpha: np.ndarray  # (L, 1)
+    one_minus_alpha: np.ndarray  # (L, 1)
+    beta: np.ndarray | None  # (L, 1)
+    one_minus_beta: np.ndarray | None  # (L, 1)
+    oracle_std: np.ndarray | None  # (L, 1)
+    cfg: np.ndarray  # (L,) index of the lane's config
+
+    @classmethod
+    def build(cls, cfgs, n_seeds: int) -> "_Lanes":
+        def col(values):
+            return np.repeat(np.asarray(values, dtype=float), n_seeds)[:, None]
+
+        def rows(vectors):
+            return np.repeat(np.stack(vectors), n_seeds, axis=0)
+
+        agents = [[cfg.main_task] + list(cfg.collaborators) for cfg in cfgs]
+        n_agents = len(agents[0])
+        d = cfgs[0].main_task.dim
+        ws = [cfg.weights for cfg in cfgs]
+        mode = cfgs[0].aggregator
+        per_agent = range(n_agents)
+        return cls(
+            curv=[rows([ts[a].curvature for ts in agents]) for a in per_agent],
+            opt=[rows([ts[a].optimum for ts in agents]) for a in per_agent],
+            std=[col([ts[a].noise_std for ts in agents]) for a in per_agent],
+            var=[col([ts[a].noise_std ** 2 for ts in agents]) for a in per_agent],
+            scale=[col([ts[a].noise_scale for ts in agents]) for a in per_agent],
+            tau=None if mode == "alone" else
+            [col([w.tau[k] for w in ws]) for k in range(n_agents - 1)],
+            alpha=col([w.alpha for w in ws]),
+            one_minus_alpha=col([1.0 - w.alpha for w in ws]),
+            beta=col([w.beta for w in ws]) if mode == "bc" else None,
+            one_minus_beta=col([1.0 - w.beta for w in ws]) if mode == "bc" else None,
+            oracle_std=col([cfg.oracle_v / math.sqrt(max(1, n_agents - 1) * d)
+                            for cfg in cfgs]) if mode == "oracle_bc" else None,
+            cfg=np.repeat(np.arange(len(cfgs)), n_seeds),
+        )
+
+    def take(self, keep: np.ndarray) -> "_Lanes":
+        """The lanes selected by the boolean mask `keep`."""
+        def sub(v):
+            if v is None:
+                return None
+            return [a[keep] for a in v] if isinstance(v, list) else v[keep]
+        return _Lanes(**{f.name: sub(getattr(self, f.name)) for f in fields(self)})
+
+
+def _draw(gens, n: int, d: int) -> np.ndarray:
+    """(n, lanes, d): the next n steps of normals from each lane's stream."""
+    z = np.empty((len(gens), n, d))
+    for j, gen in enumerate(gens):
+        gen.standard_normal(out=z[j])
+    return z.transpose(1, 0, 2)
+
+
+def _run_batch(cfgs, seeds) -> list:
+    """Run configs that share a `_batch_key` under many seeds, as the
+    lanes of one vectorized kernel.
+
+    Returns, per config, one Trace per seed, bitwise identical to running
+    each (config, seed) alone: every per-step operation is elementwise
+    across lanes, and each lane draws from its own streams.  A lane that
+    diverges is frozen at its last finite iterate and dropped from the
+    batch, which leaves the other lanes' bits untouched.
+    """
+    for cfg in cfgs:
+        _validate(cfg)
     seeds = [int(s) for s in seeds]
     S = len(seeds)
-    d = cfg.main_task.dim
-    T = cfg.horizon
-    w = cfg.weights
-    tasks = [cfg.main_task] + list(cfg.collaborators)
-    n_agents = len(tasks)
-    etas = _step_sizes(cfg)
-    alone = cfg.aggregator == "alone"
+    L = len(cfgs) * S
+    first = cfgs[0]
+    d = first.main_task.dim
+    T = first.horizon
+    n_agents = 1 + len(first.collaborators)
+    mode = first.aggregator
+    additive = [task.noise_scale == 0
+                for task in [first.main_task] + list(first.collaborators)]
+    etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
+    p = _Lanes.build(cfgs, S)
 
-    gens = [[rng_mod.agent_stream(s, a) for s in seeds] for a in range(n_agents)]
+    gens = [[rng_mod.agent_stream(s, a) for _ in cfgs for s in seeds]
+            for a in range(n_agents)]
     oracle_gens = None
-    if cfg.aggregator == "oracle_bc":
+    if mode == "oracle_bc":
         oracle_gens = [rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
-                       for s in seeds]
+                       for _ in cfgs for s in seeds]
 
-    x = np.tile(cfg.x0, (S, 1))
-    alive = np.ones(S, dtype=bool)
-    all_alive = True
-    steps_completed = np.full(S, T)
+    # Loss and gradient norm are computed per chunk from the recorded
+    # iterates, with the same elementwise arithmetic as a per-step pass.
+    a0 = p.curv[0]
+    opt0 = p.opt[0]
+    test_loss = np.empty((L, T + 1))
+    grad_sq = np.empty((L, T + 1))
+    stride = first.iterate_stride
+    iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
-    test_loss = np.empty((T + 1, S))
-    grad_sq = np.empty((T + 1, S))
-    stride = cfg.iterate_stride
-    iterates = np.empty((T // stride + 1, S, d)) if stride else None
+    def record(X, t0):
+        """Metrics of the iterates X[i] of steps t0 + i, all lanes."""
+        m = X.shape[0]
+        diff0 = X - opt0
+        g0_true = a0 * diff0
+        test_loss[:, t0:t0 + m] = (0.5 * np.sum(g0_true * diff0, axis=-1)).T
+        grad_sq[:, t0:t0 + m] = np.sum(g0_true * g0_true, axis=-1).T
+        if stride:
+            skip = -t0 % stride
+            k0 = (t0 + skip) // stride
+            snaps = X[skip::stride]
+            iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
 
-    a0 = cfg.main_task.curvature
-    opt0 = cfg.main_task.optimum
-    curvs = [task.curvature for task in tasks]
-    opts = [task.optimum for task in tasks]
-    stds = [task.noise_std for task in tasks]
-    scaled = [task.noise_scale for task in tasks]
-    alpha = w.alpha
-    tau = w.tau
-    beta = w.beta
-    one_minus_alpha = 1.0 - alpha
-    mode = cfg.aggregator
-    oracle_std = cfg.oracle_v / math.sqrt(max(1, n_agents - 1) * d)
+    x_all = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
+    x = x_all.copy()  # iterates of the live lanes
+    live = None  # indices of the live lanes once one has diverged
+    steps_completed = np.full(L, T)
 
     c_state = None
     if mode == "bc":
-        if cfg.c0_policy == "zero":
-            c_state = np.zeros((S, d))
-        elif cfg.c0_policy == "warm_start":
-            c_state = _warm_start_bias(cfg, seeds)
+        if first.c0_policy == "zero":
+            c_state = np.zeros((L, d))
+        elif first.c0_policy == "warm_start":
+            c_state = np.concatenate([_warm_start_bias(cfg, seeds) for cfg in cfgs])
         # first_bias: set at t = 0 from the first round's samples.
 
-    t = 0
-    while t < T:
-        n = min(_CHUNK, T - t)
-        # Pre-draw this chunk's normals, scaled for pure-additive agents:
-        # noise[agent] has shape (S, n, d).
+    noise = None
+
+    def sample(a, grad, i):
+        """Agent a's stochastic gradient; mirrors objective.sample_gradient."""
+        if additive[a]:
+            return grad + noise[a][i]
+        std = np.sqrt(p.var[a] + p.scale[a] * np.sum(grad * grad, axis=-1,
+                                                     keepdims=True) / d)
+        return grad + noise[a][i] * std
+
+    chunk = max(1, _CHUNK_DRAWS // (L * d))
+    for t0 in range(0, T, chunk):
+        n = min(chunk, T - t0)
+        X = np.empty((n, L, d))
+        if live is not None:
+            X[:] = x_all  # the frozen iterates of diverged lanes
+            if not live.size:
+                record(X, t0)
+                continue
+        # Pre-draw this chunk's normals, scaled for pure-additive agents.
         noise = []
         for a in range(n_agents):
-            z = np.stack([gen.standard_normal((n, d)) for gen in gens[a]])
-            noise.append(z * stds[a] if scaled[a] == 0 else z)
-        z_oracle = None
-        if oracle_gens is not None:
-            z_oracle = np.stack([gen.standard_normal((n, d)) for gen in oracle_gens])
+            z = _draw(gens[a], n, d)
+            noise.append(z * p.std[a] if additive[a] else z)
+        z_oracle = _draw(oracle_gens, n, d) if oracle_gens is not None else None
+        eta = etas[t0:t0 + n][:, p.cfg][:, :, None]
 
         for i in range(n):
-            diff0 = x - opt0
-            g0_true = a0 * diff0
-            test_loss[t] = 0.5 * np.sum(g0_true * diff0, axis=-1)
-            grad_sq[t] = np.sum(g0_true * g0_true, axis=-1)
-            if stride and t % stride == 0:
-                iterates[t // stride] = x
-
-            # Per-agent samples; arithmetic mirrors objective.sample_gradient
-            # and the aggregators module op for op.
-            if scaled[0] == 0:
-                g0 = g0_true + noise[0][:, i, :]
+            if live is None:
+                X[i] = x
             else:
-                std0 = np.sqrt(stds[0] ** 2
-                               + scaled[0] * np.sum(g0_true * g0_true, axis=-1,
-                                                    keepdims=True) / d)
-                g0 = g0_true + noise[0][:, i, :] * std0
-            if alone:
+                X[i, live] = x
+            diff0 = x - p.opt[0]
+            g0_true = p.curv[0] * diff0
+            g0 = sample(0, g0_true, i)
+            if mode == "alone":
                 g = g0
             else:
-                samples = []
-                for a in range(1, n_agents):
-                    ga = curvs[a] * (x - opts[a])
-                    if scaled[a] == 0:
-                        samples.append(ga + noise[a][:, i, :])
-                    else:
-                        stda = np.sqrt(stds[a] ** 2
-                                       + scaled[a] * np.sum(ga * ga, axis=-1,
-                                                            keepdims=True) / d)
-                        samples.append(ga + noise[a][:, i, :] * stda)
+                grads = [p.curv[a] * (x - p.opt[a]) for a in range(1, n_agents)]
+                samples = [sample(a, ga, i) for a, ga in enumerate(grads, 1)]
+                tau = p.tau
                 gavg = tau[0] * samples[0]
                 for k in range(1, n_agents - 1):
                     gavg = gavg + tau[k] * samples[k]
                 if mode == "wga":
-                    g = one_minus_alpha * g0 + alpha * gavg
+                    g = p.one_minus_alpha * g0 + p.alpha * gavg
                 elif mode == "bc":
                     b = gavg - g0
                     if c_state is None:  # first_bias policy, t == 0
                         c_state = b
-                    g = one_minus_alpha * g0 + alpha * (gavg - c_state)
-                    c_state = (1.0 - beta) * c_state + beta * b
+                    g = p.one_minus_alpha * g0 + p.alpha * (gavg - c_state)
+                    c_state = p.one_minus_beta * c_state + p.beta * b
                 else:  # oracle_bc
-                    true_bias = tau[0] * (curvs[1] * (x - opts[1]))
+                    true_bias = tau[0] * grads[0]
                     for k in range(1, n_agents - 1):
-                        true_bias = true_bias + tau[k] * (curvs[1 + k] * (x - opts[1 + k]))
+                        true_bias = true_bias + tau[k] * grads[k]
                     true_bias = true_bias - g0_true
-                    c_oracle = true_bias + z_oracle[:, i, :] * oracle_std
-                    g = one_minus_alpha * g0 + alpha * (gavg - c_oracle)
+                    c_oracle = true_bias + z_oracle[i] * p.oracle_std
+                    g = p.one_minus_alpha * g0 + p.alpha * (gavg - c_oracle)
 
-            x_new = x - etas[t] * g
-            if all_alive:
-                with np.errstate(invalid="ignore"):
-                    inside = bool(np.all(np.abs(x_new) <= DIVERGENCE_LIMIT))
-                if inside:
-                    x = x_new
-                    t += 1
-                    continue
-                all_alive = False
-            blown = np.any(np.abs(x_new) > DIVERGENCE_LIMIT, axis=-1) | \
-                ~np.all(np.isfinite(x_new), axis=-1)
-            newly = alive & blown
-            if newly.any():
-                steps_completed[newly] = t
-                alive = alive & ~blown
-            x = np.where(alive[:, None], x_new, x)
-            t += 1
+            x_new = x - eta[i] * g
+            if np.abs(x_new).max() <= DIVERGENCE_LIMIT:
+                x = x_new
+                continue
+            # Some lane left the box or went non-finite at step t: freeze
+            # it at its last iterate and drop it from the batch.
+            keep = np.all(np.abs(x_new) <= DIVERGENCE_LIMIT, axis=-1)
+            lanes = np.arange(L) if live is None else live
+            dead = lanes[~keep]
+            steps_completed[dead] = t0 + i
+            x_all[dead] = x[~keep]
+            X[i + 1:, dead] = x[~keep]
+            live = lanes[keep]
+            p = p.take(keep)
+            x = x_new[keep]
+            if c_state is not None:
+                c_state = c_state[keep]
+            gens = [[gen for gen, k in zip(ga, keep) if k] for ga in gens]
+            noise = [z[:, keep] for z in noise]
+            if oracle_gens is not None:
+                oracle_gens = [gen for gen, k in zip(oracle_gens, keep) if k]
+                z_oracle = z_oracle[:, keep]
+            eta = eta[:, keep]
+            if not live.size:
+                break
+        record(X, t0)
 
-    diff0 = x - opt0
-    test_loss[T] = 0.5 * np.sum(a0 * diff0 * diff0, axis=-1)
-    g0_true = a0 * diff0
-    grad_sq[T] = np.sum(g0_true * g0_true, axis=-1)
-    if stride and T % stride == 0:
-        iterates[T // stride] = x
+    if live is None:
+        x_all = x
+    else:
+        x_all[live] = x
+    record(x_all[None], T)
 
-    traces = []
-    for j in range(S):
-        traces.append(Trace(
-            test_loss=test_loss[:, j].copy(),
-            grad_norm_sq=grad_sq[:, j].copy(),
-            final_gap=float(test_loss[T, j]),
-            iterates=iterates[:, j, :].copy() if stride else None,
-            iterate_stride=stride,
-            diverged=not alive[j],
-            steps_completed=int(steps_completed[j]),
-        ))
-    return traces
+    out = []
+    for c in range(len(cfgs)):
+        traces = []
+        for l in range(c * S, (c + 1) * S):
+            traces.append(Trace(
+                test_loss=test_loss[l],
+                grad_norm_sq=grad_sq[l],
+                final_gap=float(test_loss[l, T]),
+                iterates=iterates[l] if stride else None,
+                iterate_stride=stride,
+                diverged=bool(steps_completed[l] < T),
+                steps_completed=int(steps_completed[l]),
+            ))
+        out.append(traces)
+    return out
 
 
 def _warm_start_bias(cfg: RunConfig, seeds) -> np.ndarray:
@@ -311,7 +421,7 @@ def _warm_start_bias(cfg: RunConfig, seeds) -> np.ndarray:
 
 def run(cfg: RunConfig) -> Trace:
     """Execute one seeded run; a pure function of the config."""
-    return _run_batch(cfg, [cfg.seed])[0]
+    return _run_batch([cfg], [cfg.seed])[0][0]
 
 
 def _mean_se(values: np.ndarray):
@@ -320,28 +430,17 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def run_replicated(cfg: RunConfig, seeds, workers: int = 1,
-                   keep_traces: bool = False,
-                   plateau_fraction: float = 0.1) -> RunResult:
-    """Independent runs per seed, aggregated mean/SE.
+def _warn_ignored_workers(workers: int) -> None:
+    # Issued from this one line, so the default filter shows it once.
+    if workers > 1:
+        warnings.warn("workers is deprecated and ignored: seeds and swept "
+                      "configs already run as lanes of one kernel call",
+                      FutureWarning)
 
-    Diverged seeds are reported and excluded from the aggregates.  The
-    plateau metric is the mean test loss over the final `plateau_fraction`
-    of steps.  Results are gathered in input order; `workers` only
-    affects wall time.
-    """
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if workers <= 1 or len(seeds) == 1:
-        traces = _run_batch(cfg, seeds)
-    else:
-        chunks = np.array_split(np.array(seeds), min(workers, len(seeds)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: _run_batch(cfg, list(ch)),
-                                  [c for c in chunks if len(c)]))
-        traces = [tr for part in parts for tr in part]
 
+def _reduce(cfg: RunConfig, seeds: list, traces: list, keep_traces: bool,
+            plateau_fraction: float) -> RunResult:
+    """Seed aggregates of one config's traces."""
     T = cfg.horizon
     tail = max(1, int(round(plateau_fraction * T)))
     ok = [tr for tr in traces if not tr.diverged]
@@ -364,11 +463,44 @@ def run_replicated(cfg: RunConfig, seeds, workers: int = 1,
         plateau_mean=pl_mean, plateau_se=pl_se,
         mean_test_loss=mean_trace,
         mean_grad_norm_sq=mean_grad_trace,
-        seeds=seeds, diverged_seeds=diverged_seeds,
+        seeds=list(seeds), diverged_seeds=diverged_seeds,
         per_seed_final_gap=final_gaps, per_seed_plateau=plateaus,
         traces=traces if keep_traces else None,
         plateau_fraction=plateau_fraction,
     )
+
+
+def _replicate(cfgs: list, seeds, keep_traces: bool = False,
+               plateau_fraction: float = 0.1) -> list:
+    """One RunResult per config, in input order, with one kernel call per
+    group of configs that share a `_batch_key`."""
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(_batch_key(cfg), []).append(i)
+    results = [None] * len(cfgs)
+    for members in groups.values():
+        batch = _run_batch([cfgs[i] for i in members], seeds)
+        for i, traces in zip(members, batch):
+            results[i] = _reduce(cfgs[i], seeds, traces, keep_traces,
+                                 plateau_fraction)
+    return results
+
+
+def run_replicated(cfg: RunConfig, seeds, workers: int = 1,
+                   keep_traces: bool = False,
+                   plateau_fraction: float = 0.1) -> RunResult:
+    """Independent runs per seed, aggregated mean/SE.
+
+    Diverged seeds are reported and excluded from the aggregates.  The
+    plateau metric is the mean test loss over the final `plateau_fraction`
+    of steps.  Results are gathered in input order.  `workers` is
+    deprecated and ignored.
+    """
+    _warn_ignored_workers(workers)
+    return _replicate([cfg], seeds, keep_traces, plateau_fraction)[0]
 
 
 SWEEP_AXES = ("zeta", "N", "alpha", "beta", "eta", "delta", "sigma", "T")
@@ -436,10 +568,18 @@ def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = Non
 
 def sweep(base: RunConfig, axis: str, values, seeds, workers: int = 1,
           alpha_rule: str | None = None, plateau_fraction: float = 0.1) -> list:
-    """One RunResult per swept value, in input order."""
-    return [(v, run_replicated(sweep_config(base, axis, v, alpha_rule), seeds,
-                               workers=workers, plateau_fraction=plateau_fraction))
-            for v in values]
+    """(value, RunResult) per swept value, in input order.
+
+    Swept configs run as lanes of one kernel call where their shapes
+    allow (a T sweep or mixed aggregators fall back to one call per
+    group); each result equals its own `run_replicated` bit for bit.
+    `workers` is deprecated and ignored.
+    """
+    _warn_ignored_workers(workers)
+    values = list(values)
+    cfgs = [sweep_config(base, axis, v, alpha_rule) for v in values]
+    return list(zip(values, _replicate(cfgs, seeds,
+                                       plateau_fraction=plateau_fraction)))
 
 
 def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:

@@ -41,6 +41,7 @@ def combined_se(a, b) -> float:
     return math.sqrt(a ** 2 + b ** 2)
 
 
+@pytest.mark.slow
 def test_criterion_01_method_ordering_and_bc_hump(tmp_path):
     res = figures.fig2(str(tmp_path), horizon=T_FULL, seeds=SEEDS)
     alone, wga, bc = (res.curves[k] for k in ("alone", "wga", "bc"))
@@ -55,6 +56,7 @@ def test_criterion_01_method_ordering_and_bc_hump(tmp_path):
            f"separations {sep_wga:.1f} / {sep_alone:.1f} SE, hump={hump}")
 
 
+@pytest.mark.slow
 def test_criterion_02_bc_plateau_independent_of_bias(tmp_path):
     res = figures.fig3(str(tmp_path), zetas=(1.0, 4.0, 16.0),
                        horizon=T_FULL, seeds=SEEDS)
@@ -70,6 +72,7 @@ def test_criterion_02_bc_plateau_independent_of_bias(tmp_path):
            f"spread {spread:.1%}, times {times}")
 
 
+@pytest.mark.slow
 def test_criterion_03_wga_bias_floor_scales_as_zeta_squared():
     # Noiseless runs isolate the bias floor exactly; the Alone baseline
     # then converges to zero and the excess plateau is the floor itself.
@@ -96,6 +99,7 @@ def test_criterion_03_wga_bias_floor_scales_as_zeta_squared():
     report(3, "WGA excess plateau grows as zeta^2", ok, f"slope {slope:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_04_bc_gains_with_n_then_saturates(tmp_path):
     res = figures.fig5(str(tmp_path), ns=(1, 10, 100),
                        horizon=T_FULL, seeds=SEEDS)

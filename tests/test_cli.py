@@ -65,6 +65,42 @@ class TestRunCommand:
         assert run_cli("run", "--T", "ten", "--out-dir", str(tmp_path)) == 1
 
 
+class TestInputContract:
+    """Bad seed specs and strides are configuration errors (exit 1)."""
+
+    def test_reversed_seed_range(self, tmp_path):
+        assert run_cli("run", "--T", "10", "--seeds", "5-2",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_negative_seed(self, tmp_path):
+        assert run_cli("run", "--T", "10", "--seeds=-3",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_empty_seed_spec(self, tmp_path):
+        assert run_cli("run", "--T", "10", "--seeds", "",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_figure_seed_spec(self, tmp_path):
+        assert run_cli("figure", "fig5", "--T", "10", "--seeds", "3-1",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_run_zero_csv_stride(self, tmp_path):
+        assert run_cli("run", "--T", "10", "--seeds", "0", "--csv-stride", "0",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_figure_zero_csv_stride(self, tmp_path):
+        assert run_cli("figure", "fig5", "--T", "10", "--seeds", "0",
+                       "--csv-stride", "0", "--out-dir", str(tmp_path)) == 1
+
+    def test_config_zero_csv_stride(self, tmp_path):
+        d = TestConfigFile().make_config().to_dict()
+        d["csv_stride"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+
+
 class TestConfigFile:
     def make_config(self, **kw):
         run = RunConfig(

@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cosgd import figures, simulator
 from cosgd import rng as rng_mod
 from cosgd.aggregators import (BcState, CollaborationWeights, bc_combine,
                                bc_update, oracle_bc_combine, wga_combine)
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
-from cosgd.simulator import (RunConfig, mean_dynamics_oracle, mean_fixed_point,
-                             run, run_replicated, sweep, sweep_config)
+from cosgd.schedules import schedule_inputs
+from cosgd.simulator import (DecreasingPlSchedule, RunConfig, mean_dynamics_oracle,
+                             mean_fixed_point, run, run_replicated, sweep,
+                             sweep_config)
 
 
 def make_cfg(aggregator="wga", alpha=0.5, beta=None, sigma0=1.0, sigma1=1.0,
@@ -235,3 +238,205 @@ class TestMeanDynamicsOracle:
     def test_bc_unsupported(self):
         with pytest.raises(ValueError):
             mean_dynamics_oracle(make_cfg("bc", beta=0.5))
+
+
+def assert_results_equal(a, b):
+    np.testing.assert_array_equal(a.mean_test_loss, b.mean_test_loss)
+    np.testing.assert_array_equal(a.mean_grad_norm_sq, b.mean_grad_norm_sq)
+    np.testing.assert_array_equal(a.per_seed_plateau, b.per_seed_plateau)
+    np.testing.assert_array_equal(a.per_seed_final_gap, b.per_seed_final_gap)
+    assert a.diverged_seeds == b.diverged_seeds
+    assert (a.plateau_mean, a.plateau_se, a.final_gap_mean, a.avg_grad_sq_mean) \
+        == (b.plateau_mean, b.plateau_se, b.final_gap_mean, b.avg_grad_sq_mean)
+
+
+def assert_traces_equal(a, b):
+    np.testing.assert_array_equal(a.test_loss, b.test_loss)
+    np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
+    if a.iterates is not None or b.iterates is not None:
+        np.testing.assert_array_equal(a.iterates, b.iterates)
+    assert (a.final_gap, a.diverged, a.steps_completed) \
+        == (b.final_gap, b.diverged, b.steps_completed)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts `_run_batch` calls and the configs each one ran."""
+    calls = []
+    original = simulator._run_batch
+
+    def counting(cfgs, seeds):
+        calls.append(len(cfgs))
+        return original(cfgs, seeds)
+    monkeypatch.setattr(simulator, "_run_batch", counting)
+    return calls
+
+
+def nonlinear_tasks(rng, d=16, n_collaborators=4):
+    a0 = rng.uniform(0.5, 2.0, d)
+    x_star = rng.normal(0.0, 1.0, d)
+    main = QuadraticTask(a0, x_star, noise_std=1.0, noise_scale=0.5)
+    colls = [QuadraticTask(a0 * rng.uniform(0.8, 1.25, d),
+                           x_star + rng.normal(0.0, 0.5, d),
+                           noise_std=float(rng.uniform(0.5, 2.0)),
+                           noise_scale=float(rng.uniform(0.1, 1.0)))
+             for _ in range(n_collaborators)]
+    tau = list(rng.dirichlet(np.ones(n_collaborators)))
+    return main, colls, tau
+
+
+class TestSweepBatching:
+    """Swept configs run as lanes of one kernel call, and every result
+    equals the config's own run_replicated bit for bit."""
+
+    SEEDS = [0, 3, 5]
+
+    @pytest.mark.parametrize("axis,values,rule", [
+        ("zeta", [1.0, 4.0, 16.0], None),
+        ("N", [1, 10, 100], "n_over_n_plus_1"),
+        ("alpha", [0.0, 0.3, 0.7], None),
+        ("beta", [0.05, 0.2, 1.0], None),
+        ("eta", [0.01, 0.05, 0.1], None),
+        ("delta", [0.0, 0.5, 3.0], None),
+        ("sigma", [0.5, 1.0, 4.0], None),
+    ])
+    def test_sweep_equals_per_value_runs(self, kernel_calls, axis, values, rule):
+        base = make_cfg("bc", alpha=0.6, beta=0.2, T=150, sigma0=2.0)
+        results = sweep(base, axis, values, self.SEEDS, alpha_rule=rule)
+        assert kernel_calls == [len(values)]
+        assert [v for v, _ in results] == values
+        for value, res in results:
+            solo = run_replicated(sweep_config(base, axis, value, rule), self.SEEDS)
+            assert_results_equal(res, solo)
+
+    def test_horizon_sweep_falls_back_to_one_call_per_horizon(self, kernel_calls):
+        base = make_cfg("wga", T=100)
+        results = sweep(base, "T", [50, 80, 50], self.SEEDS)
+        assert kernel_calls == [2, 1]
+        for value, res in results:
+            assert len(res.mean_test_loss) == value + 1
+            assert_results_equal(res, run_replicated(sweep_config(base, "T", value),
+                                                     self.SEEDS))
+
+    def test_mixed_aggregators_fall_back_to_separate_calls(self, kernel_calls):
+        cfgs = [make_cfg("alone", alpha=0.0, T=120),
+                make_cfg("bc", beta=0.3, T=120),
+                make_cfg("wga", alpha=0.2, T=120),
+                make_cfg("oracle_bc", oracle_v=1.0, T=120),
+                make_cfg("wga", alpha=0.7, T=120),
+                make_cfg("bc", beta=0.3, T=120, c0_policy="zero")]
+        results = simulator._replicate(cfgs, self.SEEDS)
+        assert kernel_calls == [1, 1, 2, 1, 1]
+        kernel_calls.clear()
+        for cfg, res in zip(cfgs, results):
+            assert_results_equal(res, run_replicated(cfg, self.SEEDS))
+
+    def test_step_size_kinds_share_a_call(self, kernel_calls):
+        main, colls, tau = nonlinear_tasks(np.random.default_rng(1), d=3,
+                                           n_collaborators=2)
+        w = CollaborationWeights(0.5, tau)
+        schedule = DecreasingPlSchedule(schedule_inputs(main, colls, w, 200,
+                                                        np.full(3, 2.0)))
+        cfgs = [RunConfig(main, colls, "wga", w, step, 200, np.full(3, 2.0))
+                for step in (schedule, 0.01)]
+        results = simulator._replicate(cfgs, self.SEEDS)
+        assert kernel_calls == [2]
+        for cfg, res in zip(cfgs, results):
+            assert_results_equal(res, run_replicated(cfg, self.SEEDS))
+
+    @pytest.mark.parametrize("aggregator,beta,kw", [
+        ("oracle_bc", None, dict(oracle_v=0.5)),
+        ("bc", 0.3, dict(c0_policy="warm_start")),
+    ])
+    def test_multidim_scaled_noise_over_several_chunks(self, kernel_calls,
+                                                       aggregator, beta, kw):
+        main, colls, tau = nonlinear_tasks(np.random.default_rng(7))
+        base = RunConfig(main, colls, aggregator,
+                         CollaborationWeights(0.5, tau, beta=beta),
+                         0.01, 600, np.full(16, 3.0), **kw)
+        # 2 configs x 3 seeds x d = 16 draw 96 normals per agent and step,
+        # so 600 steps span several pre-draw chunks.
+        assert 600 > 2 * simulator._CHUNK_DRAWS // (2 * 3 * 16)
+        results = sweep(base, "alpha", [0.3, 0.8], self.SEEDS)
+        assert kernel_calls == [2]
+        for value, res in results:
+            assert_results_equal(res, run_replicated(sweep_config(base, "alpha", value),
+                                                     self.SEEDS))
+
+
+class TestDivergingLanes:
+    """A lane that diverges is frozen and dropped; the batch's other lanes
+    keep the bits of their solo runs."""
+
+    @pytest.mark.parametrize("aggregator,kw", [
+        ("alone", dict(alpha=0.0)),
+        ("bc", dict(beta=0.3)),
+        ("oracle_bc", dict(oracle_v=1.0)),
+    ])
+    def test_diverging_eta_lane(self, monkeypatch, aggregator, kw):
+        # Small chunks, so lanes die mid-chunk and the survivors run on
+        # through later chunks.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 40)
+        base = make_cfg(aggregator, T=300, iterate_stride=7, **kw)
+        # eta = 2.5 grows |x| about 1.5-fold a step: every seed diverges.
+        cfgs = [sweep_config(base, "eta", eta) for eta in (0.05, 2.5, 0.1)]
+        seeds = [0, 1, 2, 3]
+        batch = simulator._run_batch(cfgs, seeds)
+        for cfg, traces in zip(cfgs, batch):
+            for seed, tr in zip(seeds, traces):
+                assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
+        assert all(tr.diverged and 0 < tr.steps_completed < 300 for tr in batch[1])
+        assert not any(tr.diverged for tr in batch[0] + batch[2])
+        # A frozen lane reports its last finite loss for the rest of the run.
+        tr = batch[1][0]
+        assert np.all(tr.test_loss[tr.steps_completed:] == tr.test_loss[-1])
+
+    def test_all_lanes_diverge(self):
+        cfg = make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, T=40)
+        [traces] = simulator._run_batch([cfg], [0, 1])
+        for seed, tr in zip([0, 1], traces):
+            assert tr.diverged
+            assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
+        with pytest.raises(RuntimeError, match="all seeds diverged"):
+            sweep(cfg, "eta", [0.05, 2.5e12], [0, 1])
+
+
+class TestGridSearch:
+    @staticmethod
+    def loop_grid_search(cfg_for_eta, seeds, grid):
+        """The per-value loop the sweep replaced."""
+        best = None
+        for eta in grid:
+            res = run_replicated(cfg_for_eta(eta), seeds)
+            if best is None or res.plateau_mean < best[1].plateau_mean:
+                best = (eta, res)
+        return best
+
+    @pytest.mark.parametrize("aggregator", ["alone", "wga"])
+    def test_same_choice_as_loop(self, aggregator):
+        base = make_cfg(aggregator, alpha=0.5, sigma0=3.0, T=400)
+        grid = (1e-3, 1e-2, 1e-1, 0.5)
+        eta, res = figures._grid_search(base, range(6), 1, grid=grid)
+        ref_eta, ref = self.loop_grid_search(
+            lambda e: sweep_config(base, "eta", e), range(6), grid)
+        assert eta == ref_eta
+        assert_results_equal(res, ref)
+
+    def test_first_value_wins_ties(self):
+        # Noiseless and started at the optimum: every step size gives loss 0.
+        base = make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, x0=0.0, T=50)
+        grid = (0.1, 0.05, 0.2)
+        eta, res = figures._grid_search(base, [0, 1], 1, grid=grid)
+        assert eta == 0.1 == self.loop_grid_search(
+            lambda e: sweep_config(base, "eta", e), [0, 1], grid)[0]
+        assert res.plateau_mean == 0.0
+
+
+class TestWorkersDeprecated:
+    def test_warns_and_ignores(self):
+        cfg = make_cfg(T=50)
+        with pytest.warns(FutureWarning, match="workers is deprecated"):
+            res = run_replicated(cfg, range(4), workers=3)
+        assert_results_equal(res, run_replicated(cfg, range(4)))
+        with pytest.warns(FutureWarning, match="workers is deprecated"):
+            sweep(cfg, "eta", [0.05], range(4), workers=2)
