@@ -10,10 +10,12 @@ Four strategies:
 
 All combine functions are pure; `bc_update` is the only state transition
 and returns a fresh BcState.  Gradient arguments may be GradientSample
-or plain arrays (with leading batch axes), which lets the simulator run
-many seeds through the same arithmetic.
+or plain arrays (with leading batch axes).  Each checks its inputs, then
+calls the validation-free cores `tau_sum`, `mix` and `oracle_noise_std`,
+which the simulator's kernel calls on its per-lane arrays as well.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ class CollaborationWeights:
         self.tau = _as_vector(self.tau)
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
-        if np.any(self.tau < 0) or abs(self.tau.sum() - 1.0) > 1e-12:
+        if not (np.all(self.tau >= 0) and abs(self.tau.sum() - 1.0) <= 1e-12):
             raise ValueError("tau must be nonnegative and sum to 1")
         if self.beta is not None and not (0.0 < self.beta <= 1.0):
             raise ValueError("beta must lie in (0, 1]")
@@ -66,13 +68,31 @@ def _value(g) -> np.ndarray:
     return g.value if isinstance(g, GradientSample) else np.asarray(g, dtype=float)
 
 
+def tau_sum(tau, gs):
+    """sum_k tau_k g_k, accumulated left to right from k = 0."""
+    acc = tau[0] * gs[0]
+    for k in range(1, len(gs)):
+        acc = acc + tau[k] * gs[k]
+    return acc
+
+
+def mix(one_minus_w, w, a, b):
+    """(1-w) a + w b: the alpha mix of the combine rules and the beta EMA
+    step of the bias estimate.  1-w is passed in so that the kernel can
+    precompute it per lane."""
+    return one_minus_w * a + w * b
+
+
+def oracle_noise_std(v: float, n: int, d: int) -> float:
+    """Per-coordinate std v/sqrt(N d) of the bias oracle's noise: total
+    variance v^2/N split over d coordinates."""
+    return v / math.sqrt(n * d)
+
+
 def _tau_average(gks, tau: np.ndarray) -> np.ndarray:
     if len(gks) != tau.shape[0]:
         raise ValueError("number of collaborator gradients must match tau")
-    avg = tau[0] * _value(gks[0])
-    for k in range(1, len(gks)):
-        avg = avg + tau[k] * _value(gks[k])
-    return avg
+    return tau_sum(tau, [_value(g) for g in gks])
 
 
 def alone_combine(g0) -> np.ndarray:
@@ -82,7 +102,7 @@ def alone_combine(g0) -> np.ndarray:
 
 def wga_combine(g0, gks, w: CollaborationWeights) -> np.ndarray:
     """g = (1-alpha) g_0 + alpha sum_k tau_k g_k."""
-    return (1.0 - w.alpha) * _value(g0) + w.alpha * _tau_average(gks, w.tau)
+    return mix(1.0 - w.alpha, w.alpha, _value(g0), _tau_average(gks, w.tau))
 
 
 def bc_combine(g0, gks, w: CollaborationWeights, state: BcState):
@@ -95,7 +115,7 @@ def bc_combine(g0, gks, w: CollaborationWeights, state: BcState):
         raise ValueError("BcState must be initialized before combining")
     g0v = _value(g0)
     gavg = _tau_average(gks, w.tau)
-    combined = (1.0 - w.alpha) * g0v + w.alpha * (gavg - state.bias_estimate)
+    combined = mix(1.0 - w.alpha, w.alpha, g0v, gavg - state.bias_estimate)
     return combined, gavg - g0v
 
 
@@ -104,7 +124,7 @@ def bc_update(state: BcState, observed_bias, beta: float) -> BcState:
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
     b = np.asarray(observed_bias, dtype=float)
-    return BcState(bias_estimate=(1.0 - beta) * state.bias_estimate + beta * b)
+    return BcState(bias_estimate=mix(1.0 - beta, beta, state.bias_estimate, b))
 
 
 def oracle_bc_combine(g0, gks, w: CollaborationWeights, true_bias,
@@ -116,15 +136,14 @@ def oracle_bc_combine(g0, gks, w: CollaborationWeights, true_bias,
     `oracle_noise` is either a Generator or pre-drawn standard normals of
     the same shape as g_0.
     """
-    if v < 0:
+    if not v >= 0:
         raise ValueError("v must be >= 0")
     g0v = _value(g0)
     gavg = _tau_average(gks, w.tau)
-    n = len(gks)
-    d = g0v.shape[-1]
     if isinstance(oracle_noise, np.random.Generator):
         z = oracle_noise.standard_normal(g0v.shape)
     else:
         z = np.asarray(oracle_noise, dtype=float)
-    c_oracle = np.asarray(true_bias, dtype=float) + z * (v / np.sqrt(n * d))
-    return (1.0 - w.alpha) * g0v + w.alpha * (gavg - c_oracle)
+    c_oracle = (np.asarray(true_bias, dtype=float)
+                + z * oracle_noise_std(v, len(gks), g0v.shape[-1]))
+    return mix(1.0 - w.alpha, w.alpha, g0v, gavg - c_oracle)

@@ -5,21 +5,18 @@ default output directory comes from $COSGD_OUT_DIR (fallback ./out).
 """
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import figures
 from .aggregators import CollaborationWeights
 from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
-                     bound_wga_pl, gainfactor_surface)
+                     bound_wga_pl)
 from .config import ConfigError, ExperimentConfig, load_config
 from .csvio import fmt_value, write_csv
-from .objective import QuadraticTask, SimilarityParams
+from .objective import SimilarityParams
 from .schedules import ScheduleInputs, tau_qp, tau_qp_objective
-from .simulator import RunConfig, run_replicated, sweep
+from .simulator import RunConfig, _validate, run_replicated, sweep
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
 
@@ -60,20 +57,30 @@ def _stride(value: str) -> int:
 
 
 def _inline_run_config(args) -> ExperimentConfig:
-    n = args.N
-    colls = [QuadraticTask(curvature=args.a1,
-                           optimum=args.x0star + args.zeta / args.a1,
-                           noise_std=args.sigma / math.sqrt(n))]
-    main = QuadraticTask(curvature=args.a0, optimum=args.x0star,
-                         noise_std=args.sigma)
-    weights = CollaborationWeights(alpha=args.alpha, tau=[1.0], beta=args.beta)
-    run_cfg = RunConfig(main_task=main, collaborators=colls,
-                        aggregator=args.aggregator, weights=weights,
-                        step_size=args.eta, horizon=args.T, x0=args.x0,
-                        c0_policy=args.c0_policy, oracle_v=args.oracle_v)
+    try:
+        main, colls = figures.collaborative_pair(
+            a0=args.a0, x0_star=args.x0star, a1=args.a1, zeta=args.zeta,
+            sigma=args.sigma, n=args.N)
+        weights = CollaborationWeights(alpha=args.alpha, tau=[1.0], beta=args.beta)
+        run_cfg = RunConfig(main_task=main, collaborators=colls,
+                            aggregator=args.aggregator, weights=weights,
+                            step_size=args.eta, horizon=args.T, x0=args.x0,
+                            c0_policy=args.c0_policy, oracle_v=args.oracle_v)
+        _validate(run_cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return ExperimentConfig(run=run_cfg, seeds=_parse_seeds(args.seeds),
                             out_dir=args.out_dir, workers=args.workers,
                             csv_stride=args.csv_stride)
+
+
+def _stats_rows(label: str, res) -> list:
+    """(label, statistic, value) rows of aggregate.csv; a missing SE is nan."""
+    stats = ("plateau_mean", "plateau_se", "final_gap_mean", "final_gap_se",
+             "avg_grad_sq_mean", "avg_grad_sq_se")
+    values = [getattr(res, stat) for stat in stats]
+    return [(label, stat, float("nan") if val is None else val)
+            for stat, val in zip(stats, values)]
 
 
 def _cmd_run(args) -> int:
@@ -85,76 +92,52 @@ def _cmd_run(args) -> int:
         cfg = _inline_run_config(args)
     out_dir = cfg.out_dir or _default_out_dir()
 
+    stride = cfg.csv_stride
     if cfg.sweep_axis is not None:
-        results = sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values, cfg.seeds,
-                        workers=cfg.workers, alpha_rule=cfg.sweep_alpha_rule)
         rows = []
-        for value, res in results:
+        for value, res in sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values,
+                                cfg.seeds, workers=cfg.workers,
+                                alpha_rule=cfg.sweep_alpha_rule):
             label = f"{cfg.sweep_axis}={value:g}"
             figures._write_trace(
                 os.path.join(out_dir, f"trace_{cfg.sweep_axis}{value:g}.csv"),
-                res, cfg.csv_stride)
-            for stat, val in (("plateau_mean", res.plateau_mean),
-                              ("plateau_se", res.plateau_se),
-                              ("final_gap_mean", res.final_gap_mean),
-                              ("final_gap_se", res.final_gap_se),
-                              ("avg_grad_sq_mean", res.avg_grad_sq_mean),
-                              ("avg_grad_sq_se", res.avg_grad_sq_se)):
-                rows.append((label, stat, float("nan") if val is None else val))
+                res, stride)
+            rows += _stats_rows(label, res)
             print(f"{label}: plateau {fmt_value(res.plateau_mean)}"
                   f" final_gap {fmt_value(res.final_gap_mean)}")
-        write_csv(os.path.join(out_dir, "aggregate.csv"),
-                  ["label", "statistic", "value"], rows)
-        return 0
-
-    res = run_replicated(cfg.run, cfg.seeds, workers=cfg.workers,
-                         keep_traces=True)
-    stride = cfg.csv_stride
-    for seed, trace in zip(cfg.seeds, res.traces):
-        steps = range(0, cfg.run.horizon + 1, stride)
-        write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
-                  ["step", "test_loss", "grad_norm_sq"],
-                  ((t, trace.test_loss[t], trace.grad_norm_sq[t]) for t in steps))
-    figures._write_trace(os.path.join(out_dir, "aggregate_trace.csv"), res, stride)
-    rows = [("run", stat, float("nan") if val is None else val)
-            for stat, val in (("plateau_mean", res.plateau_mean),
-                              ("plateau_se", res.plateau_se),
-                              ("final_gap_mean", res.final_gap_mean),
-                              ("final_gap_se", res.final_gap_se),
-                              ("avg_grad_sq_mean", res.avg_grad_sq_mean),
-                              ("avg_grad_sq_se", res.avg_grad_sq_se))]
+    else:
+        res = run_replicated(cfg.run, cfg.seeds, workers=cfg.workers,
+                             keep_traces=True)
+        for seed, trace in zip(cfg.seeds, res.traces):
+            steps = range(0, cfg.run.horizon + 1, stride)
+            write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
+                      ["step", "test_loss", "grad_norm_sq"],
+                      ((t, trace.test_loss[t], trace.grad_norm_sq[t]) for t in steps))
+        figures._write_trace(os.path.join(out_dir, "aggregate_trace.csv"), res, stride)
+        rows = _stats_rows("run", res)
+        print(f"final loss (plateau): {fmt_value(res.plateau_mean)}"
+              + ("" if res.plateau_se is None else f" +/- {fmt_value(res.plateau_se)}"))
+        if res.diverged_seeds:
+            print(f"diverged seeds: {res.diverged_seeds}")
     write_csv(os.path.join(out_dir, "aggregate.csv"),
               ["label", "statistic", "value"], rows)
-    print(f"final loss (plateau): {fmt_value(res.plateau_mean)}"
-          + ("" if res.plateau_se is None else f" +/- {fmt_value(res.plateau_se)}"))
-    if res.diverged_seeds:
-        print(f"diverged seeds: {res.diverged_seeds}")
     return 0
 
 
 def _cmd_figure(args) -> int:
     out_dir = args.out_dir or _default_out_dir()
     seeds = _parse_seeds(args.seeds)
-    common = dict(seeds=seeds, workers=args.workers)
-    if args.name in ("fig2", "fig3", "fig4", "fig5"):
-        common["horizon"] = args.T
-        common["csv_stride"] = args.csv_stride
-    if args.name == "fig2":
-        res = figures.fig2(out_dir, **common)
-        print(f"fig2: chosen {res.chosen}")
-    elif args.name == "fig3":
-        res = figures.fig3(out_dir, **common)
-    elif args.name == "fig4":
-        res = figures.fig4(out_dir, **common)
-    elif args.name == "fig5":
-        res = figures.fig5(out_dir, **common)
-    elif args.name == "gainfactor":
-        res = figures.gainfactor(out_dir)
-    elif args.name == "sublinear":
-        res = figures.sublinear(out_dir)
-    else:
+    if args.name not in figures.FIGURES:
         raise ConfigError(
             f"unknown figure {args.name!r}; valid names: {', '.join(figures.FIGURES)}")
+    make = getattr(figures, args.name)
+    if args.name in ("gainfactor", "sublinear"):  # no simulation
+        res = make(out_dir)
+    else:
+        res = make(out_dir, seeds=seeds, workers=args.workers, horizon=args.T,
+                   csv_stride=args.csv_stride)
+    if args.name == "fig2":
+        print(f"fig2: chosen {res.chosen}")
     for row in res.summary:
         print(" ".join(fmt_value(v) for v in row))
     print(f"wrote {args.name} CSVs to {out_dir}")
@@ -178,12 +161,7 @@ def _bound_inputs(args) -> BoundInputs:
 def _cmd_bounds(args) -> int:
     if args.which == "gainfactor":
         out_dir = args.out_dir or _default_out_dir()
-        n_grid = np.unique(np.round(np.logspace(0, 2, 41)).astype(int))
-        ratio_grid = np.logspace(-3, 3, 49)
-        surface = gainfactor_surface(n_grid, ratio_grid)
-        rows = [[r] + list(surface[i]) for i, r in enumerate(ratio_grid)]
-        write_csv(os.path.join(out_dir, "gainfactor.csv"),
-                  ["ratio"] + [f"N{int(n)}" for n in n_grid], rows)
+        figures.gainfactor(out_dir)
         print(f"wrote gain-factor heatmap to {out_dir}/gainfactor.csv")
         return 0
     b = _bound_inputs(args)
@@ -219,7 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
                 description="Personalized collaborative SGD experiments")
     sub = p.add_subparsers(dest="command", required=True)
 
-    r = sub.add_parser("run", help="run one config (file or inline flags)")
+    # Options that `run` and `figure` share.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--T", type=int, default=figures.DEFAULT_T)
+    shared.add_argument("--seeds", default="0-19")
+    shared.add_argument("--out-dir", dest="out_dir", default=None)
+    shared.add_argument("--workers", type=int, default=1,
+                        help="deprecated and ignored")
+    shared.add_argument("--csv-stride", dest="csv_stride", type=_stride,
+                        default=10)
+
+    r = sub.add_parser("run", parents=[shared],
+                       help="run one config (file or inline flags)")
     r.add_argument("--config", help="JSON experiment config")
     r.add_argument("--aggregator", default="alone",
                    choices=("alone", "wga", "bc", "oracle_bc"))
@@ -233,27 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--beta", type=float, default=None)
     r.add_argument("--eta", type=float, default=1e-4)
     r.add_argument("--x0", type=float, default=10.0)
-    r.add_argument("--T", type=int, default=figures.DEFAULT_T)
-    r.add_argument("--seeds", default="0-19")
     r.add_argument("--c0-policy", dest="c0_policy", default="first_bias",
                    choices=("first_bias", "zero", "warm_start"))
     r.add_argument("--oracle-v", dest="oracle_v", type=float, default=0.0)
-    r.add_argument("--out-dir", dest="out_dir", default=None)
-    r.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored")
-    r.add_argument("--csv-stride", dest="csv_stride", type=_stride,
-                   default=10)
     r.set_defaults(func=_cmd_run)
 
-    f = sub.add_parser("figure", help="reproduce a figure's CSV data")
+    f = sub.add_parser("figure", parents=[shared],
+                       help="reproduce a figure's CSV data")
     f.add_argument("name")
-    f.add_argument("--T", type=int, default=figures.DEFAULT_T)
-    f.add_argument("--seeds", default="0-19")
-    f.add_argument("--out-dir", dest="out_dir", default=None)
-    f.add_argument("--workers", type=int, default=1,
-                   help="deprecated and ignored")
-    f.add_argument("--csv-stride", dest="csv_stride", type=_stride,
-                   default=10)
     f.set_defaults(func=_cmd_figure)
 
     b = sub.add_parser("bounds", help="evaluate a convergence bound")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .aggregators import CollaborationWeights
 from .objective import QuadraticTask
-from .simulator import RunConfig
+from .simulator import DecreasingPlSchedule, RunConfig, _validate, sweep_config
 
 
 class ConfigError(ValueError):
@@ -68,6 +68,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         r = self.run
+        if isinstance(r.step_size, DecreasingPlSchedule):
+            raise ConfigError("a DecreasingPlSchedule step size has no JSON form")
         d = {
             "main_task": _task_dict(r.main_task),
             "collaborators": [_task_dict(c) for c in r.collaborators],
@@ -106,6 +108,16 @@ class ExperimentConfig:
                  for i, c in enumerate(d["collaborators"])]
         wd = d["weights"]
         _check_keys(wd, _WEIGHT_KEYS, "weights")
+        sweep_axis = None
+        sweep_values: list = []
+        sweep_rule = None
+        if "sweep" in d:
+            _check_keys(d["sweep"], _SWEEP_KEYS, "sweep")
+            sweep_axis = d["sweep"].get("axis")
+            if sweep_axis is None:
+                raise ConfigError("sweep requires an axis")
+            sweep_values = list(d["sweep"].get("values", []))
+            sweep_rule = d["sweep"].get("alpha_rule")
         try:
             weights = CollaborationWeights(alpha=wd.get("alpha", 0.0),
                                            tau=wd.get("tau", [1.0]),
@@ -118,18 +130,13 @@ class ExperimentConfig:
                 warm_start_samples=int(d.get("warm_start_samples", 8)),
                 oracle_v=float(d.get("oracle_v", 0.0)),
                 iterate_stride=int(d.get("iterate_stride", 0)))
-        except ValueError as e:
+            # Check every config the run will execute, before any runs.
+            for cfg in ([run] if sweep_axis is None else
+                        [sweep_config(run, sweep_axis, v, sweep_rule)
+                         for v in sweep_values]):
+                _validate(cfg)
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
-        sweep_axis = None
-        sweep_values: list = []
-        sweep_rule = None
-        if "sweep" in d:
-            _check_keys(d["sweep"], _SWEEP_KEYS, "sweep")
-            sweep_axis = d["sweep"].get("axis")
-            if sweep_axis is None:
-                raise ConfigError("sweep requires an axis")
-            sweep_values = list(d["sweep"].get("values", []))
-            sweep_rule = d["sweep"].get("alpha_rule")
         seeds = [int(s) for s in d.get("seeds", [0])]
         if not seeds:
             raise ConfigError("seeds must be non-empty")

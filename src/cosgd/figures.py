@@ -34,6 +34,8 @@ ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
 def collaborative_pair(a0: float = 1.0, x0_star: float = 0.0, a1: float = 2.0,
                        zeta: float = 4.0, sigma: float = 10.0, n: int = 10):
     """Main task plus the averaged collaborator for given (zeta, sigma, N)."""
+    if not (n >= 1 and a1 > 0):
+        raise ValueError(f"need N >= 1 and a1 > 0, got N={n}, a1={a1}")
     main = QuadraticTask(curvature=a0, optimum=x0_star, noise_std=sigma)
     coll = QuadraticTask(curvature=a1, optimum=x0_star + zeta / a1,
                          noise_std=sigma / math.sqrt(n))

@@ -43,9 +43,11 @@ class QuadraticTask:
             raise ValueError("curvature and optimum must have the same dimension")
         if not np.all(self.curvature > 0):
             raise ValueError("curvature entries must be strictly positive")
-        if self.noise_std < 0:
+        if not np.all(np.isfinite(self.optimum)):
+            raise ValueError("optimum entries must be finite")
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be >= 0")
-        if self.noise_scale < 0:
+        if not self.noise_scale >= 0:
             raise ValueError("noise_scale must be >= 0")
 
     @property
@@ -125,15 +127,20 @@ def true_gradient(task: QuadraticTask, x) -> np.ndarray:
     return task.curvature * (x - task.optimum)
 
 
+def noise_std(var, scale, grad: np.ndarray, d: int) -> np.ndarray:
+    """sqrt(var + scale ||grad||^2 / d), the validation-free core of
+    `gradient_noise_std`; `var`, `scale` and `grad` broadcast."""
+    gsq = np.sum(grad * grad, axis=-1, keepdims=True)
+    return np.sqrt(var + scale * gsq / d)
+
+
 def gradient_noise_std(task: QuadraticTask, grad: np.ndarray) -> np.ndarray:
     """Per-coordinate noise std at a point with true gradient `grad`.
 
     Total noise variance sigma^2 + M ||grad||^2 split evenly across the
     d coordinates.  `grad` may carry leading batch axes.
     """
-    d = task.dim
-    gsq = np.sum(grad * grad, axis=-1, keepdims=True)
-    return np.sqrt(task.noise_std ** 2 + task.noise_scale * gsq / d)
+    return noise_std(task.noise_std ** 2, task.noise_scale, grad, task.dim)
 
 
 def sample_gradient(task: QuadraticTask, x, rng: np.random.Generator,
@@ -195,6 +202,4 @@ def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityPara
 
 def mean_estimation_task(mu: float, sigma: float) -> QuadraticTask:
     """1D task f(x) = 1/2 (x - mu)^2 with gradient samples x - z, z ~ N(mu, sigma^2)."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     return QuadraticTask(curvature=1.0, optimum=float(mu), noise_std=float(sigma))

@@ -136,26 +136,27 @@ def eta_wga_pl(inputs: ScheduleInputs) -> float:
     return min(eta_max(inputs), log_term / (guard * mu * T))
 
 
-def eta_decreasing_pl(t: int, inputs: ScheduleInputs, c: int = 2) -> float:
+def _decreasing_pl_raw(t, inputs: ScheduleInputs, c: int):
+    """Unclamped c (2t+1) / (2 mu (1-alpha^2 m) (t+1)^2); t may be an array."""
+    guard = 1.0 - inputs.alpha ** 2 * inputs.sim.grad_scale_mismatch
+    return c * (2.0 * t + 1.0) / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2)
+
+
+def eta_decreasing_pl(t, inputs: ScheduleInputs, c: int = 2):
     """Decreasing PL schedule eta_t = c (2t+1) / (2 mu (1-alpha^2 m) (t+1)^2),
-    clamped at eta_max."""
-    if t < 0:
+    clamped at eta_max.  `t` may be an array of steps."""
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    m = inputs.sim.grad_scale_mismatch
-    check_alpha_guard(inputs.alpha, m)
-    guard = 1.0 - inputs.alpha ** 2 * m
-    raw = c * (2.0 * t + 1.0) / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2)
-    return min(raw, eta_max(inputs))
+    check_alpha_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
+    return np.minimum(_decreasing_pl_raw(t, inputs, c), eta_max(inputs))
 
 
 def decreasing_pl_start_index(inputs: ScheduleInputs, c: int = 2) -> int:
     """Smallest t_0 at which the unclamped decreasing schedule fits under
     eta_max; the decreasing-step bound restarts its analysis there."""
     cap = eta_max(inputs)
-    m = inputs.sim.grad_scale_mismatch
-    guard = 1.0 - inputs.alpha ** 2 * m
     t = 0
-    while c * (2.0 * t + 1.0) / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2) > cap:
+    while _decreasing_pl_raw(t, inputs, c) > cap:
         t += 1
     return t
 

@@ -14,7 +14,8 @@ Seeds and swept configs are vectorized through one kernel: a lane is one
 (config, seed) pair, every per-step operation is elementwise across
 lanes and each config's parameters are broadcast over its own lanes,
 which makes a batched run bitwise equal to the corresponding single
-runs.
+runs.  Each step applies the combine rules of `aggregators` and the
+noise model of `objective` through their arithmetic cores.
 """
 
 import math
@@ -24,8 +25,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rng as rng_mod
-from .aggregators import CollaborationWeights, check_alpha_guard
-from .objective import QuadraticTask, _as_vector
+from .aggregators import (CollaborationWeights, check_alpha_guard, mix,
+                          oracle_noise_std, tau_sum, wga_combine)
+from .objective import (QuadraticTask, _as_vector, noise_std, sample_gradient,
+                        similarity_params, true_gradient)
 from .schedules import ScheduleInputs, eta_decreasing_pl
 
 AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
@@ -46,8 +49,7 @@ class DecreasingPlSchedule:
     c: int = 2
 
     def values(self, horizon: int) -> np.ndarray:
-        return np.array([eta_decreasing_pl(t, self.inputs, self.c)
-                         for t in range(horizon)])
+        return eta_decreasing_pl(np.arange(horizon), self.inputs, self.c)
 
 
 @dataclass
@@ -75,8 +77,13 @@ class RunConfig:
             raise ValueError("horizon must be >= 1")
         if self.warm_start_samples < 1:
             raise ValueError("warm_start_samples must be >= 1")
-        if self.oracle_v < 0:
+        if not self.oracle_v >= 0:
             raise ValueError("oracle_v must be >= 0")
+        if not (isinstance(self.step_size, DecreasingPlSchedule)
+                or 0 < self.step_size < math.inf):
+            raise ValueError("step_size must be finite and > 0")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 entries must be finite")
         for task in [self.main_task] + list(self.collaborators):
             if task.dim != self.x0.shape[0]:
                 raise ValueError("all tasks must match the dimension of x0")
@@ -121,15 +128,11 @@ class RunResult:
 def _step_sizes(cfg: RunConfig) -> np.ndarray:
     if isinstance(cfg.step_size, DecreasingPlSchedule):
         return cfg.step_size.values(cfg.horizon)
-    eta = float(cfg.step_size)
-    if eta <= 0:
-        raise ValueError("step_size must be > 0")
-    return np.full(cfg.horizon, eta)
+    return np.full(cfg.horizon, float(cfg.step_size))
 
 
 def _validate(cfg: RunConfig) -> None:
     if cfg.aggregator == "wga" and cfg.weights.alpha > 0:
-        from .objective import similarity_params
         sim = similarity_params(cfg.main_task, cfg.collaborators, cfg.weights.tau)
         check_alpha_guard(cfg.weights.alpha, sim.grad_scale_mismatch)
     if cfg.aggregator == "bc" and cfg.weights.beta is None:
@@ -160,7 +163,7 @@ class _Lanes:
 
     curv: list  # (L, d) curvature
     opt: list  # (L, d) optimum
-    std: list  # (L, 1) noise_std
+    std: list  # (L, 1) noise_std, the whole noise std of an additive agent
     var: list  # (L, 1) noise_std ** 2
     scale: list  # (L, 1) noise_scale
     tau: list | None  # (L, 1)
@@ -197,7 +200,7 @@ class _Lanes:
             one_minus_alpha=col([1.0 - w.alpha for w in ws]),
             beta=col([w.beta for w in ws]) if mode == "bc" else None,
             one_minus_beta=col([1.0 - w.beta for w in ws]) if mode == "bc" else None,
-            oracle_std=col([cfg.oracle_v / math.sqrt(max(1, n_agents - 1) * d)
+            oracle_std=col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
                             for cfg in cfgs]) if mode == "oracle_bc" else None,
             cfg=np.repeat(np.arange(len(cfgs)), n_seeds),
         )
@@ -289,12 +292,10 @@ def _run_batch(cfgs, seeds) -> list:
     noise = None
 
     def sample(a, grad, i):
-        """Agent a's stochastic gradient; mirrors objective.sample_gradient."""
-        if additive[a]:
+        """Agent a's stochastic gradient at true gradient `grad`."""
+        if additive[a]:  # normals pre-scaled by noise_std
             return grad + noise[a][i]
-        std = np.sqrt(p.var[a] + p.scale[a] * np.sum(grad * grad, axis=-1,
-                                                     keepdims=True) / d)
-        return grad + noise[a][i] * std
+        return grad + noise[a][i] * noise_std(p.var[a], p.scale[a], grad, d)
 
     chunk = max(1, _CHUNK_DRAWS // (L * d))
     for t0 in range(0, T, chunk):
@@ -326,25 +327,19 @@ def _run_batch(cfgs, seeds) -> list:
             else:
                 grads = [p.curv[a] * (x - p.opt[a]) for a in range(1, n_agents)]
                 samples = [sample(a, ga, i) for a, ga in enumerate(grads, 1)]
-                tau = p.tau
-                gavg = tau[0] * samples[0]
-                for k in range(1, n_agents - 1):
-                    gavg = gavg + tau[k] * samples[k]
+                gavg = tau_sum(p.tau, samples)
                 if mode == "wga":
-                    g = p.one_minus_alpha * g0 + p.alpha * gavg
+                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
                 elif mode == "bc":
                     b = gavg - g0
                     if c_state is None:  # first_bias policy, t == 0
                         c_state = b
-                    g = p.one_minus_alpha * g0 + p.alpha * (gavg - c_state)
-                    c_state = p.one_minus_beta * c_state + p.beta * b
+                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_state)
+                    c_state = mix(p.one_minus_beta, p.beta, c_state, b)
                 else:  # oracle_bc
-                    true_bias = tau[0] * grads[0]
-                    for k in range(1, n_agents - 1):
-                        true_bias = true_bias + tau[k] * grads[k]
-                    true_bias = true_bias - g0_true
+                    true_bias = tau_sum(p.tau, grads) - g0_true
                     c_oracle = true_bias + z_oracle[i] * p.oracle_std
-                    g = p.one_minus_alpha * g0 + p.alpha * (gavg - c_oracle)
+                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
 
             x_new = x - eta[i] * g
             if np.abs(x_new).max() <= DIVERGENCE_LIMIT:
@@ -397,24 +392,19 @@ def _run_batch(cfgs, seeds) -> list:
 
 
 def _warm_start_bias(cfg: RunConfig, seeds) -> np.ndarray:
-    """c_0 = average of S independent bias samples at x_0, from dedicated
-    warm-start streams (keeps the main gradient streams aligned)."""
-    d = cfg.main_task.dim
+    """c_0 = average of `warm_start_samples` bias samples at x_0, drawn
+    with `sample_gradient` from dedicated warm-start streams (keeps the
+    main gradient streams aligned)."""
     tasks = [cfg.main_task] + list(cfg.collaborators)
-    tau = cfg.weights.tau
-    out = np.zeros((len(seeds), d))
+    out = np.zeros((len(seeds), cfg.main_task.dim))
     for j, s in enumerate(seeds):
         gens = [rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
                 for a in range(len(tasks))]
-        acc = np.zeros(d)
+        acc = np.zeros(cfg.main_task.dim)
         for _ in range(cfg.warm_start_samples):
-            samples = []
-            for task, gen in zip(tasks, gens):
-                g = task.curvature * (cfg.x0 - task.optimum)
-                std = np.sqrt(task.noise_std ** 2
-                              + task.noise_scale * np.dot(g, g) / d)
-                samples.append(g + gen.standard_normal(d) * std)
-            acc += sum(tau[k] * samples[1 + k] for k in range(len(tasks) - 1)) - samples[0]
+            g = [sample_gradient(task, cfg.x0, gen).value
+                 for task, gen in zip(tasks, gens)]
+            acc += tau_sum(cfg.weights.tau, g[1:]) - g[0]
         out[j] = acc / cfg.warm_start_samples
     return out
 
@@ -582,6 +572,15 @@ def sweep(base: RunConfig, axis: str, values, seeds, workers: int = 1,
                                        plateau_fraction=plateau_fraction)))
 
 
+def _mean_mix(cfg: RunConfig, value) -> np.ndarray:
+    """The Alone/WGA combine rule applied to the noise-free per-agent
+    values `value(task)`."""
+    v0 = value(cfg.main_task)
+    if cfg.aggregator == "alone":
+        return v0
+    return wga_combine(v0, [value(c) for c in cfg.collaborators], cfg.weights)
+
+
 def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
     """Exact expected-iterate sequence for Alone/WGA with constant step.
 
@@ -596,14 +595,10 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
         raise ValueError("mean dynamics oracle requires a constant step size")
     T = cfg.horizon if T is None else int(T)
     eta = float(cfg.step_size)
-    alpha = 0.0 if cfg.aggregator == "alone" else cfg.weights.alpha
     out = np.empty((T + 1, cfg.main_task.dim))
     out[0] = cfg.x0
     for t in range(T):
-        g = (1.0 - alpha) * cfg.main_task.curvature * (out[t] - cfg.main_task.optimum)
-        if alpha > 0:
-            for k, c in enumerate(cfg.collaborators):
-                g = g + alpha * cfg.weights.tau[k] * c.curvature * (out[t] - c.optimum)
+        g = _mean_mix(cfg, lambda task: true_gradient(task, out[t]))
         out[t + 1] = out[t] - eta * g
     return out
 
@@ -611,11 +606,5 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
     """Fixed point of the mean dynamics: the weighted optimum
     ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
-    alpha = 0.0 if cfg.aggregator == "alone" else cfg.weights.alpha
-    num = (1.0 - alpha) * cfg.main_task.curvature * cfg.main_task.optimum
-    den = (1.0 - alpha) * cfg.main_task.curvature
-    if alpha > 0:
-        for k, c in enumerate(cfg.collaborators):
-            num = num + alpha * cfg.weights.tau[k] * c.curvature * c.optimum
-            den = den + alpha * cfg.weights.tau[k] * c.curvature
-    return num / den
+    return (_mean_mix(cfg, lambda task: task.curvature * task.optimum)
+            / _mean_mix(cfg, lambda task: task.curvature))

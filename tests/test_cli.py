@@ -8,7 +8,8 @@ from cosgd.cli import main
 from cosgd.config import (ConfigError, ExperimentConfig, load_config,
                           save_config)
 from cosgd.objective import QuadraticTask
-from cosgd.simulator import RunConfig
+from cosgd.schedules import schedule_inputs
+from cosgd.simulator import DecreasingPlSchedule, RunConfig
 
 
 def run_cli(*argv):
@@ -66,7 +67,46 @@ class TestRunCommand:
 
 
 class TestInputContract:
-    """Bad seed specs and strides are configuration errors (exit 1)."""
+    """Bad seed specs, strides and parameters are configuration errors
+    (exit 1), caught before any run starts."""
+
+    @pytest.mark.parametrize("flags", [
+        ("--N", "0"),
+        ("--T", "0"),
+        ("--aggregator", "bc"),  # no --beta
+        ("--eta", "nan"),
+        ("--eta", "-1"),
+        ("--sigma", "nan"),
+        ("--zeta", "nan"),
+        ("--x0", "nan"),
+    ], ids=lambda flags: "=".join(flags))
+    def test_bad_inline_parameter(self, tmp_path, capsys, flags):
+        assert run_cli("run", "--T", "10", "--seeds", "0", *flags,
+                       "--out-dir", str(tmp_path)) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_config_sweep_value(self, tmp_path, capsys):
+        d = TestConfigFile().make_config().to_dict()
+        d["sweep"] = {"axis": "N", "values": [1, 0, 10]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+        assert "N must be >= 1" in capsys.readouterr().err
+
+    def test_config_beta_sweep_over_base_without_beta(self, tmp_path):
+        d = TestConfigFile().make_config().to_dict()
+        d["aggregator"] = "bc"
+        d["weights"]["beta"] = None
+        d["sweep"] = {"axis": "beta", "values": [0.1, 1.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path),
+                       "--out-dir", str(tmp_path)) == 0
+        d.pop("sweep")
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path),
+                       "--out-dir", str(tmp_path)) == 1
 
     def test_reversed_seed_range(self, tmp_path):
         assert run_cli("run", "--T", "10", "--seeds", "5-2",
@@ -143,6 +183,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="gamma"):
             ExperimentConfig.from_dict(d)
 
+    def test_schedule_step_size_has_no_json_form(self):
+        cfg = self.make_config()
+        r = cfg.run
+        r.step_size = DecreasingPlSchedule(schedule_inputs(
+            r.main_task, r.collaborators, r.weights, 100, r.x0))
+        with pytest.raises(ConfigError, match="no JSON form"):
+            cfg.to_dict()
+
     def test_missing_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
 
@@ -189,6 +237,12 @@ class TestBoundsCommand:
         with open(tmp_path / "gainfactor.csv") as fh:
             header = next(csv.reader(fh))
         assert header[0] == "ratio" and header[1] == "N1"
+
+    def test_gainfactor_same_bytes_as_figure(self, tmp_path):
+        assert run_cli("bounds", "gainfactor", "--out-dir", str(tmp_path / "b")) == 0
+        assert run_cli("figure", "gainfactor", "--out-dir", str(tmp_path / "f")) == 0
+        assert read_bytes(tmp_path / "b" / "gainfactor.csv") == \
+            read_bytes(tmp_path / "f" / "gainfactor.csv")
 
 
 class TestTauCommand:

@@ -8,7 +8,7 @@ from cosgd import rng as rng_mod
 from cosgd.aggregators import (BcState, CollaborationWeights, bc_combine,
                                bc_update, oracle_bc_combine, wga_combine)
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
-from cosgd.schedules import schedule_inputs
+from cosgd.schedules import eta_max, schedule_inputs
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, mean_dynamics_oracle,
                              mean_fixed_point, run, run_replicated, sweep,
                              sweep_config)
@@ -68,7 +68,18 @@ class TestReferenceEquivalence:
         w = cfg.weights
         x = cfg.x0.copy()
         losses = [eval_loss(cfg.main_task, x)]
-        state = BcState(np.zeros(cfg.main_task.dim)) if cfg.c0_policy == "zero" else None
+        state = None  # first_bias: set from the first round's samples
+        if cfg.c0_policy == "zero":
+            state = BcState(np.zeros(cfg.main_task.dim))
+        elif cfg.c0_policy == "warm_start":
+            wgens = [rng_mod.agent_stream(cfg.seed, a, rng_mod.WARMSTART_CONTEXT)
+                     for a in range(len(tasks))]
+            acc = np.zeros(cfg.main_task.dim)
+            for _ in range(cfg.warm_start_samples):
+                s = [sample_gradient(task, cfg.x0, g).value
+                     for task, g in zip(tasks, wgens)]
+                acc += sum(w.tau[k] * s[1 + k] for k in range(len(s) - 1)) - s[0]
+            state = BcState(acc / cfg.warm_start_samples)
         for t in range(cfg.horizon):
             samples = [sample_gradient(task, x, g, agent=a)
                        for a, (task, g) in enumerate(zip(tasks, gens))]
@@ -97,6 +108,7 @@ class TestReferenceEquivalence:
         ("bc", dict(beta=0.2)),
         ("bc", dict(beta=0.2, c0_policy="zero")),
         ("oracle_bc", dict(oracle_v=1.5)),
+        ("bc", dict(beta=0.2, c0_policy="warm_start")),
     ])
     def test_bitwise_match(self, aggregator, kw):
         cfg = make_cfg(aggregator, alpha=0.6, T=60, seed=12, **kw)
@@ -108,6 +120,34 @@ class TestReferenceEquivalence:
         cfg = RunConfig(main, [coll], "wga", CollaborationWeights(0.3, [1.0]),
                         0.02, 40, [4.0, -3.0], seed=5)
         np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
+
+    def test_bitwise_match_warm_start_scaled_noise_multidim(self):
+        # At this x0 np.dot(g, g) and the noise model's np.sum(g * g) round
+        # differently, which changes this seed's c_0 in the last bit.
+        main = QuadraticTask([1.0, 2.0], [0.0, 1.0], noise_std=1.0, noise_scale=0.5)
+        coll = QuadraticTask([1.5, 2.5], [2.0, 0.0], noise_std=2.0, noise_scale=0.2)
+        cfg = RunConfig(main, [coll], "bc", CollaborationWeights(0.3, [1.0], beta=0.2),
+                        0.02, 40, [-3.0, 2.1], seed=18, c0_policy="warm_start")
+        np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
+
+
+class TestDecreasingPlSchedule:
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_values_equal_per_step_loop(self, c):
+        main, colls, tau = nonlinear_tasks(np.random.default_rng(1), d=3,
+                                           n_collaborators=2)
+        T = 200_000
+        inputs = schedule_inputs(main, colls, CollaborationWeights(0.5, tau), T,
+                                 np.full(3, 2.0))
+        # The per-step Python-float loop that the array evaluation replaced.
+        guard = 1.0 - inputs.alpha ** 2 * inputs.sim.grad_scale_mismatch
+        cap = eta_max(inputs)
+        loop = [min(c * (2.0 * t + 1.0)
+                    / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2), cap)
+                for t in range(T)]
+        values = DecreasingPlSchedule(inputs, c).values(T)
+        assert values[0] == cap > loop[-1]
+        np.testing.assert_array_equal(values, np.array(loop))
 
 
 class TestAlphaZeroEquivalence:
