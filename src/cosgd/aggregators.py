@@ -58,7 +58,6 @@ class BcState:
     """Running bias estimate c_t."""
 
     bias_estimate: np.ndarray
-    initialized: bool = True
 
     def __post_init__(self):
         self.bias_estimate = np.asarray(self.bias_estimate, dtype=float)
@@ -111,8 +110,6 @@ def bc_combine(g0, gks, w: CollaborationWeights, state: BcState):
     g = (1-alpha) g_0 + alpha (g_avg - c_t),  b_t = g_avg - g_0.
     Does not mutate `state`; feed b_t to `bc_update` after the step.
     """
-    if not state.initialized:
-        raise ValueError("BcState must be initialized before combining")
     g0v = _value(g0)
     gavg = _tau_average(gks, w.tau)
     combined = mix(1.0 - w.alpha, w.alpha, g0v, gavg - state.bias_estimate)

@@ -9,7 +9,7 @@ empirical runs can be checked for dominance:
   - bound_bc: upper bound on (1/(4T)) sum_t E||grad f_0(x_t)||^2
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,10 +110,7 @@ def bound_oracle(b: BoundInputs) -> float:
     terms: the oracle removes the bias entirely."""
     s = b.base
     mu, L = s.sim.pl_constant, s.sim.smoothness
-    cap = 1.0 / L
-    if s.sim.noise_scale_cap > 0:
-        cap = min(cap, 1.0 / (2.0 * L * s.sim.noise_scale_cap))
-    if b.eta > cap:
+    if b.eta > eta_max(replace(s, alpha=0.0)):
         raise ValueError("eta exceeds eta_max; bound not valid")
     rho = 1.0 - 2.0 * b.eta * mu / b.c
     floor = b.c * L * b.eta * oracle_sigma_tilde_sq(s) / (4.0 * mu)

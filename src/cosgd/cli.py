@@ -164,8 +164,8 @@ def _cmd_bounds(args) -> int:
         figures.gainfactor(out_dir)
         print(f"wrote gain-factor heatmap to {out_dir}/gainfactor.csv")
         return 0
-    b = _bound_inputs(args)
     try:
+        b = _bound_inputs(args)
         fn = {"wga-nc": bound_wga_nonconvex, "wga-pl": bound_wga_pl,
               "oracle": bound_oracle, "bc": bound_bc}[args.which]
         value = fn(b)
@@ -176,13 +176,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    sigmas = [float(s) for s in args.sigmas.split(",")]
-    zetas = [float(z) for z in args.zetas.split(",")]
     guard = 1.0 - args.alpha ** 2 * args.m
     if guard <= 0:
         raise ConfigError("alpha^2 m must be < 1")
+    if not (args.mu > 0 and args.T >= 1):
+        raise ConfigError("mu must be > 0 and T >= 1")
     coeff = args.L / (args.mu * args.T * guard)
     try:
+        sigmas = [float(s) for s in args.sigmas.split(",")]
+        zetas = [float(z) for z in args.zetas.split(",")]
         tau = tau_qp(sigmas, zetas, coeff)
     except ValueError as e:
         raise ConfigError(str(e)) from e

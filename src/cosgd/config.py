@@ -34,6 +34,19 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _as_int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
+def _check_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return value
+
+
 def _parse_task(d: dict, where: str) -> QuadraticTask:
     _check_keys(d, _TASK_KEYS, where)
     try:
@@ -105,7 +118,8 @@ class ExperimentConfig:
                 raise ConfigError(f"config missing required key {key!r}")
         main = _parse_task(d["main_task"], "main_task")
         colls = [_parse_task(c, f"collaborators[{i}]")
-                 for i, c in enumerate(d["collaborators"])]
+                 for i, c in enumerate(_check_list(d["collaborators"],
+                                                   "collaborators"))]
         wd = d["weights"]
         _check_keys(wd, _WEIGHT_KEYS, "weights")
         sweep_axis = None
@@ -116,7 +130,8 @@ class ExperimentConfig:
             sweep_axis = d["sweep"].get("axis")
             if sweep_axis is None:
                 raise ConfigError("sweep requires an axis")
-            sweep_values = list(d["sweep"].get("values", []))
+            sweep_values = _check_list(d["sweep"].get("values", []),
+                                       "sweep.values")
             sweep_rule = d["sweep"].get("alpha_rule")
         try:
             weights = CollaborationWeights(alpha=wd.get("alpha", 0.0),
@@ -137,18 +152,17 @@ class ExperimentConfig:
                 _validate(cfg)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
-        seeds = [int(s) for s in d.get("seeds", [0])]
-        if not seeds:
-            raise ConfigError("seeds must be non-empty")
-        try:
-            csv_stride = int(d.get("csv_stride", 10))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"csv_stride: {e}") from e
+        seeds = [_as_int(s, "seeds")
+                 for s in _check_list(d.get("seeds", [0]), "seeds")]
+        if not seeds or min(seeds) < 0:
+            raise ConfigError(f"seeds must be one or more integers >= 0, got {seeds}")
+        csv_stride = _as_int(d.get("csv_stride", 10), "csv_stride")
         if csv_stride < 1:
             raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")
         return cls(run=run, seeds=seeds, sweep_axis=sweep_axis,
                    sweep_values=sweep_values, sweep_alpha_rule=sweep_rule,
-                   out_dir=d.get("out_dir"), workers=int(d.get("workers", 1)),
+                   out_dir=d.get("out_dir"),
+                   workers=_as_int(d.get("workers", 1), "workers"),
                    csv_stride=csv_stride)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from .aggregators import CollaborationWeights
 from .csvio import write_csv
 from .objective import QuadraticTask
-from .schedules import alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor
+from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
+                        wga_pl_terms)
 from .simulator import RunConfig, RunResult, run_replicated, sweep
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "gainfactor", "sublinear")
@@ -256,8 +257,7 @@ def sublinear(out_dir: str, ms=(0.0, 0.5, 1.0, 2.0, 4.0), n_max: int = 50,
             else:
                 alpha = alpha_opt_wga_general(m, 0.0, sigma0_sq, sigma0_sq,
                                               1.0, 1.0, 1000, int(n))
-                guard = 1.0 - alpha ** 2 * m
-                st = (1.0 - alpha) ** 2 * sigma0_sq + alpha ** 2 * sigma0_sq / n
+                guard, st = wga_pl_terms(alpha, m, sigma0_sq, sigma0_sq, int(n))
                 speeds[i] = sigma0_sq * guard ** 2 / st
         out.curves[m] = speeds
     rows = [[int(n)] + [out.curves[m][i] for m in ms] for i, n in enumerate(ns)]

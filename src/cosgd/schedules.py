@@ -111,11 +111,11 @@ def eta_wga_nonconvex(inputs: ScheduleInputs) -> float:
     """min(eta_max, sqrt(2 F_0 / (L sigma_tilde^2 T)))."""
     check_alpha_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
     cap = eta_max(inputs)
-    st = sigma_tilde_sq(inputs)
-    if st == 0.0:
+    # Zero when sigma_tilde^2 is, or is so small that the product underflows.
+    denom = inputs.sim.smoothness * sigma_tilde_sq(inputs) * inputs.horizon
+    if denom == 0.0:
         return cap
-    L = inputs.sim.smoothness
-    return min(cap, float(np.sqrt(2.0 * inputs.f0_gap / (L * st * inputs.horizon))))
+    return min(cap, float(np.sqrt(2.0 * inputs.f0_gap / denom)))
 
 
 def eta_wga_pl(inputs: ScheduleInputs) -> float:
@@ -127,8 +127,8 @@ def eta_wga_pl(inputs: ScheduleInputs) -> float:
     m = inputs.sim.grad_scale_mismatch
     check_alpha_guard(inputs.alpha, m)
     L, mu, T = inputs.sim.smoothness, inputs.sim.pl_constant, inputs.horizon
-    st = sigma_tilde_sq(inputs)
-    arg = np.inf if st == 0.0 else 2.0 * mu * inputs.f0_gap * T / (3.0 * L * st)
+    denom = 3.0 * L * sigma_tilde_sq(inputs)
+    arg = np.inf if denom == 0.0 else 2.0 * mu * inputs.f0_gap * T / denom
     log_term = float(np.log(max(1.0, arg)))
     if log_term == 0.0:
         return 0.0
@@ -189,9 +189,9 @@ def eta_bc(inputs: ScheduleInputs) -> float:
     terms = [1.0 / L]
     if a > 0 and delta > 0:
         terms.append(1.0 / (6.0 * a ** 2 * delta ** 2))
-    st = sigma_tilde_sq(inputs)
-    if st > 0:
-        terms.append(float(np.sqrt(2.0 * inputs.f0_gap / (L * st * T))))
+    denom = L * sigma_tilde_sq(inputs) * T
+    if denom > 0:
+        terms.append(float(np.sqrt(2.0 * inputs.f0_gap / denom)))
     return min(terms)
 
 
@@ -291,6 +291,15 @@ def speedup_factor(alpha_opt: float) -> float:
     return 1.0 / (1.0 - alpha_opt)
 
 
+def wga_pl_terms(alpha: float, m: float, sigma0_sq: float, sigma1_sq: float,
+                 N: int) -> tuple:
+    """(1 - alpha^2 m) and sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2
+    + alpha^2 sigma_1^2/N, for N collaborators of noise variance
+    sigma_1^2 averaged with equal weights."""
+    return (1.0 - alpha * alpha * m,
+            (1.0 - alpha) ** 2 * sigma0_sq + alpha * alpha * sigma1_sq / N)
+
+
 def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
                           sigma1_sq: float, mu: float, L: float,
                           T: int, N: int) -> float:
@@ -305,8 +314,7 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
         raise ValueError("m must be >= 0")
 
     def objective(a):
-        guard = 1.0 - a * a * m
-        st = (1.0 - a) ** 2 * sigma0_sq + a * a * sigma1_sq / N
+        guard, st = wga_pl_terms(a, m, sigma0_sq, sigma1_sq, N)
         return (L * st / (mu ** 2 * T * guard ** 2)
                 + a * a * zeta_sq / (mu * guard))
 

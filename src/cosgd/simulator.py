@@ -20,7 +20,7 @@ noise model of `objective` through their arithmetic cores.
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,8 @@ AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
 C0_POLICIES = ("first_bias", "zero", "warm_start")
 
 DIVERGENCE_LIMIT = 1e12
+# The plateau metric averages the test loss over this final share of steps.
+PLATEAU_FRACTION = 0.1
 # Standard normals per agent in one noise pre-draw chunk.  A chunk spans
 # _CHUNK_DRAWS // (lanes * d) steps, so its memory stays flat as lanes
 # widen.
@@ -122,7 +124,6 @@ class RunResult:
     per_seed_final_gap: np.ndarray
     per_seed_plateau: np.ndarray
     traces: list | None = None
-    plateau_fraction: float = 0.1
 
 
 def _step_sizes(cfg: RunConfig) -> np.ndarray:
@@ -205,14 +206,6 @@ class _Lanes:
             cfg=np.repeat(np.arange(len(cfgs)), n_seeds),
         )
 
-    def take(self, keep: np.ndarray) -> "_Lanes":
-        """The lanes selected by the boolean mask `keep`."""
-        def sub(v):
-            if v is None:
-                return None
-            return [a[keep] for a in v] if isinstance(v, list) else v[keep]
-        return _Lanes(**{f.name: sub(getattr(self, f.name)) for f in fields(self)})
-
 
 def _draw(gens, n: int, d: int) -> np.ndarray:
     """(n, lanes, d): the next n steps of normals from each lane's stream."""
@@ -229,8 +222,9 @@ def _run_batch(cfgs, seeds) -> list:
     Returns, per config, one Trace per seed, bitwise identical to running
     each (config, seed) alone: every per-step operation is elementwise
     across lanes, and each lane draws from its own streams.  A lane that
-    diverges is frozen at its last finite iterate and dropped from the
-    batch, which leaves the other lanes' bits untouched.
+    diverges is frozen at its last iterate inside the box; it is found
+    once per pre-draw chunk and stays in the batch, which leaves the
+    other lanes' bits untouched.
     """
     for cfg in cfgs:
         _validate(cfg)
@@ -276,10 +270,27 @@ def _run_batch(cfgs, seeds) -> list:
             snaps = X[skip::stride]
             iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
 
-    x_all = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
-    x = x_all.copy()  # iterates of the live lanes
-    live = None  # indices of the live lanes once one has diverged
+    x = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
     steps_completed = np.full(L, T)
+    dead = np.zeros(L, dtype=bool)
+    frozen = np.empty((L, d))  # a dead lane's last iterate inside the box
+
+    def freeze(X, t0):
+        """Freeze each lane at its last iterate inside the box.
+
+        X[j + 1] is the iterate after step t0 + j.  A lane whose X[j + 1]
+        leaves the box |x| <= DIVERGENCE_LIMIT, or is not finite, completed
+        t0 + j steps and holds X[j] from row j + 1 on; a lane frozen in
+        an earlier chunk holds its frozen iterate in every row.
+        """
+        out = ~np.all(np.abs(X[1:]) <= DIVERGENCE_LIMIT, axis=-1) & ~dead
+        X[:, dead] = frozen[dead]
+        for lane in np.flatnonzero(out.any(axis=0)):
+            j = out[:, lane].argmax()
+            steps_completed[lane] = t0 + j
+            frozen[lane] = X[j, lane]
+            X[j + 1:, lane] = frozen[lane]
+            dead[lane] = True
 
     c_state = None
     if mode == "bc":
@@ -300,12 +311,11 @@ def _run_batch(cfgs, seeds) -> list:
     chunk = max(1, _CHUNK_DRAWS // (L * d))
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
-        X = np.empty((n, L, d))
-        if live is not None:
-            X[:] = x_all  # the frozen iterates of diverged lanes
-            if not live.size:
-                record(X, t0)
-                continue
+        X = np.empty((n + 1, L, d))
+        if dead.all():
+            X[:] = frozen
+            record(X[:n], t0)
+            continue
         # Pre-draw this chunk's normals, scaled for pure-additive agents.
         noise = []
         for a in range(n_agents):
@@ -314,65 +324,38 @@ def _run_batch(cfgs, seeds) -> list:
         z_oracle = _draw(oracle_gens, n, d) if oracle_gens is not None else None
         eta = etas[t0:t0 + n][:, p.cfg][:, :, None]
 
-        for i in range(n):
-            if live is None:
+        # Lanes are independent, so a dead lane's overflow and NaNs stay
+        # in its own row until `freeze` replaces them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
                 X[i] = x
-            else:
-                X[i, live] = x
-            diff0 = x - p.opt[0]
-            g0_true = p.curv[0] * diff0
-            g0 = sample(0, g0_true, i)
-            if mode == "alone":
-                g = g0
-            else:
-                grads = [p.curv[a] * (x - p.opt[a]) for a in range(1, n_agents)]
-                samples = [sample(a, ga, i) for a, ga in enumerate(grads, 1)]
-                gavg = tau_sum(p.tau, samples)
-                if mode == "wga":
-                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
-                elif mode == "bc":
-                    b = gavg - g0
-                    if c_state is None:  # first_bias policy, t == 0
-                        c_state = b
-                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_state)
-                    c_state = mix(p.one_minus_beta, p.beta, c_state, b)
-                else:  # oracle_bc
-                    true_bias = tau_sum(p.tau, grads) - g0_true
-                    c_oracle = true_bias + z_oracle[i] * p.oracle_std
-                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
+                diff0 = x - p.opt[0]
+                g0_true = p.curv[0] * diff0
+                g0 = sample(0, g0_true, i)
+                if mode == "alone":
+                    g = g0
+                else:
+                    grads = [p.curv[a] * (x - p.opt[a]) for a in range(1, n_agents)]
+                    samples = [sample(a, ga, i) for a, ga in enumerate(grads, 1)]
+                    gavg = tau_sum(p.tau, samples)
+                    if mode == "wga":
+                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
+                    elif mode == "bc":
+                        b = gavg - g0
+                        if c_state is None:  # first_bias policy, t == 0
+                            c_state = b
+                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_state)
+                        c_state = mix(p.one_minus_beta, p.beta, c_state, b)
+                    else:  # oracle_bc
+                        true_bias = tau_sum(p.tau, grads) - g0_true
+                        c_oracle = true_bias + z_oracle[i] * p.oracle_std
+                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
+                x = x - eta[i] * g
+        X[n] = x
+        freeze(X, t0)
+        record(X[:n], t0)
 
-            x_new = x - eta[i] * g
-            if np.abs(x_new).max() <= DIVERGENCE_LIMIT:
-                x = x_new
-                continue
-            # Some lane left the box or went non-finite at step t: freeze
-            # it at its last iterate and drop it from the batch.
-            keep = np.all(np.abs(x_new) <= DIVERGENCE_LIMIT, axis=-1)
-            lanes = np.arange(L) if live is None else live
-            dead = lanes[~keep]
-            steps_completed[dead] = t0 + i
-            x_all[dead] = x[~keep]
-            X[i + 1:, dead] = x[~keep]
-            live = lanes[keep]
-            p = p.take(keep)
-            x = x_new[keep]
-            if c_state is not None:
-                c_state = c_state[keep]
-            gens = [[gen for gen, k in zip(ga, keep) if k] for ga in gens]
-            noise = [z[:, keep] for z in noise]
-            if oracle_gens is not None:
-                oracle_gens = [gen for gen, k in zip(oracle_gens, keep) if k]
-                z_oracle = z_oracle[:, keep]
-            eta = eta[:, keep]
-            if not live.size:
-                break
-        record(X, t0)
-
-    if live is None:
-        x_all = x
-    else:
-        x_all[live] = x
-    record(x_all[None], T)
+    record(X[n:], T)  # the last chunk's X[n] is the iterate after step T
 
     out = []
     for c in range(len(cfgs)):
@@ -428,11 +411,11 @@ def _warn_ignored_workers(workers: int) -> None:
                       FutureWarning)
 
 
-def _reduce(cfg: RunConfig, seeds: list, traces: list, keep_traces: bool,
-            plateau_fraction: float) -> RunResult:
+def _reduce(cfg: RunConfig, seeds: list, traces: list,
+            keep_traces: bool) -> RunResult:
     """Seed aggregates of one config's traces."""
     T = cfg.horizon
-    tail = max(1, int(round(plateau_fraction * T)))
+    tail = max(1, int(round(PLATEAU_FRACTION * T)))
     ok = [tr for tr in traces if not tr.diverged]
     diverged_seeds = [s for s, tr in zip(seeds, traces) if tr.diverged]
     if not ok:
@@ -456,12 +439,10 @@ def _reduce(cfg: RunConfig, seeds: list, traces: list, keep_traces: bool,
         seeds=list(seeds), diverged_seeds=diverged_seeds,
         per_seed_final_gap=final_gaps, per_seed_plateau=plateaus,
         traces=traces if keep_traces else None,
-        plateau_fraction=plateau_fraction,
     )
 
 
-def _replicate(cfgs: list, seeds, keep_traces: bool = False,
-               plateau_fraction: float = 0.1) -> list:
+def _replicate(cfgs: list, seeds, keep_traces: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
     group of configs that share a `_batch_key`."""
     seeds = [int(s) for s in seeds]
@@ -474,23 +455,21 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False,
     for members in groups.values():
         batch = _run_batch([cfgs[i] for i in members], seeds)
         for i, traces in zip(members, batch):
-            results[i] = _reduce(cfgs[i], seeds, traces, keep_traces,
-                                 plateau_fraction)
+            results[i] = _reduce(cfgs[i], seeds, traces, keep_traces)
     return results
 
 
 def run_replicated(cfg: RunConfig, seeds, workers: int = 1,
-                   keep_traces: bool = False,
-                   plateau_fraction: float = 0.1) -> RunResult:
+                   keep_traces: bool = False) -> RunResult:
     """Independent runs per seed, aggregated mean/SE.
 
     Diverged seeds are reported and excluded from the aggregates.  The
-    plateau metric is the mean test loss over the final `plateau_fraction`
+    plateau metric is the mean test loss over the final `PLATEAU_FRACTION`
     of steps.  Results are gathered in input order.  `workers` is
     deprecated and ignored.
     """
     _warn_ignored_workers(workers)
-    return _replicate([cfg], seeds, keep_traces, plateau_fraction)[0]
+    return _replicate([cfg], seeds, keep_traces)[0]
 
 
 SWEEP_AXES = ("zeta", "N", "alpha", "beta", "eta", "delta", "sigma", "T")
@@ -557,7 +536,7 @@ def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = Non
 
 
 def sweep(base: RunConfig, axis: str, values, seeds, workers: int = 1,
-          alpha_rule: str | None = None, plateau_fraction: float = 0.1) -> list:
+          alpha_rule: str | None = None) -> list:
     """(value, RunResult) per swept value, in input order.
 
     Swept configs run as lanes of one kernel call where their shapes
@@ -568,8 +547,7 @@ def sweep(base: RunConfig, axis: str, values, seeds, workers: int = 1,
     _warn_ignored_workers(workers)
     values = list(values)
     cfgs = [sweep_config(base, axis, v, alpha_rule) for v in values]
-    return list(zip(values, _replicate(cfgs, seeds,
-                                       plateau_fraction=plateau_fraction)))
+    return list(zip(values, _replicate(cfgs, seeds)))
 
 
 def _mean_mix(cfg: RunConfig, value) -> np.ndarray:

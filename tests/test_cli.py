@@ -140,6 +140,35 @@ class TestInputContract:
         assert run_cli("run", "--config", str(path),
                        "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", ["a"]),
+        ("seeds", [-1]),
+        ("seeds", 3),
+        ("workers", "x"),
+        ("collaborators", 5),
+        ("sweep", {"axis": "eta", "values": 3}),
+    ], ids=lambda v: json.dumps(v))
+    def test_config_bad_field(self, tmp_path, capsys, key, value):
+        d = TestConfigFile().make_config().to_dict()
+        d[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", "--config", str(path),
+                       "--out-dir", str(tmp_path)) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "wga-pl", "--T", "0"),
+        ("bounds", "bc", "--N", "0"),
+        ("bounds", "oracle", "--mu", "2"),
+        ("tau", "--sigmas", "a", "--zetas", "1"),
+        ("tau", "--sigmas", "1", "--zetas", "1", "--mu", "0"),
+        ("tau", "--sigmas", "1", "--zetas", "1", "--T", "0"),
+    ], ids=" ".join)
+    def test_bad_bounds_or_tau_input(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert "config error:" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def make_config(self, **kw):

@@ -258,3 +258,8 @@ class TestEtaCeilingProperty:
         assert eta_wga_pl(i) <= 1.0 / L + 1e-15
         assert eta_bc(i) <= 1.0 / L + 1e-15
         assert eta_decreasing_pl(10 ** 7, i) <= 1.0 / L + 1e-15
+
+    def test_underflowing_variance_gives_the_cap(self):
+        # L sigma_tilde^2 T rounds to 0 for a subnormal sigma_0^2.
+        i = inputs(L=0.5, mu=0.25, s0=5e-324, sa=0.0, T=1, alpha=0.0)
+        assert eta_wga_nonconvex(i) == eta_wga_pl(i) == eta_bc(i) == 2.0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,42 @@ class TestReferenceEquivalence:
         cfg = RunConfig(main, [coll], "bc", CollaborationWeights(0.3, [1.0], beta=0.2),
                         0.02, 40, [-3.0, 2.1], seed=18, c0_policy="warm_start")
         np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
+
+    def assert_frozen_match(self, cfg):
+        """The kernel's losses equal the reference up to the divergence
+        step and then hold the loss of the last iterate inside the box."""
+        tr = run(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = self.reference_run(cfg)
+        s = tr.steps_completed
+        assert tr.diverged and s < cfg.horizon
+        np.testing.assert_array_equal(tr.test_loss[:s + 1], ref[:s + 1])
+        assert np.all(tr.test_loss[s + 1:] == ref[s])
+        return tr, ref
+
+    @pytest.mark.parametrize("eta", [2.5, 3.0])
+    @pytest.mark.parametrize("aggregator,kw", [
+        ("alone", {}),
+        ("wga", {}),
+        ("bc", dict(beta=0.2)),
+        ("bc", dict(beta=0.2, c0_policy="warm_start")),
+        ("oracle_bc", dict(oracle_v=1.5)),
+    ])
+    def test_diverging_run_matches_until_frozen(self, aggregator, kw, eta):
+        cfg = make_cfg(aggregator, alpha=0.6, T=120, seed=12, eta=eta, **kw)
+        tr, ref = self.assert_frozen_match(cfg)
+        # The main loss is x^2 / 2, so the reference's iterate leaves the
+        # box right after step steps_completed.
+        edge = eval_loss(cfg.main_task, [simulator.DIVERGENCE_LIMIT])
+        s = tr.steps_completed
+        assert np.all(ref[:s + 1] <= edge) and ref[s + 1] > edge
+
+    def test_diverging_run_matches_until_frozen_scaled_noise_multidim(self):
+        main = QuadraticTask([1.0, 2.0], [0.0, 1.0], noise_std=1.0, noise_scale=0.5)
+        coll = QuadraticTask([1.5, 2.5], [2.0, 0.0], noise_std=2.0, noise_scale=0.2)
+        cfg = RunConfig(main, [coll], "wga", CollaborationWeights(0.3, [1.0]),
+                        2.5, 80, [4.0, -3.0], seed=5)
+        self.assert_frozen_match(cfg)
 
 
 class TestDecreasingPlSchedule:
@@ -405,7 +442,7 @@ class TestSweepBatching:
 
 
 class TestDivergingLanes:
-    """A lane that diverges is frozen and dropped; the batch's other lanes
+    """A lane that diverges is frozen in place; the batch's other lanes
     keep the bits of their solo runs."""
 
     @pytest.mark.parametrize("aggregator,kw", [
@@ -439,6 +476,20 @@ class TestDivergingLanes:
             assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
         with pytest.raises(RuntimeError, match="all seeds diverged"):
             sweep(cfg, "eta", [0.05, 2.5e12], [0, 1])
+
+    def test_dead_lanes_raise_no_warning(self):
+        # Dead lanes run on to inf and NaN (x^2 overflows at eta = 1e300,
+        # and the scaled noise squares the gradient).
+        main = QuadraticTask([1.0, 2.0], [0.0, 1.0], noise_std=1.0, noise_scale=0.5)
+        coll = QuadraticTask([1.5, 2.5], [2.0, 0.0], noise_std=2.0, noise_scale=0.2)
+        base = RunConfig(main, [coll], "wga", CollaborationWeights(0.3, [1.0]),
+                         0.02, 300, [4.0, -3.0])
+        cfgs = [sweep_config(base, "eta", eta) for eta in (0.02, 2.5, 1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = simulator._run_batch(cfgs, [0, 1])
+        assert not any(tr.diverged for tr in batch[0])
+        assert all(tr.diverged for tr in batch[1] + batch[2])
 
 
 class TestGridSearch:
