@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregators import check_alpha_guard
-from .schedules import (ScheduleInputs, alpha_opt_wga_m0, eta_max,
-                        sigma_tilde_sq, speedup_factor, zeta_tilde_sq)
+from .schedules import (ScheduleInputs, alpha_opt_wga_m0, bc_step_cap, eta_max,
+                        pl_guard, sigma_tilde_sq, speedup_factor, zeta_tilde_sq)
 
 
 @dataclass
@@ -47,7 +47,7 @@ def bound_wga_nonconvex(b: BoundInputs) -> float:
     s = b.base
     m = s.sim.grad_scale_mismatch
     check_alpha_guard(s.alpha, m)
-    guard = 1.0 - s.alpha ** 2 * m
+    guard = pl_guard(s.alpha, m)
     L, T = s.sim.smoothness, s.horizon
     st = sigma_tilde_sq(s)
     core = (s.f0_gap / (eta_max(s) * T)
@@ -69,7 +69,7 @@ def bound_wga_pl(b: BoundInputs) -> float:
     s = b.base
     m = s.sim.grad_scale_mismatch
     check_alpha_guard(s.alpha, m)
-    guard = 1.0 - s.alpha ** 2 * m
+    guard = pl_guard(s.alpha, m)
     mu, L = s.sim.pl_constant, s.sim.smoothness
     if b.eta > eta_max(s):
         raise ValueError("eta exceeds eta_max; bound not valid")
@@ -89,7 +89,7 @@ def bound_wga_pl_decreasing(b: BoundInputs, t0: int, f_t0: float | None = None) 
     s = b.base
     m = s.sim.grad_scale_mismatch
     check_alpha_guard(s.alpha, m)
-    guard = 1.0 - s.alpha ** 2 * m
+    guard = pl_guard(s.alpha, m)
     mu, L, T = s.sim.pl_constant, s.sim.smoothness, s.horizon
     f_t0 = s.f0_gap if f_t0 is None else float(f_t0)
     return float(b.c * s.alpha ** 2 * s.sim.grad_offset_sq / (4.0 * mu * guard)
@@ -131,7 +131,7 @@ def bound_bc(b: BoundInputs) -> float:
     L, T = s.sim.smoothness, s.horizon
     if b.eta > 1.0 / L + 1e-15:
         raise ValueError("eta exceeds 1/L; bound not valid")
-    if a > 0 and delta > 0 and b.eta > 1.0 / (6.0 * a ** 2 * delta ** 2) + 1e-15:
+    if b.eta > bc_step_cap(a, delta) + 1e-15:
         raise ValueError("eta exceeds 1/(6 alpha^2 delta^2); bound not valid")
     s_sq = s.sigma0_sq + s.sigma_a_sq
     sig_alpha = sigma_tilde_sq(s)

@@ -12,10 +12,10 @@ from . import figures
 from .aggregators import CollaborationWeights
 from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
                      bound_wga_pl)
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, deprecated_workers, load_config
 from .csvio import fmt_value, write_csv
 from .objective import SimilarityParams
-from .schedules import ScheduleInputs, tau_qp, tau_qp_objective
+from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
 from .simulator import RunConfig, _validate, run_replicated, sweep
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
@@ -70,8 +70,7 @@ def _inline_run_config(args) -> ExperimentConfig:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     return ExperimentConfig(run=run_cfg, seeds=_parse_seeds(args.seeds),
-                            out_dir=args.out_dir, workers=args.workers,
-                            csv_stride=args.csv_stride)
+                            out_dir=args.out_dir, csv_stride=args.csv_stride)
 
 
 def _stats_rows(label: str, res) -> list:
@@ -96,8 +95,7 @@ def _cmd_run(args) -> int:
     if cfg.sweep_axis is not None:
         rows = []
         for value, res in sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values,
-                                cfg.seeds, workers=cfg.workers,
-                                alpha_rule=cfg.sweep_alpha_rule):
+                                cfg.seeds, alpha_rule=cfg.sweep_alpha_rule):
             label = f"{cfg.sweep_axis}={value:g}"
             figures._write_trace(
                 os.path.join(out_dir, f"trace_{cfg.sweep_axis}{value:g}.csv"),
@@ -106,8 +104,7 @@ def _cmd_run(args) -> int:
             print(f"{label}: plateau {fmt_value(res.plateau_mean)}"
                   f" final_gap {fmt_value(res.final_gap_mean)}")
     else:
-        res = run_replicated(cfg.run, cfg.seeds, workers=cfg.workers,
-                             keep_traces=True)
+        res = run_replicated(cfg.run, cfg.seeds, keep_traces=True)
         for seed, trace in zip(cfg.seeds, res.traces):
             steps = range(0, cfg.run.horizon + 1, stride)
             write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
@@ -134,8 +131,7 @@ def _cmd_figure(args) -> int:
     if args.name in ("gainfactor", "sublinear"):  # no simulation
         res = make(out_dir)
     else:
-        res = make(out_dir, seeds=seeds, workers=args.workers, horizon=args.T,
-                   csv_stride=args.csv_stride)
+        res = make(out_dir, seeds=seeds, horizon=args.T, csv_stride=args.csv_stride)
     if args.name == "fig2":
         print(f"fig2: chosen {res.chosen}")
     for row in res.summary:
@@ -148,8 +144,7 @@ def _bound_inputs(args) -> BoundInputs:
     sim = SimilarityParams(
         smoothness=args.L, pl_constant=args.mu,
         grad_scale_mismatch=args.m, grad_offset_sq=args.zeta_sq,
-        grad_offsets_sq=[args.zeta_sq], hessian_dissimilarity=args.delta,
-        noise_scales=[0.0], noise_scale_cap=0.0)
+        grad_offsets_sq=[args.zeta_sq], hessian_dissimilarity=args.delta)
     base = ScheduleInputs(sim=sim, horizon=args.T, f0_gap=args.F0,
                           sigma0_sq=args.sigma0_sq, sigma_a_sq=args.sigma_a_sq,
                           alpha=args.alpha, oracle_var=args.v_sq,
@@ -176,7 +171,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    guard = 1.0 - args.alpha ** 2 * args.m
+    guard = pl_guard(args.alpha, args.m)
     if guard <= 0:
         raise ConfigError("alpha^2 m must be < 1")
     if not (args.mu > 0 and args.T >= 1):
@@ -204,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--T", type=int, default=figures.DEFAULT_T)
     shared.add_argument("--seeds", default="0-19")
     shared.add_argument("--out-dir", dest="out_dir", default=None)
-    shared.add_argument("--workers", type=int, default=1,
+    shared.add_argument("--workers", type=deprecated_workers, default=1,
                         help="deprecated and ignored")
     shared.add_argument("--csv-stride", dest="csv_stride", type=_stride,
                         default=10)

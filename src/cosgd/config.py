@@ -6,6 +6,7 @@ is the identity.
 """
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 from .aggregators import CollaborationWeights
@@ -39,6 +40,17 @@ def _as_int(value, where: str) -> int:
         return int(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+def deprecated_workers(value) -> int:
+    """The ignored `workers` input (the --workers flag and the JSON key): an
+    integer that warns above 1, from this one line so it is shown once."""
+    workers = _as_int(value, "workers")
+    if workers > 1:
+        warnings.warn("workers is deprecated and ignored: seeds and swept "
+                      "configs already run as lanes of one kernel call",
+                      FutureWarning)
+    return workers
 
 
 def _check_list(value, where: str) -> list:
@@ -76,7 +88,6 @@ class ExperimentConfig:
     sweep_values: list = field(default_factory=list)
     sweep_alpha_rule: str | None = None
     out_dir: str | None = None
-    workers: int = 1  # deprecated and ignored
     csv_stride: int = 10
 
     def to_dict(self) -> dict:
@@ -98,7 +109,6 @@ class ExperimentConfig:
             "warm_start_samples": int(r.warm_start_samples),
             "oracle_v": float(r.oracle_v),
             "iterate_stride": int(r.iterate_stride),
-            "workers": int(self.workers),
             "csv_stride": int(self.csv_stride),
         }
         if self.sweep_axis is not None:
@@ -159,11 +169,13 @@ class ExperimentConfig:
         csv_stride = _as_int(d.get("csv_stride", 10), "csv_stride")
         if csv_stride < 1:
             raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")
+        out_dir = d.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+        deprecated_workers(d.get("workers", 1))
         return cls(run=run, seeds=seeds, sweep_axis=sweep_axis,
                    sweep_values=sweep_values, sweep_alpha_rule=sweep_rule,
-                   out_dir=d.get("out_dir"),
-                   workers=_as_int(d.get("workers", 1), "workers"),
-                   csv_stride=csv_stride)
+                   out_dir=out_dir, csv_stride=csv_stride)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -85,11 +85,11 @@ class FigureResult:
     chosen: dict = field(default_factory=dict)
 
 
-def _grid_search(base: RunConfig, seeds, workers: int, grid=ETA_GRID):
+def _grid_search(base: RunConfig, seeds, grid=ETA_GRID):
     """Pick the step size with the lowest mean plateau loss; the first
     grid value wins ties."""
     best = None
-    for eta, res in sweep(base, "eta", grid, seeds, workers=workers):
+    for eta, res in sweep(base, "eta", grid, seeds):
         if best is None or res.plateau_mean < best[1].plateau_mean:
             best = (eta, res)
     return best
@@ -98,7 +98,7 @@ def _grid_search(base: RunConfig, seeds, workers: int, grid=ETA_GRID):
 def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
          x0: float = 1.0, zeta: float = 4.0, sigma: float = 10.0,
          n: int = 10, bc_eta: float = 1e-4, bc_beta: float = 1e-4,
-         csv_stride: int = 10, workers: int = 1) -> FigureResult:
+         csv_stride: int = 10) -> FigureResult:
     """Alone vs WGA vs BC on the default instance.
 
     Step sizes for Alone and WGA are tuned over a log grid; BC uses a
@@ -112,12 +112,12 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
                       ETA_GRID[0], horizon, x0)
     wga = RunConfig(main, colls, "wga", CollaborationWeights(alpha, [1.0]),
                     ETA_GRID[0], horizon, x0)
-    eta_alone, res_alone = _grid_search(alone, seeds, workers)
-    eta_wga, res_wga = _grid_search(wga, seeds, workers)
+    eta_alone, res_alone = _grid_search(alone, seeds)
+    eta_wga, res_wga = _grid_search(wga, seeds)
     bc = RunConfig(main, colls, "bc",
                    CollaborationWeights(alpha, [1.0], beta=bc_beta),
                    bc_eta, horizon, x0, c0_policy="zero")
-    res_bc = run_replicated(bc, seeds, workers=workers)
+    res_bc = run_replicated(bc, seeds)
 
     out.curves = {"alone": res_alone, "wga": res_wga, "bc": res_bc}
     out.chosen = {"eta_alone": eta_alone, "eta_wga": eta_wga,
@@ -139,7 +139,7 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
 def fig3(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
          seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
          n: int = 10, eta: float = 1e-4, beta: float = 1e-4,
-         csv_stride: int = 10, workers: int = 1) -> FigureResult:
+         csv_stride: int = 10) -> FigureResult:
     """BC for several bias magnitudes zeta: same plateau, slower start."""
     main, colls = collaborative_pair(sigma=sigma, n=n)
     alpha = n / (n + 1.0)
@@ -148,7 +148,7 @@ def fig3(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
                      eta, horizon, x0, c0_policy="zero")
     out = FigureResult()
     files = []
-    for zeta, res in sweep(base, "zeta", zetas, seeds, workers=workers):
+    for zeta, res in sweep(base, "zeta", zetas, seeds):
         out.curves[zeta] = res
         path = os.path.join(out_dir, f"fig3_zeta{zeta:g}.csv")
         _write_trace(path, res, csv_stride)
@@ -166,7 +166,7 @@ def fig3(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
 def fig4(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
          seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
          n: int = 10, eta: float = 5e-4, alpha: float = 1e-3,
-         csv_stride: int = 10, workers: int = 1) -> FigureResult:
+         csv_stride: int = 10) -> FigureResult:
     """WGA for several zeta, plus the Alone baseline: the plateau grows
     with the bias."""
     main, colls = collaborative_pair(sigma=sigma, n=n)
@@ -176,14 +176,13 @@ def fig4(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
     files = []
     res_alone = run_replicated(
         RunConfig(main, colls, "alone", CollaborationWeights(0.0, [1.0]),
-                  eta, horizon, x0),
-        seeds, workers=workers)
+                  eta, horizon, x0), seeds)
     out.curves["alone"] = res_alone
     alone_path = os.path.join(out_dir, "fig4_alone.csv")
     _write_trace(alone_path, res_alone, csv_stride)
     files.append((alone_path, "alone"))
     out.summary.append(("alone", res_alone.plateau_mean, res_alone.plateau_se))
-    for zeta, res in sweep(base, "zeta", zetas, seeds, workers=workers):
+    for zeta, res in sweep(base, "zeta", zetas, seeds):
         out.curves[zeta] = res
         path = os.path.join(out_dir, f"fig4_zeta{zeta:g}.csv")
         _write_trace(path, res, csv_stride)
@@ -198,8 +197,8 @@ def fig4(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
 def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
          seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
          a0: float = 0.5, a1: float = 1.5, zeta: float = 4.0,
-         eta: float = 5e-4, beta: float = 1e-4, csv_stride: int = 10,
-         workers: int = 1) -> FigureResult:
+         eta: float = 5e-4, beta: float = 1e-4,
+         csv_stride: int = 10) -> FigureResult:
     """BC as N grows, alpha = N/(N+1): the benefit saturates quickly."""
     main, colls = collaborative_pair(a0=a0, a1=a1, zeta=zeta, sigma=sigma, n=ns[0])
     base = RunConfig(main, colls, "bc",
@@ -207,8 +206,7 @@ def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
                      eta, horizon, x0, c0_policy="zero")
     out = FigureResult()
     files = []
-    for n, res in sweep(base, "N", ns, seeds, workers=workers,
-                        alpha_rule="n_over_n_plus_1"):
+    for n, res in sweep(base, "N", ns, seeds, alpha_rule="n_over_n_plus_1"):
         out.curves[n] = res
         path = os.path.join(out_dir, f"fig5_N{n}.csv")
         _write_trace(path, res, csv_stride)

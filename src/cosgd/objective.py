@@ -11,7 +11,7 @@ closed-form similarity constants (L, mu, m, zeta_k^2, delta) between a
 main agent and its collaborators; these drive all schedules and bounds.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class SimilarityParams:
     grad_offset_sq: zeta^2 = sum_k tau_k zeta_k^2
     grad_offsets_sq: per-collaborator zeta_k^2
     hessian_dissimilarity: delta, max-abs curvature gap vs the main task
-    noise_scales: [M_0, M_1, ..., M_N] (main first)
     noise_scale_cap: valid constant M with E||noise(g)||^2 <=
         M ||grad f_0||^2 + const for the combined pseudo-gradient;
         equals M_0 + 2(1+m) sum_k tau_k^2 M_k (0 in the additive model)
@@ -97,13 +96,14 @@ class SimilarityParams:
     grad_offset_sq: float
     grad_offsets_sq: np.ndarray
     hessian_dissimilarity: float
-    noise_scales: list = field(default_factory=list)
     noise_scale_cap: float = 0.0
 
     def __post_init__(self):
         self.grad_offsets_sq = _as_vector(self.grad_offsets_sq)
-        for name in ("smoothness", "pl_constant", "grad_scale_mismatch",
-                     "grad_offset_sq", "hessian_dissimilarity", "noise_scale_cap"):
+        if not (self.smoothness > 0 and self.pl_constant > 0):
+            raise ValueError("smoothness and pl_constant must be > 0")
+        for name in ("grad_scale_mismatch", "grad_offset_sq",
+                     "hessian_dissimilarity", "noise_scale_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.pl_constant > self.smoothness:
@@ -195,7 +195,6 @@ def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityPara
         grad_offset_sq=float(np.dot(tau, zetas)),
         grad_offsets_sq=zetas,
         hessian_dissimilarity=delta,
-        noise_scales=[main.noise_scale] + [c.noise_scale for c in collaborators],
         noise_scale_cap=cap,
     )
 

@@ -80,6 +80,18 @@ def schedule_inputs(main: QuadraticTask, collaborators, weights, horizon: int,
     )
 
 
+def pl_guard(alpha: float, m: float) -> float:
+    """1 - alpha^2 m, the factor the WGA analyses divide by."""
+    return 1.0 - alpha ** 2 * m
+
+
+def bc_step_cap(alpha: float, delta: float) -> float:
+    """1/(6 alpha^2 delta^2), the BC step-size cap; inf unless alpha > 0
+    and the product is > 0 (delta = 0, or the product underflows)."""
+    denom = 6.0 * alpha ** 2 * delta ** 2
+    return 1.0 / denom if alpha > 0 and denom > 0 else np.inf
+
+
 def sigma_tilde_sq(inputs: ScheduleInputs) -> float:
     """(1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2."""
     a = inputs.alpha
@@ -97,7 +109,7 @@ def eta_max(inputs: ScheduleInputs) -> float:
     sim = inputs.sim
     cap = 1.0 / sim.smoothness
     if sim.noise_scale_cap > 0:
-        guard = 1.0 - inputs.alpha ** 2 * sim.grad_scale_mismatch
+        guard = pl_guard(inputs.alpha, sim.grad_scale_mismatch)
         cap = min(cap, guard / (2.0 * sim.smoothness * sim.noise_scale_cap))
     return cap
 
@@ -132,13 +144,12 @@ def eta_wga_pl(inputs: ScheduleInputs) -> float:
     log_term = float(np.log(max(1.0, arg)))
     if log_term == 0.0:
         return 0.0
-    guard = 1.0 - inputs.alpha ** 2 * m
-    return min(eta_max(inputs), log_term / (guard * mu * T))
+    return min(eta_max(inputs), log_term / (pl_guard(inputs.alpha, m) * mu * T))
 
 
 def _decreasing_pl_raw(t, inputs: ScheduleInputs, c: int):
     """Unclamped c (2t+1) / (2 mu (1-alpha^2 m) (t+1)^2); t may be an array."""
-    guard = 1.0 - inputs.alpha ** 2 * inputs.sim.grad_scale_mismatch
+    guard = pl_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
     return c * (2.0 * t + 1.0) / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2)
 
 
@@ -186,9 +197,7 @@ def eta_bc(inputs: ScheduleInputs) -> float:
     """min(1/L, 1/(6 alpha^2 delta^2), sqrt(2 F_0 / (L sigma^2(alpha) T)))."""
     L, T = inputs.sim.smoothness, inputs.horizon
     a, delta = inputs.alpha, inputs.sim.hessian_dissimilarity
-    terms = [1.0 / L]
-    if a > 0 and delta > 0:
-        terms.append(1.0 / (6.0 * a ** 2 * delta ** 2))
+    terms = [1.0 / L, bc_step_cap(a, delta)]
     denom = L * sigma_tilde_sq(inputs) * T
     if denom > 0:
         terms.append(float(np.sqrt(2.0 * inputs.f0_gap / denom)))
@@ -296,7 +305,7 @@ def wga_pl_terms(alpha: float, m: float, sigma0_sq: float, sigma1_sq: float,
     """(1 - alpha^2 m) and sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2
     + alpha^2 sigma_1^2/N, for N collaborators of noise variance
     sigma_1^2 averaged with equal weights."""
-    return (1.0 - alpha * alpha * m,
+    return (pl_guard(alpha, m),
             (1.0 - alpha) ** 2 * sigma0_sq + alpha * alpha * sigma1_sq / N)
 
 

@@ -19,7 +19,6 @@ noise model of `objective` through their arithmetic cores.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,7 +101,6 @@ class Trace:
     grad_norm_sq: np.ndarray
     final_gap: float
     iterates: np.ndarray | None = None
-    iterate_stride: int = 0
     diverged: bool = False
     steps_completed: int = 0
 
@@ -366,7 +364,6 @@ def _run_batch(cfgs, seeds) -> list:
                 grad_norm_sq=grad_sq[l],
                 final_gap=float(test_loss[l, T]),
                 iterates=iterates[l] if stride else None,
-                iterate_stride=stride,
                 diverged=bool(steps_completed[l] < T),
                 steps_completed=int(steps_completed[l]),
             ))
@@ -401,14 +398,6 @@ def _mean_se(values: np.ndarray):
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) >= 2 else None
     return mean, se
-
-
-def _warn_ignored_workers(workers: int) -> None:
-    # Issued from this one line, so the default filter shows it once.
-    if workers > 1:
-        warnings.warn("workers is deprecated and ignored: seeds and swept "
-                      "configs already run as lanes of one kernel call",
-                      FutureWarning)
 
 
 def _reduce(cfg: RunConfig, seeds: list, traces: list,
@@ -459,16 +448,13 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False) -> list:
     return results
 
 
-def run_replicated(cfg: RunConfig, seeds, workers: int = 1,
-                   keep_traces: bool = False) -> RunResult:
+def run_replicated(cfg: RunConfig, seeds, keep_traces: bool = False) -> RunResult:
     """Independent runs per seed, aggregated mean/SE.
 
     Diverged seeds are reported and excluded from the aggregates.  The
     plateau metric is the mean test loss over the final `PLATEAU_FRACTION`
-    of steps.  Results are gathered in input order.  `workers` is
-    deprecated and ignored.
+    of steps.  Results are gathered in input order.
     """
-    _warn_ignored_workers(workers)
     return _replicate([cfg], seeds, keep_traces)[0]
 
 
@@ -535,16 +521,14 @@ def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = Non
     return replace(cfg, horizon=int(value))
 
 
-def sweep(base: RunConfig, axis: str, values, seeds, workers: int = 1,
+def sweep(base: RunConfig, axis: str, values, seeds,
           alpha_rule: str | None = None) -> list:
     """(value, RunResult) per swept value, in input order.
 
     Swept configs run as lanes of one kernel call where their shapes
     allow (a T sweep or mixed aggregators fall back to one call per
     group); each result equals its own `run_replicated` bit for bit.
-    `workers` is deprecated and ignored.
     """
-    _warn_ignored_workers(workers)
     values = list(values)
     cfgs = [sweep_config(base, axis, v, alpha_rule) for v in values]
     return list(zip(values, _replicate(cfgs, seeds)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -79,6 +80,7 @@ class TestInputContract:
         ("--sigma", "nan"),
         ("--zeta", "nan"),
         ("--x0", "nan"),
+        ("--workers", "x"),
     ], ids=lambda flags: "=".join(flags))
     def test_bad_inline_parameter(self, tmp_path, capsys, flags):
         assert run_cli("run", "--T", "10", "--seeds", "0", *flags,
@@ -147,6 +149,7 @@ class TestInputContract:
         ("workers", "x"),
         ("collaborators", 5),
         ("sweep", {"axis": "eta", "values": 3}),
+        ("out_dir", 5),
     ], ids=lambda v: json.dumps(v))
     def test_config_bad_field(self, tmp_path, capsys, key, value):
         d = TestConfigFile().make_config().to_dict()
@@ -164,10 +167,32 @@ class TestInputContract:
         ("tau", "--sigmas", "a", "--zetas", "1"),
         ("tau", "--sigmas", "1", "--zetas", "1", "--mu", "0"),
         ("tau", "--sigmas", "1", "--zetas", "1", "--T", "0"),
+        ("bounds", "wga-pl", "--mu", "0"),
+        ("bounds", "wga-nc", "--L", "0", "--mu", "0"),
     ], ids=" ".join)
     def test_bad_bounds_or_tau_input(self, capsys, argv):
         assert run_cli(*argv) == 1
         assert "config error:" in capsys.readouterr().err
+
+
+class TestWorkersInput:
+    """`workers` is accepted only as the --workers flag and the JSON key:
+    it is ignored, and a value above 1 warns once."""
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--T", "10", "--seeds", "0-1", "--workers", "3"),
+        ("figure", "fig5", "--T", "10", "--workers", "3"),
+        ("run", "--config", "CONFIG"),
+    ], ids=" ".join)
+    def test_above_one_warns(self, tmp_path, argv):
+        d = TestConfigFile().make_config().to_dict()
+        d["workers"] = 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        argv = [str(path) if a == "CONFIG" else a for a in argv]
+        with pytest.warns(FutureWarning, match="workers is deprecated") as record:
+            assert run_cli(*argv, "--out-dir", str(tmp_path / "out")) == 0
+        assert len([w for w in record if w.category is FutureWarning]) == 1
 
 
 class TestConfigFile:
@@ -181,7 +206,7 @@ class TestConfigFile:
         return ExperimentConfig(run=run, seeds=[0, 1, 2], **kw)
 
     def test_round_trip_identity(self, tmp_path):
-        cfg = self.make_config(workers=2, csv_stride=5, out_dir="somewhere")
+        cfg = self.make_config(csv_stride=5, out_dir="somewhere")
         path = tmp_path / "cfg.json"
         save_config(cfg, str(path))
         again = load_config(str(path))
@@ -260,6 +285,11 @@ class TestBoundsCommand:
 
     def test_invalid_eta_is_config_error(self):
         assert run_cli("bounds", "wga-pl", "--eta", "5.0") == 1
+
+    def test_underflowing_bc_cap(self, capsys):
+        # 6 alpha^2 delta^2 rounds to 0: no cap, and a finite bound.
+        assert run_cli("bounds", "bc", "--alpha", "1e-200", "--delta", "1e-200") == 0
+        assert math.isfinite(float(capsys.readouterr().out))
 
     def test_gainfactor_heatmap(self, tmp_path):
         assert run_cli("bounds", "gainfactor", "--out-dir", str(tmp_path)) == 0

@@ -17,8 +17,7 @@ from cosgd.schedules import (ScheduleInputs, alpha_opt_oracle,
 def sim(L=1.0, mu=1.0, m=0.0, zeta_sq=0.0, delta=0.0, cap=0.0):
     return SimilarityParams(smoothness=L, pl_constant=mu, grad_scale_mismatch=m,
                             grad_offset_sq=zeta_sq, grad_offsets_sq=[zeta_sq],
-                            hessian_dissimilarity=delta, noise_scales=[0.0],
-                            noise_scale_cap=cap)
+                            hessian_dissimilarity=delta, noise_scale_cap=cap)
 
 
 def inputs(L=1.0, mu=1.0, m=0.0, zeta_sq=0.0, delta=0.0, cap=0.0, T=1000,
@@ -135,6 +134,12 @@ class TestEtaBc:
     def test_middle_term_binds(self):
         i = inputs(delta=1.0, alpha=1.0, s0=0.0, sa=0.0)
         assert eta_bc(i) == pytest.approx(1.0 / 6.0)
+
+    def test_underflowing_cap_drops_out(self):
+        # 6 alpha^2 delta^2 rounds to 0, so 1/(6 alpha^2 delta^2) is no cap.
+        i = inputs(alpha=1e-200, delta=1e-200, L=1.0, F0=1.0, T=1000)
+        sqrt_term = float(np.sqrt(2.0 * 1.0 / (1.0 * sigma_tilde_sq(i) * 1000)))
+        assert eta_bc(i) == min(1.0, sqrt_term)
 
 
 class TestAlphaOptWgaM0:

@@ -219,13 +219,6 @@ class TestRunReplicated:
             single = run(dataclasses.replace(cfg, seed=seed))
             np.testing.assert_array_equal(tr.test_loss, single.test_loss)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = make_cfg(sigma0=2.0, T=150)
-        r1 = run_replicated(cfg, range(8), workers=1)
-        r4 = run_replicated(cfg, range(8), workers=4)
-        np.testing.assert_array_equal(r1.mean_test_loss, r4.mean_test_loss)
-        assert r1.final_gap_mean == r4.final_gap_mean
-
     def test_monotone_noise_effect(self):
         base = make_cfg("wga", sigma0=1.0, sigma1=1.0, T=400)
         doubled = make_cfg("wga", sigma0=2.0, sigma1=2.0, T=400)
@@ -507,7 +500,7 @@ class TestGridSearch:
     def test_same_choice_as_loop(self, aggregator):
         base = make_cfg(aggregator, alpha=0.5, sigma0=3.0, T=400)
         grid = (1e-3, 1e-2, 1e-1, 0.5)
-        eta, res = figures._grid_search(base, range(6), 1, grid=grid)
+        eta, res = figures._grid_search(base, range(6), grid=grid)
         ref_eta, ref = self.loop_grid_search(
             lambda e: sweep_config(base, "eta", e), range(6), grid)
         assert eta == ref_eta
@@ -517,17 +510,17 @@ class TestGridSearch:
         # Noiseless and started at the optimum: every step size gives loss 0.
         base = make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, x0=0.0, T=50)
         grid = (0.1, 0.05, 0.2)
-        eta, res = figures._grid_search(base, [0, 1], 1, grid=grid)
+        eta, res = figures._grid_search(base, [0, 1], grid=grid)
         assert eta == 0.1 == self.loop_grid_search(
             lambda e: sweep_config(base, "eta", e), [0, 1], grid)[0]
         assert res.plateau_mean == 0.0
 
 
-class TestWorkersDeprecated:
-    def test_warns_and_ignores(self):
+class TestNoWorkersArgument:
+    def test_api_rejects_workers(self, tmp_path):
         cfg = make_cfg(T=50)
-        with pytest.warns(FutureWarning, match="workers is deprecated"):
-            res = run_replicated(cfg, range(4), workers=3)
-        assert_results_equal(res, run_replicated(cfg, range(4)))
-        with pytest.warns(FutureWarning, match="workers is deprecated"):
-            sweep(cfg, "eta", [0.05], range(4), workers=2)
+        for call in (lambda: run_replicated(cfg, range(4), workers=2),
+                     lambda: sweep(cfg, "eta", [0.05], range(4), workers=2),
+                     lambda: figures.fig2(str(tmp_path), horizon=50, workers=2)):
+            with pytest.raises(TypeError, match="workers"):
+                call()
