@@ -33,10 +33,10 @@ class BoundInputs:
     c: int = 2
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.beta < 0 or self.e0 < 0:
-            raise ValueError("beta and e0 must be >= 0")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be finite and > 0")
+        if not (0 <= self.beta < np.inf and 0 <= self.e0 < np.inf):
+            raise ValueError("beta and e0 must be finite and >= 0")
         if self.c not in (2, 4):
             raise ValueError("c must be 2 or 4")
 

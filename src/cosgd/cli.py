@@ -5,6 +5,7 @@ default output directory comes from $COSGD_OUT_DIR (fallback ./out).
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -16,7 +17,8 @@ from .config import ConfigError, ExperimentConfig, deprecated_workers, load_conf
 from .csvio import fmt_value, write_csv
 from .objective import SimilarityParams
 from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
-from .simulator import RunConfig, _validate, run_replicated, sweep
+from .simulator import (AllSeedsDiverged, RunConfig, _validate, run_replicated,
+                        sweep)
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
 
@@ -74,12 +76,10 @@ def _inline_run_config(args) -> ExperimentConfig:
 
 
 def _stats_rows(label: str, res) -> list:
-    """(label, statistic, value) rows of aggregate.csv; a missing SE is nan."""
+    """(label, statistic, value) rows of aggregate.csv."""
     stats = ("plateau_mean", "plateau_se", "final_gap_mean", "final_gap_se",
              "avg_grad_sq_mean", "avg_grad_sq_se")
-    values = [getattr(res, stat) for stat in stats]
-    return [(label, stat, float("nan") if val is None else val)
-            for stat, val in zip(stats, values)]
+    return [(label, stat, getattr(res, stat)) for stat in stats]
 
 
 def _cmd_run(args) -> int:
@@ -106,10 +106,11 @@ def _cmd_run(args) -> int:
     else:
         res = run_replicated(cfg.run, cfg.seeds, keep_traces=True)
         for seed, trace in zip(cfg.seeds, res.traces):
-            steps = range(0, cfg.run.horizon + 1, stride)
             write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
                       ["step", "test_loss", "grad_norm_sq"],
-                      ((t, trace.test_loss[t], trace.grad_norm_sq[t]) for t in steps))
+                      zip(range(0, cfg.run.horizon + 1, stride),
+                          trace.test_loss[::stride].tolist(),
+                          trace.grad_norm_sq[::stride].tolist()))
         figures._write_trace(os.path.join(out_dir, "aggregate_trace.csv"), res, stride)
         rows = _stats_rows("run", res)
         print(f"final loss (plateau): {fmt_value(res.plateau_mean)}"
@@ -171,6 +172,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    try:
+        sigmas = [float(s) for s in args.sigmas.split(",")]
+        zetas = [float(z) for z in args.zetas.split(",")]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    if not all(map(math.isfinite, [args.L, args.mu, args.m, *sigmas, *zetas])):
+        raise ConfigError("--L, --mu, --m, --sigmas and --zetas must be finite")
+    if not 0 <= args.alpha <= 1:
+        raise ConfigError("alpha must be in [0, 1]")
     guard = pl_guard(args.alpha, args.m)
     if guard <= 0:
         raise ConfigError("alpha^2 m must be < 1")
@@ -178,8 +188,6 @@ def _cmd_tau(args) -> int:
         raise ConfigError("mu must be > 0 and T >= 1")
     coeff = args.L / (args.mu * args.T * guard)
     try:
-        sigmas = [float(s) for s in args.sigmas.split(",")]
-        zetas = [float(z) for z in args.zetas.split(",")]
         tau = tau_qp(sigmas, zetas, coeff)
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -269,7 +277,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, AllSeedsDiverged) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # internal error

@@ -56,10 +56,10 @@ def time_to_plateau(mean_trace: np.ndarray, plateau: float,
 
 
 def _write_trace(path: str, result: RunResult, stride: int) -> None:
-    steps = np.arange(0, len(result.mean_test_loss), stride)
     write_csv(path, ["step", "test_loss", "grad_norm_sq"],
-              ((int(t), result.mean_test_loss[t], result.mean_grad_norm_sq[t])
-               for t in steps))
+              zip(range(0, len(result.mean_test_loss), stride),
+                  result.mean_test_loss[::stride].tolist(),
+                  result.mean_grad_norm_sq[::stride].tolist()))
 
 
 def _write_gnuplot(out_dir: str, name: str, files, title: str) -> None:

@@ -100,12 +100,14 @@ class SimilarityParams:
 
     def __post_init__(self):
         self.grad_offsets_sq = _as_vector(self.grad_offsets_sq)
-        if not (self.smoothness > 0 and self.pl_constant > 0):
-            raise ValueError("smoothness and pl_constant must be > 0")
+        if not (0 < self.smoothness < np.inf and 0 < self.pl_constant < np.inf):
+            raise ValueError("smoothness and pl_constant must be finite and > 0")
         for name in ("grad_scale_mismatch", "grad_offset_sq",
                      "hessian_dissimilarity", "noise_scale_cap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not np.all((0 <= self.grad_offsets_sq) & (self.grad_offsets_sq < np.inf)):
+            raise ValueError("grad_offsets_sq must be finite and >= 0")
         if self.pl_constant > self.smoothness:
             raise ValueError("pl_constant must not exceed smoothness")
 

@@ -46,8 +46,10 @@ class ScheduleInputs:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         for name in ("f0_gap", "sigma0_sq", "sigma_a_sq", "oracle_var", "grad0_sq"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 <= self.alpha <= 1:
+            raise ValueError("alpha must be in [0, 1]")
         if self.n_collaborators < 1:
             raise ValueError("n_collaborators must be >= 1")
 

@@ -26,8 +26,8 @@ import numpy as np
 from . import rng as rng_mod
 from .aggregators import (CollaborationWeights, check_alpha_guard, mix,
                           oracle_noise_std, tau_sum, wga_combine)
-from .objective import (QuadraticTask, _as_vector, noise_std, sample_gradient,
-                        similarity_params, true_gradient)
+from .objective import (QuadraticTask, _as_vector, gradient_noise_std,
+                        noise_std, similarity_params, true_gradient)
 from .schedules import ScheduleInputs, eta_decreasing_pl
 
 AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
@@ -40,6 +40,11 @@ PLATEAU_FRACTION = 0.1
 # _CHUNK_DRAWS // (lanes * d) steps, so its memory stays flat as lanes
 # widen.
 _CHUNK_DRAWS = 1 << 14
+
+
+class AllSeedsDiverged(RuntimeError):
+    """Every seed of a config left the divergence box, so it has no
+    seed aggregates."""
 
 
 @dataclass
@@ -372,21 +377,22 @@ def _run_batch(cfgs, seeds) -> list:
 
 
 def _warm_start_bias(cfg: RunConfig, seeds) -> np.ndarray:
-    """c_0 = average of `warm_start_samples` bias samples at x_0, drawn
-    with `sample_gradient` from dedicated warm-start streams (keeps the
-    main gradient streams aligned)."""
-    tasks = [cfg.main_task] + list(cfg.collaborators)
-    out = np.zeros((len(seeds), cfg.main_task.dim))
-    for j, s in enumerate(seeds):
-        gens = [rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
-                for a in range(len(tasks))]
-        acc = np.zeros(cfg.main_task.dim)
-        for _ in range(cfg.warm_start_samples):
-            g = [sample_gradient(task, cfg.x0, gen).value
-                 for task, gen in zip(tasks, gens)]
-            acc += tau_sum(cfg.weights.tau, g[1:]) - g[0]
-        out[j] = acc / cfg.warm_start_samples
-    return out
+    """c_0 = average of `warm_start_samples` bias samples at x_0, one row
+    per seed, drawn from dedicated warm-start streams (keeps the main
+    gradient streams aligned).  Sample k of agent a is the k-th
+    `sample_gradient` call at x_0 on that agent's stream."""
+    K = cfg.warm_start_samples
+    samples = []
+    for a, task in enumerate([cfg.main_task] + list(cfg.collaborators)):
+        z = np.stack([rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
+                      .standard_normal((K, task.dim)) for s in seeds])
+        grad = true_gradient(task, cfg.x0)
+        samples.append(grad + z * gradient_noise_std(task, grad))  # (S, K, d)
+    bias = tau_sum(cfg.weights.tau, samples[1:]) - samples[0]
+    acc = np.zeros((len(seeds), cfg.main_task.dim))
+    for k in range(K):  # summed in sample order, as one seed at a time
+        acc += bias[:, k]
+    return acc / K
 
 
 def run(cfg: RunConfig) -> Trace:
@@ -408,7 +414,12 @@ def _reduce(cfg: RunConfig, seeds: list, traces: list,
     ok = [tr for tr in traces if not tr.diverged]
     diverged_seeds = [s for s, tr in zip(seeds, traces) if tr.diverged]
     if not ok:
-        raise RuntimeError("all seeds diverged")
+        step = ("a decreasing PL schedule"
+                if isinstance(cfg.step_size, DecreasingPlSchedule)
+                else f"eta={cfg.step_size:g}")
+        longest = max(tr.steps_completed for tr in traces)
+        raise AllSeedsDiverged(f"all seeds diverged at {step}: the longest run "
+                               f"completed {longest} of {T} steps")
 
     final_gaps = np.array([tr.final_gap for tr in ok])
     avg_grads = np.array([tr.grad_norm_sq[:T].mean() for tr in ok])

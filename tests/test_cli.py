@@ -57,11 +57,23 @@ class TestRunCommand:
         for s in (0, 5, 9):
             assert (tmp_path / f"trace_seed{s}.csv").exists()
 
-    def test_all_diverged_is_internal_error(self, tmp_path):
-        code = run_cli("run", "--aggregator", "alone", "--sigma", "0",
-                       "--eta", "1e13", "--T", "5", "--seeds", "0",
-                       "--out-dir", str(tmp_path))
-        assert code == 2
+    @pytest.mark.parametrize("argv,message", [
+        (("run", "--aggregator", "alone", "--sigma", "0", "--eta", "1e13",
+          "--T", "5", "--seeds", "0"), "at eta=1e+13: the longest run completed 0 of 5"),
+        (("run", "--aggregator", "alone", "--eta", "2.5", "--T", "200",
+          "--seeds", "0-1"), "at eta=2.5: the longest run completed"),
+        (("run", "--config", "CONFIG"), "at eta=2.5: the longest run completed"),
+    ], ids=["eta=1e13", "eta=2.5", "config-sweep"])
+    def test_all_diverged_is_reported_outcome(self, tmp_path, capsys, argv, message):
+        """A config whose seeds all diverge is a configuration error whose
+        message names the step size and how far the longest run got."""
+        cfg = TestConfigFile().make_config(sweep_axis="eta",
+                                           sweep_values=[1e-3, 2.5])
+        save_config(cfg, str(tmp_path / "cfg.json"))
+        argv = [str(tmp_path / "cfg.json") if a == "CONFIG" else a for a in argv]
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: all seeds diverged ") and message in err
 
     def test_bad_flag_value_is_config_error(self, tmp_path):
         assert run_cli("run", "--T", "ten", "--out-dir", str(tmp_path)) == 1
@@ -169,6 +181,12 @@ class TestInputContract:
         ("tau", "--sigmas", "1", "--zetas", "1", "--T", "0"),
         ("bounds", "wga-pl", "--mu", "0"),
         ("bounds", "wga-nc", "--L", "0", "--mu", "0"),
+        ("bounds", "bc", "--eta", "nan"),
+        ("bounds", "wga-nc", "--F0", "nan"),
+        ("tau", "--sigmas", "inf", "--zetas", "1"),
+        ("bounds", "wga-nc", "--L", "inf", "--mu", "1"),
+        ("bounds", "wga-pl", "--alpha", "-1"),
+        ("bounds", "bc", "--alpha", "2", "--delta", "1"),
     ], ids=" ".join)
     def test_bad_bounds_or_tau_input(self, capsys, argv):
         assert run_cli(*argv) == 1
@@ -273,6 +291,15 @@ class TestFigureCommand:
     def test_sublinear_writes_csv(self, tmp_path):
         assert run_cli("figure", "sublinear", "--out-dir", str(tmp_path)) == 0
         assert list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_single_seed_summary_has_nan_se(self, tmp_path, name):
+        """One seed has no standard error: the summary says nan."""
+        assert run_cli("figure", name, "--seeds", "3", "--T", "200",
+                       "--out-dir", str(tmp_path)) == 0
+        with open(tmp_path / f"{name}_summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["plateau_se"] == "nan" for r in rows)
 
 
 class TestBoundsCommand:

@@ -62,6 +62,18 @@ class TestReferenceEquivalence:
     """The vectorized kernel reproduces, bit for bit, a plain loop built
     from sample_gradient and the aggregator operations."""
 
+    def reference_c0(self, cfg):
+        tasks = [cfg.main_task] + list(cfg.collaborators)
+        w = cfg.weights
+        wgens = [rng_mod.agent_stream(cfg.seed, a, rng_mod.WARMSTART_CONTEXT)
+                 for a in range(len(tasks))]
+        acc = np.zeros(cfg.main_task.dim)
+        for _ in range(cfg.warm_start_samples):
+            s = [sample_gradient(task, cfg.x0, g).value
+                 for task, g in zip(tasks, wgens)]
+            acc += sum(w.tau[k] * s[1 + k] for k in range(len(s) - 1)) - s[0]
+        return acc / cfg.warm_start_samples
+
     def reference_run(self, cfg):
         tasks = [cfg.main_task] + list(cfg.collaborators)
         gens = [rng_mod.agent_stream(cfg.seed, a) for a in range(len(tasks))]
@@ -73,14 +85,7 @@ class TestReferenceEquivalence:
         if cfg.c0_policy == "zero":
             state = BcState(np.zeros(cfg.main_task.dim))
         elif cfg.c0_policy == "warm_start":
-            wgens = [rng_mod.agent_stream(cfg.seed, a, rng_mod.WARMSTART_CONTEXT)
-                     for a in range(len(tasks))]
-            acc = np.zeros(cfg.main_task.dim)
-            for _ in range(cfg.warm_start_samples):
-                s = [sample_gradient(task, cfg.x0, g).value
-                     for task, g in zip(tasks, wgens)]
-                acc += sum(w.tau[k] * s[1 + k] for k in range(len(s) - 1)) - s[0]
-            state = BcState(acc / cfg.warm_start_samples)
+            state = BcState(self.reference_c0(cfg))
         for t in range(cfg.horizon):
             samples = [sample_gradient(task, x, g, agent=a)
                        for a, (task, g) in enumerate(zip(tasks, gens))]
@@ -130,6 +135,29 @@ class TestReferenceEquivalence:
         cfg = RunConfig(main, [coll], "bc", CollaborationWeights(0.3, [1.0], beta=0.2),
                         0.02, 40, [-3.0, 2.1], seed=18, c0_policy="warm_start")
         np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_match_warm_start_many_seeds(self, d):
+        # One run_replicated call builds c_0 for all seeds at once; each
+        # seed's c_0 and trace must equal its own single-seed reference.
+        # At d = 1 a numpy sum over the samples would round c_0 differently
+        # from the reference's running sum.
+        curv = np.array([1.0, 2.0, 1.5, 2.5, 0.5, 3.0]).reshape(3, 2)[:, :d]
+        main = QuadraticTask(curv[0], [0.0, 1.0][:d], noise_std=1.0, noise_scale=0.5)
+        colls = [QuadraticTask(curv[1], [2.0, 0.0][:d], noise_std=2.0, noise_scale=0.2),
+                 QuadraticTask(curv[2], [-1.0, 0.5][:d], noise_std=0.5, noise_scale=0.1)]
+        cfg = RunConfig(main, colls, "bc", CollaborationWeights(0.3, [0.4, 0.6], beta=0.2),
+                        0.02, 40, [-3.0, 2.1][:d], c0_policy="warm_start")
+        seeds = list(range(11, 21))
+        c0 = simulator._warm_start_bias(cfg, seeds)
+        for seed, row in zip(seeds, c0):
+            assert row.tobytes() == self.reference_c0(
+                dataclasses.replace(cfg, seed=seed)).tobytes()
+        res = run_replicated(cfg, seeds, keep_traces=True)
+        assert not res.diverged_seeds
+        for seed, tr in zip(seeds, res.traces):
+            np.testing.assert_array_equal(
+                tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
 
     def assert_frozen_match(self, cfg):
         """The kernel's losses equal the reference up to the divergence
