@@ -14,7 +14,7 @@ from .aggregators import CollaborationWeights
 from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
                      bound_wga_pl)
 from .config import ConfigError, ExperimentConfig, deprecated_workers, load_config
-from .csvio import fmt_value, write_csv
+from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
 from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
 from .simulator import (AllSeedsDiverged, RunConfig, _validate, run_replicated,
@@ -155,11 +155,6 @@ def _bound_inputs(args) -> BoundInputs:
 
 
 def _cmd_bounds(args) -> int:
-    if args.which == "gainfactor":
-        out_dir = args.out_dir or _default_out_dir()
-        figures.gainfactor(out_dir)
-        print(f"wrote gain-factor heatmap to {out_dir}/gainfactor.csv")
-        return 0
     try:
         b = _bound_inputs(args)
         fn = {"wga-nc": bound_wga_nonconvex, "wga-pl": bound_wga_pl,
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--workers", type=deprecated_workers, default=1,
                         help="deprecated and ignored")
     shared.add_argument("--csv-stride", dest="csv_stride", type=_stride,
-                        default=10)
+                        default=CSV_STRIDE)
 
     r = sub.add_parser("run", parents=[shared],
                        help="run one config (file or inline flags)")
@@ -238,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_figure)
 
     b = sub.add_parser("bounds", help="evaluate a convergence bound")
-    b.add_argument("which", choices=("wga-nc", "wga-pl", "oracle", "bc",
-                                     "gainfactor"))
+    b.add_argument("which", choices=("wga-nc", "wga-pl", "oracle", "bc"))
     b.add_argument("--L", type=float, default=1.0)
     b.add_argument("--mu", type=float, default=1.0)
     b.add_argument("--m", type=float, default=0.0)
@@ -257,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--beta", type=float, default=0.0)
     b.add_argument("--E0", type=float, default=0.0)
     b.add_argument("--c", type=int, default=2, choices=(2, 4))
-    b.add_argument("--out-dir", dest="out_dir", default=None)
     b.set_defaults(func=_cmd_bounds)
 
     t = sub.add_parser("tau", help="optimal collaborator mixture weights")

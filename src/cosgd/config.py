@@ -10,6 +10,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .aggregators import CollaborationWeights
+from .csvio import CSV_STRIDE
 from .objective import QuadraticTask
 from .simulator import DecreasingPlSchedule, RunConfig, _validate, sweep_config
 
@@ -88,7 +89,7 @@ class ExperimentConfig:
     sweep_values: list = field(default_factory=list)
     sweep_alpha_rule: str | None = None
     out_dir: str | None = None
-    csv_stride: int = 10
+    csv_stride: int = CSV_STRIDE
 
     def to_dict(self) -> dict:
         r = self.run
@@ -166,7 +167,7 @@ class ExperimentConfig:
                  for s in _check_list(d.get("seeds", [0]), "seeds")]
         if not seeds or min(seeds) < 0:
             raise ConfigError(f"seeds must be one or more integers >= 0, got {seeds}")
-        csv_stride = _as_int(d.get("csv_stride", 10), "csv_stride")
+        csv_stride = _as_int(d.get("csv_stride", CSV_STRIDE), "csv_stride")
         if csv_stride < 1:
             raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")
         out_dir = d.get("out_dir")

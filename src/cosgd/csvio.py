@@ -19,6 +19,7 @@ SCI_ABOVE = 1e6  # |v| above this prints in scientific notation
 INT_FORMAT = "%d"
 SCI_FORMAT = "%.12e"
 FIXED_FORMAT = "%.12g"
+CSV_STRIDE = 10  # default: trace CSVs keep every 10th step
 
 _NUMERIC = (float, np.floating, np.integer)
 

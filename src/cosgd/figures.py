@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds
 from .aggregators import CollaborationWeights
-from .csvio import write_csv
+from .csvio import CSV_STRIDE, write_csv
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
                         wga_pl_terms)
@@ -29,11 +30,13 @@ FIGURES = ("fig2", "fig3", "fig4", "fig5", "gainfactor", "sublinear")
 
 DEFAULT_SEEDS = tuple(range(20))
 DEFAULT_T = 200_000
+DEFAULT_N = 10
 ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2)
+ZETAS = (1.0, 4.0, 16.0, 64.0)
 
 
 def collaborative_pair(a0: float = 1.0, x0_star: float = 0.0, a1: float = 2.0,
-                       zeta: float = 4.0, sigma: float = 10.0, n: int = 10):
+                       zeta: float = 4.0, sigma: float = 10.0, n: int = DEFAULT_N):
     """Main task plus the averaged collaborator for given (zeta, sigma, N)."""
     if not (n >= 1 and a1 > 0):
         raise ValueError(f"need N >= 1 and a1 > 0, got N={n}, a1={a1}")
@@ -43,15 +46,16 @@ def collaborative_pair(a0: float = 1.0, x0_star: float = 0.0, a1: float = 2.0,
     return main, [coll]
 
 
-def time_to_plateau(mean_trace: np.ndarray, plateau: float,
-                    block: int = 1000, factor: float = 10.0):
-    """First step at which the block-averaged trace drops to
-    `factor * plateau`; None if it never does."""
+def time_to_plateau(mean_trace: np.ndarray, plateau: float):
+    """First step at which the trace, averaged over blocks of
+    max(1, len // 200) steps, drops to 10 x `plateau`; None if it never
+    does."""
     if plateau <= 0:
         return 0
+    block = max(1, len(mean_trace) // 200)
     usable = (len(mean_trace) // block) * block
     blocks = mean_trace[:usable].reshape(-1, block).mean(axis=1)
-    hit = np.nonzero(blocks <= factor * plateau)[0]
+    hit = np.nonzero(blocks <= 10.0 * plateau)[0]
     return int(hit[0] * block) if hit.size else None
 
 
@@ -62,20 +66,6 @@ def _write_trace(path: str, result: RunResult, stride: int) -> None:
                   result.mean_grad_norm_sq[::stride].tolist()))
 
 
-def _write_gnuplot(out_dir: str, name: str, files, title: str) -> None:
-    lines = [f"set title '{title}'", "set logscale y",
-             "set xlabel 'step'", "set ylabel 'test loss'", "set key right top"]
-    plot = ", ".join(f"'{os.path.basename(f)}' using 1:2 with lines title '{lbl}'"
-                     for f, lbl in files)
-    lines.append("plot " + plot)
-    path = os.path.join(out_dir, f"{name}.gp")
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
 @dataclass
 class FigureResult:
     """Curves plus the per-curve summary rows written to the summary CSV."""
@@ -83,6 +73,34 @@ class FigureResult:
     curves: dict = field(default_factory=dict)
     summary: list = field(default_factory=list)
     chosen: dict = field(default_factory=dict)
+
+
+def _swept(axis: str, results) -> list:
+    """Curves of `sweep` results, named as `cosgd run` names a sweep."""
+    return [(v, f"{axis}{v:g}", f"{axis}={v:g}", res) for v, res in results]
+
+
+def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
+                  stride: int, chosen=None) -> FigureResult:
+    """Write `{name}_{suffix}.csv` for each (key, suffix, label, RunResult)
+    of `curves`, then `{name}_summary.csv` and the gnuplot script
+    `{name}.gp`, which plots each trace under its label."""
+    plots = []
+    for _, suffix, label, res in curves:
+        trace = f"{name}_{suffix}.csv"
+        _write_trace(os.path.join(out_dir, trace), res, stride)
+        plots.append(f"'{trace}' using 1:2 with lines title '{label}'")
+    write_csv(os.path.join(out_dir, f"{name}_summary.csv"), header, summary)
+    lines = [f"set title '{title}'", "set logscale y", "set xlabel 'step'",
+             "set ylabel 'test loss'", "set key right top",
+             "plot " + ", ".join(plots)]
+    path = os.path.join(out_dir, f"{name}.gp")
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
+    return FigureResult(curves={key: res for key, _, _, res in curves},
+                        summary=summary, chosen=chosen or {})
 
 
 def _grid_search(base: RunConfig, seeds, grid=ETA_GRID):
@@ -95,19 +113,21 @@ def _grid_search(base: RunConfig, seeds, grid=ETA_GRID):
     return best
 
 
+def _plateaus(curves) -> list:
+    """(key, plateau_mean, plateau_se) summary rows."""
+    return [(key, res.plateau_mean, res.plateau_se) for key, _, _, res in curves]
+
+
 def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
-         x0: float = 1.0, zeta: float = 4.0, sigma: float = 10.0,
-         n: int = 10, bc_eta: float = 1e-4, bc_beta: float = 1e-4,
-         csv_stride: int = 10) -> FigureResult:
+         csv_stride: int = CSV_STRIDE) -> FigureResult:
     """Alone vs WGA vs BC on the default instance.
 
     Step sizes for Alone and WGA are tuned over a log grid; BC uses a
     fixed, untuned step size.  All chosen values land in the summary CSV.
     """
-    main, colls = collaborative_pair(zeta=zeta, sigma=sigma, n=n)
-    alpha = n / (n + 1.0)
-    out = FigureResult()
-
+    main, colls = collaborative_pair()
+    alpha = DEFAULT_N / (DEFAULT_N + 1.0)
+    x0, bc_eta, bc_beta = 1.0, 1e-4, 1e-4
     alone = RunConfig(main, colls, "alone", CollaborationWeights(0.0, [1.0]),
                       ETA_GRID[0], horizon, x0)
     wga = RunConfig(main, colls, "wga", CollaborationWeights(alpha, [1.0]),
@@ -119,144 +139,101 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
                    bc_eta, horizon, x0, c0_policy="zero")
     res_bc = run_replicated(bc, seeds)
 
-    out.curves = {"alone": res_alone, "wga": res_wga, "bc": res_bc}
-    out.chosen = {"eta_alone": eta_alone, "eta_wga": eta_wga,
-                  "eta_bc": bc_eta, "beta_bc": bc_beta, "alpha": alpha}
-    files = []
-    for name, res in out.curves.items():
-        path = os.path.join(out_dir, f"fig2_{name}.csv")
-        _write_trace(path, res, csv_stride)
-        files.append((path, name))
+    curves = [(key, key, key, res) for key, res in
+              (("alone", res_alone), ("wga", res_wga), ("bc", res_bc))]
     eta_of = {"alone": eta_alone, "wga": eta_wga, "bc": bc_eta}
-    out.summary = [(name, eta_of[name], res.plateau_mean, res.plateau_se)
-                   for name, res in out.curves.items()]
-    write_csv(os.path.join(out_dir, "fig2_summary.csv"),
-              ["method", "eta", "plateau_mean", "plateau_se"], out.summary)
-    _write_gnuplot(out_dir, "fig2", files, "alone vs WGA vs BC")
-    return out
+    return _write_figure(
+        out_dir, "fig2", "alone vs WGA vs BC", curves,
+        ["method", "eta", "plateau_mean", "plateau_se"],
+        [(key, eta_of[key], pm, ps) for key, pm, ps in _plateaus(curves)],
+        csv_stride, chosen={"eta_alone": eta_alone, "eta_wga": eta_wga,
+                            "eta_bc": bc_eta, "beta_bc": bc_beta, "alpha": alpha})
 
 
-def fig3(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
-         seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
-         n: int = 10, eta: float = 1e-4, beta: float = 1e-4,
-         csv_stride: int = 10) -> FigureResult:
-    """BC for several bias magnitudes zeta: same plateau, slower start."""
-    main, colls = collaborative_pair(sigma=sigma, n=n)
-    alpha = n / (n + 1.0)
+def fig3(out_dir: str, zetas=ZETAS, horizon: int = DEFAULT_T,
+         seeds=DEFAULT_SEEDS, csv_stride: int = CSV_STRIDE) -> FigureResult:
+    """BC for several bias magnitudes zeta: same plateau, slower start.
+    The summary's time_to_plateau is -1 for a curve that never gets there."""
+    main, colls = collaborative_pair()
+    alpha = DEFAULT_N / (DEFAULT_N + 1.0)
     base = RunConfig(main, colls, "bc",
-                     CollaborationWeights(alpha, [1.0], beta=beta),
-                     eta, horizon, x0, c0_policy="zero")
-    out = FigureResult()
-    files = []
-    for zeta, res in sweep(base, "zeta", zetas, seeds):
-        out.curves[zeta] = res
-        path = os.path.join(out_dir, f"fig3_zeta{zeta:g}.csv")
-        _write_trace(path, res, csv_stride)
-        files.append((path, f"zeta={zeta:g}"))
-        out.summary.append((zeta, res.plateau_mean, res.plateau_se,
-                            time_to_plateau(res.mean_test_loss, res.plateau_mean)))
-    write_csv(os.path.join(out_dir, "fig3_summary.csv"),
-              ["zeta", "plateau_mean", "plateau_se", "time_to_plateau"],
-              [(z, pm, ps, -1 if tp is None else tp)
-               for z, pm, ps, tp in out.summary])
-    _write_gnuplot(out_dir, "fig3", files, "BC under increasing zeta")
-    return out
+                     CollaborationWeights(alpha, [1.0], beta=1e-4),
+                     1e-4, horizon, 10.0, c0_policy="zero")
+    curves = _swept("zeta", sweep(base, "zeta", zetas, seeds))
+    summary = []
+    for key, _, _, res in curves:
+        tp = time_to_plateau(res.mean_test_loss, res.plateau_mean)
+        summary.append((key, res.plateau_mean, res.plateau_se,
+                        -1 if tp is None else tp))
+    return _write_figure(out_dir, "fig3", "BC under increasing zeta", curves,
+                         ["zeta", "plateau_mean", "plateau_se", "time_to_plateau"],
+                         summary, csv_stride)
 
 
-def fig4(out_dir: str, zetas=(1.0, 4.0, 16.0, 64.0), horizon: int = DEFAULT_T,
-         seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
-         n: int = 10, eta: float = 5e-4, alpha: float = 1e-3,
-         csv_stride: int = 10) -> FigureResult:
+def fig4(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
+         csv_stride: int = CSV_STRIDE) -> FigureResult:
     """WGA for several zeta, plus the Alone baseline: the plateau grows
     with the bias."""
-    main, colls = collaborative_pair(sigma=sigma, n=n)
-    base = RunConfig(main, colls, "wga", CollaborationWeights(alpha, [1.0]),
+    main, colls = collaborative_pair()
+    eta, x0 = 5e-4, 10.0
+    alone = RunConfig(main, colls, "alone", CollaborationWeights(0.0, [1.0]),
+                      eta, horizon, x0)
+    base = RunConfig(main, colls, "wga", CollaborationWeights(1e-3, [1.0]),
                      eta, horizon, x0)
-    out = FigureResult()
-    files = []
-    res_alone = run_replicated(
-        RunConfig(main, colls, "alone", CollaborationWeights(0.0, [1.0]),
-                  eta, horizon, x0), seeds)
-    out.curves["alone"] = res_alone
-    alone_path = os.path.join(out_dir, "fig4_alone.csv")
-    _write_trace(alone_path, res_alone, csv_stride)
-    files.append((alone_path, "alone"))
-    out.summary.append(("alone", res_alone.plateau_mean, res_alone.plateau_se))
-    for zeta, res in sweep(base, "zeta", zetas, seeds):
-        out.curves[zeta] = res
-        path = os.path.join(out_dir, f"fig4_zeta{zeta:g}.csv")
-        _write_trace(path, res, csv_stride)
-        files.append((path, f"zeta={zeta:g}"))
-        out.summary.append((zeta, res.plateau_mean, res.plateau_se))
-    write_csv(os.path.join(out_dir, "fig4_summary.csv"),
-              ["zeta", "plateau_mean", "plateau_se"], out.summary)
-    _write_gnuplot(out_dir, "fig4", files, "WGA under increasing zeta")
-    return out
+    curves = [("alone", "alone", "alone", run_replicated(alone, seeds))]
+    curves += _swept("zeta", sweep(base, "zeta", ZETAS, seeds))
+    return _write_figure(out_dir, "fig4", "WGA under increasing zeta", curves,
+                         ["zeta", "plateau_mean", "plateau_se"], _plateaus(curves),
+                         csv_stride)
 
 
 def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
-         seeds=DEFAULT_SEEDS, x0: float = 10.0, sigma: float = 10.0,
-         a0: float = 0.5, a1: float = 1.5, zeta: float = 4.0,
-         eta: float = 5e-4, beta: float = 1e-4,
-         csv_stride: int = 10) -> FigureResult:
+         seeds=DEFAULT_SEEDS, csv_stride: int = CSV_STRIDE) -> FigureResult:
     """BC as N grows, alpha = N/(N+1): the benefit saturates quickly."""
-    main, colls = collaborative_pair(a0=a0, a1=a1, zeta=zeta, sigma=sigma, n=ns[0])
+    main, colls = collaborative_pair(a0=0.5, a1=1.5, n=ns[0])
     base = RunConfig(main, colls, "bc",
-                     CollaborationWeights(0.5, [1.0], beta=beta),
-                     eta, horizon, x0, c0_policy="zero")
-    out = FigureResult()
-    files = []
-    for n, res in sweep(base, "N", ns, seeds, alpha_rule="n_over_n_plus_1"):
-        out.curves[n] = res
-        path = os.path.join(out_dir, f"fig5_N{n}.csv")
-        _write_trace(path, res, csv_stride)
-        files.append((path, f"N={n}"))
-        out.summary.append((n, res.plateau_mean, res.plateau_se))
-    write_csv(os.path.join(out_dir, "fig5_summary.csv"),
-              ["N", "plateau_mean", "plateau_se"], out.summary)
-    _write_gnuplot(out_dir, "fig5", files, "BC under increasing N")
-    return out
+                     CollaborationWeights(0.5, [1.0], beta=1e-4),
+                     5e-4, horizon, 10.0, c0_policy="zero")
+    curves = _swept("N", sweep(base, "N", ns, seeds, alpha_rule="n_over_n_plus_1"))
+    return _write_figure(out_dir, "fig5", "BC under increasing N", curves,
+                         ["N", "plateau_mean", "plateau_se"], _plateaus(curves),
+                         csv_stride)
 
 
-def gainfactor(out_dir: str, n_grid=None, ratio_grid=None) -> FigureResult:
+def gainfactor(out_dir: str) -> FigureResult:
     """Heatmap of the collaborative speedup 1/(1 - alpha_opt) over N and
     r = L sigma_0^2 / (mu T zeta^2)."""
-    from .bounds import gainfactor_surface
-    if n_grid is None:
-        n_grid = np.unique(np.round(np.logspace(0, 2, 41)).astype(int))
-    if ratio_grid is None:
-        ratio_grid = np.logspace(-3, 3, 49)
-    surface = gainfactor_surface(n_grid, ratio_grid)
-    out = FigureResult()
-    out.curves = {"n_grid": np.asarray(n_grid), "ratio_grid": np.asarray(ratio_grid),
-                  "surface": surface}
+    n_grid = np.unique(np.round(np.logspace(0, 2, 41)).astype(int))
+    ratio_grid = np.logspace(-3, 3, 49)
+    surface = bounds.gainfactor_surface(n_grid, ratio_grid)
     rows = [[r] + list(surface[i]) for i, r in enumerate(ratio_grid)]
     write_csv(os.path.join(out_dir, "gainfactor.csv"),
               ["ratio"] + [f"N{int(n)}" for n in n_grid], rows)
-    return out
+    return FigureResult(curves={"n_grid": n_grid, "ratio_grid": ratio_grid,
+                                "surface": surface})
 
 
-def sublinear(out_dir: str, ms=(0.0, 0.5, 1.0, 2.0, 4.0), n_max: int = 50,
-              sigma0_sq: float = 1.0) -> FigureResult:
-    """Variance-floor speedup of WGA vs N for several m, at zeta = 0.
+def sublinear(out_dir: str) -> FigureResult:
+    """Variance-floor speedup of WGA vs N = 1..50 for several m, at zeta = 0.
 
     Speedup is the alone-to-collaborative ratio of the PL variance term,
     sigma_0^2 (1 - alpha^2 m)^2 / sigma_tilde^2(alpha) at the optimal
-    alpha.  The m = 0 curve uses the closed form and equals N + 1 exactly.
+    alpha, with every agent's noise variance sigma_0^2 = 1.  The m = 0
+    curve uses the closed form and equals N + 1 exactly.
     """
-    ns = np.arange(1, n_max + 1)
+    ms = (0.0, 0.5, 1.0, 2.0, 4.0)
+    ns = np.arange(1, 51)
     out = FigureResult()
     for m in ms:
         speeds = np.empty(len(ns))
         for i, n in enumerate(ns):
             if m == 0:
-                alpha = alpha_opt_wga_m0(int(n), 1.0, 1.0, 0.0, sigma0_sq, 1)
+                alpha = alpha_opt_wga_m0(int(n), 1.0, 1.0, 0.0, 1.0, 1)
                 speeds[i] = speedup_factor(alpha)
             else:
-                alpha = alpha_opt_wga_general(m, 0.0, sigma0_sq, sigma0_sq,
-                                              1.0, 1.0, 1000, int(n))
-                guard, st = wga_pl_terms(alpha, m, sigma0_sq, sigma0_sq, int(n))
-                speeds[i] = sigma0_sq * guard ** 2 / st
+                alpha = alpha_opt_wga_general(m, 0.0, 1.0, 1.0, 1.0, 1.0, 1000, int(n))
+                guard, st = wga_pl_terms(alpha, m, 1.0, 1.0, int(n))
+                speeds[i] = guard ** 2 / st
         out.curves[m] = speeds
     rows = [[int(n)] + [out.curves[m][i] for m in ms] for i, n in enumerate(ns)]
     write_csv(os.path.join(out_dir, "sublinear.csv"),

@@ -116,11 +116,6 @@ def eta_max(inputs: ScheduleInputs) -> float:
     return cap
 
 
-def recursion_constant(inputs: ScheduleInputs) -> int:
-    """c = 2 in the additive-noise model (M = 0), 4 otherwise."""
-    return 2 if inputs.sim.noise_scale_cap == 0 else 4
-
-
 def eta_wga_nonconvex(inputs: ScheduleInputs) -> float:
     """min(eta_max, sqrt(2 F_0 / (L sigma_tilde^2 T)))."""
     check_alpha_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)

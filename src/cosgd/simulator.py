@@ -557,23 +557,21 @@ def _mean_mix(cfg: RunConfig, value) -> np.ndarray:
 def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
     """Exact expected-iterate sequence for Alone/WGA with constant step.
 
-    Noise is additive and zero-mean, so E[x_t] follows the affine
-    recursion E[x_{t+1}] = E[x_t] - eta [(1-a) A_0 (E-x_0*)
-    + a sum_k tau_k A_k (E-x_k*)].  Unsupported for BC (the bias-estimate
-    state couples to the noise history).
+    Noise is zero-mean, so E[x_t] follows the affine recursion
+    E[x_{t+1}] = E[x_t] - eta h (E[x_t] - x_bar), with h the mixed
+    curvature (1-a) A_0 + a sum_k tau_k A_k and x_bar = mean_fixed_point:
+    E[x_t] = x_bar + (1 - eta h)^t (x_0 - x_bar).  Unsupported for BC
+    (the bias-estimate state couples to the noise history).
     """
     if cfg.aggregator not in ("alone", "wga"):
         raise ValueError("mean dynamics oracle supports alone and wga only")
     if isinstance(cfg.step_size, DecreasingPlSchedule):
         raise ValueError("mean dynamics oracle requires a constant step size")
     T = cfg.horizon if T is None else int(T)
-    eta = float(cfg.step_size)
-    out = np.empty((T + 1, cfg.main_task.dim))
-    out[0] = cfg.x0
-    for t in range(T):
-        g = _mean_mix(cfg, lambda task: true_gradient(task, out[t]))
-        out[t + 1] = out[t] - eta * g
-    return out
+    h = _mean_mix(cfg, lambda task: task.curvature)
+    x_bar = mean_fixed_point(cfg)
+    t = np.arange(T + 1)[:, None]
+    return x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
 
 
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:

@@ -9,8 +9,9 @@ from cosgd.bounds import (BoundInputs, bound_bc, bound_oracle,
                           bound_wga_pl_decreasing, gainfactor_surface,
                           oracle_sigma_tilde_sq)
 from cosgd.objective import QuadraticTask
-from cosgd.schedules import eta_max, eta_wga_nonconvex, schedule_inputs
-from cosgd.simulator import RunConfig, run_replicated
+from cosgd.schedules import (decreasing_pl_start_index, eta_max, eta_wga_nonconvex,
+                             schedule_inputs)
+from cosgd.simulator import DecreasingPlSchedule, RunConfig, run_replicated
 
 
 def inputs(alpha=0.5, a1=2.0, x1star=2.0, sigma0=1.0, sigma1=1.0,
@@ -98,6 +99,34 @@ class TestWgaPlDecreasing:
         small = bound_wga_pl_decreasing(
             BoundInputs(inputs(alpha=0.0, T=10 ** 9), eta=0.1), t0=0)
         assert small < 1e-8
+
+    @pytest.mark.parametrize("instance", range(4))
+    def test_c2_dominates_scaled_noise_runs(self, instance):
+        """`DecreasingPlSchedule` and the bound use c = 2, where the
+        analysis of scaled noise (M > 0) uses c = 4.  On the d = 16,
+        4-collaborator scaled-noise instances (M from 0.85 to 1.58; the
+        benchmark's `nonlinear` task for workload seeds 0-3), the c = 2
+        bound still exceeds the measured 20-seed final gap plus 3 SE by
+        more than 2x (3.0x to 14.1x measured)."""
+        rng = np.random.default_rng(instance)
+        d, T = 16, 5000
+        a0 = rng.uniform(0.5, 2.0, d)
+        x_star = rng.normal(0.0, 1.0, d)
+        main = QuadraticTask(a0, x_star, noise_std=1.0, noise_scale=0.5)
+        colls = [QuadraticTask(a0 * rng.uniform(0.8, 1.25, d),
+                               x_star + rng.normal(0.0, 0.5, d),
+                               noise_std=float(rng.uniform(0.5, 2.0)),
+                               noise_scale=float(rng.uniform(0.1, 1.0)))
+                 for _ in range(4)]
+        w = CollaborationWeights(0.5, list(rng.dirichlet(np.ones(4))))
+        x0 = np.full(d, 3.0)
+        s = schedule_inputs(main, colls, w, T, x0)
+        assert s.sim.noise_scale_cap > 0.8
+        res = run_replicated(RunConfig(main, colls, "wga", w, DecreasingPlSchedule(s),
+                                       T, x0), range(instance * 1000, instance * 1000 + 20))
+        bound = bound_wga_pl_decreasing(BoundInputs(s, eta=eta_max(s)),
+                                        t0=decreasing_pl_start_index(s))
+        assert bound > 2.0 * (res.final_gap_mean + 3.0 * res.final_gap_se)
 
 
 class TestOracle:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from cosgd import figures
 from cosgd.aggregators import CollaborationWeights
 from cosgd.cli import main
 from cosgd.config import (ConfigError, ExperimentConfig, load_config,
@@ -187,6 +188,7 @@ class TestInputContract:
         ("bounds", "wga-nc", "--L", "inf", "--mu", "1"),
         ("bounds", "wga-pl", "--alpha", "-1"),
         ("bounds", "bc", "--alpha", "2", "--delta", "1"),
+        ("bounds", "gainfactor"),
     ], ids=" ".join)
     def test_bad_bounds_or_tau_input(self, capsys, argv):
         assert run_cli(*argv) == 1
@@ -285,8 +287,9 @@ class TestFigureCommand:
 
     def test_gainfactor_writes_csv(self, tmp_path):
         assert run_cli("figure", "gainfactor", "--out-dir", str(tmp_path)) == 0
-        files = list(tmp_path.glob("*.csv"))
-        assert files
+        with open(tmp_path / "gainfactor.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header[0] == "ratio" and header[1] == "N1"
 
     def test_sublinear_writes_csv(self, tmp_path):
         assert run_cli("figure", "sublinear", "--out-dir", str(tmp_path)) == 0
@@ -300,6 +303,42 @@ class TestFigureCommand:
         with open(tmp_path / f"{name}_summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["plateau_se"] == "nan" for r in rows)
+
+    @pytest.mark.parametrize("name,traces", [
+        ("fig2", {"alone": "alone", "wga": "wga", "bc": "bc"}),
+        ("fig3", {f"zeta{z}": f"zeta={z}" for z in (1, 4, 16, 64)}),
+        ("fig4", {"alone": "alone",
+                  **{f"zeta{z}": f"zeta={z}" for z in (1, 4, 16, 64)}}),
+        ("fig5", {f"N{n}": f"N={n}" for n in (1, 10, 100)}),
+    ], ids=["fig2", "fig3", "fig4", "fig5"])
+    def test_outputs_agree(self, tmp_path, capsys, name, traces):
+        """The figure writes one trace per curve, a summary and a plot
+        script naming each trace under its label, and prints the summary
+        rows exactly as the CSV holds them."""
+        assert run_cli("figure", name, "--seeds", "0-2", "--T", "200",
+                       "--out-dir", str(tmp_path)) == 0
+        files = {f"{name}_{suffix}.csv" for suffix in traces}
+        assert {p.name for p in tmp_path.iterdir()} == \
+            files | {f"{name}_summary.csv", f"{name}.gp"}
+        plot = (tmp_path / f"{name}.gp").read_text().splitlines()[-1]
+        assert plot == "plot " + ", ".join(
+            f"'{name}_{suffix}.csv' using 1:2 with lines title '{label}'"
+            for suffix, label in traces.items())
+        with open(tmp_path / f"{name}_summary.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        printed = [line.split(" ") for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith((f"{name}: chosen", "wrote "))]
+        assert printed == rows and len(rows) == len(traces)
+
+    def test_never_reached_plateau_prints_minus_one(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(figures, "time_to_plateau", lambda trace, plateau: None)
+        assert run_cli("figure", "fig3", "--seeds", "0-2", "--T", "200",
+                       "--out-dir", str(tmp_path)) == 0
+        with open(tmp_path / "fig3_summary.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        printed = [line.split(" ") for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert printed == rows and [r[-1] for r in rows] == ["-1"] * 4
 
 
 class TestBoundsCommand:
@@ -318,17 +357,6 @@ class TestBoundsCommand:
         assert run_cli("bounds", "bc", "--alpha", "1e-200", "--delta", "1e-200") == 0
         assert math.isfinite(float(capsys.readouterr().out))
 
-    def test_gainfactor_heatmap(self, tmp_path):
-        assert run_cli("bounds", "gainfactor", "--out-dir", str(tmp_path)) == 0
-        with open(tmp_path / "gainfactor.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header[0] == "ratio" and header[1] == "N1"
-
-    def test_gainfactor_same_bytes_as_figure(self, tmp_path):
-        assert run_cli("bounds", "gainfactor", "--out-dir", str(tmp_path / "b")) == 0
-        assert run_cli("figure", "gainfactor", "--out-dir", str(tmp_path / "f")) == 0
-        assert read_bytes(tmp_path / "b" / "gainfactor.csv") == \
-            read_bytes(tmp_path / "f" / "gainfactor.csv")
 
 
 class TestTauCommand:

@@ -544,6 +544,20 @@ class TestGridSearch:
         assert res.plateau_mean == 0.0
 
 
+class TestTimeToPlateau:
+    def test_short_trace(self):
+        # 100 * 0.9^t + 1 first drops to 10 x its plateau 1 at t = 23.
+        trace = 100.0 * 0.9 ** np.arange(301) + 1.0
+        assert figures.time_to_plateau(trace, 1.0) == 23
+
+    def test_block_scales_with_trace(self):
+        # 200 blocks of 50 steps: the one holding step 1150 is the first
+        # whose mean is under 10 x the plateau.
+        trace = np.where(np.arange(10_001) < 1150, 100.0, 1.0)
+        assert figures.time_to_plateau(trace, 1.0) == 1150
+        assert figures.time_to_plateau(np.full(301, 100.0), 1.0) is None
+
+
 class TestNoWorkersArgument:
     def test_api_rejects_workers(self, tmp_path):
         cfg = make_cfg(T=50)
