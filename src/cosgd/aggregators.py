@@ -68,10 +68,22 @@ def _value(g) -> np.ndarray:
 
 
 def tau_sum(tau, gs):
-    """sum_k tau_k g_k, accumulated left to right from k = 0."""
-    acc = tau[0] * gs[0]
-    for k in range(1, len(gs)):
-        acc = acc + tau[k] * gs[k]
+    """sum_k tau_k g_k, accumulated left to right from k = 0.
+
+    `gs` is K arrays of one shape or their (K, ...) stack; `tau` is (K,)
+    or already broadcasts against the stack, as the kernel's (K, L, 1)
+    does.  The K products are formed in one multiply; the adds stay a
+    left-to-right chain, since a numpy sum over k rounds differently
+    (pairwise when the rest of the shape is a single element).
+    """
+    gs = np.asarray(gs)
+    tau = np.asarray(tau)
+    if tau.ndim < gs.ndim:
+        tau = tau.reshape(tau.shape + (1,) * (gs.ndim - tau.ndim))
+    prods = tau * gs
+    acc = prods[0]
+    for k in range(1, len(prods)):
+        acc = acc + prods[k]
     return acc
 
 

@@ -18,7 +18,7 @@ from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
 from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
 from .simulator import (AllSeedsDiverged, RunConfig, _validate, run_replicated,
-                        sweep)
+                        sweep, sweep_names)
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
 
@@ -94,11 +94,13 @@ def _cmd_run(args) -> int:
     stride = cfg.csv_stride
     if cfg.sweep_axis is not None:
         rows = []
-        for value, res in sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values,
-                                cfg.seeds, alpha_rule=cfg.sweep_alpha_rule):
-            label = f"{cfg.sweep_axis}={value:g}"
+        names = sweep_names(cfg.sweep_values)
+        results = sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values, cfg.seeds,
+                        alpha_rule=cfg.sweep_alpha_rule)
+        for name, (_, res) in zip(names, results):
+            label = f"{cfg.sweep_axis}={name}"
             figures._write_trace(
-                os.path.join(out_dir, f"trace_{cfg.sweep_axis}{value:g}.csv"),
+                os.path.join(out_dir, f"trace_{cfg.sweep_axis}{name}.csv"),
                 res, stride)
             rows += _stats_rows(label, res)
             print(f"{label}: plateau {fmt_value(res.plateau_mean)}"

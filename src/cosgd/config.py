@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from .aggregators import CollaborationWeights
 from .csvio import CSV_STRIDE
 from .objective import QuadraticTask
-from .simulator import DecreasingPlSchedule, RunConfig, _validate, sweep_config
+from .simulator import (DecreasingPlSchedule, RunConfig, _validate, sweep_config,
+                        sweep_names)
 
 
 class ConfigError(ValueError):
@@ -161,6 +162,7 @@ class ExperimentConfig:
                         [sweep_config(run, sweep_axis, v, sweep_rule)
                          for v in sweep_values]):
                 _validate(cfg)
+            sweep_names(sweep_values)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         seeds = [_as_int(s, "seeds")

@@ -24,7 +24,7 @@ from .csvio import CSV_STRIDE, write_csv
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
                         wga_pl_terms)
-from .simulator import RunConfig, RunResult, run_replicated, sweep
+from .simulator import RunConfig, RunResult, run_replicated, sweep, sweep_names
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "gainfactor", "sublinear")
 
@@ -77,7 +77,9 @@ class FigureResult:
 
 def _swept(axis: str, results) -> list:
     """Curves of `sweep` results, named as `cosgd run` names a sweep."""
-    return [(v, f"{axis}{v:g}", f"{axis}={v:g}", res) for v, res in results]
+    names = sweep_names([v for v, _ in results])
+    return [(v, f"{axis}{name}", f"{axis}={name}", res)
+            for name, (v, res) in zip(names, results)]
 
 
 def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,

@@ -132,7 +132,8 @@ def true_gradient(task: QuadraticTask, x) -> np.ndarray:
 def noise_std(var, scale, grad: np.ndarray, d: int) -> np.ndarray:
     """sqrt(var + scale ||grad||^2 / d), the validation-free core of
     `gradient_noise_std`; `var`, `scale` and `grad` broadcast."""
-    gsq = np.sum(grad * grad, axis=-1, keepdims=True)
+    # np.sum without its Python wrapper: the same reduction, once per step.
+    gsq = np.add.reduce(grad * grad, axis=-1, keepdims=True)
     return np.sqrt(var + scale * gsq / d)
 
 

@@ -14,8 +14,10 @@ Seeds and swept configs are vectorized through one kernel: a lane is one
 (config, seed) pair, every per-step operation is elementwise across
 lanes and each config's parameters are broadcast over its own lanes,
 which makes a batched run bitwise equal to the corresponding single
-runs.  Each step applies the combine rules of `aggregators` and the
-noise model of `objective` through their arithmetic cores.
+runs.  The agents share one leading array axis, so a step forms every
+agent's gradient and noise with one numpy call each, and applies the
+combine rules of `aggregators` and the noise model of `objective`
+through their arithmetic cores.
 """
 
 import math
@@ -157,20 +159,25 @@ def _batch_key(cfg: RunConfig) -> tuple:
 
 @dataclass
 class _Lanes:
-    """Per-lane parameters of a batch, lane axis first.
+    """Per-lane parameters of a batch: the lane axis L, after the agent
+    axis where there is one.
 
     A lane is one (config, seed) pair; each config's values are repeated
-    over its seeds.  Per-agent entries are lists indexed by agent (main
-    task first), per-collaborator ones by collaborator.  Entries a mode
-    does not use are None.
+    over its seeds.  Per-agent arrays stack the A agents (main task
+    first) on a leading axis, per-collaborator ones the K = A - 1
+    collaborators.  Entries a mode does not use are None.
     """
 
-    curv: list  # (L, d) curvature
-    opt: list  # (L, d) optimum
-    std: list  # (L, 1) noise_std, the whole noise std of an additive agent
-    var: list  # (L, 1) noise_std ** 2
-    scale: list  # (L, 1) noise_scale
-    tau: list | None  # (L, 1)
+    curv: np.ndarray  # (A, L, d) curvature
+    opt: np.ndarray  # (A, L, d) optimum
+    std: np.ndarray  # (A, L, 1) noise_std, the whole noise std of an additive agent
+    # (A, L, 1) noise_std ** 2 of a scaled-noise agent.  An additive agent
+    # has 1 here and noise_scale 0, so that `noise_std` is exactly 1 for
+    # it and its pre-scaled normals pass through a batch that also has
+    # scaled-noise agents unchanged.
+    var: np.ndarray
+    scale: np.ndarray  # (A, L, 1) noise_scale
+    tau: np.ndarray | None  # (K, L, 1)
     alpha: np.ndarray  # (L, 1)
     one_minus_alpha: np.ndarray  # (L, 1)
     beta: np.ndarray | None  # (L, 1)
@@ -181,25 +188,33 @@ class _Lanes:
     @classmethod
     def build(cls, cfgs, n_seeds: int) -> "_Lanes":
         def col(values):
-            return np.repeat(np.asarray(values, dtype=float), n_seeds)[:, None]
+            """(L, 1), or (A, L, 1) from (A, configs) values."""
+            return np.repeat(np.asarray(values, dtype=float), n_seeds,
+                             axis=-1)[..., None]
 
-        def rows(vectors):
-            return np.repeat(np.stack(vectors), n_seeds, axis=0)
-
-        agents = [[cfg.main_task] + list(cfg.collaborators) for cfg in cfgs]
-        n_agents = len(agents[0])
+        # tasks[a][c]: agent a of config c.
+        tasks = list(zip(*[[cfg.main_task] + list(cfg.collaborators) for cfg in cfgs]))
+        n_agents = len(tasks)
         d = cfgs[0].main_task.dim
         ws = [cfg.weights for cfg in cfgs]
         mode = cfgs[0].aggregator
-        per_agent = range(n_agents)
+
+        def per_agent(value):
+            return [[value(t) for t in ts] for ts in tasks]
+
+        def vectors(value):
+            """(A, L, d) of the per-task vectors `value(task)`."""
+            return np.repeat(np.array(per_agent(value), dtype=float), n_seeds,
+                             axis=1)
+
         return cls(
-            curv=[rows([ts[a].curvature for ts in agents]) for a in per_agent],
-            opt=[rows([ts[a].optimum for ts in agents]) for a in per_agent],
-            std=[col([ts[a].noise_std for ts in agents]) for a in per_agent],
-            var=[col([ts[a].noise_std ** 2 for ts in agents]) for a in per_agent],
-            scale=[col([ts[a].noise_scale for ts in agents]) for a in per_agent],
+            curv=vectors(lambda t: t.curvature),
+            opt=vectors(lambda t: t.optimum),
+            std=col(per_agent(lambda t: t.noise_std)),
+            var=col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0)),
+            scale=col(per_agent(lambda t: t.noise_scale)),
             tau=None if mode == "alone" else
-            [col([w.tau[k] for w in ws]) for k in range(n_agents - 1)],
+            col([[w.tau[k] for w in ws] for k in range(n_agents - 1)]),
             alpha=col([w.alpha for w in ws]),
             one_minus_alpha=col([1.0 - w.alpha for w in ws]),
             beta=col([w.beta for w in ws]) if mode == "bc" else None,
@@ -210,12 +225,13 @@ class _Lanes:
         )
 
 
-def _draw(gens, n: int, d: int) -> np.ndarray:
-    """(n, lanes, d): the next n steps of normals from each lane's stream."""
-    z = np.empty((len(gens), n, d))
-    for j, gen in enumerate(gens):
-        gen.standard_normal(out=z[j])
-    return z.transpose(1, 0, 2)
+def _draw(gens, z: np.ndarray) -> np.ndarray:
+    """Fill z, (rows, L, n, d), with the next n steps of normals from the
+    streams `gens[row][lane]`; returns its (n, rows, L, d) view."""
+    for row, z_row in zip(gens, z):
+        for gen, out in zip(row, z_row):
+            gen.standard_normal(out=out)
+    return z.transpose(2, 0, 1, 3)
 
 
 def _run_batch(cfgs, seeds) -> list:
@@ -239,17 +255,19 @@ def _run_batch(cfgs, seeds) -> list:
     T = first.horizon
     n_agents = 1 + len(first.collaborators)
     mode = first.aggregator
-    additive = [task.noise_scale == 0
-                for task in [first.main_task] + list(first.collaborators)]
+    # Alone forms only the main task's gradient; every agent's stream is
+    # still drawn.
+    used = 1 if mode == "alone" else n_agents
+    tasks = [first.main_task] + list(first.collaborators)
+    additive = [a for a in range(used) if tasks[a].noise_scale == 0]
     etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
     p = _Lanes.build(cfgs, S)
 
     gens = [[rng_mod.agent_stream(s, a) for _ in cfgs for s in seeds]
             for a in range(n_agents)]
-    oracle_gens = None
-    if mode == "oracle_bc":
-        oracle_gens = [rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
-                       for _ in cfgs for s in seeds]
+    if mode == "oracle_bc":  # the oracle's streams are row n_agents
+        gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
+                     for _ in cfgs for s in seeds])
 
     # Loss and gradient norm are computed per chunk from the recorded
     # iterates, with the same elementwise arithmetic as a per-step pass.
@@ -300,18 +318,18 @@ def _run_batch(cfgs, seeds) -> list:
         if first.c0_policy == "zero":
             c_state = np.zeros((L, d))
         elif first.c0_policy == "warm_start":
-            c_state = np.concatenate([_warm_start_bias(cfg, seeds) for cfg in cfgs])
+            normals = _warm_start_normals(
+                n_agents, seeds, max(cfg.warm_start_samples for cfg in cfgs), d)
+            c_state = np.concatenate([_warm_start_bias(cfg, seeds, normals)
+                                      for cfg in cfgs])
         # first_bias: set at t = 0 from the first round's samples.
 
-    noise = None
+    curv, opt, var, scale = (p.curv[:used], p.opt[:used], p.var[:used],
+                             p.scale[:used])
+    scaled_noise = len(additive) < used
 
-    def sample(a, grad, i):
-        """Agent a's stochastic gradient at true gradient `grad`."""
-        if additive[a]:  # normals pre-scaled by noise_std
-            return grad + noise[a][i]
-        return grad + noise[a][i] * noise_std(p.var[a], p.scale[a], grad, d)
-
-    chunk = max(1, _CHUNK_DRAWS // (L * d))
+    chunk = min(T, max(1, _CHUNK_DRAWS // (L * d)))
+    buf = np.empty((len(gens), L, chunk, d))  # reused by every chunk
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
         X = np.empty((n + 1, L, d))
@@ -319,12 +337,11 @@ def _run_batch(cfgs, seeds) -> list:
             X[:] = frozen
             record(X[:n], t0)
             continue
-        # Pre-draw this chunk's normals, scaled for pure-additive agents.
-        noise = []
-        for a in range(n_agents):
-            z = _draw(gens[a], n, d)
-            noise.append(z * p.std[a] if additive[a] else z)
-        z_oracle = _draw(oracle_gens, n, d) if oracle_gens is not None else None
+        # Pre-draw this chunk's normals, scaled for additive agents.
+        z = _draw(gens, buf[:, :, :n])
+        for a in additive:
+            z[:, a] *= p.std[a]
+        noise = z[:, :used]
         eta = etas[t0:t0 + n][:, p.cfg][:, :, None]
 
         # Lanes are independent, so a dead lane's overflow and NaNs stay
@@ -332,15 +349,17 @@ def _run_batch(cfgs, seeds) -> list:
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
                 X[i] = x
-                diff0 = x - p.opt[0]
-                g0_true = p.curv[0] * diff0
-                g0 = sample(0, g0_true, i)
+                # Each used agent's true and stochastic gradient.
+                grads = curv * (x - opt)
+                if scaled_noise:
+                    samples = grads + noise[i] * noise_std(var, scale, grads, d)
+                else:
+                    samples = grads + noise[i]
+                g0 = samples[0]
                 if mode == "alone":
                     g = g0
                 else:
-                    grads = [p.curv[a] * (x - p.opt[a]) for a in range(1, n_agents)]
-                    samples = [sample(a, ga, i) for a, ga in enumerate(grads, 1)]
-                    gavg = tau_sum(p.tau, samples)
+                    gavg = tau_sum(p.tau, samples[1:])
                     if mode == "wga":
                         g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
                     elif mode == "bc":
@@ -350,8 +369,8 @@ def _run_batch(cfgs, seeds) -> list:
                         g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_state)
                         c_state = mix(p.one_minus_beta, p.beta, c_state, b)
                     else:  # oracle_bc
-                        true_bias = tau_sum(p.tau, grads) - g0_true
-                        c_oracle = true_bias + z_oracle[i] * p.oracle_std
+                        true_bias = tau_sum(p.tau, grads[1:]) - grads[0]
+                        c_oracle = true_bias + z[i, n_agents] * p.oracle_std
                         g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
                 x = x - eta[i] * g
         X[n] = x
@@ -376,18 +395,30 @@ def _run_batch(cfgs, seeds) -> list:
     return out
 
 
-def _warm_start_bias(cfg: RunConfig, seeds) -> np.ndarray:
+def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:
+    """Per agent, the (S, k, d) normals of the first k warm-start samples
+    of each seed, from the dedicated warm-start streams (which keep the
+    main gradient streams aligned).  A sample count below k uses a prefix
+    of these, as its own streams would draw it."""
+    return [np.stack([rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
+                      .standard_normal((k, d)) for s in seeds])
+            for a in range(n_agents)]
+
+
+def _warm_start_bias(cfg: RunConfig, seeds, normals=None) -> np.ndarray:
     """c_0 = average of `warm_start_samples` bias samples at x_0, one row
-    per seed, drawn from dedicated warm-start streams (keeps the main
-    gradient streams aligned).  Sample k of agent a is the k-th
-    `sample_gradient` call at x_0 on that agent's stream."""
+    per seed.  Sample k of agent a is the k-th `sample_gradient` call at
+    x_0 on that agent's warm-start stream.  `normals` are those of
+    `_warm_start_normals` for at least `warm_start_samples` samples, so
+    that the configs of a batch share one draw; drawn here when None."""
     K = cfg.warm_start_samples
+    tasks = [cfg.main_task] + list(cfg.collaborators)
+    if normals is None:
+        normals = _warm_start_normals(len(tasks), seeds, K, cfg.main_task.dim)
     samples = []
-    for a, task in enumerate([cfg.main_task] + list(cfg.collaborators)):
-        z = np.stack([rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
-                      .standard_normal((K, task.dim)) for s in seeds])
+    for task, z in zip(tasks, normals):
         grad = true_gradient(task, cfg.x0)
-        samples.append(grad + z * gradient_noise_std(task, grad))  # (S, K, d)
+        samples.append(grad + z[:, :K] * gradient_noise_std(task, grad))  # (S, K, d)
     bias = tau_sum(cfg.weights.tau, samples[1:]) - samples[0]
     acc = np.zeros((len(seeds), cfg.main_task.dim))
     for k in range(K):  # summed in sample order, as one seed at a time
@@ -470,6 +501,21 @@ def run_replicated(cfg: RunConfig, seeds, keep_traces: bool = False) -> RunResul
 
 
 SWEEP_AXES = ("zeta", "N", "alpha", "beta", "eta", "delta", "sigma", "T")
+
+
+def sweep_names(values) -> list:
+    """Each swept value as output files and labels name it: `%g`, six
+    significant digits.  Values that are not numbers, or that print alike
+    and so would share one output file, are a ValueError."""
+    try:
+        names = [f"{v:g}" for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"sweep values must be numbers, got {values!r}") from None
+    alike = sorted({name for name in names if names.count(name) > 1})
+    if alike:
+        raise ValueError("sweep values must differ to 6 significant digits, which "
+                         f"name their outputs; repeated: {', '.join(alike)}")
+    return names
 
 
 def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = None) -> RunConfig:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cosgd.aggregators import (BcState, CollaborationWeights, alone_combine,
                                bc_combine, bc_update, check_alpha_guard,
-                               oracle_bc_combine, wga_combine)
+                               oracle_bc_combine, tau_sum, wga_combine)
 from cosgd.objective import GradientSample, QuadraticTask, true_gradient
 from cosgd.rng import agent_stream
 
@@ -48,6 +48,51 @@ class TestAloneCombine:
     def test_identity(self):
         np.testing.assert_array_equal(alone_combine(gs([3.0])), [3.0])
         np.testing.assert_array_equal(alone_combine(gs([0.0, 0.0])), [0.0, 0.0])
+
+
+def list_tau_sum(tau, gs):
+    """The per-term form: each tau_k g_k formed on its own, added left to
+    right from k = 0."""
+    acc = tau[0] * gs[0]
+    for k in range(1, len(gs)):
+        acc = acc + tau[k] * gs[k]
+    return acc
+
+
+@st.composite
+def tau_sum_inputs(draw):
+    """Per-lane tau (K, L, 1) and gradients (K, L, d), K up to 8; L = d = 1
+    included."""
+    k, lanes, d = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.floats(-1e6, 1e6, allow_subnormal=True)
+    tau = np.array(draw(st.lists(st.floats(0, 1), min_size=k * lanes,
+                                 max_size=k * lanes))).reshape(k, lanes, 1)
+    gs = np.array(draw(st.lists(values, min_size=k * lanes * d,
+                                max_size=k * lanes * d))).reshape(k, lanes, d)
+    return tau, gs
+
+
+class TestTauSum:
+    """The kernel's stacked form keeps the rounding of the per-term form."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tau_sum_inputs())
+    def test_stacked_equals_list_form(self, inputs):
+        tau, gs = inputs
+        expected = list_tau_sum(list(tau), list(gs)).tobytes()
+        assert tau_sum(tau, gs).tobytes() == expected
+        for lane in range(gs.shape[1]):
+            # A list caller's (K,) tau and K vectors, one lane at a time.
+            assert tau_sum(tau[:, lane, 0], list(gs[:, lane])).tobytes() \
+                == list_tau_sum(tau[:, lane, 0].tolist(), list(gs[:, lane])).tobytes()
+
+    def test_single_element_rows_add_left_to_right(self):
+        # With one element per term numpy would sum the 8 terms pairwise:
+        # ((a + b) + (c + d)) + ... rounds differently from the chain.
+        tau = np.full((8, 1, 1), 0.125)
+        gs = np.array([1.0, 1e16, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0]).reshape(8, 1, 1)
+        chain = list_tau_sum(list(tau), list(gs))
+        assert tau_sum(tau, gs).tobytes() == chain.tobytes()
 
 
 class TestWgaCombine:

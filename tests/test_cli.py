@@ -109,6 +109,27 @@ class TestInputContract:
                        "--out-dir", str(tmp_path)) == 1
         assert "N must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("eta", [0.01, 0.0100000001], "significant digits, which name their "
+                                      "outputs; repeated: 0.01"),
+        ("N", [10, 10.0, 3], "repeated: 10"),
+        ("eta", ["0.01"], "sweep values must be numbers"),
+    ], ids=["eta-6-digits", "N-int-and-float", "eta-string"])
+    def test_config_sweep_values_need_distinct_names(self, tmp_path, capsys, axis,
+                                                     values, message):
+        """Each swept value names its trace file and aggregate rows by %g,
+        so values that print alike, or do not print as numbers, are
+        rejected before any run writes a file."""
+        d = TestConfigFile().make_config().to_dict()
+        d["sweep"] = {"axis": axis, "values": values}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
     def test_config_beta_sweep_over_base_without_beta(self, tmp_path):
         d = TestConfigFile().make_config().to_dict()
         d["aggregator"] = "bc"

@@ -1,0 +1,129 @@
+"""Golden outputs: the sha256 of every file a command writes and of its
+stdout, for the paper figures and one bc warm-start config sweep.
+
+The kernel, the noise streams and the CSV writer are exact, so refactors
+and speed-ups leave these bytes as they are.  A change that means to
+alter output bytes must update `DIGESTS` (print the new ones with
+`PYTHONPATH=src python tests/test_golden.py`) and say in CHANGES.md which
+bytes changed and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+
+import pytest
+
+from cosgd.cli import main
+
+# One bc warm-start eta sweep: d = 2, a scaled-noise main task with one
+# additive and one scaled-noise collaborator.
+SWEEP_CONFIG = {
+    "main_task": {"curvature": [1.0, 2.0], "optimum": [0.0, 1.0],
+                  "noise_std": 1.0, "noise_scale": 0.5},
+    "collaborators": [
+        {"curvature": [1.5, 2.5], "optimum": [2.0, 0.0], "noise_std": 2.0},
+        {"curvature": [0.5, 3.0], "optimum": [-1.0, 0.5], "noise_std": 0.5,
+         "noise_scale": 0.1},
+    ],
+    "aggregator": "bc",
+    "weights": {"alpha": 0.3, "tau": [0.4, 0.6], "beta": 0.2},
+    "step_size": 0.02,
+    "horizon": 300,
+    "x0": [-3.0, 2.1],
+    "seeds": [0, 1, 2, 3],
+    "c0_policy": "warm_start",
+    "csv_stride": 5,
+    "sweep": {"axis": "eta", "values": [0.01, 0.02, 0.05]},
+}
+
+COMMANDS = {
+    name: ("figure", name, "--T", "500", "--seeds", "0-3")
+    for name in ("fig2", "fig3", "fig4", "fig5")
+}
+COMMANDS["run_bc_warm_start"] = ("run", "--config", "cfg.json")
+
+
+def digests(argv) -> dict:
+    """Exit code and sha256 of stdout and of each file under `out`, for
+    `cosgd *argv --out-dir out` run in a fresh directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            pathlib.Path("cfg.json").write_text(json.dumps(SWEEP_CONFIG))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(list(argv) + ["--out-dir", "out"])
+            out = {"exit": code,
+                   "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+            for path in sorted(pathlib.Path("out").iterdir()):
+                out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+DIGESTS = {
+    "fig2": {
+        "exit": 0,
+        "stdout": "f47ef87fee038a42351a9835a31dff26e72c70b192ffe0056cae4207d242a89c",
+        "fig2.gp": "b72e5f71c1fda53878dd68c23e145943bac545a05b4777ef4f00e9a5fa5c0939",
+        "fig2_alone.csv": "d0204b0bb68346831ebdedbcecad6845baf048aeddc99d95cd08643c81c9fae1",
+        "fig2_bc.csv": "5b812f9b919e93631fbda06908929f4887be1c9f85f977e2266775845442e6df",
+        "fig2_summary.csv": "b44baa174fab0dec368acef14af77f8cfa0022f0ee5a8cc52c314de7db95bc24",
+        "fig2_wga.csv": "d65d9305068a36bfa2ffebead232db84e890af7da9d4f87aefb7618f00530f7c"
+    },
+    "fig3": {
+        "exit": 0,
+        "stdout": "311486f5db1d4d849fb3ad262f3fb639e429ac0e3226195963e8c992622bbd79",
+        "fig3.gp": "f5021a67bc7c28ac47ca993f8ce42d2f442335b71d3c32936ee1fd1c885cd9a1",
+        "fig3_summary.csv": "aa60c5a23f5d3effa528246abcada7c2b2fade579f0280cc1dc5f7e7cc93ce7c",
+        "fig3_zeta1.csv": "fb9007d31759d15dbb1e73cae2cc1f3092186f3433147c29c7d983631aa3079a",
+        "fig3_zeta16.csv": "b8a16914fb9671ebfd74b7db9b1547ea327f9b31d0587f025549b612f15ac05b",
+        "fig3_zeta4.csv": "4043aa6dac385ee9e0faa939c477c827c814151f1fc901111bd852bc22be9bab",
+        "fig3_zeta64.csv": "0414d27a1d78853976ccef5513001c4e8ad32d63312b189199a047199c221250"
+    },
+    "fig4": {
+        "exit": 0,
+        "stdout": "783028d4727c3e4268e1b18cad76c940e3e5849b952fb57787499b9940369ec5",
+        "fig4.gp": "44693e41ae4ab5620612ef53309a46a2427ee3bde11d7f867db635f955ca2411",
+        "fig4_alone.csv": "b7f7536f409281d9c4c1f89663f213eaef9e951cb375c828cc56a22f9e08d91e",
+        "fig4_summary.csv": "909a4f87d24ee187d1d92f5cfd1530cb5a166a919198e6bbe6829bc2753ebff4",
+        "fig4_zeta1.csv": "eb3290186fe73ef2f78d7d0c76fb7dbbe74b50dc05b2d94d3a20d6c08a9bb07b",
+        "fig4_zeta16.csv": "de2dc5682583b6be3a2daa2c2d6da4a77f13b972c24066aa124aae210ef27a8f",
+        "fig4_zeta4.csv": "5b4706eeaf0fbe7aaac1628ef75e18529a1761a90429cfe1b0351f4d7351640a",
+        "fig4_zeta64.csv": "a6ab5feb2b95f676e2568ef31a0d279f5a78ae74c7ee9bb864b42579c0087995"
+    },
+    "fig5": {
+        "exit": 0,
+        "stdout": "367f3d2114f7972c07f92cd039430514758ce01089767cea3d153eb2c82b695f",
+        "fig5.gp": "e8675580f93e841aaf029cb446f4db13319284a3fbeafbd3dffd8e983138bf9a",
+        "fig5_N1.csv": "b332f21f18de429f399ee4f085b33a75bd7c775dcc28c5c5356495c248b09145",
+        "fig5_N10.csv": "97afc7b91cac56ade0268e2ef8d3e98865bb1c17103e5c599f575e844212cfe2",
+        "fig5_N100.csv": "764ba202d8d285a68301cf41be33b770294983d9e4df7a4a946b393d8deb4b38",
+        "fig5_summary.csv": "a297d9d709ed348ff329ce65898543d046b8ac8bfd9881f02e3408dd42199d7d"
+    },
+    "run_bc_warm_start": {
+        "exit": 0,
+        "stdout": "c9d927fb2af48316c396a1016b13f72093de2a42545d590584fdefd70e08508e",
+        "aggregate.csv": "0a68ec935e28885c20838fabaf80e0d07af641cfc07f650fc422cc9e0c9b101f",
+        "trace_eta0.01.csv": "8b6b133b63fec978556c929f41e9c3d079298c7cbb7549d3135faa9d09533d93",
+        "trace_eta0.02.csv": "575e3eea8c1cd5ae0c8edc99368fd9327edef5d32e680acc2dd4be07b798e753",
+        "trace_eta0.05.csv": "a75ebbd6750f71e9164fbca8b083ba8827db716d0cca0456992489bd19eb5f9d"
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_bytes(name):
+    assert digests(COMMANDS[name]) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: digests(argv) for name, argv in sorted(COMMANDS.items())},
+                     indent=4))

@@ -159,6 +159,48 @@ class TestReferenceEquivalence:
             np.testing.assert_array_equal(
                 tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
 
+    @staticmethod
+    def mixed_noise_cfg(aggregator, d, scaled_main, **kw):
+        """Two collaborators; either the main task has scaled noise and the
+        collaborators additive noise, or the reverse."""
+        curv = np.array([[1.0, 2.0, 1.5], [1.5, 2.5, 1.0], [0.8, 1.6, 2.0]])[:, :d]
+        opt = np.array([[0.0, 1.0, -0.5], [2.0, 0.0, 1.0], [-1.0, 0.5, 0.0]])[:, :d]
+        main_scale, coll_scale = (0.5, 0.0) if scaled_main else (0.0, 0.3)
+        main = QuadraticTask(curv[0], opt[0], noise_std=1.0, noise_scale=main_scale)
+        colls = [QuadraticTask(curv[1], opt[1], noise_std=2.0, noise_scale=coll_scale),
+                 QuadraticTask(curv[2], opt[2], noise_std=0.5,
+                               noise_scale=coll_scale / 3)]
+        w = CollaborationWeights(0.4, [0.3, 0.7], beta=kw.pop("beta", None))
+        return RunConfig(main, colls, aggregator, w, 0.02, 40,
+                         [-3.0, 2.1, 1.0][:d], **kw)
+
+    @pytest.mark.parametrize("scaled_main", [True, False],
+                             ids=["scaled-main", "scaled-collaborators"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("aggregator,kw", [
+        ("wga", {}),
+        ("bc", dict(beta=0.2)),
+        ("bc", dict(beta=0.2, c0_policy="warm_start")),
+        ("oracle_bc", dict(oracle_v=1.5)),
+    ])
+    def test_bitwise_match_mixed_noise(self, aggregator, kw, d, scaled_main):
+        cfg = self.mixed_noise_cfg(aggregator, d, scaled_main, seed=7, **kw)
+        np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
+
+    @pytest.mark.parametrize("scaled_main", [True, False],
+                             ids=["scaled-main", "scaled-collaborators"])
+    def test_bitwise_match_mixed_noise_swept_batch(self, scaled_main):
+        # Three alpha values as the lanes of one kernel call, with warm
+        # start, so the batch also shares its warm-start draws.
+        base = self.mixed_noise_cfg("bc", 3, scaled_main, beta=0.2,
+                                    c0_policy="warm_start")
+        cfgs = [sweep_config(base, "alpha", a) for a in (0.1, 0.4, 0.9)]
+        seeds = [2, 5, 9]
+        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds)):
+            for seed, tr in zip(seeds, traces):
+                np.testing.assert_array_equal(
+                    tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
+
     def assert_frozen_match(self, cfg):
         """The kernel's losses equal the reference up to the divergence
         step and then hold the loss of the last iterate inside the box."""
@@ -460,6 +502,38 @@ class TestSweepBatching:
         for value, res in results:
             assert_results_equal(res, run_replicated(sweep_config(base, "alpha", value),
                                                      self.SEEDS))
+
+
+class TestWarmStartDraws:
+    def test_sweep_draws_each_stream_once(self, monkeypatch):
+        """A warm-start sweep draws each (seed, agent) warm-start stream
+        once for all its values, and each value's result equals its own
+        run_replicated bit for bit."""
+        streams = []
+        original = rng_mod.agent_stream
+
+        def counting(seed, agent, context=rng_mod.GRADIENT_CONTEXT):
+            if context == rng_mod.WARMSTART_CONTEXT:
+                streams.append((seed, agent))
+            return original(seed, agent, context)
+        monkeypatch.setattr(rng_mod, "agent_stream", counting)
+        base = make_cfg("bc", alpha=0.6, beta=0.2, T=100, c0_policy="warm_start")
+        seeds = list(range(16))
+        results = sweep(base, "eta", [0.01, 0.02, 0.05], seeds)
+        assert len(streams) == len(set(streams)) == 32
+        for value, res in results:
+            assert_results_equal(res, run_replicated(sweep_config(base, "eta", value),
+                                                     seeds))
+
+    def test_batch_with_different_sample_counts(self):
+        # Configs of one batch may ask for different warm_start_samples;
+        # each takes a prefix of the shared draw.
+        base = make_cfg("bc", alpha=0.6, beta=0.2, T=50, c0_policy="warm_start")
+        cfgs = [dataclasses.replace(base, warm_start_samples=k) for k in (8, 3, 20)]
+        seeds = [1, 4]
+        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds)):
+            for seed, tr in zip(seeds, traces):
+                assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
 
 
 class TestDivergingLanes:
