@@ -50,9 +50,21 @@ def _parse_seeds(spec: str):
     return seeds
 
 
+def _int(value: str) -> int:
+    """argparse type of an integer flag: an int the float formulas can
+    take, so at most about 1.8e308 in magnitude."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if abs(n) > sys.float_info.max:
+        raise argparse.ArgumentTypeError("must be at most 1.8e308 in magnitude")
+    return n
+
+
 def _stride(value: str) -> int:
     """argparse type of --csv-stride: an integer >= 1."""
-    stride = int(value)
+    stride = _int(value)
     if stride < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {stride}")
     return stride
@@ -164,6 +176,8 @@ def _cmd_bounds(args) -> int:
         value = fn(b)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except OverflowError as e:  # a finite input whose bound leaves the floats
+        raise ConfigError("inputs out of range: a bound term overflows a float") from e
     print(fmt_value(value))
     return 0
 
@@ -201,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Options that `run` and `figure` share.
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--T", type=int, default=figures.DEFAULT_T)
+    shared.add_argument("--T", type=_int, default=figures.DEFAULT_T)
     shared.add_argument("--seeds", default="0-19")
     shared.add_argument("--out-dir", dest="out_dir", default=None)
     shared.add_argument("--workers", type=deprecated_workers, default=1,
@@ -219,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--a1", type=float, default=2.0)
     r.add_argument("--zeta", type=float, default=4.0)
     r.add_argument("--sigma", type=float, default=10.0)
-    r.add_argument("--N", type=int, default=10)
+    r.add_argument("--N", type=_int, default=10)
     r.add_argument("--alpha", type=float, default=0.0)
     r.add_argument("--beta", type=float, default=None)
     r.add_argument("--eta", type=float, default=1e-4)
@@ -230,8 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_run)
 
     f = sub.add_parser("figure", parents=[shared],
-                       help="reproduce a figure's CSV data")
-    f.add_argument("name")
+                       help="reproduce a figure's CSV data",
+                       description="Reproduce a figure's CSV data. gainfactor "
+                       "and sublinear simulate nothing and ignore --T, --seeds "
+                       "and --csv-stride.")
+    f.add_argument("name", help=", ".join(figures.FIGURES))
     f.set_defaults(func=_cmd_figure)
 
     b = sub.add_parser("bounds", help="evaluate a convergence bound")
@@ -241,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=float, default=0.0)
     b.add_argument("--zeta-sq", dest="zeta_sq", type=float, default=0.0)
     b.add_argument("--delta", type=float, default=0.0)
-    b.add_argument("--T", type=int, default=1000)
+    b.add_argument("--T", type=_int, default=1000)
     b.add_argument("--F0", type=float, default=1.0)
     b.add_argument("--sigma0-sq", dest="sigma0_sq", type=float, default=1.0)
     b.add_argument("--sigma-a-sq", dest="sigma_a_sq", type=float, default=1.0)
     b.add_argument("--alpha", type=float, default=0.0)
     b.add_argument("--v-sq", dest="v_sq", type=float, default=0.0)
     b.add_argument("--grad0-sq", dest="grad0_sq", type=float, default=0.0)
-    b.add_argument("--N", type=int, default=1)
+    b.add_argument("--N", type=_int, default=1)
     b.add_argument("--eta", type=float, default=1e-3)
     b.add_argument("--beta", type=float, default=0.0)
     b.add_argument("--E0", type=float, default=0.0)
@@ -260,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--zetas", required=True, help="comma-separated zeta_k^2")
     t.add_argument("--L", type=float, default=1.0)
     t.add_argument("--mu", type=float, default=1.0)
-    t.add_argument("--T", type=int, default=1000)
+    t.add_argument("--T", type=_int, default=1000)
     t.add_argument("--alpha", type=float, default=0.0)
     t.add_argument("--m", type=float, default=0.0)
     t.set_defaults(func=_cmd_tau)

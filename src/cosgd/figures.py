@@ -75,11 +75,13 @@ class FigureResult:
     chosen: dict = field(default_factory=dict)
 
 
-def _swept(axis: str, results) -> list:
-    """Curves of `sweep` results, named as `cosgd run` names a sweep."""
-    names = sweep_names([v for v, _ in results])
-    return [(v, f"{axis}{name}", f"{axis}={name}", res)
-            for name, (v, res) in zip(names, results)]
+def _swept(base: RunConfig, axis: str, values, seeds, alpha_rule=None) -> list:
+    """Curves of the `sweep` of `values`, named as `cosgd run` names a
+    sweep; values whose names clash are rejected before anything runs."""
+    values = list(values)
+    names = sweep_names(values)
+    return [(v, f"{axis}{name}", f"{axis}={name}", res) for name, (v, res)
+            in zip(names, sweep(base, axis, values, seeds, alpha_rule))]
 
 
 def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
@@ -161,7 +163,7 @@ def fig3(out_dir: str, zetas=ZETAS, horizon: int = DEFAULT_T,
     base = RunConfig(main, colls, "bc",
                      CollaborationWeights(alpha, [1.0], beta=1e-4),
                      1e-4, horizon, 10.0, c0_policy="zero")
-    curves = _swept("zeta", sweep(base, "zeta", zetas, seeds))
+    curves = _swept(base, "zeta", zetas, seeds)
     summary = []
     for key, _, _, res in curves:
         tp = time_to_plateau(res.mean_test_loss, res.plateau_mean)
@@ -183,7 +185,7 @@ def fig4(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
     base = RunConfig(main, colls, "wga", CollaborationWeights(1e-3, [1.0]),
                      eta, horizon, x0)
     curves = [("alone", "alone", "alone", run_replicated(alone, seeds))]
-    curves += _swept("zeta", sweep(base, "zeta", ZETAS, seeds))
+    curves += _swept(base, "zeta", ZETAS, seeds)
     return _write_figure(out_dir, "fig4", "WGA under increasing zeta", curves,
                          ["zeta", "plateau_mean", "plateau_se"], _plateaus(curves),
                          csv_stride)
@@ -196,7 +198,7 @@ def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
     base = RunConfig(main, colls, "bc",
                      CollaborationWeights(0.5, [1.0], beta=1e-4),
                      5e-4, horizon, 10.0, c0_policy="zero")
-    curves = _swept("N", sweep(base, "N", ns, seeds, alpha_rule="n_over_n_plus_1"))
+    curves = _swept(base, "N", ns, seeds, "n_over_n_plus_1")
     return _write_figure(out_dir, "fig5", "BC under increasing N", curves,
                          ["N", "plateau_mean", "plateau_se"], _plateaus(curves),
                          csv_stride)

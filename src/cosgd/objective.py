@@ -11,6 +11,7 @@ closed-form similarity constants (L, mu, m, zeta_k^2, delta) between a
 main agent and its collaborators; these drive all schedules and bounds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,14 @@ class QuadraticTask:
         self.optimum = _as_vector(self.optimum)
         if self.curvature.shape != self.optimum.shape:
             raise ValueError("curvature and optimum must have the same dimension")
-        if not np.all(self.curvature > 0):
-            raise ValueError("curvature entries must be strictly positive")
+        if not np.all((self.curvature > 0) & (self.curvature < np.inf)):
+            raise ValueError("curvature entries must be finite and strictly positive")
         if not np.all(np.isfinite(self.optimum)):
             raise ValueError("optimum entries must be finite")
-        if not self.noise_std >= 0:
-            raise ValueError("noise_std must be >= 0")
-        if not self.noise_scale >= 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not (self.noise_std >= 0 and self.noise_std * self.noise_std < math.inf):
+            raise ValueError("noise_std must be >= 0 and its square finite")
+        if not 0 <= self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be finite and >= 0")
 
     @property
     def dim(self) -> int:
@@ -183,12 +184,15 @@ def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityPara
     m = 0.0
     delta = 0.0
     zetas = np.empty(len(collaborators))
-    for k, c in enumerate(collaborators):
-        diff = c.curvature - a0
-        m = max(m, float(np.max((diff / a0) ** 2)))
-        delta = max(delta, float(np.max(np.abs(diff))))
-        off = c.curvature * (c.optimum - main.optimum)
-        zetas[k] = float(np.dot(off, off))
+    # A constant beyond the float range becomes inf; for m, the WGA alpha
+    # guard then rejects every alpha > 0.
+    with np.errstate(over="ignore"):
+        for k, c in enumerate(collaborators):
+            diff = c.curvature - a0
+            m = max(m, float(np.max((diff / a0) ** 2)))
+            delta = max(delta, float(np.max(np.abs(diff))))
+            off = c.curvature * (c.optimum - main.optimum)
+            zetas[k] = float(np.dot(off, off))
     cap = main.noise_scale + 2.0 * (1.0 + m) * float(
         np.sum(tau ** 2 * np.array([c.noise_scale for c in collaborators])))
     return SimilarityParams(

@@ -246,41 +246,54 @@ def tau_qp(sigmas_sq, zetas_sq, coeff: float) -> np.ndarray:
     if np.any(s < 0) or np.any(z < 0) or coeff < 0:
         raise ValueError("all inputs must be >= 0")
     n = s.shape[0]
-    q = 2.0 * coeff * s  # derivative of the quadratic part is q_k tau_k
+    with np.errstate(over="ignore"):
+        q = 2.0 * coeff * s  # derivative of the quadratic part is q_k tau_k
+    if not np.all(np.isfinite(q)):
+        raise ValueError("2 coeff sigma_k^2 overflows a float")
+    # Scaling the objective keeps its minimizer; in [0, 1] no sum below
+    # overflows.
+    top = max(q.max(), z.max())
+    if top > 0:
+        q, z = q / top, z / top
     pos = q > 0
 
+    tau = np.zeros(n)
     if not pos.any():
-        tau = np.zeros(n)
         winners = z == z.min()
         tau[winners] = 1.0 / winners.sum()
         return tau
 
-    # Water level for the strictly quadratic coordinates: tau_k(lam) =
-    # max(0, (lam - z_k)/q_k), with lam capped at the smallest linear
-    # coordinate's zeta^2 (mass becomes free there).
-    lam_cap = float(z[~pos].min()) if (~pos).any() else np.inf
-    zp, qp = z[pos], q[pos]
-    order = np.argsort(zp)
-    lam = None
-    s1 = s2 = 0.0  # running sums of 1/q and z/q over active coords
-    for i, idx in enumerate(order):
-        s1 += 1.0 / qp[idx]
-        s2 += zp[idx] / qp[idx]
-        cand = (1.0 + s2) / s1
-        upper = zp[order[i + 1]] if i + 1 < len(order) else np.inf
-        if cand <= upper:
-            lam = cand
-            break
-    assert lam is not None
+    # tau_k(lam) = max(0, (lam - z_k) / q_k) for the strictly quadratic
+    # coordinates.  With r_k = q_min / q_k in (0, 1], their mass at lam is
+    # sum_k r_k max(0, lam - z_k) / q_min, so mass >= 1 is compared as
+    # sum_k r_k max(0, lam - z_k) >= q_min, free of 1 / q_k overflow.
+    idx = np.flatnonzero(pos)[np.argsort(z[pos], kind="stable")]
+    zq, qq = z[idx], q[idx]
+    q_min = qq.min()
+    r = q_min / qq
+    lam_cap = z[~pos].min() if (~pos).any() else np.inf
 
-    tau = np.zeros(n)
-    if lam <= lam_cap:
-        tau[pos] = np.maximum(0.0, (lam - zp) / qp)
+    def fills(lam, m):
+        """Whether the first m quadratic coordinates hold mass >= 1 at lam."""
+        return np.sum(r[:m] * np.maximum(0.0, lam - zq[:m])) >= q_min
+
+    if lam_cap < np.inf and not fills(lam_cap, len(idx)):
+        # The level stops at the smallest linear zeta^2, where the linear
+        # coordinates take the mass left over.
+        tau[idx] = np.maximum(0.0, lam_cap - zq) / qq
+        linear_winners = ~pos & (z == lam_cap)
+        tau[linear_winners] = max(0.0, 1.0 - tau.sum()) / linear_winners.sum()
     else:
-        tau[pos] = np.maximum(0.0, (lam_cap - zp) / qp)
-        residual = 1.0 - tau.sum()
-        linear_winners = (~pos) & (z == lam_cap)
-        tau[linear_winners] += residual / linear_winners.sum()
+        # The first m coordinates are active, m the fewest that fill up
+        # to the next zeta^2.  Their level solves sum_k (lam - z_k) / q_k
+        # = 1, which gives tau_k = (r_k + sum_j r_j (z_j - z_k) / q_k) /
+        # sum_j r_j: differences of z, not lam - z_k, so a q_k far below
+        # the precision of z_k still gets its share.
+        m = next(m for m in range(1, len(idx) + 1)
+                 if m == len(idx) or fills(zq[m], m))
+        za, ra = zq[:m], r[:m]
+        spread = (ra * (za - za[:, None])).sum(axis=1)
+        tau[idx[:m]] = np.maximum(0.0, ra + spread / qq[:m]) / ra.sum()
     # Normalize away accumulated rounding (sum is 1 up to fp error).
     return tau / tau.sum()
 

@@ -7,17 +7,18 @@ keyed by (seed, agent), so:
 
   - runs are bit-reproducible and independent of batching,
   - methods compared under the same seed share random numbers,
-  - alpha = 0 reproduces the Alone trace bit-for-bit (collaborator
-    streams are drawn either way).
+  - alpha = 0 reproduces the Alone trace bit-for-bit: Alone reads only
+    the main task's stream, and no other stream shifts its draws.
 
 Seeds and swept configs are vectorized through one kernel: a lane is one
 (config, seed) pair, every per-step operation is elementwise across
 lanes and each config's parameters are broadcast over its own lanes,
 which makes a batched run bitwise equal to the corresponding single
-runs.  The agents share one leading array axis, so a step forms every
-agent's gradient and noise with one numpy call each, and applies the
-combine rules of `aggregators` and the noise model of `objective`
-through their arithmetic cores.
+runs.  The configs of a batch share each (seed, agent) draw, which is
+spread over their lanes.  The agents share one leading array axis, so a
+step forms every agent's gradient and noise with one numpy call each,
+and applies the combine rules of `aggregators` and the noise model of
+`objective` through their arithmetic cores.
 """
 
 import math
@@ -38,9 +39,9 @@ C0_POLICIES = ("first_bias", "zero", "warm_start")
 DIVERGENCE_LIMIT = 1e12
 # The plateau metric averages the test loss over this final share of steps.
 PLATEAU_FRACTION = 0.1
-# Standard normals per agent in one noise pre-draw chunk.  A chunk spans
-# _CHUNK_DRAWS // (lanes * d) steps, so its memory stays flat as lanes
-# widen.
+# Standard normals per agent in one noise pre-draw chunk, once spread
+# over the lanes.  A chunk spans _CHUNK_DRAWS // (lanes * d) steps, so its
+# memory stays flat as lanes widen.
 _CHUNK_DRAWS = 1 << 14
 
 
@@ -226,8 +227,8 @@ class _Lanes:
 
 
 def _draw(gens, z: np.ndarray) -> np.ndarray:
-    """Fill z, (rows, L, n, d), with the next n steps of normals from the
-    streams `gens[row][lane]`; returns its (n, rows, L, d) view."""
+    """Fill z, (rows, S, n, d), with the next n steps of normals from the
+    streams `gens[row][seed]`; returns its (n, rows, S, d) view."""
     for row, z_row in zip(gens, z):
         for gen, out in zip(row, z_row):
             gen.standard_normal(out=out)
@@ -240,7 +241,7 @@ def _run_batch(cfgs, seeds) -> list:
 
     Returns, per config, one Trace per seed, bitwise identical to running
     each (config, seed) alone: every per-step operation is elementwise
-    across lanes, and each lane draws from its own streams.  A lane that
+    across lanes, and each lane reads its own seed's streams.  A lane that
     diverges is frozen at its last iterate inside the box; it is found
     once per pre-draw chunk and stays in the batch, which leaves the
     other lanes' bits untouched.
@@ -255,19 +256,20 @@ def _run_batch(cfgs, seeds) -> list:
     T = first.horizon
     n_agents = 1 + len(first.collaborators)
     mode = first.aggregator
-    # Alone forms only the main task's gradient; every agent's stream is
-    # still drawn.
+    # Alone forms, and draws, only the main task's gradient.
     used = 1 if mode == "alone" else n_agents
     tasks = [first.main_task] + list(first.collaborators)
     additive = [a for a in range(used) if tasks[a].noise_scale == 0]
     etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
     p = _Lanes.build(cfgs, S)
 
-    gens = [[rng_mod.agent_stream(s, a) for _ in cfgs for s in seeds]
-            for a in range(n_agents)]
-    if mode == "oracle_bc":  # the oracle's streams are row n_agents
+    # One stream per (seed, row), drawn once for all configs; the row
+    # axis holds the used agents, then the oracle's for oracle_bc.
+    gens = [[rng_mod.agent_stream(s, a) for s in seeds] for a in range(used)]
+    if mode == "oracle_bc":
         gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
-                     for _ in cfgs for s in seeds])
+                     for s in seeds])
+    lane_seed = np.tile(np.arange(S), len(cfgs))
 
     # Loss and gradient norm are computed per chunk from the recorded
     # iterates, with the same elementwise arithmetic as a per-step pass.
@@ -279,12 +281,15 @@ def _run_batch(cfgs, seeds) -> list:
     iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
     def record(X, t0):
-        """Metrics of the iterates X[i] of steps t0 + i, all lanes."""
+        """Metrics of the iterates X[i] of steps t0 + i, all lanes.  An
+        iterate inside the box may still have a loss or gradient norm
+        beyond the float range, which is recorded as inf."""
         m = X.shape[0]
-        diff0 = X - opt0
-        g0_true = a0 * diff0
-        test_loss[:, t0:t0 + m] = (0.5 * np.sum(g0_true * diff0, axis=-1)).T
-        grad_sq[:, t0:t0 + m] = np.sum(g0_true * g0_true, axis=-1).T
+        with np.errstate(over="ignore"):
+            diff0 = X - opt0
+            g0_true = a0 * diff0
+            test_loss[:, t0:t0 + m] = (0.5 * np.sum(g0_true * diff0, axis=-1)).T
+            grad_sq[:, t0:t0 + m] = np.sum(g0_true * g0_true, axis=-1).T
         if stride:
             skip = -t0 % stride
             k0 = (t0 + skip) // stride
@@ -329,7 +334,8 @@ def _run_batch(cfgs, seeds) -> list:
     scaled_noise = len(additive) < used
 
     chunk = min(T, max(1, _CHUNK_DRAWS // (L * d)))
-    buf = np.empty((len(gens), L, chunk, d))  # reused by every chunk
+    buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
+    spread = np.empty((chunk, len(gens), L, d)) if len(cfgs) > 1 else None
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
         X = np.empty((n + 1, L, d))
@@ -337,8 +343,11 @@ def _run_batch(cfgs, seeds) -> list:
             X[:] = frozen
             record(X[:n], t0)
             continue
-        # Pre-draw this chunk's normals, scaled for additive agents.
+        # Pre-draw this chunk's normals, spread them over the lanes and
+        # scale them by each lane's std for additive agents.
         z = _draw(gens, buf[:, :, :n])
+        if len(cfgs) > 1:
+            z = np.take(z, lane_seed, axis=2, out=spread[:n])
         for a in additive:
             z[:, a] *= p.std[a]
         noise = z[:, :used]
@@ -370,7 +379,7 @@ def _run_batch(cfgs, seeds) -> list:
                         c_state = mix(p.one_minus_beta, p.beta, c_state, b)
                     else:  # oracle_bc
                         true_bias = tau_sum(p.tau, grads[1:]) - grads[0]
-                        c_oracle = true_bias + z[i, n_agents] * p.oracle_std
+                        c_oracle = true_bias + z[i, used] * p.oracle_std
                         g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
                 x = x - eta[i] * g
         X[n] = x
@@ -415,15 +424,18 @@ def _warm_start_bias(cfg: RunConfig, seeds, normals=None) -> np.ndarray:
     tasks = [cfg.main_task] + list(cfg.collaborators)
     if normals is None:
         normals = _warm_start_normals(len(tasks), seeds, K, cfg.main_task.dim)
-    samples = []
-    for task, z in zip(tasks, normals):
-        grad = true_gradient(task, cfg.x0)
-        samples.append(grad + z[:, :K] * gradient_noise_std(task, grad))  # (S, K, d)
-    bias = tau_sum(cfg.weights.tau, samples[1:]) - samples[0]
-    acc = np.zeros((len(seeds), cfg.main_task.dim))
-    for k in range(K):  # summed in sample order, as one seed at a time
-        acc += bias[:, k]
-    return acc / K
+    # A gradient beyond the float range makes c_0 inf or nan, and the
+    # kernel then freezes the lane at x_0, as it would any diverged lane.
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = []
+        for task, z in zip(tasks, normals):
+            grad = true_gradient(task, cfg.x0)
+            samples.append(grad + z[:, :K] * gradient_noise_std(task, grad))  # (S, K, d)
+        bias = tau_sum(cfg.weights.tau, samples[1:]) - samples[0]
+        acc = np.zeros((len(seeds), cfg.main_task.dim))
+        for k in range(K):  # summed in sample order, as one seed at a time
+            acc += bias[:, k]
+        return acc / K
 
 
 def run(cfg: RunConfig) -> Trace:

@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosgd import figures
+from cosgd import figures, simulator
 from cosgd.aggregators import CollaborationWeights
 from cosgd.cli import main
 from cosgd.config import (ConfigError, ExperimentConfig, load_config,
@@ -94,7 +100,10 @@ class TestInputContract:
         ("--zeta", "nan"),
         ("--x0", "nan"),
         ("--workers", "x"),
-    ], ids=lambda flags: "=".join(flags))
+        ("--a0", "inf"),
+        ("--sigma", "1e200"),  # its square is beyond the floats
+        ("--N", "1" + "0" * 400),
+    ], ids=lambda flags: "=".join(flags)[:20])
     def test_bad_inline_parameter(self, tmp_path, capsys, flags):
         assert run_cli("run", "--T", "10", "--seeds", "0", *flags,
                        "--out-dir", str(tmp_path)) == 1
@@ -210,7 +219,10 @@ class TestInputContract:
         ("bounds", "wga-pl", "--alpha", "-1"),
         ("bounds", "bc", "--alpha", "2", "--delta", "1"),
         ("bounds", "gainfactor"),
-    ], ids=" ".join)
+        ("bounds", "bc", "--delta", "1e308"),
+        ("tau", "--sigmas", "1", "--zetas", "1", "--T", "1" + "0" * 400),
+        ("tau", "--sigmas", "1e308", "--zetas", "1", "--T", "1", "--mu", "1e-300"),
+    ], ids=lambda argv: " ".join(argv)[:40])
     def test_bad_bounds_or_tau_input(self, capsys, argv):
         assert run_cli(*argv) == 1
         assert "config error:" in capsys.readouterr().err
@@ -316,6 +328,39 @@ class TestFigureCommand:
         assert run_cli("figure", "sublinear", "--out-dir", str(tmp_path)) == 0
         assert list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("name", ["gainfactor", "sublinear"])
+    def test_unsimulated_figures_ignore_run_flags(self, tmp_path, name):
+        """gainfactor and sublinear simulate nothing: --T, --seeds and
+        --csv-stride are accepted and change no byte."""
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run_cli("figure", name, "--out-dir", str(plain)) == 0
+        assert run_cli("figure", name, "--T", "5", "--seeds", "3", "--csv-stride", "3",
+                       "--out-dir", str(flagged)) == 0
+        files = sorted(p.name for p in plain.iterdir())
+        assert files == sorted(p.name for p in flagged.iterdir())
+        assert all(read_bytes(plain / f) == read_bytes(flagged / f) for f in files)
+
+    def test_help_says_what_unsimulated_figures_ignore(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("figure", "--help")
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("gainfactor and sublinear simulate nothing and ignore --T, "
+                "--seeds and --csv-stride") in help_text
+
+    @pytest.mark.parametrize("make", [
+        lambda out: figures.fig3(out, zetas=[1, 1.0000001], horizon=50, seeds=[0]),
+        lambda out: figures.fig5(out, ns=[10, 10.0], horizon=50, seeds=[0]),
+    ], ids=["fig3", "fig5"])
+    def test_swept_values_named_before_any_run(self, tmp_path, monkeypatch, make):
+        """Swept values that print alike are rejected before the kernel
+        runs and before any file is written."""
+        def no_run(cfgs, seeds):
+            raise AssertionError("the kernel ran before the values were named")
+        monkeypatch.setattr(simulator, "_run_batch", no_run)
+        with pytest.raises(ValueError, match="repeated"):
+            make(str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_single_seed_summary_has_nan_se(self, tmp_path, name):
         """One seed has no standard error: the summary says nan."""
@@ -403,3 +448,94 @@ class TestEnvOutDir:
         monkeypatch.setenv("COSGD_OUT_DIR", str(tmp_path))
         assert run_cli("run", "--T", "10", "--seeds", "0") == 0
         assert (tmp_path / "aggregate.csv").exists()
+
+
+# Numbers as argv strings: plausible values, or edge cases: non-finite
+# values, signed zeros, negatives, huge and tiny magnitudes, integers too
+# wide for a float and arbitrary floats.
+PLAUSIBLE = st.one_of(st.floats(0.01, 2.0).map(repr), st.integers(1, 20).map(str))
+EDGES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0", "-1", "1e308",
+                     "-1e308", "1e400", "1e-320", "1e-300", "1e300"]),
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.floats().map(repr))
+
+
+def weighted(valid):
+    """`valid` three times in four and an edge case otherwise, so that
+    most inputs of several numbers still pass validation."""
+    return st.integers(0, 3).flatmap(lambda k: EDGES if k == 3 else valid)
+
+
+NUMBERS = weighted(PLAUSIBLE)
+BOUND_FLAGS = ("--L", "--mu", "--m", "--zeta-sq", "--delta", "--T", "--F0",
+               "--sigma0-sq", "--sigma-a-sq", "--alpha", "--v-sq", "--grad0-sq",
+               "--N", "--eta", "--beta", "--E0", "--c")
+TAU_FLAGS = ("--L", "--mu", "--T", "--alpha", "--m")
+RUN_FLAGS = ("--a0", "--x0star", "--a1", "--zeta", "--sigma", "--N", "--alpha",
+             "--eta", "--x0", "--oracle-v")
+
+
+def flag_values(flags):
+    """`--flag=value` for up to three of `flags`, each with a drawn number
+    (joined by `=`, so that a negative value is not read as a flag)."""
+    return st.lists(st.tuples(st.sampled_from(flags), NUMBERS), unique_by=lambda p: p[0],
+                    max_size=3).map(lambda pairs: [f"{f}={v}" for f, v in pairs])
+
+
+@st.composite
+def bounds_argv(draw):
+    which = draw(st.sampled_from(("wga-nc", "wga-pl", "oracle", "bc")))
+    return ["bounds", which] + draw(flag_values(BOUND_FLAGS))
+
+
+@st.composite
+def tau_argv(draw):
+    # Equal lengths three times in four; 0 entries is the empty list.
+    n = draw(st.integers(0, 4))
+    extra = int(draw(st.integers(0, 3)) == 3)
+    sigmas, zetas = (",".join(draw(st.lists(NUMBERS, min_size=n + k, max_size=n + k)))
+                     for k in (0, extra))
+    return (["tau", f"--sigmas={sigmas}", f"--zetas={zetas}"]
+            + draw(flag_values(TAU_FLAGS)))
+
+
+@st.composite
+def run_argv(draw):
+    aggregator = draw(st.sampled_from(("alone", "wga", "bc", "oracle_bc")))
+    policy = draw(st.sampled_from(("first_bias", "zero", "warm_start")))
+    seeds = draw(st.sampled_from(("0", "3", "0-1", "2,7", "5-6", "1-0", "", "x")))
+    T = draw(st.integers(0, 3).flatmap(
+        lambda k: st.sampled_from([0, -1]) if k == 3 else st.integers(1, 50)))
+    # A --beta of its own, so that most bc inputs are complete.
+    beta = draw(weighted(st.floats(0.01, 1.0).map(repr)))
+    return (["run", "--aggregator", aggregator, "--c0-policy", policy,
+             f"--seeds={seeds}", f"--T={T}", f"--beta={beta}"]
+            + draw(flag_values(RUN_FLAGS)))
+
+
+class TestExitCodeFuzz:
+    """The exit-code contract holds for every input: 0 or 1, never 2, no
+    traceback and no RuntimeWarning (which this class makes an error, so
+    that it would surface as an internal error)."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        assert code in (0, 1), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(argv=st.one_of(bounds_argv(), tau_argv()))
+    def test_bounds_and_tau(self, argv):
+        self.check(argv)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(argv=run_argv())
+    def test_run(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            self.check(argv + ["--out-dir", out])

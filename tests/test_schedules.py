@@ -213,6 +213,25 @@ class TestTauQp:
                 + grid * z[0] + (1 - grid) * z[1]
             assert tau_qp_objective(tau, s, z, coeff) <= objs.min() + 1e-4
 
+    @pytest.mark.parametrize("sigmas,zetas,coeff,expected", [
+        # A quadratic part far below the precision of zeta^2 still takes
+        # the whole mass.
+        ([1e-181], [1.0], 1e-3, [1.0]),
+        ([1e-320], [1.0], 1e-3, [1.0]),
+        ([1e-320, 1.0], [1.0, 2.0], 1e-3, [1.0, 0.0]),
+        # The linear coordinate takes what the tiny quadratic one leaves.
+        ([0.0, 1e-181], [1.0, 1.0], 1e-3, [1.0, 0.0]),
+        ([1e300, 1e300], [1e300, 0.0], 1e-3, [0.0, 1.0]),
+    ])
+    def test_extreme_magnitudes(self, sigmas, zetas, coeff, expected):
+        tau = tau_qp(sigmas, zetas, coeff)
+        np.testing.assert_allclose(tau, expected, atol=1e-12)
+        assert tau.sum() == pytest.approx(1.0)
+
+    def test_overflowing_quadratic_part(self):
+        with pytest.raises(ValueError, match="overflows"):
+            tau_qp([1e308], [1.0], 10.0)
+
     def test_mixed_zero_sigma(self):
         # One noiseless collaborator: it takes the leftover mass once the
         # water level reaches its zeta^2.

@@ -536,6 +536,83 @@ class TestWarmStartDraws:
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
 
 
+class TestNoiseDraws:
+    """A kernel call draws each (seed, agent) gradient stream, and each
+    oracle stream, once for all its configs, and only the streams its
+    aggregator reads; every config's traces equal its own run_replicated
+    bit for bit."""
+
+    SEEDS = [0, 3, 5]
+    # Streams per seed: the agents a mode reads, plus oracle_bc's oracle.
+    ROWS = {"alone": 1, "wga": 2, "bc": 2, "oracle_bc": 3}
+    KW = {"alone": dict(alpha=0.0), "wga": {}, "bc": dict(beta=0.2),
+          "oracle_bc": dict(oracle_v=1.0)}
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The (seed, agent, context) keys of the streams opened, and the
+        number of normals drawn from them."""
+        log = {"keys": [], "normals": 0}
+        original = rng_mod.agent_stream
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.gen.standard_normal(*args, **kwargs)
+                log["normals"] += np.size(out)
+                return out
+
+        def counting(seed, agent, context=rng_mod.GRADIENT_CONTEXT):
+            log["keys"].append((seed, agent, context))
+            return Counted(original(seed, agent, context))
+        monkeypatch.setattr(rng_mod, "agent_stream", counting)
+        # Small chunks, so the draws span several chunks and a short last one.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 100)
+        return log
+
+    @staticmethod
+    def base_cfg(aggregator, d, scaled_collaborator=False):
+        """One collaborator in dimension d; with `scaled_collaborator` its
+        noise is gradient-scaled and the main task's additive."""
+        main = QuadraticTask(np.linspace(1.0, 1.5, d), np.zeros(d), noise_std=1.0)
+        coll = QuadraticTask(np.linspace(2.0, 1.2, d), np.full(d, 2.0),
+                             noise_std=1.5,
+                             noise_scale=0.3 if scaled_collaborator else 0.0)
+        kw = dict(TestNoiseDraws.KW[aggregator])
+        w = CollaborationWeights(kw.pop("alpha", 0.5), [1.0], beta=kw.pop("beta", None))
+        return RunConfig(main, [coll], aggregator, w, 0.05, 50, np.full(d, 4.0), **kw)
+
+    def assert_draws_once(self, draws, aggregator, d, base, axis, values):
+        cfgs = [sweep_config(base, axis, v) for v in values]
+        results = simulator._replicate(cfgs, self.SEEDS, keep_traces=True)
+        keys, normals = list(draws["keys"]), draws["normals"]
+        streams = len(self.SEEDS) * self.ROWS[aggregator]
+        assert len(keys) == len(set(keys)) == streams
+        assert normals == streams * base.horizon * d
+        for cfg, res in zip(cfgs, results):
+            solo = run_replicated(cfg, self.SEEDS, keep_traces=True)
+            assert_results_equal(res, solo)
+            for tr, solo_tr in zip(res.traces, solo.traces, strict=True):
+                assert_traces_equal(tr, solo_tr)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
+    def test_eta_sweep(self, draws, aggregator, d):
+        base = self.base_cfg(aggregator, d)
+        self.assert_draws_once(draws, aggregator, d, base, "eta",
+                               [0.01, 0.02, 0.05, 0.1])
+
+    @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
+    def test_mixed_noise_sigma_sweep(self, draws, aggregator):
+        # Each config has its own noise std for both agents, so each lane
+        # scales the shared normals by its own std after they are spread.
+        base = self.base_cfg(aggregator, 3, scaled_collaborator=True)
+        self.assert_draws_once(draws, aggregator, 3, base, "sigma",
+                               [0.5, 1.0, 2.0, 4.0])
+
+
 class TestDivergingLanes:
     """A lane that diverges is frozen in place; the batch's other lanes
     keep the bits of their solo runs."""
