@@ -9,6 +9,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import figures
 from .aggregators import CollaborationWeights
 from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
@@ -87,11 +89,14 @@ def _inline_run_config(args) -> ExperimentConfig:
                             out_dir=args.out_dir, csv_stride=args.csv_stride)
 
 
-def _stats_rows(label: str, res) -> list:
-    """(label, statistic, value) rows of aggregate.csv."""
+def _write_stats(path: str, labels: list, results: list) -> None:
+    """aggregate.csv: one (label, statistic, value) row per statistic of
+    each labelled result."""
     stats = ("plateau_mean", "plateau_se", "final_gap_mean", "final_gap_se",
              "avg_grad_sq_mean", "avg_grad_sq_se")
-    return [(label, stat, getattr(res, stat)) for stat in stats]
+    write_csv(path, ["label", "statistic", "value"],
+              ([label for label in labels for _ in stats], stats * len(results),
+               [getattr(res, stat) for res in results for stat in stats]))
 
 
 def _cmd_run(args) -> int:
@@ -105,34 +110,30 @@ def _cmd_run(args) -> int:
 
     stride = cfg.csv_stride
     if cfg.sweep_axis is not None:
-        rows = []
         names = sweep_names(cfg.sweep_values)
-        results = sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values, cfg.seeds,
-                        alpha_rule=cfg.sweep_alpha_rule)
-        for name, (_, res) in zip(names, results):
-            label = f"{cfg.sweep_axis}={name}"
+        labels = [f"{cfg.sweep_axis}={name}" for name in names]
+        results = [res for _, res in sweep(cfg.run, cfg.sweep_axis, cfg.sweep_values,
+                                           cfg.seeds, alpha_rule=cfg.sweep_alpha_rule)]
+        for name, label, res in zip(names, labels, results):
             figures._write_trace(
                 os.path.join(out_dir, f"trace_{cfg.sweep_axis}{name}.csv"),
                 res, stride)
-            rows += _stats_rows(label, res)
             print(f"{label}: plateau {fmt_value(res.plateau_mean)}"
                   f" final_gap {fmt_value(res.final_gap_mean)}")
     else:
         res = run_replicated(cfg.run, cfg.seeds, keep_traces=True)
+        steps = np.arange(0, cfg.run.horizon + 1, stride)
         for seed, trace in zip(cfg.seeds, res.traces):
             write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
                       ["step", "test_loss", "grad_norm_sq"],
-                      zip(range(0, cfg.run.horizon + 1, stride),
-                          trace.test_loss[::stride].tolist(),
-                          trace.grad_norm_sq[::stride].tolist()))
+                      (steps, trace.test_loss[::stride], trace.grad_norm_sq[::stride]))
         figures._write_trace(os.path.join(out_dir, "aggregate_trace.csv"), res, stride)
-        rows = _stats_rows("run", res)
+        labels, results = ["run"], [res]
         print(f"final loss (plateau): {fmt_value(res.plateau_mean)}"
               + ("" if res.plateau_se is None else f" +/- {fmt_value(res.plateau_se)}"))
         if res.diverged_seeds:
             print(f"diverged seeds: {res.diverged_seeds}")
-    write_csv(os.path.join(out_dir, "aggregate.csv"),
-              ["label", "statistic", "value"], rows)
+    _write_stats(os.path.join(out_dir, "aggregate.csv"), labels, results)
     return 0
 
 

@@ -1,16 +1,17 @@
 """CSV output with a fixed dialect and atomic writes.
 
-Dialect: comma separator, single header row, decimal point.  Python ints
-print as integers at any size, and so do integer-valued floats with
-|v| <= 1e6 (zero prints as 0).  Other floats use scientific notation with
-12 decimals when |v| < 1e-3 or |v| > 1e6, and 12 significant digits
+A table is given as columns: numpy int or float arrays, which print as
+their `tolist()` values would, or sequences of Python values.
+Dialect: comma separator, single header row, decimal point.  Ints print
+as integers at any size, and so do integer-valued floats with |v| <= 1e6
+(zero prints as 0).  Other floats use scientific notation with 12
+decimals when |v| < 1e-3 or |v| > 1e6, and 12 significant digits
 otherwise.  A missing value (None) prints as nan.  Files are written to a
 temp file and renamed, so readers never observe a partial file.
 """
 
 import os
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -22,14 +23,15 @@ FIXED_FORMAT = "%.12g"
 CSV_STRIDE = 10  # default: trace CSVs keep every 10th step
 
 _NUMERIC = (float, np.floating, np.integer)
+_FORMATS = (INT_FORMAT, SCI_FORMAT, FIXED_FORMAT, "%s")  # by format code
 
 
-def _float_formats(a: np.ndarray) -> np.ndarray:
-    """The %-format of each float in `a` under the dialect."""
+def _float_codes(a: np.ndarray) -> np.ndarray:
+    """The format code of each float in `a` under the dialect."""
     mag = np.abs(a)
     whole = (mag <= SCI_ABOVE) & (a == np.trunc(a))
     sci = (mag < SCI_BELOW) | (mag > SCI_ABOVE)
-    return np.where(whole, INT_FORMAT, np.where(sci, SCI_FORMAT, FIXED_FORMAT))
+    return np.where(whole, 0, np.where(sci, 1, 2)).astype(np.uint8)
 
 
 def fmt_value(v) -> str:
@@ -41,29 +43,38 @@ def fmt_value(v) -> str:
     if isinstance(v, int):
         return INT_FORMAT % v
     v = float(v)
-    return _float_formats(np.array([v]))[0] % v
+    return _FORMATS[_float_codes(np.array([v]))[0]] % v
 
 
-def _column(values: tuple):
-    """(per-value %-formats, values to substitute) of one column."""
-    kinds = set(map(type, values))
-    if all(issubclass(k, int) for k in kinds):
-        return [INT_FORMAT] * len(values), values
-    if all(issubclass(k, _NUMERIC) for k in kinds):
-        a = np.array(values, dtype=float)
-        return _float_formats(a).tolist(), a.tolist()
-    return ["%s"] * len(values), [fmt_value(v) for v in values]
+def _column(values):
+    """(format codes, values to substitute) of one column: a numpy number
+    array by its dtype, another sequence by its values' types (all ints,
+    all numbers, or else value by value)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        ints = values.dtype.kind != "f"
+    else:
+        kinds = set(map(type, values))
+        ints = all(issubclass(k, int) for k in kinds)
+        if not (ints or all(issubclass(k, _NUMERIC) for k in kinds)):
+            return np.full(len(values), 3, np.uint8), [fmt_value(v) for v in values]
+    if ints:
+        return np.zeros(len(values), np.uint8), values
+    values = np.asarray(values, dtype=float)
+    return _float_codes(values), values
 
 
-def write_csv(path, header, rows) -> None:
-    """Atomically write `rows` (equal-length iterables of values) under
-    `header`.  `rows` is iterated once; the whole file is formatted by
-    one %-operation over a per-value template."""
-    columns = [_column(col) for col in zip(*rows, strict=True)]
-    template = "".join(",".join(fmts) + "\n"
-                       for fmts in zip(*(fmts for fmts, _ in columns)))
-    values = tuple(chain.from_iterable(zip(*(vals for _, vals in columns))))
-    text = ",".join(header) + "\n" + template % values
+def write_csv(path, header, columns) -> None:
+    """Atomically write `columns` (equal-length numpy arrays or sequences
+    of values) under `header`; a ragged table is a ValueError and writes
+    nothing.  Each row's template is looked up by its format codes, read
+    as bytes so that no key overflows, and one %-operation formats all."""
+    codes, values = zip(*map(_column, columns))
+    codes = np.column_stack(codes)
+    patterns, inverse = np.unique(
+        codes.view(np.dtype((np.void, codes.shape[1]))).ravel(), return_inverse=True)
+    rows = [",".join(_FORMATS[c] for c in p.tobytes()) + "\n" for p in patterns]
+    text = (",".join(header) + "\n" + "".join(map(rows.__getitem__, inverse.tolist()))
+            % tuple(np.array(values, dtype=object).T.ravel().tolist()))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

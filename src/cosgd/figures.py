@@ -61,9 +61,8 @@ def time_to_plateau(mean_trace: np.ndarray, plateau: float):
 
 def _write_trace(path: str, result: RunResult, stride: int) -> None:
     write_csv(path, ["step", "test_loss", "grad_norm_sq"],
-              zip(range(0, len(result.mean_test_loss), stride),
-                  result.mean_test_loss[::stride].tolist(),
-                  result.mean_grad_norm_sq[::stride].tolist()))
+              (np.arange(0, len(result.mean_test_loss), stride),
+               result.mean_test_loss[::stride], result.mean_grad_norm_sq[::stride]))
 
 
 @dataclass
@@ -94,7 +93,7 @@ def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
         trace = f"{name}_{suffix}.csv"
         _write_trace(os.path.join(out_dir, trace), res, stride)
         plots.append(f"'{trace}' using 1:2 with lines title '{label}'")
-    write_csv(os.path.join(out_dir, f"{name}_summary.csv"), header, summary)
+    write_csv(os.path.join(out_dir, f"{name}_summary.csv"), header, zip(*summary))
     lines = [f"set title '{title}'", "set logscale y", "set xlabel 'step'",
              "set ylabel 'test loss'", "set key right top",
              "plot " + ", ".join(plots)]
@@ -210,9 +209,8 @@ def gainfactor(out_dir: str) -> FigureResult:
     n_grid = np.unique(np.round(np.logspace(0, 2, 41)).astype(int))
     ratio_grid = np.logspace(-3, 3, 49)
     surface = bounds.gainfactor_surface(n_grid, ratio_grid)
-    rows = [[r] + list(surface[i]) for i, r in enumerate(ratio_grid)]
     write_csv(os.path.join(out_dir, "gainfactor.csv"),
-              ["ratio"] + [f"N{int(n)}" for n in n_grid], rows)
+              ["ratio"] + [f"N{int(n)}" for n in n_grid], [ratio_grid, *surface.T])
     return FigureResult(curves={"n_grid": n_grid, "ratio_grid": ratio_grid,
                                 "surface": surface})
 
@@ -239,8 +237,7 @@ def sublinear(out_dir: str) -> FigureResult:
                 guard, st = wga_pl_terms(alpha, m, 1.0, 1.0, int(n))
                 speeds[i] = guard ** 2 / st
         out.curves[m] = speeds
-    rows = [[int(n)] + [out.curves[m][i] for m in ms] for i, n in enumerate(ns)]
     write_csv(os.path.join(out_dir, "sublinear.csv"),
-              ["N"] + [f"m{m:g}" for m in ms], rows)
+              ["N"] + [f"m{m:g}" for m in ms], [ns] + [out.curves[m] for m in ms])
     out.summary = [(m, float(out.curves[m][-1])) for m in ms]
     return out

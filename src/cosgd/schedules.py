@@ -10,6 +10,7 @@ collaborator average and M is the gradient-norm noise-scale cap
 (SimilarityParams.noise_scale_cap).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,7 +91,10 @@ def pl_guard(alpha: float, m: float) -> float:
 def bc_step_cap(alpha: float, delta: float) -> float:
     """1/(6 alpha^2 delta^2), the BC step-size cap; inf unless alpha > 0
     and the product is > 0 (delta = 0, or the product underflows)."""
-    denom = 6.0 * alpha ** 2 * delta ** 2
+    try:  # `**`, not `*`: glibc's pow can differ from x * x by an ulp
+        denom = 6.0 * alpha ** 2 * delta ** 2
+    except OverflowError:
+        denom = math.inf
     return 1.0 / denom if alpha > 0 and denom > 0 else np.inf
 
 
@@ -337,8 +341,8 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
         return (L * st / (mu ** 2 * T * guard ** 2)
                 + a * a * zeta_sq / (mu * guard))
 
-    lo, hi = 0.0, min(1.0, 1.0 / np.sqrt(m)) if m > 0 else 1.0
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    lo, hi = 0.0, min(1.0, 1.0 / math.sqrt(m)) if m > 0 else 1.0
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
     c = hi - (hi - lo) / phi
     d = lo + (hi - lo) / phi
     while hi - lo > 1e-10:

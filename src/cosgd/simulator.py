@@ -41,7 +41,8 @@ DIVERGENCE_LIMIT = 1e12
 PLATEAU_FRACTION = 0.1
 # Standard normals per agent in one noise pre-draw chunk, once spread
 # over the lanes.  A chunk spans _CHUNK_DRAWS // (lanes * d) steps, so its
-# memory stays flat as lanes widen.
+# memory stays flat as lanes widen, but at least 256 // d steps: Philox
+# costs about 1.5x as much per normal at 64 normals per call as at 256.
 _CHUNK_DRAWS = 1 << 14
 
 
@@ -333,7 +334,7 @@ def _run_batch(cfgs, seeds) -> list:
                              p.scale[:used])
     scaled_noise = len(additive) < used
 
-    chunk = min(T, max(1, _CHUNK_DRAWS // (L * d)))
+    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 1))
     buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
     spread = np.empty((chunk, len(gens), L, d)) if len(cfgs) > 1 else None
     for t0 in range(0, T, chunk):

@@ -7,7 +7,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosgd import figures, simulator
@@ -226,6 +226,11 @@ class TestInputContract:
     def test_bad_bounds_or_tau_input(self, capsys, argv):
         assert run_cli(*argv) == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_overflowing_bc_cap_names_the_step_cap(self, capsys):
+        # 6 alpha^2 delta^2 overflows to inf, which caps eta at 0.
+        assert run_cli("bounds", "bc", "--alpha", "0.5", "--delta=1e308") == 1
+        assert "eta exceeds 1/(6 alpha^2 delta^2)" in capsys.readouterr().err
 
 
 class TestWorkersInput:
@@ -531,6 +536,7 @@ class TestExitCodeFuzz:
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(argv=st.one_of(bounds_argv(), tau_argv()))
+    @example(argv=["bounds", "bc", "--alpha=0.5", "--delta=1e308"])
     def test_bounds_and_tau(self, argv):
         self.check(argv)
 

@@ -54,27 +54,67 @@ COLUMN_VALUES = {
 }
 
 
+# Numpy arrays write as the Python values their `tolist()` holds.
+ARRAY_VALUES = {
+    "int64 array": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+    "float64 array": (floats, np.float64),
+    "float32 array": (st.floats(width=32), np.float32),
+}
+
+
 @st.composite
-def tables(draw):
+def tables(draw, kinds=tuple(sorted(COLUMN_VALUES)), max_columns=5):
+    """(header, columns): up to 25 rows of `kinds` columns."""
     n_rows = draw(st.integers(0, 25))
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_VALUES)), min_size=1,
-                          max_size=5))
-    columns = [draw(st.lists(COLUMN_VALUES[k], min_size=n_rows, max_size=n_rows))
-               for k in kinds]
-    return [f"c{i}" for i in range(len(kinds))], list(zip(*columns))
+    names = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_columns))
+    columns = []
+    for name in names:
+        if name in ARRAY_VALUES:
+            values, dtype = ARRAY_VALUES[name]
+            columns.append(np.array(draw(st.lists(values, min_size=n_rows,
+                                                  max_size=n_rows)), dtype=dtype))
+        else:
+            columns.append(draw(st.lists(COLUMN_VALUES[name], min_size=n_rows,
+                                         max_size=n_rows)))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+def assert_same_bytes(path, header, columns):
+    """write_csv, fed the columns once, writes the per-value rule's bytes
+    of the rows they form."""
+    write_csv(path, header, (col for col in columns))
+    rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col
+                 for col in columns))
+    assert path.read_bytes() == reference_bytes(header, rows)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(tables())
-@example((["step", "x"], []))
-@example((["a", "b", "c"], [(t, v, np.float64(v)) for t, v in enumerate(EDGES)]))
-@example((["n"], [(10 ** 7,), (2 ** 70,), (-10 ** 6 - 1,)]))
-@example((["label", "value"], [("run", None), ("x", 1.5), (None, "y")]))
+@example((["step", "x"], [[], []]))
+@example((["a", "b", "c"], [list(range(len(EDGES))), EDGES,
+                            [np.float64(v) for v in EDGES]]))
+@example((["n"], [[10 ** 7, 2 ** 70, -10 ** 6 - 1]]))
+@example((["label", "value"], [["run", "x", None], [None, 1.5, "y"]]))
 def test_same_bytes_as_per_value_rule(tmp_path_factory, table):
-    header, rows = table
-    path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(path, header, (row for row in rows))
-    assert path.read_bytes() == reference_bytes(header, rows)
+    header, columns = table
+    assert_same_bytes(tmp_path_factory.mktemp("csv") / "t.csv", header, columns)
+
+
+# Rows that differ only in the first or only in the last of 40 columns:
+# a row pattern key of 4 ** 40 would wrap in 64 bits at either end.
+WIDE = [np.full(3, 0.5) for _ in range(40)]
+WIDE[0][1] = WIDE[-1][2] = 1e-9
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tables(tuple(sorted(COLUMN_VALUES)) + tuple(ARRAY_VALUES), max_columns=40))
+@example(([f"c{i}" for i in range(40)], WIDE))
+@example((["i", "x", "y"], [np.arange(0, 101, 7), np.linspace(0.0, 2e6, 15),
+                            np.logspace(-5, 7, 15, dtype=np.float32)]))
+@example((["i", "x"], [np.array([], dtype=np.int64), np.array([])]))
+def test_array_columns_and_wide_tables(tmp_path_factory, table):
+    header, columns = table
+    assert_same_bytes(tmp_path_factory.mktemp("csv") / "t.csv", header, columns)
 
 
 @pytest.mark.parametrize("v", [None, "s", 7, 10 ** 20, np.int64(3), *EDGES])
@@ -83,6 +123,8 @@ def test_fmt_value_is_the_per_value_rule(v):
 
 
 def test_ragged_rows_rejected_without_a_file(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
-    assert list(tmp_path.iterdir()) == []
+    for columns in ([(1, 3), (2.0,)], [np.arange(3), np.zeros(2)],
+                    [np.zeros(2), ["a", "b", "c"]]):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], columns)
+        assert list(tmp_path.iterdir()) == []

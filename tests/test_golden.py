@@ -1,5 +1,6 @@
 """Golden outputs: the sha256 of every file a command writes and of its
-stdout, for the paper figures and one bc warm-start config sweep.
+stdout, for the paper figures, one bc warm-start config sweep and one
+inline run's per-seed traces.
 
 The kernel, the noise streams and the CSV writer are exact, so refactors
 and speed-ups leave these bytes as they are.  A change that means to
@@ -46,6 +47,14 @@ COMMANDS = {
     for name in ("fig2", "fig3", "fig4", "fig5")
 }
 COMMANDS["run_bc_warm_start"] = ("run", "--config", "cfg.json")
+# Per-seed traces of an inline run; the stride does not divide T.
+COMMANDS["run_seeds_bc_warm_start"] = (
+    "run", "--aggregator", "bc", "--alpha", "0.5", "--beta", "0.05", "--eta",
+    "0.01", "--c0-policy", "warm_start", "--T", "500", "--seeds", "0-3",
+    "--csv-stride", "7")
+# The tables that simulate nothing: gainfactor.csv has 31 columns.
+COMMANDS["gainfactor"] = ("figure", "gainfactor")
+COMMANDS["sublinear"] = ("figure", "sublinear")
 
 
 def digests(argv) -> dict:
@@ -115,6 +124,26 @@ DIGESTS = {
         "trace_eta0.01.csv": "8b6b133b63fec978556c929f41e9c3d079298c7cbb7549d3135faa9d09533d93",
         "trace_eta0.02.csv": "575e3eea8c1cd5ae0c8edc99368fd9327edef5d32e680acc2dd4be07b798e753",
         "trace_eta0.05.csv": "a75ebbd6750f71e9164fbca8b083ba8827db716d0cca0456992489bd19eb5f9d"
+    },
+    "run_seeds_bc_warm_start": {
+        "exit": 0,
+        "stdout": "3e9fd415c8cabff6be967b4ae932f429cfaf988c046ce097a85225efc239e35d",
+        "aggregate.csv": "76d0f39eee293f65de54e990412a49363e23099a8e7df6b91146027fef1e33c4",
+        "aggregate_trace.csv": "c64a735256fddc2077f279ac1a2c0e72711857b19b22c2c19e2b454def3a70c7",
+        "trace_seed0.csv": "abf379db2e406233d78203e27832cb5b1850a8056532f9e352f164ffb3f01506",
+        "trace_seed1.csv": "5788199cdddbc7ef8f7522c93ffd0cd723f91d65a6ec4a0c0c386b02c83388a1",
+        "trace_seed2.csv": "1db7a8326445ed14b269fff7172d61ba849ec083133eea6c7548c7944367d6d2",
+        "trace_seed3.csv": "c5dea7284b8b6fde8d03f401580bdea3c084701f28762b46c7d5bfe25117bcc2"
+    },
+    "gainfactor": {
+        "exit": 0,
+        "stdout": "e7b58ee89f1fab5fc78b87c67db06ba8de52a0a3ba77927bdad7bd9591afd937",
+        "gainfactor.csv": "6dc8045efdd072afa6e1e5841d538ed0246a4f9737e830119d218c02dd17a538"
+    },
+    "sublinear": {
+        "exit": 0,
+        "stdout": "781c7d3b3ed5e0cf45ce4b2a36ec7ec8c4baa475612246cc3dee27e815e629d9",
+        "sublinear.csv": "e5007e894cc287553840a2ec473e70c8f5454cb27167277437b15ee0a4d5abb1"
     }
 }
 

@@ -568,7 +568,8 @@ class TestNoiseDraws:
             log["keys"].append((seed, agent, context))
             return Counted(original(seed, agent, context))
         monkeypatch.setattr(rng_mod, "agent_stream", counting)
-        # Small chunks, so the draws span several chunks and a short last one.
+        # Chunks of the 256-normal floor, 256 // d steps, so the 600-step
+        # draws span several chunks and a short last one.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 100)
         return log
 
@@ -582,7 +583,7 @@ class TestNoiseDraws:
                              noise_scale=0.3 if scaled_collaborator else 0.0)
         kw = dict(TestNoiseDraws.KW[aggregator])
         w = CollaborationWeights(kw.pop("alpha", 0.5), [1.0], beta=kw.pop("beta", None))
-        return RunConfig(main, [coll], aggregator, w, 0.05, 50, np.full(d, 4.0), **kw)
+        return RunConfig(main, [coll], aggregator, w, 0.05, 600, np.full(d, 4.0), **kw)
 
     def assert_draws_once(self, draws, aggregator, d, base, axis, values):
         cfgs = [sweep_config(base, axis, v) for v in values]
@@ -611,6 +612,61 @@ class TestNoiseDraws:
         base = self.base_cfg(aggregator, 3, scaled_collaborator=True)
         self.assert_draws_once(draws, aggregator, 3, base, "sigma",
                                [0.5, 1.0, 2.0, 4.0])
+
+
+class TestChunkLength:
+    """The pre-draw chunk length changes no bit of any trace, and a wide
+    batch draws at least 256 normals per generator call."""
+
+    SEEDS = [0, 3, 5]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
+    def test_traces_do_not_depend_on_chunk_length(self, monkeypatch, aggregator, d):
+        base = dataclasses.replace(TestNoiseDraws.base_cfg(aggregator, d),
+                                   horizon=700, iterate_stride=9)
+        # Lanes of eta >= 1.35 diverge in some aggregators, mid-chunk: eta
+        # = 2.5 within the first chunk of the smallest chunk length (256 //
+        # d steps), and at least one other eta in a later chunk.
+        cfgs = [sweep_config(base, "eta", eta)
+                for eta in (0.05, 1.35, 1.4, 2.06, 2.5)]
+        batches = []
+        for draws in (1, simulator._CHUNK_DRAWS, 1 << 24):
+            monkeypatch.setattr(simulator, "_CHUNK_DRAWS", draws)
+            batches.append(simulator._run_batch(cfgs, self.SEEDS))
+        for batch in batches[1:]:
+            for traces, first in zip(batch, batches[0], strict=True):
+                for tr, tr0 in zip(traces, first, strict=True):
+                    assert_traces_equal(tr, tr0)
+        died = [tr.steps_completed for traces in batches[0] for tr in traces
+                if tr.diverged]
+        assert not any(tr.diverged for tr in batches[0][0])
+        assert any(256 // d < n for n in died)
+        assert all(n % (256 // d) for n in died)
+
+    def test_wide_batch_draws_256_normals_per_call(self, monkeypatch):
+        """256 lanes at d = 1: every gradient-stream call but a stream's
+        last fills 256 normals, the last the remaining steps."""
+        sizes = {}
+        original = rng_mod.agent_stream
+
+        class Counted:
+            def __init__(self, gen, key):
+                self.gen, self.key = gen, key
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.gen.standard_normal(*args, **kwargs)
+                sizes.setdefault(self.key, []).append(np.size(out))
+                return out
+
+        def counting(seed, agent, context=rng_mod.GRADIENT_CONTEXT):
+            gen = original(seed, agent, context)
+            return gen if context else Counted(gen, (seed, agent))
+        monkeypatch.setattr(rng_mod, "agent_stream", counting)
+        cfg = make_cfg("bc", beta=0.2, T=1000)
+        simulator._run_batch([cfg], range(256))
+        assert len(sizes) == 2 * 256
+        assert all(s == [256, 256, 256, 232] for s in sizes.values())
 
 
 class TestDivergingLanes:
