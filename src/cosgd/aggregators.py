@@ -8,9 +8,10 @@ Four strategies:
   - oracle BC: the bias estimate comes from a noisy oracle instead of the
     EMA, making the combined estimator exactly unbiased
 
-All combine functions are pure; `bc_update` is the only state transition
-and returns a fresh BcState.  Gradient arguments may be GradientSample
-or plain arrays (with leading batch axes).  Each checks its inputs, then
+The rules take and return plain arrays (with leading batch axes
+allowed): gradients g_0 and g_k, and the bias estimate c_t.  Alone needs
+no rule, since g = g_0.  All combine functions are pure; `bc_update`
+returns the next c_t as a fresh array.  Each checks its inputs, then
 calls the validation-free cores `tau_sum`, `mix` and `oracle_noise_std`,
 which the simulator's kernel calls on its per-lane arrays as well.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import GradientSample, _as_vector
+from .objective import _as_vector
 
 
 @dataclass
@@ -51,20 +52,6 @@ def check_alpha_guard(alpha: float, m: float) -> None:
         raise ValueError(
             f"alpha={alpha} >= 1/sqrt(m)={1.0 / np.sqrt(m):.6g}: "
             "WGA guarantee is vacuous in this regime")
-
-
-@dataclass
-class BcState:
-    """Running bias estimate c_t."""
-
-    bias_estimate: np.ndarray
-
-    def __post_init__(self):
-        self.bias_estimate = np.asarray(self.bias_estimate, dtype=float)
-
-
-def _value(g) -> np.ndarray:
-    return g.value if isinstance(g, GradientSample) else np.asarray(g, dtype=float)
 
 
 def tau_sum(tau, gs):
@@ -103,56 +90,41 @@ def oracle_noise_std(v: float, n: int, d: int) -> float:
 def _tau_average(gks, tau: np.ndarray) -> np.ndarray:
     if len(gks) != tau.shape[0]:
         raise ValueError("number of collaborator gradients must match tau")
-    return tau_sum(tau, [_value(g) for g in gks])
-
-
-def alone_combine(g0) -> np.ndarray:
-    """g = g_0, collaborators ignored."""
-    return _value(g0)
+    return tau_sum(tau, gks)
 
 
 def wga_combine(g0, gks, w: CollaborationWeights) -> np.ndarray:
     """g = (1-alpha) g_0 + alpha sum_k tau_k g_k."""
-    return mix(1.0 - w.alpha, w.alpha, _value(g0), _tau_average(gks, w.tau))
+    return mix(1.0 - w.alpha, w.alpha, g0, _tau_average(gks, w.tau))
 
 
-def bc_combine(g0, gks, w: CollaborationWeights, state: BcState):
+def bc_combine(g0, gks, w: CollaborationWeights, c):
     """Corrected pseudo-gradient and the observed bias b_t.
 
     g = (1-alpha) g_0 + alpha (g_avg - c_t),  b_t = g_avg - g_0.
-    Does not mutate `state`; feed b_t to `bc_update` after the step.
+    Feed b_t to `bc_update` after the step.
     """
-    g0v = _value(g0)
     gavg = _tau_average(gks, w.tau)
-    combined = mix(1.0 - w.alpha, w.alpha, g0v, gavg - state.bias_estimate)
-    return combined, gavg - g0v
+    return mix(1.0 - w.alpha, w.alpha, g0, gavg - c), gavg - g0
 
 
-def bc_update(state: BcState, observed_bias, beta: float) -> BcState:
+def bc_update(c, b, beta: float) -> np.ndarray:
     """EMA step c_{t+1} = (1-beta) c_t + beta b_t."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    b = np.asarray(observed_bias, dtype=float)
-    return BcState(bias_estimate=mix(1.0 - beta, beta, state.bias_estimate, b))
+    return mix(1.0 - beta, beta, c, b)
 
 
 def oracle_bc_combine(g0, gks, w: CollaborationWeights, true_bias,
-                      oracle_noise, v: float) -> np.ndarray:
+                      z, v: float) -> np.ndarray:
     """BC with a noisy unbiased bias oracle.
 
     c_oracle = true_bias + n, where n is Gaussian with total variance
-    v^2/N split across coordinates, independent of the gradient samples.
-    `oracle_noise` is either a Generator or pre-drawn standard normals of
-    the same shape as g_0.
+    v^2/N split across coordinates, independent of the gradient samples;
+    `z` holds its pre-drawn standard normals, shaped like g_0.
     """
     if not v >= 0:
         raise ValueError("v must be >= 0")
-    g0v = _value(g0)
     gavg = _tau_average(gks, w.tau)
-    if isinstance(oracle_noise, np.random.Generator):
-        z = oracle_noise.standard_normal(g0v.shape)
-    else:
-        z = np.asarray(oracle_noise, dtype=float)
-    c_oracle = (np.asarray(true_bias, dtype=float)
-                + z * oracle_noise_std(v, len(gks), g0v.shape[-1]))
-    return mix(1.0 - w.alpha, w.alpha, g0v, gavg - c_oracle)
+    c_oracle = true_bias + z * oracle_noise_std(v, len(gks), g0.shape[-1])
+    return mix(1.0 - w.alpha, w.alpha, g0, gavg - c_oracle)

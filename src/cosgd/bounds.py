@@ -144,7 +144,7 @@ def bound_bc(b: BoundInputs) -> float:
         * (delta * b.eta) ** (2.0 / 3.0)
     return float(s.f0_gap / (b.eta * T) + ema_term + drift
                  + L * sig_alpha * b.eta / 2.0
-                 + 10.0 * a ** 2 * delta ** 2 * sig_alpha * b.eta ** 2)
+                 + 10.0 * (a * delta) ** 2 * sig_alpha * b.eta ** 2)
 
 
 def gainfactor_surface(n_grid, ratio_grid) -> np.ndarray:

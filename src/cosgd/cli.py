@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--T", type=_int, default=figures.DEFAULT_T)
     shared.add_argument("--seeds", default="0-19")
     shared.add_argument("--out-dir", dest="out_dir", default=None)
-    shared.add_argument("--workers", type=deprecated_workers, default=1,
-                        help="deprecated and ignored")
+    shared.add_argument("--workers", type=lambda text: deprecated_workers(_int(text)),
+                        default=1, help="deprecated and ignored")
     shared.add_argument("--csv-stride", dest="csv_stride", type=_stride,
                         default=CSV_STRIDE)
 

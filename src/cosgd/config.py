@@ -1,8 +1,9 @@
 """JSON experiment configs mirroring RunConfig, with strict validation.
 
 Unknown keys are rejected at every nesting level so that typos fail fast
-instead of silently running with defaults.  parse -> serialize -> parse
-is the identity.
+instead of silently running with defaults, and numbers must fit their
+key's type.  `RunConfig.iterate_stride` has no key: a run writes nothing
+from the iterates.  parse -> serialize -> parse is the identity.
 """
 
 import json
@@ -25,8 +26,8 @@ _WEIGHT_KEYS = {"alpha", "tau", "beta"}
 _SWEEP_KEYS = {"axis", "values", "alpha_rule"}
 _TOP_KEYS = {"main_task", "collaborators", "aggregator", "weights",
              "step_size", "horizon", "x0", "seeds", "c0_policy",
-             "warm_start_samples", "oracle_v", "iterate_stride",
-             "sweep", "out_dir", "workers", "csv_stride"}
+             "warm_start_samples", "oracle_v", "sweep", "out_dir",
+             "workers", "csv_stride"}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -38,10 +39,31 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
 
 
 def _as_int(value, where: str) -> int:
-    try:
+    """A JSON integer: an int, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    if type(value) is not int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _as_float(value, where: str) -> float:
+    """A JSON number as a float; non-finite values are left to the checks
+    of the object that takes them."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond the float range") from None
+
+
+def _as_floats(value, where: str) -> list:
+    """A JSON number, or a non-empty list of numbers, as a list of floats."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"{where} must not be empty")
+    return [_as_float(v, where) for v in values]
 
 
 def deprecated_workers(value) -> int:
@@ -64,9 +86,11 @@ def _check_list(value, where: str) -> list:
 def _parse_task(d: dict, where: str) -> QuadraticTask:
     _check_keys(d, _TASK_KEYS, where)
     try:
-        return QuadraticTask(curvature=d["curvature"], optimum=d["optimum"],
-                             noise_std=d.get("noise_std", 0.0),
-                             noise_scale=d.get("noise_scale", 0.0))
+        return QuadraticTask(
+            curvature=_as_floats(d["curvature"], "curvature"),
+            optimum=_as_floats(d["optimum"], "optimum"),
+            noise_std=_as_float(d.get("noise_std", 0.0), "noise_std"),
+            noise_scale=_as_float(d.get("noise_scale", 0.0), "noise_scale"))
     except KeyError as e:
         raise ConfigError(f"{where} missing key {e}") from e
     except ValueError as e:
@@ -110,7 +134,6 @@ class ExperimentConfig:
             "c0_policy": r.c0_policy,
             "warm_start_samples": int(r.warm_start_samples),
             "oracle_v": float(r.oracle_v),
-            "iterate_stride": int(r.iterate_stride),
             "csv_stride": int(self.csv_stride),
         }
         if self.sweep_axis is not None:
@@ -145,24 +168,29 @@ class ExperimentConfig:
             sweep_values = _check_list(d["sweep"].get("values", []),
                                        "sweep.values")
             sweep_rule = d["sweep"].get("alpha_rule")
+        beta = wd.get("beta")
         try:
-            weights = CollaborationWeights(alpha=wd.get("alpha", 0.0),
-                                           tau=wd.get("tau", [1.0]),
-                                           beta=wd.get("beta"))
+            weights = CollaborationWeights(
+                alpha=_as_float(wd.get("alpha", 0.0), "weights.alpha"),
+                tau=_as_floats(wd.get("tau", [1.0]), "weights.tau"),
+                beta=None if beta is None else _as_float(beta, "weights.beta"))
             run = RunConfig(
                 main_task=main, collaborators=colls,
                 aggregator=d["aggregator"], weights=weights,
-                step_size=float(d["step_size"]), horizon=int(d["horizon"]),
-                x0=d["x0"], c0_policy=d.get("c0_policy", "first_bias"),
-                warm_start_samples=int(d.get("warm_start_samples", 8)),
-                oracle_v=float(d.get("oracle_v", 0.0)),
-                iterate_stride=int(d.get("iterate_stride", 0)))
+                step_size=_as_float(d["step_size"], "step_size"),
+                horizon=_as_int(d["horizon"], "horizon"),
+                x0=_as_floats(d["x0"], "x0"),
+                c0_policy=d.get("c0_policy", "first_bias"),
+                warm_start_samples=_as_int(d.get("warm_start_samples", 8),
+                                           "warm_start_samples"),
+                oracle_v=_as_float(d.get("oracle_v", 0.0), "oracle_v"))
             # Check every config the run will execute, before any runs.
-            for cfg in ([run] if sweep_axis is None else
-                        [sweep_config(run, sweep_axis, v, sweep_rule)
-                         for v in sweep_values]):
-                _validate(cfg)
             sweep_names(sweep_values)
+            read = _as_int if sweep_axis in ("N", "T") else _as_float
+            for cfg in ([run] if sweep_axis is None else
+                        [sweep_config(run, sweep_axis, read(v, "sweep.values"),
+                                      sweep_rule) for v in sweep_values]):
+                _validate(cfg)
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         seeds = [_as_int(s, "seeds")

@@ -6,7 +6,8 @@ zero-mean Gaussian noise whose total variance is
 
     sigma_k^2 + M_k * ||grad f_k(x)||^2,
 
-split isotropically across coordinates.  The module also computes the
+split isotropically across coordinates; `sample_gradient` returns one
+such gradient as a plain array.  The module also computes the
 closed-form similarity constants (L, mu, m, zeta_k^2, delta) between a
 main agent and its collaborators; these drive all schedules and bounds.
 """
@@ -62,17 +63,6 @@ class QuadraticTask:
     @property
     def pl_constant(self) -> float:
         return float(self.curvature.min())
-
-
-@dataclass
-class GradientSample:
-    """One stochastic gradient g_k(x) tagged with its agent index."""
-
-    value: np.ndarray
-    agent: int = 0
-
-    def __post_init__(self):
-        self.value = _as_vector(self.value)
 
 
 @dataclass
@@ -147,16 +137,14 @@ def gradient_noise_std(task: QuadraticTask, grad: np.ndarray) -> np.ndarray:
     return noise_std(task.noise_std ** 2, task.noise_scale, grad, task.dim)
 
 
-def sample_gradient(task: QuadraticTask, x, rng: np.random.Generator,
-                    agent: int = 0) -> GradientSample:
+def sample_gradient(task: QuadraticTask, x, rng: np.random.Generator) -> np.ndarray:
     """Unbiased stochastic gradient: true gradient plus Gaussian noise.
 
     Consumes exactly `dim` standard normals from `rng`, so the t-th call
     on a fresh stream reproduces step t of a simulation.
     """
     grad = true_gradient(task, x)
-    z = rng.standard_normal(task.dim)
-    return GradientSample(value=grad + z * gradient_noise_std(task, grad), agent=agent)
+    return grad + rng.standard_normal(task.dim) * gradient_noise_std(task, grad)
 
 
 def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityParams:

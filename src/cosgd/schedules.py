@@ -90,9 +90,11 @@ def pl_guard(alpha: float, m: float) -> float:
 
 def bc_step_cap(alpha: float, delta: float) -> float:
     """1/(6 alpha^2 delta^2), the BC step-size cap; inf unless alpha > 0
-    and the product is > 0 (delta = 0, or the product underflows)."""
+    and the product is > 0 (delta = 0, or the product underflows).
+    alpha delta is squared as one product, so that a square of either
+    factor alone cannot overflow or underflow when the product fits."""
     try:  # `**`, not `*`: glibc's pow can differ from x * x by an ulp
-        denom = 6.0 * alpha ** 2 * delta ** 2
+        denom = 6.0 * (alpha * delta) ** 2
     except OverflowError:
         denom = math.inf
     return 1.0 / denom if alpha > 0 and denom > 0 else np.inf

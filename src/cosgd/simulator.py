@@ -87,8 +87,11 @@ class RunConfig:
             raise ValueError("horizon must be >= 1")
         if self.warm_start_samples < 1:
             raise ValueError("warm_start_samples must be >= 1")
-        if not self.oracle_v >= 0:
-            raise ValueError("oracle_v must be >= 0")
+        if not 0 <= self.oracle_v < math.inf:
+            raise ValueError("oracle_v must be finite and >= 0")
+        if not (isinstance(self.iterate_stride, (int, np.integer))
+                and self.iterate_stride >= 0):
+            raise ValueError("iterate_stride must be an integer >= 0")
         if not (isinstance(self.step_size, DecreasingPlSchedule)
                 or 0 < self.step_size < math.inf):
             raise ValueError("step_size must be finite and > 0")
@@ -415,16 +418,14 @@ def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:
             for a in range(n_agents)]
 
 
-def _warm_start_bias(cfg: RunConfig, seeds, normals=None) -> np.ndarray:
+def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
     """c_0 = average of `warm_start_samples` bias samples at x_0, one row
     per seed.  Sample k of agent a is the k-th `sample_gradient` call at
     x_0 on that agent's warm-start stream.  `normals` are those of
     `_warm_start_normals` for at least `warm_start_samples` samples, so
-    that the configs of a batch share one draw; drawn here when None."""
+    that the configs of a batch share one draw."""
     K = cfg.warm_start_samples
     tasks = [cfg.main_task] + list(cfg.collaborators)
-    if normals is None:
-        normals = _warm_start_normals(len(tasks), seeds, K, cfg.main_task.dim)
     # A gradient beyond the float range makes c_0 inf or nan, and the
     # kernel then freezes the lane at x_0, as it would any diverged lane.
     with np.errstate(over="ignore", invalid="ignore"):

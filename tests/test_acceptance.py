@@ -17,8 +17,7 @@ from cosgd import figures
 from cosgd.aggregators import CollaborationWeights, oracle_bc_combine, wga_combine
 from cosgd.bounds import BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex, bound_wga_pl
 from cosgd.cli import main as cli_main
-from cosgd.objective import (GradientSample, QuadraticTask, mean_estimation_task,
-                             true_gradient)
+from cosgd.objective import QuadraticTask, mean_estimation_task, true_gradient
 from cosgd.rng import agent_stream
 from cosgd.schedules import (alpha_opt_oracle, beta_bc, eta_bc, eta_max,
                              eta_wga_nonconvex, schedule_inputs, tau_qp,
@@ -212,8 +211,8 @@ def test_criterion_08_combiner_estimator_laws():
     z0 = agent_stream(0, 0).standard_normal((n_draws, 1))
     z1 = agent_stream(0, 1).standard_normal((n_draws, 1))
     zo = agent_stream(0, 0, 1).standard_normal((n_draws, 1))
-    s0 = GradientSample(g0t + z0 * t0.noise_std, agent=0)
-    s1 = GradientSample(g1t + z1 * t1.noise_std, agent=1)
+    s0 = g0t + z0 * t0.noise_std
+    s1 = g1t + z1 * t1.noise_std
 
     ok, details = True, []
     wga = wga_combine(s0, [s1], w)[:, 0]

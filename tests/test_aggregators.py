@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosgd.aggregators import (BcState, CollaborationWeights, alone_combine,
-                               bc_combine, bc_update, check_alpha_guard,
-                               oracle_bc_combine, tau_sum, wga_combine)
-from cosgd.objective import GradientSample, QuadraticTask, true_gradient
+from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
+                               check_alpha_guard, oracle_bc_combine, tau_sum,
+                               wga_combine)
+from cosgd.objective import QuadraticTask, true_gradient
 from cosgd.rng import agent_stream
 
 
-def gs(v, agent=0):
-    return GradientSample(value=np.atleast_1d(np.asarray(v, float)), agent=agent)
+def gs(v):
+    return np.atleast_1d(np.asarray(v, float))
 
 
 class TestCollaborationWeights:
@@ -42,12 +42,6 @@ class TestCollaborationWeights:
             check_alpha_guard(0.6, 4.0)  # 0.6 >= 1/2
         check_alpha_guard(0.4, 4.0)
         check_alpha_guard(1.0, 0.0)
-
-
-class TestAloneCombine:
-    def test_identity(self):
-        np.testing.assert_array_equal(alone_combine(gs([3.0])), [3.0])
-        np.testing.assert_array_equal(alone_combine(gs([0.0, 0.0])), [0.0, 0.0])
 
 
 def list_tau_sum(tau, gs):
@@ -154,59 +148,58 @@ class TestBcCombine:
         x = 3.0
         g0, g1 = true_gradient(t0, x), true_gradient(t1, x)
         w = CollaborationWeights(0.7, [1.0], beta=0.5)
-        state = BcState(g1 - g0)
-        out, b = bc_combine(gs(g0), [gs(g1)], w, state)
+        out, b = bc_combine(gs(g0), [gs(g1)], w, g1 - g0)
         np.testing.assert_allclose(out, g0)
         np.testing.assert_allclose(b, g1 - g0)
 
     def test_alpha_zero(self):
         w = CollaborationWeights(0.0, [1.0], beta=0.5)
-        out, _ = bc_combine(gs([2.0]), [gs([100.0])], w, BcState([55.0]))
+        out, _ = bc_combine(gs([2.0]), [gs([100.0])], w, gs([55.0]))
         np.testing.assert_array_equal(out, [2.0])
 
     def test_worked_example(self):
         w = CollaborationWeights(1.0, [1.0], beta=0.5)
-        out, b = bc_combine(gs([1.0]), [gs([4.0])], w, BcState([3.0]))
+        out, b = bc_combine(gs([1.0]), [gs([4.0])], w, gs([3.0]))
         np.testing.assert_allclose(out, [1.0])
         np.testing.assert_allclose(b, [3.0])
 
     def test_purity(self):
         w = CollaborationWeights(0.5, [1.0], beta=0.5)
-        state = BcState([1.0])
-        before = state.bias_estimate.copy()
-        r1 = bc_combine(gs([1.0]), [gs([4.0])], w, state)
-        r2 = bc_combine(gs([1.0]), [gs([4.0])], w, state)
-        np.testing.assert_array_equal(state.bias_estimate, before)
+        c = gs([1.0])
+        before = c.copy()
+        r1 = bc_combine(gs([1.0]), [gs([4.0])], w, c)
+        r2 = bc_combine(gs([1.0]), [gs([4.0])], w, c)
+        np.testing.assert_array_equal(c, before)
         np.testing.assert_array_equal(r1[0], r2[0])
 
 
 class TestBcUpdate:
     def test_full_replacement(self):
-        s = bc_update(BcState([9.0]), [4.0], beta=1.0)
-        np.testing.assert_array_equal(s.bias_estimate, [4.0])
+        c = bc_update(gs([9.0]), gs([4.0]), beta=1.0)
+        np.testing.assert_array_equal(c, [4.0])
 
     def test_midpoint(self):
-        s = bc_update(BcState([2.0]), [4.0], beta=0.5)
-        np.testing.assert_array_equal(s.bias_estimate, [3.0])
+        c = bc_update(gs([2.0]), gs([4.0]), beta=0.5)
+        np.testing.assert_array_equal(c, [3.0])
 
     def test_geometric_convergence(self):
-        s = BcState([0.0])
+        c = gs([0.0])
         beta, b = 0.3, 5.0
         for k in range(1, 30):
-            s = bc_update(s, [b], beta)
+            c = bc_update(c, gs([b]), beta)
             expected = b * (1 - (1 - beta) ** k)
-            assert s.bias_estimate[0] == pytest.approx(expected)
+            assert c[0] == pytest.approx(expected)
 
     def test_beta_bounds(self):
         with pytest.raises(ValueError):
-            bc_update(BcState([0.0]), [1.0], beta=0.0)
+            bc_update(gs([0.0]), gs([1.0]), beta=0.0)
         with pytest.raises(ValueError):
-            bc_update(BcState([0.0]), [1.0], beta=1.2)
+            bc_update(gs([0.0]), gs([1.0]), beta=1.2)
 
     def test_does_not_mutate_input(self):
-        s = BcState([2.0])
-        bc_update(s, [4.0], beta=0.5)
-        np.testing.assert_array_equal(s.bias_estimate, [2.0])
+        c = gs([2.0])
+        bc_update(c, gs([4.0]), beta=0.5)
+        np.testing.assert_array_equal(c, [2.0])
 
 
 class TestBcTelescoping:
@@ -219,21 +212,21 @@ class TestBcTelescoping:
             t1 = QuadraticTask(a1, 2.0)
             w = CollaborationWeights(0.5, [1.0], beta=1.0)
             x, eta = 4.0, 0.1
-            state = None
+            c = None
             prev_bias = None
             for step in range(6):
-                g0, g1 = gs(true_gradient(t0, x)), gs(true_gradient(t1, x))
-                bias = g1.value - g0.value
-                if state is None:
-                    state = BcState(bias)
-                out, b = bc_combine(g0, [g1], w, state)
+                g0, g1 = true_gradient(t0, x), true_gradient(t1, x)
+                bias = g1 - g0
+                if c is None:
+                    c = bias
+                out, b = bc_combine(g0, [g1], w, c)
                 if step >= 1:
                     expected = true_gradient(t0, x) + 0.5 * (bias - prev_bias)
                     np.testing.assert_allclose(out, expected, atol=1e-12)
                     if exact:
                         np.testing.assert_allclose(out, true_gradient(t0, x),
                                                    atol=1e-12)
-                state = bc_update(state, b, 1.0)
+                c = bc_update(c, b, 1.0)
                 prev_bias = bias
                 x = x - eta * out[0]
 
@@ -246,7 +239,8 @@ class TestOracleBcCombine:
         w = CollaborationWeights(0.8, [1.0])
         bias = true_gradient(t1, x) - true_gradient(t0, x)
         out = oracle_bc_combine(gs(true_gradient(t0, x)), [gs(true_gradient(t1, x))],
-                                w, bias, agent_stream(0, 0, 1), v=0.0)
+                                w, bias, agent_stream(0, 0, 1).standard_normal(1),
+                                v=0.0)
         np.testing.assert_allclose(out, true_gradient(t0, x))
 
     def test_unbiased_and_variance(self):
@@ -261,7 +255,7 @@ class TestOracleBcCombine:
         n = 10 ** 5
         outs = np.array([oracle_bc_combine(sample_gradient(t0, x, g),
                                            [sample_gradient(t1, x, h)],
-                                           w, bias, o, v)[0]
+                                           w, bias, o.standard_normal(1), v)[0]
                          for _ in range(n)])
         target = true_gradient(t0, x)[0]
         var = (1 - alpha) ** 2 * 4.0 + alpha ** 2 * (9.0 + v ** 2 / 1)
@@ -271,5 +265,5 @@ class TestOracleBcCombine:
     def test_negative_v_rejected(self):
         w = CollaborationWeights(0.5, [1.0])
         with pytest.raises(ValueError):
-            oracle_bc_combine(gs([1.0]), [gs([2.0])], w, [1.0],
-                              agent_stream(0, 0, 1), v=-1.0)
+            oracle_bc_combine(gs([1.0]), [gs([2.0])], w, gs([1.0]),
+                              agent_stream(0, 0, 1).standard_normal(1), v=-1.0)

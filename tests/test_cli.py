@@ -203,6 +203,29 @@ class TestInputContract:
                        "--out-dir", str(tmp_path)) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,raw", [
+        ("horizon", "1e400"),
+        ("warm_start_samples", "1e400"),
+        ("csv_stride", "1e400"),
+        ("seeds", "[1e400]"),
+        ("horizon", "10.5"),
+        ("step_size", '"0.01"'),
+        ("oracle_v", "1e400"),
+        ("iterate_stride", "1"),  # only the API takes it
+    ], ids=lambda v: v)
+    def test_config_bad_number(self, tmp_path, capsys, key, raw):
+        """JSON numbers (1e400 is inf) that do not fit their key fail as
+        config errors naming the key, before any run starts."""
+        d = TestConfigFile().make_config().to_dict()
+        d["aggregator"], d[key] = "oracle_bc", None
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d).replace(f'"{key}": null', f'"{key}": {raw}'))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ("bounds", "wga-pl", "--T", "0"),
         ("bounds", "bc", "--N", "0"),
@@ -219,7 +242,6 @@ class TestInputContract:
         ("bounds", "wga-pl", "--alpha", "-1"),
         ("bounds", "bc", "--alpha", "2", "--delta", "1"),
         ("bounds", "gainfactor"),
-        ("bounds", "bc", "--delta", "1e308"),
         ("tau", "--sigmas", "1", "--zetas", "1", "--T", "1" + "0" * 400),
         ("tau", "--sigmas", "1e308", "--zetas", "1", "--T", "1", "--mu", "1e-300"),
     ], ids=lambda argv: " ".join(argv)[:40])
@@ -428,6 +450,15 @@ class TestBoundsCommand:
         assert run_cli("bounds", "bc", "--alpha", "1e-200", "--delta", "1e-200") == 0
         assert math.isfinite(float(capsys.readouterr().out))
 
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "1e-170", "--delta", "1e160", "--eta", "1e-3"),  # cap 1.7e19
+        ("--delta", "1e308"),  # alpha = 0: delta plays no part
+    ], ids=" ".join)
+    def test_alpha_delta_squared_as_one_product(self, capsys, argv):
+        # alpha delta fits a float although delta^2 does not.
+        assert run_cli("bounds", "bc", *argv) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
+
 
 
 class TestTauCommand:
@@ -519,6 +550,55 @@ def run_argv(draw):
             + draw(flag_values(RUN_FLAGS)))
 
 
+# JSON values: plausible ones three times in four, else an edge case:
+# non-finite numbers, the literal 1e400 (which JSON readers take as inf),
+# negatives, fractions, strings and lists, nested ones too.
+RAW_1E400 = "<1e400>"  # written as the bare JSON number 1e400
+JSON_PLAUSIBLE = st.one_of(st.floats(0.01, 2.0), st.integers(1, 20))
+JSON_EDGES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, RAW_1E400, -1, -0.5, 0.5,
+                     2.5, "1", "x", [], [[1.0]], [1.0, [2.0]]]),
+    st.lists(JSON_PLAUSIBLE, min_size=1, max_size=2))
+JSON_VALUES = st.integers(0, 3).flatmap(
+    lambda k: JSON_EDGES if k == 3 else JSON_PLAUSIBLE)
+TASK_KEYS = ("curvature", "optimum", "noise_std", "noise_scale")
+JSON_PATHS = (
+    [(key,) for key in ("main_task", "collaborators", "aggregator", "weights",
+                        "step_size", "horizon", "x0", "seeds", "c0_policy",
+                        "warm_start_samples", "oracle_v", "sweep", "out_dir",
+                        "workers", "csv_stride")]
+    + [("weights", key) for key in ("alpha", "tau", "beta")]
+    + [("main_task", key) for key in TASK_KEYS]
+    + [("collaborators", 0, key) for key in TASK_KEYS])
+SWEEP_PATHS = [("sweep", "axis"), ("sweep", "values"), ("sweep", "values", 0)]
+
+
+@st.composite
+def json_config(draw):
+    """The text of a small valid config (T <= 50, at most 2 seeds, maybe a
+    sweep) with up to three keys, at any depth, set to drawn values."""
+    d = {"main_task": {"curvature": [1.0], "optimum": [0.0], "noise_std": 1.0},
+         "collaborators": [{"curvature": [2.0], "optimum": [2.0], "noise_std": 0.5}],
+         "aggregator": draw(st.sampled_from(simulator.AGGREGATORS)),
+         "weights": {"alpha": 0.5, "tau": [1.0], "beta": 0.2},
+         "step_size": 0.01, "horizon": draw(st.integers(1, 50)), "x0": [3.0],
+         "seeds": draw(st.sampled_from([[0], [3], [0, 1]])),
+         "c0_policy": draw(st.sampled_from(simulator.C0_POLICIES))}
+    paths = JSON_PATHS
+    if draw(st.booleans()):
+        d["sweep"] = {"axis": draw(st.sampled_from(simulator.SWEEP_AXES)),
+                      "values": draw(st.lists(JSON_PLAUSIBLE, min_size=1, max_size=2))}
+        paths = paths + SWEEP_PATHS
+    # Deepest first, so that a key's parent is still an object or list.
+    for *parents, leaf in sorted(draw(st.lists(st.sampled_from(paths), max_size=3,
+                                               unique=True)), key=len, reverse=True):
+        node = d
+        for key in parents:
+            node = node[key]
+        node[leaf] = draw(JSON_VALUES)
+    return json.dumps(d).replace(f'"{RAW_1E400}"', "1e400")
+
+
 class TestExitCodeFuzz:
     """The exit-code contract holds for every input: 0 or 1, never 2, no
     traceback and no RuntimeWarning (which this class makes an error, so
@@ -530,6 +610,7 @@ class TestExitCodeFuzz:
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", FutureWarning)  # a JSON `workers` > 1
             code = main(argv)
         assert code in (0, 1), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue() + out.getvalue()
@@ -545,3 +626,12 @@ class TestExitCodeFuzz:
     def test_run(self, argv):
         with tempfile.TemporaryDirectory() as out:
             self.check(argv + ["--out-dir", out])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=json_config())
+    def test_run_config(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cfg.json"
+            with open(path, "w") as fh:
+                fh.write(text)
+            self.check(["run", "--config", path, "--out-dir", f"{tmp}/out"])

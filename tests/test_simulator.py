@@ -6,8 +6,8 @@ import pytest
 
 from cosgd import figures, simulator
 from cosgd import rng as rng_mod
-from cosgd.aggregators import (BcState, CollaborationWeights, bc_combine,
-                               bc_update, oracle_bc_combine, wga_combine)
+from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
+                               oracle_bc_combine, wga_combine)
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
 from cosgd.schedules import eta_max, schedule_inputs
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, mean_dynamics_oracle,
@@ -51,6 +51,12 @@ class TestRunBasics:
         tr = run(make_cfg(T=20, iterate_stride=5))
         assert tr.iterates.shape == (5, 1)
 
+    @pytest.mark.parametrize("key,value", [("iterate_stride", -1), ("iterate_stride", 0.5),
+                                           ("oracle_v", np.inf), ("oracle_v", np.nan)])
+    def test_rejected_before_the_kernel(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            make_cfg("oracle_bc", **{key: value})
+
     def test_divergence_flagged_and_truncated(self):
         cfg = make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, sigma0=1.0, T=40)
         tr = run(cfg)
@@ -69,8 +75,7 @@ class TestReferenceEquivalence:
                  for a in range(len(tasks))]
         acc = np.zeros(cfg.main_task.dim)
         for _ in range(cfg.warm_start_samples):
-            s = [sample_gradient(task, cfg.x0, g).value
-                 for task, g in zip(tasks, wgens)]
+            s = [sample_gradient(task, cfg.x0, g) for task, g in zip(tasks, wgens)]
             acc += sum(w.tau[k] * s[1 + k] for k in range(len(s) - 1)) - s[0]
         return acc / cfg.warm_start_samples
 
@@ -81,29 +86,30 @@ class TestReferenceEquivalence:
         w = cfg.weights
         x = cfg.x0.copy()
         losses = [eval_loss(cfg.main_task, x)]
-        state = None  # first_bias: set from the first round's samples
+        c = None  # first_bias: set from the first round's samples
         if cfg.c0_policy == "zero":
-            state = BcState(np.zeros(cfg.main_task.dim))
+            c = np.zeros(cfg.main_task.dim)
         elif cfg.c0_policy == "warm_start":
-            state = BcState(self.reference_c0(cfg))
+            c = self.reference_c0(cfg)
         for t in range(cfg.horizon):
-            samples = [sample_gradient(task, x, g, agent=a)
-                       for a, (task, g) in enumerate(zip(tasks, gens))]
+            samples = [sample_gradient(task, x, g) for task, g in zip(tasks, gens)]
             g0, gks = samples[0], samples[1:]
             if cfg.aggregator == "alone":
-                g = g0.value
+                g = g0
             elif cfg.aggregator == "wga":
                 g = wga_combine(g0, gks, w)
             elif cfg.aggregator == "bc":
-                if state is None:
-                    gavg = sum(w.tau[k] * gks[k].value for k in range(len(gks)))
-                    state = BcState(gavg - g0.value)
-                g, b = bc_combine(g0, gks, w, state)
-                state = bc_update(state, b, w.beta)
+                if c is None:
+                    gavg = sum(w.tau[k] * gks[k] for k in range(len(gks)))
+                    c = gavg - g0
+                g, b = bc_combine(g0, gks, w, c)
+                c = bc_update(c, b, w.beta)
             else:
                 bias = sum(w.tau[k] * true_gradient(tasks[1 + k], x)
                            for k in range(len(gks))) - true_gradient(tasks[0], x)
-                g = oracle_bc_combine(g0, gks, w, bias, ogen, cfg.oracle_v)
+                g = oracle_bc_combine(g0, gks, w, bias,
+                                      ogen.standard_normal(cfg.main_task.dim),
+                                      cfg.oracle_v)
             x = x - cfg.step_size * g
             losses.append(eval_loss(cfg.main_task, x))
         return np.array(losses)
@@ -149,7 +155,9 @@ class TestReferenceEquivalence:
         cfg = RunConfig(main, colls, "bc", CollaborationWeights(0.3, [0.4, 0.6], beta=0.2),
                         0.02, 40, [-3.0, 2.1][:d], c0_policy="warm_start")
         seeds = list(range(11, 21))
-        c0 = simulator._warm_start_bias(cfg, seeds)
+        normals = simulator._warm_start_normals(1 + len(colls), seeds,
+                                                cfg.warm_start_samples, d)
+        c0 = simulator._warm_start_bias(cfg, seeds, normals)
         for seed, row in zip(seeds, c0):
             assert row.tobytes() == self.reference_c0(
                 dataclasses.replace(cfg, seed=seed)).tobytes()
