@@ -18,9 +18,10 @@ from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
 from .config import ConfigError, ExperimentConfig, deprecated_workers, load_config
 from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
+from .rng import SEED_LIMIT
 from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
-from .simulator import (AllSeedsDiverged, RunConfig, _validate, run_replicated,
-                        sweep, sweep_names)
+from .simulator import (MAX_HORIZON, AllSeedsDiverged, RunConfig, _validate,
+                        run_replicated, sweep, sweep_names)
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
 
@@ -35,21 +36,21 @@ def _default_out_dir() -> str:
 
 
 def _parse_seeds(spec: str):
-    """'0-19' (inclusive range), '0,3,7', or a single integer; seeds are
-    non-negative and a range runs upwards."""
+    """'0-19' (inclusive range), '0,3,7', or a single integer; seeds lie in
+    [0, 2^64) and a range runs upwards."""
     spec = str(spec)
     try:
         if "-" in spec:
-            lo, hi = spec.split("-", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = ends = [int(s) for s in spec.split("-", 1)]
+            seeds = range(lo, hi + 1)
         else:
-            seeds = [int(s) for s in spec.split(",")]
+            seeds = ends = [int(s) for s in spec.split(",")]
     except ValueError:
-        seeds = []
-    if not seeds or min(seeds) < 0:
+        seeds = ends = []
+    if not seeds or min(ends) < 0 or max(ends) >= SEED_LIMIT:
         raise ConfigError(f"invalid seed spec {spec!r}: expected a range 'A-B' "
-                          "with 0 <= A <= B, a list 'a,b,c' or one integer >= 0")
-    return seeds
+                          "with A <= B, a list 'a,b,c' or one integer, in [0, 2^64)")
+    return list(seeds)
 
 
 def _int(value: str) -> int:
@@ -146,6 +147,8 @@ def _cmd_figure(args) -> int:
     make = getattr(figures, args.name)
     if args.name in ("gainfactor", "sublinear"):  # no simulation
         res = make(out_dir)
+    elif not 1 <= args.T <= MAX_HORIZON:  # as RunConfig checks it
+        raise ConfigError(f"horizon must be in [1, {MAX_HORIZON}]")
     else:
         res = make(out_dir, seeds=seeds, horizon=args.T, csv_stride=args.csv_stride)
     if args.name == "fig2":
@@ -292,6 +295,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, AllSeedsDiverged) as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:  # allocating the seeds, or the kernel's step sizes or traces
+        print("config error: the run does not fit in memory: lower the horizon "
+              "(--T) or the number of seeds", file=sys.stderr)
         return 1
     except Exception as e:  # internal error
         print(f"internal error: {e}", file=sys.stderr)

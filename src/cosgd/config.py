@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 from .aggregators import CollaborationWeights
 from .csvio import CSV_STRIDE
 from .objective import QuadraticTask
-from .simulator import (DecreasingPlSchedule, RunConfig, _validate, sweep_config,
-                        sweep_names)
+from .rng import SEED_LIMIT
+from .simulator import (SWEEP_AXES, DecreasingPlSchedule, RunConfig, _validate,
+                        sweep_config, sweep_names)
 
 
 class ConfigError(ValueError):
@@ -163,10 +164,13 @@ class ExperimentConfig:
         if "sweep" in d:
             _check_keys(d["sweep"], _SWEEP_KEYS, "sweep")
             sweep_axis = d["sweep"].get("axis")
-            if sweep_axis is None:
-                raise ConfigError("sweep requires an axis")
+            if sweep_axis not in SWEEP_AXES:
+                raise ConfigError(f"sweep.axis must be one of {SWEEP_AXES}, "
+                                  f"got {sweep_axis!r}")
             sweep_values = _check_list(d["sweep"].get("values", []),
                                        "sweep.values")
+            if not sweep_values:
+                raise ConfigError("sweep.values must not be empty")
             sweep_rule = d["sweep"].get("alpha_rule")
         beta = wd.get("beta")
         try:
@@ -195,8 +199,9 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
         seeds = [_as_int(s, "seeds")
                  for s in _check_list(d.get("seeds", [0]), "seeds")]
-        if not seeds or min(seeds) < 0:
-            raise ConfigError(f"seeds must be one or more integers >= 0, got {seeds}")
+        if not seeds or min(seeds) < 0 or max(seeds) >= SEED_LIMIT:
+            raise ConfigError("seeds must be one or more integers in [0, 2^64), "
+                              f"got {seeds}")
         csv_stride = _as_int(d.get("csv_stride", CSV_STRIDE), "csv_stride")
         if csv_stride < 1:
             raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")

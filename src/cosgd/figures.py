@@ -1,9 +1,9 @@
 """Reproduction of the noisy-quadratic experiments and speedup charts.
 
-Each function builds its default configuration, runs the simulations,
-writes per-curve CSVs (plus a small gnuplot script) to `out_dir`, and
-returns the computed results so tests and callers can inspect them
-without re-reading files.
+Each function builds its default configuration, runs its simulations
+as one streamed kernel call, writes per-curve CSVs (plus a small
+gnuplot script) to `out_dir`, and returns the computed results so tests
+and callers can inspect them without re-reading files.
 
 Shared experimental model: the main agent minimizes a 1D quadratic with
 curvature a_0 and additive gradient noise of std sigma; the N
@@ -24,7 +24,9 @@ from .csvio import CSV_STRIDE, write_csv
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
                         wga_pl_terms)
-from .simulator import RunConfig, RunResult, run_replicated, sweep, sweep_names
+from .simulator import RunConfig, RunResult, _replicate, sweep_config, sweep_names
+# No figure calls these two; perfbench/tracing.py wraps them on this module.
+from .simulator import run_replicated, sweep  # noqa: F401
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "gainfactor", "sublinear")
 
@@ -74,13 +76,21 @@ class FigureResult:
     chosen: dict = field(default_factory=dict)
 
 
-def _swept(base: RunConfig, axis: str, values, seeds, alpha_rule=None) -> list:
-    """Curves of the `sweep` of `values`, named as `cosgd run` names a
-    sweep; values whose names clash are rejected before anything runs."""
+def _swept(base: RunConfig, axis: str, values, alpha_rule=None) -> list:
+    """(value, suffix, label, config) per swept value, named as `cosgd run`
+    names a sweep; values whose names clash are rejected before anything
+    runs."""
     values = list(values)
-    names = sweep_names(values)
-    return [(v, f"{axis}{name}", f"{axis}={name}", res) for name, (v, res)
-            in zip(names, sweep(base, axis, values, seeds, alpha_rule))]
+    return [(v, f"{axis}{name}", f"{axis}={name}",
+             sweep_config(base, axis, v, alpha_rule))
+            for v, name in zip(values, sweep_names(values))]
+
+
+def _run_curves(curves, seeds) -> list:
+    """Each (key, suffix, label, config) of `curves` with its config's
+    RunResult in place, all configs run as one streamed batch."""
+    results = _replicate([cfg for *_, cfg in curves], seeds, streamed=True)
+    return [(*curve[:3], res) for curve, res in zip(curves, results)]
 
 
 def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
@@ -106,14 +116,10 @@ def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
                         summary=summary, chosen=chosen or {})
 
 
-def _grid_search(base: RunConfig, seeds, grid=ETA_GRID):
-    """Pick the step size with the lowest mean plateau loss; the first
-    grid value wins ties."""
-    best = None
-    for eta, res in sweep(base, "eta", grid, seeds):
-        if best is None or res.plateau_mean < best[1].plateau_mean:
-            best = (eta, res)
-    return best
+def _grid_search(results, grid=ETA_GRID):
+    """The (step size, RunResult) of `grid` with the lowest mean plateau
+    loss, from each value's result; the first grid value wins ties."""
+    return min(zip(grid, results), key=lambda pair: pair[1].plateau_mean)
 
 
 def _plateaus(curves) -> list:
@@ -135,12 +141,14 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
                       ETA_GRID[0], horizon, x0)
     wga = RunConfig(main, colls, "wga", CollaborationWeights(alpha, [1.0]),
                     ETA_GRID[0], horizon, x0)
-    eta_alone, res_alone = _grid_search(alone, seeds)
-    eta_wga, res_wga = _grid_search(wga, seeds)
     bc = RunConfig(main, colls, "bc",
                    CollaborationWeights(alpha, [1.0], beta=bc_beta),
                    bc_eta, horizon, x0, c0_policy="zero")
-    res_bc = run_replicated(bc, seeds)
+    # Both grids and BC run as one kernel call.
+    grids = [sweep_config(base, "eta", eta) for base in (alone, wga) for eta in ETA_GRID]
+    *results, res_bc = _replicate(grids + [bc], seeds, streamed=True)
+    eta_alone, res_alone = _grid_search(results[:len(ETA_GRID)])
+    eta_wga, res_wga = _grid_search(results[len(ETA_GRID):])
 
     curves = [(key, key, key, res) for key, res in
               (("alone", res_alone), ("wga", res_wga), ("bc", res_bc))]
@@ -162,7 +170,7 @@ def fig3(out_dir: str, zetas=ZETAS, horizon: int = DEFAULT_T,
     base = RunConfig(main, colls, "bc",
                      CollaborationWeights(alpha, [1.0], beta=1e-4),
                      1e-4, horizon, 10.0, c0_policy="zero")
-    curves = _swept(base, "zeta", zetas, seeds)
+    curves = _run_curves(_swept(base, "zeta", zetas), seeds)
     summary = []
     for key, _, _, res in curves:
         tp = time_to_plateau(res.mean_test_loss, res.plateau_mean)
@@ -183,8 +191,8 @@ def fig4(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
                       eta, horizon, x0)
     base = RunConfig(main, colls, "wga", CollaborationWeights(1e-3, [1.0]),
                      eta, horizon, x0)
-    curves = [("alone", "alone", "alone", run_replicated(alone, seeds))]
-    curves += _swept(base, "zeta", ZETAS, seeds)
+    curves = _run_curves([("alone", "alone", "alone", alone)]
+                         + _swept(base, "zeta", ZETAS), seeds)
     return _write_figure(out_dir, "fig4", "WGA under increasing zeta", curves,
                          ["zeta", "plateau_mean", "plateau_se"], _plateaus(curves),
                          csv_stride)
@@ -197,7 +205,7 @@ def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
     base = RunConfig(main, colls, "bc",
                      CollaborationWeights(0.5, [1.0], beta=1e-4),
                      5e-4, horizon, 10.0, c0_policy="zero")
-    curves = _swept(base, "N", ns, seeds, "n_over_n_plus_1")
+    curves = _run_curves(_swept(base, "N", ns, "n_over_n_plus_1"), seeds)
     return _write_figure(out_dir, "fig5", "BC under increasing N", curves,
                          ["N", "plateau_mean", "plateau_se"], _plateaus(curves),
                          csv_stride)

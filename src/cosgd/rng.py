@@ -15,7 +15,8 @@ GRADIENT_CONTEXT = 0
 ORACLE_CONTEXT = 1
 WARMSTART_CONTEXT = 2
 
-_MASK64 = (1 << 64) - 1
+# Seeds lie in [0, SEED_LIMIT): a Philox key word holds 64 bits.
+SEED_LIMIT = 1 << 64
 
 
 def agent_stream(seed: int, agent: int, context: int = GRADIENT_CONTEXT) -> np.random.Generator:
@@ -24,9 +25,12 @@ def agent_stream(seed: int, agent: int, context: int = GRADIENT_CONTEXT) -> np.r
     The t-th standard normal drawn from this stream is, by construction,
     the noise used at step t for this agent.
     """
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed out of range [0, 2^64): {seed}")
     if agent < 0 or agent >= (1 << 32):
         raise ValueError(f"agent index out of range: {agent}")
     if context < 0 or context >= (1 << 32):
         raise ValueError(f"context out of range: {context}")
-    key = [int(seed) & _MASK64, (int(agent) | (int(context) << 32)) & _MASK64]
+    # As uint64 words: numpy mangles a list entry at or above 2^63.
+    key = np.array([seed, int(agent) | (int(context) << 32)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

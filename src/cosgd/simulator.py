@@ -10,14 +10,16 @@ keyed by (seed, agent), so:
   - alpha = 0 reproduces the Alone trace bit-for-bit: Alone reads only
     the main task's stream, and no other stream shifts its draws.
 
-Seeds and swept configs are vectorized through one kernel: a lane is one
+Seeds and configs are vectorized through one kernel: a lane is one
 (config, seed) pair, every per-step operation is elementwise across
 lanes and each config's parameters are broadcast over its own lanes,
 which makes a batched run bitwise equal to the corresponding single
-runs.  The configs of a batch share each (seed, agent) draw, which is
-spread over their lanes.  The agents share one leading array axis, so a
-step forms every agent's gradient and noise with one numpy call each,
-and applies the combine rules of `aggregators` and the noise model of
+runs.  Alone, WGA and BC share one step rule (Alone is WGA with alpha = 0,
+WGA is BC with c = 0 and beta = 0); Oracle BC runs in calls of its own.
+The configs of a batch share each (seed, agent) draw, which is spread
+over their lanes.  The agents share one leading array axis, so a step
+forms every agent's gradient and noise with one numpy call each, and
+applies the combine rules of `aggregators` and the noise model of
 `objective` through their arithmetic cores.
 """
 
@@ -37,6 +39,8 @@ AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
 C0_POLICIES = ("first_bias", "zero", "warm_start")
 
 DIVERGENCE_LIMIT = 1e12
+# The longest horizon whose (T+1)-long float64 trace numpy can index.
+MAX_HORIZON = np.iinfo(np.intp).max // 8 - 1
 # The plateau metric averages the test loss over this final share of steps.
 PLATEAU_FRACTION = 0.1
 # Standard normals per agent in one noise pre-draw chunk, once spread
@@ -83,8 +87,8 @@ class RunConfig:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if self.c0_policy not in C0_POLICIES:
             raise ValueError(f"c0_policy must be one of {C0_POLICIES}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be in [1, {MAX_HORIZON}]")
         if self.warm_start_samples < 1:
             raise ValueError("warm_start_samples must be >= 1")
         if not 0 <= self.oracle_v < math.inf:
@@ -123,7 +127,7 @@ class RunResult:
 
     final_gap_mean: float
     final_gap_se: float | None
-    avg_grad_sq_mean: float
+    avg_grad_sq_mean: float | None  # None from a streamed run
     avg_grad_sq_se: float | None
     plateau_mean: float
     plateau_se: float | None
@@ -154,11 +158,12 @@ def _batch_key(cfg: RunConfig) -> tuple:
     """Configs with equal keys share one kernel call.
 
     They agree on everything that shapes the kernel's arrays or picks a
-    code path; all other parameters are broadcast per lane.
+    code path; all other parameters, the aggregator among them unless it
+    is oracle_bc, are per lane.
     """
     agents = [cfg.main_task] + list(cfg.collaborators)
-    return (cfg.aggregator, cfg.horizon, cfg.main_task.dim, len(agents),
-            cfg.c0_policy, cfg.iterate_stride,
+    return (cfg.aggregator == "oracle_bc", cfg.horizon, cfg.main_task.dim,
+            len(agents), cfg.iterate_stride,
             tuple(task.noise_scale == 0 for task in agents))
 
 
@@ -168,9 +173,10 @@ class _Lanes:
     axis where there is one.
 
     A lane is one (config, seed) pair; each config's values are repeated
-    over its seeds.  Per-agent arrays stack the A agents (main task
-    first) on a leading axis, per-collaborator ones the K = A - 1
-    collaborators.  Entries a mode does not use are None.
+    over its seeds, and each kind's lanes are one slice.  Per-agent arrays
+    stack the A agents (main task first) on a leading axis,
+    per-collaborator ones the K = A - 1 collaborators.  Alone lanes hold
+    placeholders alpha = 0 and tau = 0: their step takes g_0 itself.
     """
 
     curv: np.ndarray  # (A, L, d) curvature
@@ -182,12 +188,12 @@ class _Lanes:
     # scaled-noise agents unchanged.
     var: np.ndarray
     scale: np.ndarray  # (A, L, 1) noise_scale
-    tau: np.ndarray | None  # (K, L, 1)
+    tau: np.ndarray  # (K, L, 1)
     alpha: np.ndarray  # (L, 1)
     one_minus_alpha: np.ndarray  # (L, 1)
-    beta: np.ndarray | None  # (L, 1)
-    one_minus_beta: np.ndarray | None  # (L, 1)
-    oracle_std: np.ndarray | None  # (L, 1)
+    beta: np.ndarray  # (B, 1), the B bc lanes only
+    one_minus_beta: np.ndarray  # (B, 1)
+    oracle_std: np.ndarray | None  # (L, 1), oracle_bc only
     cfg: np.ndarray  # (L,) index of the lane's config
 
     @classmethod
@@ -201,8 +207,8 @@ class _Lanes:
         tasks = list(zip(*[[cfg.main_task] + list(cfg.collaborators) for cfg in cfgs]))
         n_agents = len(tasks)
         d = cfgs[0].main_task.dim
-        ws = [cfg.weights for cfg in cfgs]
-        mode = cfgs[0].aggregator
+        collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
+        betas = [cfg.weights.beta for cfg in cfgs if cfg.aggregator == "bc"]
 
         def per_agent(value):
             return [[value(t) for t in ts] for ts in tasks]
@@ -218,14 +224,15 @@ class _Lanes:
             std=col(per_agent(lambda t: t.noise_std)),
             var=col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0)),
             scale=col(per_agent(lambda t: t.noise_scale)),
-            tau=None if mode == "alone" else
-            col([[w.tau[k] for w in ws] for k in range(n_agents - 1)]),
-            alpha=col([w.alpha for w in ws]),
-            one_minus_alpha=col([1.0 - w.alpha for w in ws]),
-            beta=col([w.beta for w in ws]) if mode == "bc" else None,
-            one_minus_beta=col([1.0 - w.beta for w in ws]) if mode == "bc" else None,
+            tau=col([[w.tau[k] if w else 0.0 for w in collab]
+                     for k in range(n_agents - 1)]),
+            alpha=col([w.alpha if w else 0.0 for w in collab]),
+            one_minus_alpha=col([1.0 - w.alpha if w else 1.0 for w in collab]),
+            beta=col(betas),
+            one_minus_beta=col([1.0 - b for b in betas]),
             oracle_std=col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
-                            for cfg in cfgs]) if mode == "oracle_bc" else None,
+                            for cfg in cfgs])
+            if cfgs[0].aggregator == "oracle_bc" else None,
             cfg=np.repeat(np.arange(len(cfgs)), n_seeds),
         )
 
@@ -239,9 +246,14 @@ def _draw(gens, z: np.ndarray) -> np.ndarray:
     return z.transpose(2, 0, 1, 3)
 
 
-def _run_batch(cfgs, seeds) -> list:
-    """Run configs that share a `_batch_key` under many seeds, as the
-    lanes of one vectorized kernel.
+def _plateau_start(T: int) -> int:
+    """First step of the plateau window, the last PLATEAU_FRACTION of T."""
+    return T + 1 - max(1, int(round(PLATEAU_FRACTION * T)))
+
+
+def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
+    """Run configs that share a `_batch_key`, ordered by kind (alone |
+    wga | bc), under many seeds, as the lanes of one vectorized kernel.
 
     Returns, per config, one Trace per seed, bitwise identical to running
     each (config, seed) alone: every per-step operation is elementwise
@@ -249,40 +261,50 @@ def _run_batch(cfgs, seeds) -> list:
     diverges is frozen at its last iterate inside the box; it is found
     once per pre-draw chunk and stays in the batch, which leaves the
     other lanes' bits untouched.
+
+    `streamed` keeps no per-lane traces.  Per config it returns instead
+    the seed means of the loss and gradient-norm traces (diverged seeds
+    included), each seed's plateau-window losses and its steps completed.
     """
     for cfg in cfgs:
         _validate(cfg)
     seeds = [int(s) for s in seeds]
-    S = len(seeds)
-    L = len(cfgs) * S
+    S, C = len(seeds), len(cfgs)
+    L = C * S
     first = cfgs[0]
-    d = first.main_task.dim
-    T = first.horizon
+    d, T = first.main_task.dim, first.horizon
     n_agents = 1 + len(first.collaborators)
-    mode = first.aggregator
-    # Alone forms, and draws, only the main task's gradient.
-    used = 1 if mode == "alone" else n_agents
-    tasks = [first.main_task] + list(first.collaborators)
-    additive = [a for a in range(used) if tasks[a].noise_scale == 0]
-    etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
+    n_alone = sum(cfg.aggregator == "alone" for cfg in cfgs) * S
+    bc_cfgs = [cfg for cfg in cfgs if cfg.aggregator == "bc"]
+    bc = slice(L - len(bc_cfgs) * S, L)
+    oracle = first.aggregator == "oracle_bc"
+    # A batch of alone lanes forms, and draws, only the main task's gradient.
+    used = 1 if n_alone == L else n_agents
     p = _Lanes.build(cfgs, S)
+    additive = [a for a in range(used) if p.scale[a, 0, 0] == 0]
 
     # One stream per (seed, row), drawn once for all configs; the row
     # axis holds the used agents, then the oracle's for oracle_bc.
     gens = [[rng_mod.agent_stream(s, a) for s in seeds] for a in range(used)]
-    if mode == "oracle_bc":
+    if oracle:
         gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                      for s in seeds])
-    lane_seed = np.tile(np.arange(S), len(cfgs))
+    lane_seed = np.tile(np.arange(S), C)
+
+    etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
+    # Each lane's loss and gradient norm from step `kept` on; streamed, only
+    # its losses over the plateau window, next to each config's seed sums.
+    # These start at 0, which adds exactly: no loss or norm is -0.0.
+    kept = _plateau_start(T) if streamed else 0
+    traces = np.empty((1 if streamed else 2, L, T + 1 - kept))
+    sums = np.zeros((2, C, T + 1)) if streamed else None
+    stride = first.iterate_stride
+    iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
     # Loss and gradient norm are computed per chunk from the recorded
     # iterates, with the same elementwise arithmetic as a per-step pass.
     a0 = p.curv[0]
     opt0 = p.opt[0]
-    test_loss = np.empty((L, T + 1))
-    grad_sq = np.empty((L, T + 1))
-    stride = first.iterate_stride
-    iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
     def record(X, t0):
         """Metrics of the iterates X[i] of steps t0 + i, all lanes.  An
@@ -292,8 +314,15 @@ def _run_batch(cfgs, seeds) -> list:
         with np.errstate(over="ignore"):
             diff0 = X - opt0
             g0_true = a0 * diff0
-            test_loss[:, t0:t0 + m] = (0.5 * np.sum(g0_true * diff0, axis=-1)).T
-            grad_sq[:, t0:t0 + m] = np.sum(g0_true * g0_true, axis=-1).T
+            rows = (0.5 * np.sum(g0_true * diff0, axis=-1),
+                    np.sum(g0_true * g0_true, axis=-1))  # (m, L) each
+            lo = max(t0, kept)
+            for out, r in zip(traces if t0 + m > kept else (), rows):
+                out[:, lo - kept:t0 + m - kept] = r[lo - t0:].T
+            for out, r in zip(sums if streamed else (), rows):
+                acc, r = out[:, t0:t0 + m], r.T.reshape(C, S, m)  # r: a copy
+                for s in range(S):  # one add per seed, in seed order
+                    acc += r[:, s]
         if stride:
             skip = -t0 % stride
             k0 = (t0 + skip) // stride
@@ -322,16 +351,15 @@ def _run_batch(cfgs, seeds) -> list:
             X[j + 1:, lane] = frozen[lane]
             dead[lane] = True
 
-    c_state = None
-    if mode == "bc":
-        if first.c0_policy == "zero":
-            c_state = np.zeros((L, d))
-        elif first.c0_policy == "warm_start":
-            normals = _warm_start_normals(
-                n_agents, seeds, max(cfg.warm_start_samples for cfg in cfgs), d)
-            c_state = np.concatenate([_warm_start_bias(cfg, seeds, normals)
-                                      for cfg in cfgs])
-        # first_bias: set at t = 0 from the first round's samples.
+    # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
+    c = np.zeros((len(bc_cfgs) * S, d))
+    warm = [j for j, cfg in enumerate(bc_cfgs) if cfg.c0_policy == "warm_start"]
+    if warm:
+        normals = _warm_start_normals(
+            n_agents, seeds, max(bc_cfgs[j].warm_start_samples for j in warm), d)
+        for j in warm:
+            c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
+    first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
 
     curv, opt, var, scale = (p.curv[:used], p.opt[:used], p.var[:used],
                              p.scale[:used])
@@ -339,7 +367,7 @@ def _run_batch(cfgs, seeds) -> list:
 
     chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 1))
     buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
-    spread = np.empty((chunk, len(gens), L, d)) if len(cfgs) > 1 else None
+    spread = np.empty((chunk, len(gens), L, d)) if C > 1 else None
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
         X = np.empty((n + 1, L, d))
@@ -350,7 +378,7 @@ def _run_batch(cfgs, seeds) -> list:
         # Pre-draw this chunk's normals, spread them over the lanes and
         # scale them by each lane's std for additive agents.
         z = _draw(gens, buf[:, :, :n])
-        if len(cfgs) > 1:
+        if C > 1:
             z = np.take(z, lane_seed, axis=2, out=spread[:n])
         for a in additive:
             z[:, a] *= p.std[a]
@@ -369,22 +397,26 @@ def _run_batch(cfgs, seeds) -> list:
                 else:
                     samples = grads + noise[i]
                 g0 = samples[0]
-                if mode == "alone":
+                if used == 1:
                     g = g0
                 else:
+                    # g = (1-a) g_0 + a (g_avg - c), with c = 0 on wga lanes.
                     gavg = tau_sum(p.tau, samples[1:])
-                    if mode == "wga":
-                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
-                    elif mode == "bc":
-                        b = gavg - g0
-                        if c_state is None:  # first_bias policy, t == 0
-                            c_state = b
-                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_state)
-                        c_state = mix(p.one_minus_beta, p.beta, c_state, b)
-                    else:  # oracle_bc
-                        true_bias = tau_sum(p.tau, grads[1:]) - grads[0]
-                        c_oracle = true_bias + z[i, used] * p.oracle_std
-                        g = mix(p.one_minus_alpha, p.alpha, g0, gavg - c_oracle)
+                    if oracle:
+                        gavg -= (tau_sum(p.tau, grads[1:]) - grads[0]
+                                 + z[i, used] * p.oracle_std)
+                    elif bc_cfgs:
+                        gavg_bc = gavg[bc]  # a view, which `-=` writes through
+                        b = gavg_bc - g0[bc]
+                        if t0 + i == 0:
+                            c[first_bias] = b[first_bias]
+                        gavg_bc -= c
+                        c = mix(p.one_minus_beta, p.beta, c, b)
+                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
+                    # Assigned, so that an overflowing collaborator
+                    # average cannot reach an alone lane.
+                    if n_alone:
+                        g[:n_alone] = g0[:n_alone]
                 x = x - eta[i] * g
         X[n] = x
         freeze(X, t0)
@@ -392,20 +424,19 @@ def _run_batch(cfgs, seeds) -> list:
 
     record(X[n:], T)  # the last chunk's X[n] is the iterate after step T
 
-    out = []
-    for c in range(len(cfgs)):
-        traces = []
-        for l in range(c * S, (c + 1) * S):
-            traces.append(Trace(
-                test_loss=test_loss[l],
-                grad_norm_sq=grad_sq[l],
-                final_gap=float(test_loss[l, T]),
-                iterates=iterates[l] if stride else None,
-                diverged=bool(steps_completed[l] < T),
-                steps_completed=int(steps_completed[l]),
-            ))
-        out.append(traces)
-    return out
+    if streamed:
+        sums /= S
+        return [(sums[:, k], traces[0, k * S:(k + 1) * S],
+                 steps_completed[k * S:(k + 1) * S]) for k in range(C)]
+    lanes = [Trace(
+        test_loss=traces[0, l],
+        grad_norm_sq=traces[1, l],
+        final_gap=float(traces[0, l, T]),
+        iterates=iterates[l] if stride else None,
+        diverged=bool(steps_completed[l] < T),
+        steps_completed=int(steps_completed[l]),
+    ) for l in range(L)]
+    return [lanes[k * S:(k + 1) * S] for k in range(C)]
 
 
 def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:
@@ -455,7 +486,6 @@ def _reduce(cfg: RunConfig, seeds: list, traces: list,
             keep_traces: bool) -> RunResult:
     """Seed aggregates of one config's traces."""
     T = cfg.horizon
-    tail = max(1, int(round(PLATEAU_FRACTION * T)))
     ok = [tr for tr in traces if not tr.diverged]
     diverged_seeds = [s for s, tr in zip(seeds, traces) if tr.diverged]
     if not ok:
@@ -468,28 +498,32 @@ def _reduce(cfg: RunConfig, seeds: list, traces: list,
 
     final_gaps = np.array([tr.final_gap for tr in ok])
     avg_grads = np.array([tr.grad_norm_sq[:T].mean() for tr in ok])
-    plateaus = np.array([tr.test_loss[T + 1 - tail:].mean() for tr in ok])
+    plateaus = np.array([tr.test_loss[_plateau_start(T):].mean() for tr in ok])
     mean_trace = np.mean([tr.test_loss for tr in ok], axis=0)
     mean_grad_trace = np.mean([tr.grad_norm_sq for tr in ok], axis=0)
-
-    fg_mean, fg_se = _mean_se(final_gaps)
-    ag_mean, ag_se = _mean_se(avg_grads)
-    pl_mean, pl_se = _mean_se(plateaus)
-    return RunResult(
-        final_gap_mean=fg_mean, final_gap_se=fg_se,
-        avg_grad_sq_mean=ag_mean, avg_grad_sq_se=ag_se,
-        plateau_mean=pl_mean, plateau_se=pl_se,
-        mean_test_loss=mean_trace,
-        mean_grad_norm_sq=mean_grad_trace,
-        seeds=list(seeds), diverged_seeds=diverged_seeds,
-        per_seed_final_gap=final_gaps, per_seed_plateau=plateaus,
-        traces=traces if keep_traces else None,
-    )
+    return RunResult(*_mean_se(final_gaps), *_mean_se(avg_grads), *_mean_se(plateaus),
+                     mean_trace, mean_grad_trace, list(seeds), diverged_seeds,
+                     final_gaps, plateaus, traces if keep_traces else None)
 
 
-def _replicate(cfgs: list, seeds, keep_traces: bool = False) -> list:
+def _stream_reduce(cfg: RunConfig, seeds: list, stream) -> RunResult:
+    """Seed aggregates from `_run_batch`'s streamed output, without traces or
+    avg_grad_sq (a pairwise mean over T).  A config with a diverged seed is
+    replayed alone, exactly (the streams are counter-based), to drop it."""
+    means, window, steps = stream
+    if (steps < cfg.horizon).any():
+        return _reduce(cfg, seeds, _run_batch([cfg], seeds)[0], False)
+    final_gaps = window[:, -1].copy()
+    plateaus = np.array([row.mean() for row in window])
+    return RunResult(*_mean_se(final_gaps), None, None, *_mean_se(plateaus),
+                     means[0], means[1], list(seeds), [], final_gaps, plateaus)
+
+
+def _replicate(cfgs: list, seeds, keep_traces: bool = False,
+               streamed: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
-    group of configs that share a `_batch_key`."""
+    group of configs that share a `_batch_key`.  `streamed`, the figures'
+    path, holds seed sums in place of the traces (see `_stream_reduce`)."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -498,9 +532,11 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False) -> list:
         groups.setdefault(_batch_key(cfg), []).append(i)
     results = [None] * len(cfgs)
     for members in groups.values():
-        batch = _run_batch([cfgs[i] for i in members], seeds)
-        for i, traces in zip(members, batch):
-            results[i] = _reduce(cfgs[i], seeds, traces, keep_traces)
+        members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
+        batch = _run_batch([cfgs[i] for i in members], seeds, streamed)
+        for i, out in zip(members, batch):
+            results[i] = (_stream_reduce(cfgs[i], seeds, out) if streamed
+                          else _reduce(cfgs[i], seeds, out, keep_traces))
     return results
 
 
@@ -597,8 +633,8 @@ def sweep(base: RunConfig, axis: str, values, seeds,
     """(value, RunResult) per swept value, in input order.
 
     Swept configs run as lanes of one kernel call where their shapes
-    allow (a T sweep or mixed aggregators fall back to one call per
-    group); each result equals its own `run_replicated` bit for bit.
+    allow (a T sweep makes one call per horizon); each result equals its
+    own `run_replicated` bit for bit.
     """
     values = list(values)
     cfgs = [sweep_config(base, axis, v, alpha_rule) for v in values]

@@ -153,6 +153,78 @@ class TestInputContract:
         assert run_cli("run", "--config", str(path),
                        "--out-dir", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("figure", "fig2", "--seeds", str(2 ** 64)),
+        ("run", "--seeds", f"{2 ** 64 - 1}-{2 ** 64}"),
+        ("run", "--seeds", f"0,{2 ** 64 + 5}"),
+        ("run", "--config", "CONFIG"),
+    ], ids=["figure", "range", "list", "json"])
+    def test_seed_beyond_64_bits(self, tmp_path, capsys, argv):
+        """A seed of 2^64 or more would alias a smaller one in the 64-bit
+        stream key, so it is a config error."""
+        d = TestConfigFile().make_config().to_dict()
+        d["seeds"] = [0, 2 ** 64]
+        (tmp_path / "cfg.json").write_text(json.dumps(d))
+        argv = [str(tmp_path / "cfg.json") if a == "CONFIG" else a for a in argv]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--T", "5", "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "2^64" in err and not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        assert run_cli("run", "--T", "5", "--seeds", f"{2 ** 64 - 2}-{2 ** 64 - 1}",
+                       "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / f"trace_seed{2 ** 64 - 1}.csv").exists()
+
+    @pytest.mark.parametrize("sweep,message", [
+        ({"axis": "T", "values": []}, "sweep.values must not be empty"),
+        ({"axis": "T"}, "sweep.values must not be empty"),
+        ({"axis": "bogus", "values": []}, "sweep.axis must be one of"),
+        ({"values": [1]}, "sweep.axis must be one of"),
+    ], ids=["empty", "no-values", "bad-axis-empty", "no-axis"])
+    def test_config_sweep_needs_axis_and_values(self, tmp_path, capsys, sweep,
+                                                message):
+        d = TestConfigFile().make_config().to_dict()
+        d["sweep"] = sweep
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    HUGE = "1" + "0" * 300
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--config", "CONFIG", "1e300"),
+        ("run", "--config", "CONFIG", "1" + "0" * 30),
+        ("run", "--T", HUGE),
+        ("figure", "fig2", "--T", HUGE),
+        ("run", "--T", str(10 ** 15)),
+        ("figure", "fig2", "--T", str(10 ** 15)),
+        ("run", "--config", "CONFIG", str(10 ** 15)),
+    ], ids=["json-1e300", "json-digits", "run-digits", "figure-digits",
+            "run-no-memory", "figure-no-memory", "json-no-memory"])
+    def test_horizon_too_large(self, tmp_path, capsys, argv):
+        """A horizon numpy cannot index is rejected by RunConfig; one it can
+        index but not allocate (10^15 steps: 7 PiB of step sizes, which no
+        allocator grants) fails at its first allocation.  Both are config
+        errors naming the horizon, before any file is written."""
+        argv = list(argv)
+        if "CONFIG" in argv:
+            d = TestConfigFile().make_config().to_dict()
+            d["horizon"] = None
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(d).replace('"horizon": null',
+                                                  f'"horizon": {argv.pop()}'))
+            argv[argv.index("CONFIG")] = str(path)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seeds", "0", "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "horizon" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_reversed_seed_range(self, tmp_path):
         assert run_cli("run", "--T", "10", "--seeds", "5-2",
                        "--out-dir", str(tmp_path)) == 1
@@ -550,6 +622,29 @@ def run_argv(draw):
             + draw(flag_values(RUN_FLAGS)))
 
 
+@st.composite
+def figure_argv(draw):
+    """A figure name (or junk), --T (1-50, or an edge case), --seeds (at
+    most 3 valid seeds, or an edge case) and maybe --csv-stride."""
+    name = draw(st.integers(0, 3).flatmap(lambda k: st.sampled_from(
+        ("fig1", "FIG2", "", "fig2 ") if k == 3 else figures.FIGURES)))
+    T = draw(st.integers(0, 3).flatmap(lambda k: st.sampled_from(
+        ["0", "-3", "1e400", "2.5", "ten", "9" * 300]) if k == 3
+        else st.integers(1, 50).map(str)))
+    valid_seeds = st.one_of(
+        st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3, unique=True)
+        .map(lambda seeds: ",".join(map(str, seeds))),
+        st.tuples(st.integers(0, 2 ** 64 - 3), st.integers(0, 2))
+        .map(lambda p: f"{p[0]}-{p[0] + p[1]}"))
+    seeds = draw(st.integers(0, 3).flatmap(lambda k: st.sampled_from(
+        ["3-1", "-1", "0,-2", str(2 ** 64), f"{2 ** 64 - 1}-{2 ** 64}", "x", "",
+         "0-", "1.5"]) if k == 3 else valid_seeds))
+    argv = ["figure", name, f"--T={T}", f"--seeds={seeds}"]
+    if draw(st.booleans()):
+        argv.append(f"--csv-stride={draw(st.sampled_from(['1', '3', '100', '0', '-1', 'x']))}")
+    return argv
+
+
 # JSON values: plausible ones three times in four, else an edge case:
 # non-finite numbers, the literal 1e400 (which JSON readers take as inf),
 # negatives, fractions, strings and lists, nested ones too.
@@ -635,3 +730,9 @@ class TestExitCodeFuzz:
             with open(path, "w") as fh:
                 fh.write(text)
             self.check(["run", "--config", path, "--out-dir", f"{tmp}/out"])
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(argv=figure_argv())
+    def test_figure(self, argv):
+        with tempfile.TemporaryDirectory() as out:
+            self.check(argv + ["--out-dir", out])

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
-from cosgd.rng import (GRADIENT_CONTEXT, ORACLE_CONTEXT, WARMSTART_CONTEXT,
-                       agent_stream)
+from cosgd.rng import (GRADIENT_CONTEXT, ORACLE_CONTEXT, SEED_LIMIT,
+                       WARMSTART_CONTEXT, agent_stream)
 
 
 class TestAgentStream:
@@ -39,3 +40,14 @@ class TestAgentStream:
         flat = agent_stream(5, 2).standard_normal(12)
         shaped = agent_stream(5, 2).standard_normal((3, 4)).ravel()
         np.testing.assert_array_equal(flat, shaped)
+
+    def test_seed_range(self):
+        """Seeds fill one 64-bit key word: a seed outside [0, 2^64) would
+        alias one inside, so it is rejected.  Seeds from 2^63 on are keys
+        of their own (a list key would cast them through a float)."""
+        draws = [agent_stream(seed, 0).standard_normal(4).tobytes()
+                 for seed in (0, 2 ** 63, 2 ** 63 + 1, SEED_LIMIT - 1)]
+        assert len(set(draws)) == 4
+        for seed in (-1, SEED_LIMIT, SEED_LIMIT + 7):
+            with pytest.raises(ValueError, match="seed"):
+                agent_stream(seed, 0)

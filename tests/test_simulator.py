@@ -413,9 +413,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = simulator._run_batch
 
-    def counting(cfgs, seeds):
+    def counting(cfgs, seeds, streamed=False):
         calls.append(len(cfgs))
-        return original(cfgs, seeds)
+        return original(cfgs, seeds, streamed)
     monkeypatch.setattr(simulator, "_run_batch", counting)
     return calls
 
@@ -467,6 +467,8 @@ class TestSweepBatching:
                                                      self.SEEDS))
 
     def test_mixed_aggregators_fall_back_to_separate_calls(self, kernel_calls):
+        # Alone, wga and bc configs, whatever their c0_policy, share one
+        # call; only oracle_bc falls back to a call of its own.
         cfgs = [make_cfg("alone", alpha=0.0, T=120),
                 make_cfg("bc", beta=0.3, T=120),
                 make_cfg("wga", alpha=0.2, T=120),
@@ -474,7 +476,7 @@ class TestSweepBatching:
                 make_cfg("wga", alpha=0.7, T=120),
                 make_cfg("bc", beta=0.3, T=120, c0_policy="zero")]
         results = simulator._replicate(cfgs, self.SEEDS)
-        assert kernel_calls == [1, 1, 2, 1, 1]
+        assert kernel_calls == [5, 1]
         kernel_calls.clear()
         for cfg, res in zip(cfgs, results):
             assert_results_equal(res, run_replicated(cfg, self.SEEDS))
@@ -743,7 +745,8 @@ class TestGridSearch:
     def test_same_choice_as_loop(self, aggregator):
         base = make_cfg(aggregator, alpha=0.5, sigma0=3.0, T=400)
         grid = (1e-3, 1e-2, 1e-1, 0.5)
-        eta, res = figures._grid_search(base, range(6), grid=grid)
+        eta, res = figures._grid_search([res for _, res in sweep(base, "eta", grid,
+                                                                 range(6))], grid)
         ref_eta, ref = self.loop_grid_search(
             lambda e: sweep_config(base, "eta", e), range(6), grid)
         assert eta == ref_eta
@@ -753,7 +756,8 @@ class TestGridSearch:
         # Noiseless and started at the optimum: every step size gives loss 0.
         base = make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, x0=0.0, T=50)
         grid = (0.1, 0.05, 0.2)
-        eta, res = figures._grid_search(base, [0, 1], grid=grid)
+        eta, res = figures._grid_search([res for _, res in sweep(base, "eta", grid,
+                                                                 [0, 1])], grid)
         assert eta == 0.1 == self.loop_grid_search(
             lambda e: sweep_config(base, "eta", e), [0, 1], grid)[0]
         assert res.plateau_mean == 0.0
@@ -781,3 +785,137 @@ class TestNoWorkersArgument:
                      lambda: figures.fig2(str(tmp_path), horizon=50, workers=2)):
             with pytest.raises(TypeError, match="workers"):
                 call()
+
+
+class TestMixedBatch:
+    """Alone, wga and bc configs run as the lanes of one kernel call, and
+    every lane keeps the bits of its own config's solo run."""
+
+    SEEDS = [0, 3, 5]
+
+    @staticmethod
+    def kinds(d):
+        """Alone, wga at alpha 0, 0.5 and 1, and bc under each c0_policy.
+        The collaborator has the main task's curvature (m = 0), so that
+        alpha = 1 passes the WGA guard."""
+        curv = np.linspace(1.0, 1.5, d)
+        main = QuadraticTask(curv, np.zeros(d), noise_std=1.0)
+        coll = QuadraticTask(curv, np.full(d, 2.0), noise_std=1.5)
+
+        def cfg(aggregator, alpha, beta=None, **kw):
+            return RunConfig(main, [coll], aggregator,
+                             CollaborationWeights(alpha, [1.0], beta=beta),
+                             0.05, 700, np.full(d, 4.0), **kw)
+        return ([cfg("alone", 0.5)] + [cfg("wga", a) for a in (0.0, 0.5, 1.0)]
+                + [cfg("bc", 0.6, 0.2, c0_policy=p) for p in simulator.C0_POLICIES])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_each_lane_equals_its_solo_run(self, monkeypatch, d):
+        # Chunks of 256 // d steps.  eta = 2.5 diverges in the first chunk,
+        # 2.06 (d = 1) and 1.4 (d = 3) in a later one.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.4, 2.06, 2.5)
+                       for cfg in self.kinds(d)),
+                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        died = []
+        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, self.SEEDS), strict=True):
+            for seed, tr in zip(self.SEEDS, traces, strict=True):
+                assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
+                died += [tr.steps_completed] if tr.diverged else []
+        assert any(n < 256 // d for n in died) and any(n > 256 // d for n in died)
+
+    def test_alone_beside_overflowing_collaborator(self, kernel_calls):
+        # The alone config's collaborator gradient overflows at every step,
+        # and 0 * inf is nan; alone never reads it, so its lanes stay those
+        # of its solo run, which draws the main stream alone.
+        wga = make_cfg("wga", alpha=0.5, T=300)
+        alone = dataclasses.replace(
+            wga, aggregator="alone",
+            collaborators=[QuadraticTask(1e308, -100.0, noise_std=1.0)])
+        batch = simulator._replicate([wga, alone], self.SEEDS, keep_traces=True)
+        assert kernel_calls == [2]
+        for cfg, res in zip([wga, alone], batch):
+            for seed, tr in zip(self.SEEDS, res.traces):
+                assert not tr.diverged and np.all(np.isfinite(tr.test_loss))
+                assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
+
+
+class TestStreamedReduction:
+    """The figures' streamed path keeps seed sums, not traces, and gives
+    `_reduce`'s results bit for bit."""
+
+    SEEDS = list(range(8))
+
+    @staticmethod
+    def partly_diverging():
+        """Seed 1 of these 8 leaves the box at step 333, the others never:
+        at eta = 2 the iterate's magnitude random-walks near the box."""
+        cfg = make_cfg("alone", alpha=0.0, sigma0=1e9, eta=2.0, T=600, x0=0.95e12)
+        [traces] = simulator._run_batch([cfg], TestStreamedReduction.SEEDS)
+        assert [tr.steps_completed for tr in traces] == [600, 333] + [600] * 6
+        return cfg
+
+    def test_equals_reduce(self, monkeypatch, kernel_calls):
+        # Chunks of 256 steps, so the diverging seed leaves in the second.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        cfgs = [make_cfg("bc", alpha=0.6, beta=0.2, T=600, c0_policy="zero"),
+                make_cfg("alone", alpha=0.0, T=600), self.partly_diverging(),
+                make_cfg("wga", alpha=0.5, T=600, sigma0=3.0)]
+        kernel_calls.clear()
+        streamed = simulator._replicate(cfgs, self.SEEDS, streamed=True)
+        # One call for the batch, and one replay of the diverging config.
+        assert kernel_calls == [4, 1]
+        for cfg, res in zip(cfgs, streamed):
+            full = run_replicated(cfg, self.SEEDS)
+            assert res.seeds == self.SEEDS and res.traces is None
+            np.testing.assert_array_equal(res.mean_test_loss, full.mean_test_loss)
+            np.testing.assert_array_equal(res.mean_grad_norm_sq, full.mean_grad_norm_sq)
+            np.testing.assert_array_equal(res.per_seed_plateau, full.per_seed_plateau)
+            np.testing.assert_array_equal(res.per_seed_final_gap, full.per_seed_final_gap)
+            assert res.diverged_seeds == full.diverged_seeds
+            assert (res.plateau_mean, res.plateau_se, res.final_gap_mean, res.final_gap_se) \
+                == (full.plateau_mean, full.plateau_se, full.final_gap_mean, full.final_gap_se)
+        assert streamed[2].diverged_seeds == [1]
+        assert_results_equal(streamed[2], run_replicated(cfgs[2], self.SEEDS))
+        assert streamed[0].avg_grad_sq_mean is None is streamed[0].avg_grad_sq_se
+
+    def test_all_seeds_diverged(self):
+        cfgs = [make_cfg("wga", T=40), make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, T=40)]
+        messages = []
+        for streamed in (False, True):
+            with pytest.raises(simulator.AllSeedsDiverged) as err:
+                simulator._replicate(cfgs, [0, 1], streamed=streamed)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("all seeds diverged at eta=2.5e+12")
+
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("S", [1, 2, 3, 7, 20, 100])
+    def test_mean_over_seeds_is_a_seed_ordered_sum(self, S, n):
+        """numpy's mean over the stacked traces' seed axis adds the seeds
+        one at a time, in order, and divides once; so does the stream,
+        chunk by chunk, whatever the chunk length."""
+        traces = np.random.default_rng(S).lognormal(0.0, 5.0, (S, n))
+        expected = np.mean(list(traces), axis=0)
+        for m in sorted({1, 2, 7, n}):
+            acc = np.zeros(n)
+            for t0 in range(0, n, m):
+                for s in range(S):
+                    acc[t0:t0 + m] += traces[s, t0:t0 + m]
+            acc /= S
+            assert acc.tobytes() == expected.tobytes()
+
+
+class TestOneCallPerFigure:
+    @pytest.mark.parametrize("name,configs", [("fig2", 9), ("fig3", 4), ("fig4", 5),
+                                              ("fig5", 3)])
+    def test_figure_is_one_streamed_call(self, tmp_path, monkeypatch, name, configs):
+        calls = []
+        original = simulator._run_batch
+
+        def counting(cfgs, seeds, streamed=False):
+            calls.append((len(cfgs), streamed))
+            return original(cfgs, seeds, streamed)
+        monkeypatch.setattr(simulator, "_run_batch", counting)
+        getattr(figures, name)(str(tmp_path), horizon=30, seeds=[0, 1])
+        assert calls == [(configs, True)]
