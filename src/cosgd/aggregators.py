@@ -54,31 +54,36 @@ def check_alpha_guard(alpha: float, m: float) -> None:
             "WGA guarantee is vacuous in this regime")
 
 
-def tau_sum(tau, gs):
+def tau_sum(tau, gs, out=None):
     """sum_k tau_k g_k, accumulated left to right from k = 0.
 
     `gs` is K arrays of one shape or their (K, ...) stack; `tau` is (K,)
     or already broadcasts against the stack, as the kernel's (K, L, 1)
     does.  The K products are formed in one multiply; the adds stay a
     left-to-right chain, since a numpy sum over k rounds differently
-    (pairwise when the rest of the shape is a single element).
+    (pairwise when the rest of the shape is a single element).  Given
+    `out`, shaped like the products, the products go there and the sum
+    is `out[0]`.
     """
     gs = np.asarray(gs)
     tau = np.asarray(tau)
     if tau.ndim < gs.ndim:
         tau = tau.reshape(tau.shape + (1,) * (gs.ndim - tau.ndim))
-    prods = tau * gs
+    prods = np.multiply(tau, gs, out)
     acc = prods[0]
     for k in range(1, len(prods)):
-        acc = acc + prods[k]
+        acc = np.add(acc, prods[k], None if out is None else acc)
     return acc
 
 
-def mix(one_minus_w, w, a, b):
+def mix(one_minus_w, w, a, b, out=None, tmp=None):
     """(1-w) a + w b: the alpha mix of the combine rules and the beta EMA
     step of the bias estimate.  1-w is passed in so that the kernel can
-    precompute it per lane."""
-    return one_minus_w * a + w * b
+    precompute it per lane.  Given `out` and `tmp`, (1-w) a is written
+    to `out`, w b to `tmp`, and their sum to `out`; either may be the
+    operand it replaces."""
+    return np.add(np.multiply(one_minus_w, a, out),
+                  np.multiply(w, b, tmp), out)
 
 
 def oracle_noise_std(v: float, n: int, d: int) -> float:

@@ -120,12 +120,17 @@ def true_gradient(task: QuadraticTask, x) -> np.ndarray:
     return task.curvature * (x - task.optimum)
 
 
-def noise_std(var, scale, grad: np.ndarray, d: int) -> np.ndarray:
+def noise_std(var, scale, grad: np.ndarray, d: int, out=None,
+              tmp=None) -> np.ndarray:
     """sqrt(var + scale ||grad||^2 / d), the validation-free core of
-    `gradient_noise_std`; `var`, `scale` and `grad` broadcast."""
+    `gradient_noise_std`; `var`, `scale` and `grad` broadcast.  Given
+    `out`, shaped like the result, and `tmp`, shaped like `grad`, it
+    writes grad * grad to `tmp` and the rest to `out`, and returns `out`."""
     # np.sum without its Python wrapper: the same reduction, once per step.
-    gsq = np.add.reduce(grad * grad, axis=-1, keepdims=True)
-    return np.sqrt(var + scale * gsq / d)
+    gsq = np.add.reduce(np.multiply(grad, grad, tmp), axis=-1,
+                        keepdims=True, out=out)
+    std = np.divide(np.multiply(scale, gsq, out), d, out)
+    return np.sqrt(np.add(var, std, out), out)
 
 
 def gradient_noise_std(task: QuadraticTask, grad: np.ndarray) -> np.ndarray:

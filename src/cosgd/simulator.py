@@ -174,9 +174,11 @@ class _Lanes:
 
     A lane is one (config, seed) pair; each config's values are repeated
     over its seeds, and each kind's lanes are one slice.  Per-agent arrays
-    stack the A agents (main task first) on a leading axis,
-    per-collaborator ones the K = A - 1 collaborators.  Alone lanes hold
-    placeholders alpha = 0 and tau = 0: their step takes g_0 itself.
+    stack the A agents on a leading axis, the collaborators first and the
+    main task last; per-collaborator ones stack the K = A - 1
+    collaborators.  Alone lanes hold placeholders alpha = 0 and tau = 0:
+    their step takes g_0 itself.  The mix weights stack each lane's alpha
+    over the bc lanes' beta.
     """
 
     curv: np.ndarray  # (A, L, d) curvature
@@ -189,10 +191,8 @@ class _Lanes:
     var: np.ndarray
     scale: np.ndarray  # (A, L, 1) noise_scale
     tau: np.ndarray  # (K, L, 1)
-    alpha: np.ndarray  # (L, 1)
-    one_minus_alpha: np.ndarray  # (L, 1)
-    beta: np.ndarray  # (B, 1), the B bc lanes only
-    one_minus_beta: np.ndarray  # (B, 1)
+    w: np.ndarray  # (L + B, 1): alpha, then beta of the B bc lanes
+    one_minus_w: np.ndarray  # (L + B, 1)
     oracle_std: np.ndarray | None  # (L, 1), oracle_bc only
     cfg: np.ndarray  # (L,) index of the lane's config
 
@@ -204,7 +204,7 @@ class _Lanes:
                              axis=-1)[..., None]
 
         # tasks[a][c]: agent a of config c.
-        tasks = list(zip(*[[cfg.main_task] + list(cfg.collaborators) for cfg in cfgs]))
+        tasks = list(zip(*[list(cfg.collaborators) + [cfg.main_task] for cfg in cfgs]))
         n_agents = len(tasks)
         d = cfgs[0].main_task.dim
         collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
@@ -226,10 +226,9 @@ class _Lanes:
             scale=col(per_agent(lambda t: t.noise_scale)),
             tau=col([[w.tau[k] if w else 0.0 for w in collab]
                      for k in range(n_agents - 1)]),
-            alpha=col([w.alpha if w else 0.0 for w in collab]),
-            one_minus_alpha=col([1.0 - w.alpha if w else 1.0 for w in collab]),
-            beta=col(betas),
-            one_minus_beta=col([1.0 - b for b in betas]),
+            w=col([w.alpha if w else 0.0 for w in collab] + betas),
+            one_minus_w=col([1.0 - w.alpha if w else 1.0 for w in collab]
+                            + [1.0 - b for b in betas]),
             oracle_std=col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
                             for cfg in cfgs])
             if cfgs[0].aggregator == "oracle_bc" else None,
@@ -276,20 +275,20 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     n_agents = 1 + len(first.collaborators)
     n_alone = sum(cfg.aggregator == "alone" for cfg in cfgs) * S
     bc_cfgs = [cfg for cfg in cfgs if cfg.aggregator == "bc"]
-    bc = slice(L - len(bc_cfgs) * S, L)
+    B = len(bc_cfgs) * S
     oracle = first.aggregator == "oracle_bc"
     # A batch of alone lanes forms, and draws, only the main task's gradient.
     used = 1 if n_alone == L else n_agents
     p = _Lanes.build(cfgs, S)
-    additive = [a for a in range(used) if p.scale[a, 0, 0] == 0]
 
     # One stream per (seed, row), drawn once for all configs; the row
-    # axis holds the used agents, then the oracle's for oracle_bc.
-    gens = [[rng_mod.agent_stream(s, a) for s in seeds] for a in range(used)]
+    # axis holds the used agents in `_Lanes` order, then the oracle's for
+    # oracle_bc.
+    gens = [[rng_mod.agent_stream(s, a) for s in seeds]
+            for a in [*range(1, n_agents), 0][n_agents - used:]]
     if oracle:
         gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                      for s in seeds])
-    lane_seed = np.tile(np.arange(S), C)
 
     etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
     # Each lane's loss and gradient norm from step `kept` on; streamed, only
@@ -301,35 +300,40 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     stride = first.iterate_stride
     iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
+    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 1))
     # Loss and gradient norm are computed per chunk from the recorded
-    # iterates, with the same elementwise arithmetic as a per-step pass.
-    a0 = p.curv[0]
-    opt0 = p.opt[0]
+    # iterates, with the same elementwise arithmetic as a per-step pass,
+    # lane-major from the first operation on, as the outputs are.
+    a0, opt0 = p.curv[-1][:, None], p.opt[-1][:, None]
+    metric_work = np.empty((2, L * chunk * d))
+    metric_rows = np.empty((2, L * chunk))
 
     def record(X, t0):
         """Metrics of the iterates X[i] of steps t0 + i, all lanes.  An
         iterate inside the box may still have a loss or gradient norm
         beyond the float range, which is recorded as inf."""
         m = X.shape[0]
+        diff0, g0_true = (work[:L * m * d].reshape(L, m, d) for work in metric_work)
+        rows = metric_rows[:, :L * m].reshape(2, L, m)
         with np.errstate(over="ignore"):
-            diff0 = X - opt0
-            g0_true = a0 * diff0
-            rows = (0.5 * np.sum(g0_true * diff0, axis=-1),
-                    np.sum(g0_true * g0_true, axis=-1))  # (m, L) each
+            np.subtract(X.transpose(1, 0, 2), opt0, diff0)
+            np.multiply(a0, diff0, g0_true)
+            np.add.reduce(np.multiply(g0_true, diff0, diff0), axis=-1, out=rows[0])
+            np.multiply(0.5, rows[0], rows[0])
+            np.add.reduce(np.multiply(g0_true, g0_true, g0_true), axis=-1, out=rows[1])
             lo = max(t0, kept)
-            for out, r in zip(traces if t0 + m > kept else (), rows):
-                out[:, lo - kept:t0 + m - kept] = r[lo - t0:].T
-            for out, r in zip(sums if streamed else (), rows):
-                acc, r = out[:, t0:t0 + m], r.T.reshape(C, S, m)  # r: a copy
+            if t0 + m > kept:
+                traces[:, :, lo - kept:t0 + m - kept] = rows[:len(traces), :, lo - t0:]
+            if streamed:
+                acc, r = sums[:, :, t0:t0 + m], rows.reshape(2, C, S, m)
                 for s in range(S):  # one add per seed, in seed order
-                    acc += r[:, s]
+                    acc += r[:, :, s]
         if stride:
             skip = -t0 % stride
             k0 = (t0 + skip) // stride
             snaps = X[skip::stride]
             iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
 
-    x = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
     steps_completed = np.full(L, T)
     dead = np.zeros(L, dtype=bool)
     frozen = np.empty((L, d))  # a dead lane's last iterate inside the box
@@ -351,8 +355,40 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
             X[j + 1:, lane] = frozen[lane]
             dead[lane] = True
 
+    buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
+    spread = np.empty((chunk, len(gens), C, S, d)) if C > 1 else None
+    curv, opt, var, scale, std = (v[n_agents - used:]
+                                  for v in (p.curv, p.opt, p.var, p.scale, p.std))
+    scaled_noise = bool(scale.any())
+    # The noise rows scaled per chunk by each lane's std: the additive
+    # agents' and the oracle's.  A scaled-noise agent's std is formed per step.
+    stds = [(a, std[a]) for a in range(used) if scale[a, 0, 0] == 0]
+    stds += [(used, p.oracle_std)] if oracle else []
+
+    # The step's work buffers, which every step overwrites.  Row X[i] of a
+    # chunk is the iterate before its step i.  G holds the used agents'
+    # samples, g_0 last, and then the bc lanes' c; P[:, :L] holds the
+    # products of the collaborator average, which is P[0, :L], and P[0, L:]
+    # the bc lanes' b.  So one mix over the lanes past the alone ones
+    # writes both c_{t+1} and g over its first operand, and an alone
+    # lane's g is its g_0.
+    X_all = np.empty((chunk + 1, L, d))
+    X_all[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
+    grads = np.empty((used, L, d))
+    G = np.empty((used * L + B, d))
+    P = np.empty((max(used - 1, 1), L + B, d))  # unread by alone-only batches
+    samples, c, b = G[:used * L].reshape(used, L, d), G[used * L:], P[0, L:]
+    g = samples[-1]
+    coll, prods, tau = samples[:-1, n_alone:], P[:, n_alone:L], p.tau[:, n_alone:]
+    g0_bc, gavg_bc = g[L - B:], P[0, L - B:L]
+    mix_a, mix_b = G[(used - 1) * L + n_alone:], P[0, n_alone:]
+    one_minus_w, w = p.one_minus_w[n_alone:], p.w[n_alone:]
+    if scaled_noise:
+        std_buf, sq = np.empty((used, L, 1)), np.empty((used, L, d))
+    bias = np.empty((used - 1, L, d)) if oracle else None
+
     # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
-    c = np.zeros((len(bc_cfgs) * S, d))
+    c[:] = 0.0
     warm = [j for j, cfg in enumerate(bc_cfgs) if cfg.c0_policy == "warm_start"]
     if warm:
         normals = _warm_start_normals(
@@ -360,67 +396,57 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
         for j in warm:
             c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
     first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
+    at_t0 = True
 
-    curv, opt, var, scale = (p.curv[:used], p.opt[:used], p.var[:used],
-                             p.scale[:used])
-    scaled_noise = len(additive) < used
-
-    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 1))
-    buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
-    spread = np.empty((chunk, len(gens), L, d)) if C > 1 else None
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
-        X = np.empty((n + 1, L, d))
+        X = X_all[:n + 1]
         if dead.all():
             X[:] = frozen
             record(X[:n], t0)
             continue
-        # Pre-draw this chunk's normals, spread them over the lanes and
-        # scale them by each lane's std for additive agents.
+        # Pre-draw this chunk's normals, spread them over the configs'
+        # lanes and scale them.
         z = _draw(gens, buf[:, :, :n])
         if C > 1:
-            z = np.take(z, lane_seed, axis=2, out=spread[:n])
-        for a in additive:
-            z[:, a] *= p.std[a]
-        noise = z[:, :used]
+            np.copyto(spread[:n], z[:, :, None])
+            z = spread[:n].reshape(n, len(gens), L, d)
+        for row, lane_std in stds:
+            z[:, row] *= lane_std
         eta = etas[t0:t0 + n][:, p.cfg][:, :, None]
 
         # Lanes are independent, so a dead lane's overflow and NaNs stay
-        # in its own row until `freeze` replaces them.
+        # in its own row until `freeze` replaces them.  z[:, -1] is the
+        # oracle's row for oracle_bc, and unread otherwise.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                X[i] = x
+            for x, x_next, z_i, z_oracle, eta_i in zip(
+                    X[:-1], X[1:], z[:, :used], z[:, -1], eta):
                 # Each used agent's true and stochastic gradient.
-                grads = curv * (x - opt)
+                np.multiply(curv, np.subtract(x, opt, grads), grads)
                 if scaled_noise:
-                    samples = grads + noise[i] * noise_std(var, scale, grads, d)
+                    np.multiply(z_i, noise_std(var, scale, grads, d, std_buf, sq), sq)
+                    np.add(grads, sq, samples)
                 else:
-                    samples = grads + noise[i]
-                g0 = samples[0]
-                if used == 1:
-                    g = g0
-                else:
+                    np.add(grads, z_i, samples)
+                if used > 1:
                     # g = (1-a) g_0 + a (g_avg - c), with c = 0 on wga lanes.
-                    gavg = tau_sum(p.tau, samples[1:])
+                    gavg = tau_sum(tau, coll, prods)
                     if oracle:
-                        gavg -= (tau_sum(p.tau, grads[1:]) - grads[0]
-                                 + z[i, used] * p.oracle_std)
-                    elif bc_cfgs:
-                        gavg_bc = gavg[bc]  # a view, which `-=` writes through
-                        b = gavg_bc - g0[bc]
-                        if t0 + i == 0:
+                        true_bias = tau_sum(tau, grads[:-1], bias)
+                        np.subtract(true_bias, grads[-1], true_bias)
+                        np.add(true_bias, z_oracle, true_bias)
+                        np.subtract(gavg, true_bias, gavg)
+                    elif B:
+                        np.subtract(gavg_bc, g0_bc, b)
+                        if at_t0:
                             c[first_bias] = b[first_bias]
-                        gavg_bc -= c
-                        c = mix(p.one_minus_beta, p.beta, c, b)
-                    g = mix(p.one_minus_alpha, p.alpha, g0, gavg)
-                    # Assigned, so that an overflowing collaborator
-                    # average cannot reach an alone lane.
-                    if n_alone:
-                        g[:n_alone] = g0[:n_alone]
-                x = x - eta[i] * g
-        X[n] = x
+                            at_t0 = False
+                        np.subtract(gavg_bc, c, gavg_bc)
+                    mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
+                np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
         freeze(X, t0)
         record(X[:n], t0)
+        X_all[0] = X[n]
 
     record(X[n:], T)  # the last chunk's X[n] is the iterate after step T
 
@@ -656,8 +682,9 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
     Noise is zero-mean, so E[x_t] follows the affine recursion
     E[x_{t+1}] = E[x_t] - eta h (E[x_t] - x_bar), with h the mixed
     curvature (1-a) A_0 + a sum_k tau_k A_k and x_bar = mean_fixed_point:
-    E[x_t] = x_bar + (1 - eta h)^t (x_0 - x_bar).  Unsupported for BC
-    (the bias-estimate state couples to the noise history).
+    E[x_t] = x_bar + (1 - eta h)^t (x_0 - x_bar).  BC is not covered:
+    its mean is affine too, but in the joint state (x_t, c_t), which this
+    recursion in x alone does not track.
     """
     if cfg.aggregator not in ("alone", "wga"):
         raise ValueError("mean dynamics oracle supports alone and wga only")

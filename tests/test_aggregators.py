@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
-                               check_alpha_guard, oracle_bc_combine, tau_sum,
+                               check_alpha_guard, mix, oracle_bc_combine, tau_sum,
                                wga_combine)
 from cosgd.objective import QuadraticTask, true_gradient
 from cosgd.rng import agent_stream
@@ -87,6 +87,33 @@ class TestTauSum:
         gs = np.array([1.0, 1e16, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0]).reshape(8, 1, 1)
         chain = list_tau_sum(list(tau), list(gs))
         assert tau_sum(tau, gs).tobytes() == chain.tobytes()
+
+
+class TestOutBuffers:
+    """With `out` the cores give the bits they return without it, and
+    write them into the buffers given, as the kernel calls them."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_tau_sum(self, k):
+        rng = np.random.default_rng(k)
+        tau = rng.dirichlet(np.ones(k * 4)).reshape(k, 4, 1)
+        gs = rng.normal(0.0, 1e3, (k, 4, 2))
+        out = np.empty((k, 4, 2))
+        result = tau_sum(tau, gs, out)
+        assert result.tobytes() == tau_sum(tau, gs).tobytes()
+        assert out[0].tobytes() == result.tobytes() and np.shares_memory(result, out)
+
+    def test_mix(self):
+        rng = np.random.default_rng(0)
+        w = rng.uniform(0.0, 1.0, (5, 1))
+        a, b = rng.normal(0.0, 1e3, (2, 5, 3))
+        expected = mix(1.0 - w, w, a, b)
+        out, tmp = np.empty((5, 3)), np.empty((5, 3))
+        assert mix(1.0 - w, w, a, b, out, tmp) is out
+        assert out.tobytes() == expected.tobytes()
+        # In place, over both operands.
+        assert mix(1.0 - w, w, a, b, a, b) is a
+        assert a.tobytes() == expected.tobytes()
 
 
 class TestWgaCombine:

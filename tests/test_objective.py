@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cosgd.objective import (QuadraticTask, eval_loss, gradient_noise_std,
-                             mean_estimation_task, sample_gradient,
+                             mean_estimation_task, noise_std, sample_gradient,
                              similarity_params, true_gradient)
 from cosgd.rng import agent_stream
 
@@ -96,6 +96,18 @@ class TestSampleGradient:
         s1 = sample_gradient(t, 1.5, agent_stream(11, 2))
         s2 = sample_gradient(t, 1.5, agent_stream(11, 2))
         np.testing.assert_array_equal(s1, s2)
+
+
+class TestNoiseStdOut:
+    def test_same_bits_into_out(self):
+        # The kernel's per-lane form: (A, L, 1) var and scale, (A, L, d) grad.
+        rng = np.random.default_rng(4)
+        var, scale = rng.uniform(0.5, 4.0, (2, 3, 5, 1))
+        grad = rng.normal(0.0, 1e3, (3, 5, 2))
+        out, tmp = np.empty((3, 5, 1)), np.empty((3, 5, 2))
+        expected = noise_std(var, scale, grad, 2)
+        assert noise_std(var, scale, grad, 2, out, tmp) is out
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestSimilarityParams:

@@ -209,6 +209,19 @@ class TestReferenceEquivalence:
                 np.testing.assert_array_equal(
                     tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
 
+    def test_bitwise_match_oracle_bc_batch(self):
+        # Four oracle_bc configs, oracle_v x alpha, as the lanes of one
+        # kernel call, with K = 2 and scaled collaborator noise.
+        base = self.mixed_noise_cfg("oracle_bc", 3, False)
+        cfgs = [dataclasses.replace(base, oracle_v=v,
+                                    weights=dataclasses.replace(base.weights, alpha=a))
+                for v in (0.5, 1.5) for a in (0.3, 0.8)]
+        seeds = [1, 4]
+        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds), strict=True):
+            for seed, tr in zip(seeds, traces, strict=True):
+                np.testing.assert_array_equal(
+                    tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
+
     def assert_frozen_match(self, cfg):
         """The kernel's losses equal the reference up to the divergence
         step and then hold the loss of the last iterate inside the box."""
@@ -823,6 +836,38 @@ class TestMixedBatch:
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
                 died += [tr.steps_completed] if tr.diverged else []
         assert any(n < 256 // d for n in died) and any(n > 256 // d for n in died)
+
+    @staticmethod
+    def two_collaborator_kinds():
+        """K = 2 at d = 3 with unequal tau, the second collaborator's noise
+        gradient-scaled: alone, wga, and bc under each c0_policy.  Every
+        task shares the main curvature (m = 0)."""
+        curv = np.linspace(1.0, 1.5, 3)
+        main = QuadraticTask(curv, np.zeros(3), noise_std=1.0)
+        colls = [QuadraticTask(curv, np.full(3, 2.0), noise_std=1.5),
+                 QuadraticTask(curv, [-1.0, 0.5, 1.0], noise_std=0.5, noise_scale=0.3)]
+
+        def cfg(aggregator, alpha, beta=None, **kw):
+            return RunConfig(main, colls, aggregator,
+                             CollaborationWeights(alpha, [0.3, 0.7], beta=beta),
+                             0.05, 400, np.full(3, 4.0), iterate_stride=7, **kw)
+        return ([cfg("alone", 0.5), cfg("wga", 0.5)]
+                + [cfg("bc", 0.6, 0.2, c0_policy=p) for p in simulator.C0_POLICIES])
+
+    def test_two_collaborators_over_odd_chunks(self, monkeypatch):
+        # At d = 3 a chunk holds 256 // 3 = 85 steps, an odd count, so
+        # every other chunk starts at an odd step.  eta = 2.5 diverges in
+        # the first chunk, 1.4 in a later one.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.4, 2.5)
+                       for cfg in self.two_collaborator_kinds()),
+                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        died = []
+        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, self.SEEDS), strict=True):
+            for seed, tr in zip(self.SEEDS, traces, strict=True):
+                assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
+                died += [tr.steps_completed] if tr.diverged else []
+        assert any(n < 85 for n in died) and any(n > 85 for n in died)
 
     def test_alone_beside_overflowing_collaborator(self, kernel_calls):
         # The alone config's collaborator gradient overflows at every step,
