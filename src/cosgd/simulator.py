@@ -87,15 +87,13 @@ class RunConfig:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if self.c0_policy not in C0_POLICIES:
             raise ValueError(f"c0_policy must be one of {C0_POLICIES}")
-        if not 1 <= self.horizon <= MAX_HORIZON:
-            raise ValueError(f"horizon must be in [1, {MAX_HORIZON}]")
-        if self.warm_start_samples < 1:
-            raise ValueError("warm_start_samples must be >= 1")
+        for key, lo, hi in (("horizon", 1, MAX_HORIZON), ("warm_start_samples", 1, math.inf),
+                            ("iterate_stride", 0, math.inf)):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+                raise ValueError(f"{key} must be an integer in [{lo}, {hi}]")
         if not 0 <= self.oracle_v < math.inf:
             raise ValueError("oracle_v must be finite and >= 0")
-        if not (isinstance(self.iterate_stride, (int, np.integer))
-                and self.iterate_stride >= 0):
-            raise ValueError("iterate_stride must be an integer >= 0")
         if not (isinstance(self.step_size, DecreasingPlSchedule)
                 or 0 < self.step_size < math.inf):
             raise ValueError("step_size must be finite and > 0")
@@ -254,16 +252,18 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     """Run configs that share a `_batch_key`, ordered by kind (alone |
     wga | bc), under many seeds, as the lanes of one vectorized kernel.
 
-    Returns, per config, one Trace per seed, bitwise identical to running
-    each (config, seed) alone: every per-step operation is elementwise
-    across lanes, and each lane reads its own seed's streams.  A lane that
-    diverges is frozen at its last iterate inside the box; it is found
-    once per pre-draw chunk and stays in the batch, which leaves the
-    other lanes' bits untouched.
-
-    `streamed` keeps no per-lane traces.  Per config it returns instead
-    the seed means of the loss and gradient-norm traces (diverged seeds
-    included), each seed's plateau-window losses and its steps completed.
+    Returns per config, in both modes, (losses, grad_norms, steps,
+    iterates, means): views of the call's own arrays, one row per seed.
+    The full path keeps each seed's whole loss and gradient-norm traces.
+    `streamed` keeps only its losses over the plateau window (the last
+    columns from step `kept` on), and adds the lanes' losses and norms to
+    per-config seed sums as it goes, which it returns as the (2, T+1)
+    means, diverged seeds included; its grad_norms are None.  Each row is
+    bitwise identical to running that (config, seed) alone: every
+    per-step operation is elementwise across lanes, and each lane reads
+    its own seed's streams.  A lane that diverges is frozen at its last
+    iterate inside the box; it is found once per pre-draw chunk and stays
+    in the batch, which leaves the other lanes' bits untouched.
     """
     for cfg in cfgs:
         _validate(cfg)
@@ -337,6 +337,7 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     steps_completed = np.full(L, T)
     dead = np.zeros(L, dtype=bool)
     frozen = np.empty((L, d))  # a dead lane's last iterate inside the box
+    magnitude = np.empty((chunk, L, d))
 
     def freeze(X, t0):
         """Freeze each lane at its last iterate inside the box.
@@ -346,8 +347,11 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
         t0 + j steps and holds X[j] from row j + 1 on; a lane frozen in
         an earlier chunk holds its frozen iterate in every row.
         """
-        out = ~np.all(np.abs(X[1:]) <= DIVERGENCE_LIMIT, axis=-1) & ~dead
-        X[:, dead] = frozen[dead]
+        mag = np.abs(X[1:], out=magnitude[:len(X) - 1])
+        out = ~np.all(mag <= DIVERGENCE_LIMIT, axis=-1)
+        if dead.any():
+            out &= ~dead
+            X[:, dead] = frozen[dead]
         for lane in np.flatnonzero(out.any(axis=0)):
             j = out[:, lane].argmax()
             steps_completed[lane] = t0 + j
@@ -452,17 +456,11 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
 
     if streamed:
         sums /= S
-        return [(sums[:, k], traces[0, k * S:(k + 1) * S],
-                 steps_completed[k * S:(k + 1) * S]) for k in range(C)]
-    lanes = [Trace(
-        test_loss=traces[0, l],
-        grad_norm_sq=traces[1, l],
-        final_gap=float(traces[0, l, T]),
-        iterates=iterates[l] if stride else None,
-        diverged=bool(steps_completed[l] < T),
-        steps_completed=int(steps_completed[l]),
-    ) for l in range(L)]
-    return [lanes[k * S:(k + 1) * S] for k in range(C)]
+    blocks = [slice(k * S, (k + 1) * S) for k in range(C)]
+    return [(traces[0, lanes], None if streamed else traces[1, lanes],
+             steps_completed[lanes], iterates[lanes] if stride else None,
+             sums[:, k] if streamed else None)
+            for k, lanes in enumerate(blocks)]
 
 
 def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:
@@ -497,9 +495,19 @@ def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
         return acc / K
 
 
+def _traces(rows) -> list:
+    """One Trace per seed of a full-path `_run_batch` output, as views."""
+    losses, norms, steps, iterates, _ = rows
+    T = losses.shape[1] - 1
+    iterates = [None] * len(steps) if iterates is None else iterates
+    return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(loss[T]), iterates=x,
+                  diverged=bool(s < T), steps_completed=int(s))
+            for loss, norm, s, x in zip(losses, norms, steps, iterates)]
+
+
 def run(cfg: RunConfig) -> Trace:
     """Execute one seeded run; a pure function of the config."""
-    return _run_batch([cfg], [cfg.seed])[0][0]
+    return _traces(_run_batch([cfg], [cfg.seed])[0])[0]
 
 
 def _mean_se(values: np.ndarray):
@@ -508,48 +516,40 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _reduce(cfg: RunConfig, seeds: list, traces: list,
-            keep_traces: bool) -> RunResult:
-    """Seed aggregates of one config's traces."""
+def _reduce(cfg: RunConfig, seeds: list, rows, keep_traces: bool = False) -> RunResult:
+    """Seed aggregates of one config's `_run_batch` output, read in place.
+
+    Diverged seeds are left out: a streamed config with one is replayed on
+    the full path, exactly (the streams are counter-based).  A streamed
+    result has no traces and no avg_grad_sq (a pairwise mean over T)."""
+    losses, norms, steps, _, means = rows
     T = cfg.horizon
-    ok = [tr for tr in traces if not tr.diverged]
-    diverged_seeds = [s for s, tr in zip(seeds, traces) if tr.diverged]
-    if not ok:
+    ok = steps == T
+    if not ok.any():
         step = ("a decreasing PL schedule"
                 if isinstance(cfg.step_size, DecreasingPlSchedule)
                 else f"eta={cfg.step_size:g}")
-        longest = max(tr.steps_completed for tr in traces)
         raise AllSeedsDiverged(f"all seeds diverged at {step}: the longest run "
-                               f"completed {longest} of {T} steps")
-
-    final_gaps = np.array([tr.final_gap for tr in ok])
-    avg_grads = np.array([tr.grad_norm_sq[:T].mean() for tr in ok])
-    plateaus = np.array([tr.test_loss[_plateau_start(T):].mean() for tr in ok])
-    mean_trace = np.mean([tr.test_loss for tr in ok], axis=0)
-    mean_grad_trace = np.mean([tr.grad_norm_sq for tr in ok], axis=0)
-    return RunResult(*_mean_se(final_gaps), *_mean_se(avg_grads), *_mean_se(plateaus),
-                     mean_trace, mean_grad_trace, list(seeds), diverged_seeds,
-                     final_gaps, plateaus, traces if keep_traces else None)
-
-
-def _stream_reduce(cfg: RunConfig, seeds: list, stream) -> RunResult:
-    """Seed aggregates from `_run_batch`'s streamed output, without traces or
-    avg_grad_sq (a pairwise mean over T).  A config with a diverged seed is
-    replayed alone, exactly (the streams are counter-based), to drop it."""
-    means, window, steps = stream
-    if (steps < cfg.horizon).any():
-        return _reduce(cfg, seeds, _run_batch([cfg], seeds)[0], False)
-    final_gaps = window[:, -1].copy()
-    plateaus = np.array([row.mean() for row in window])
-    return RunResult(*_mean_se(final_gaps), None, None, *_mean_se(plateaus),
-                     means[0], means[1], list(seeds), [], final_gaps, plateaus)
+                               f"completed {steps.max()} of {T} steps")
+    if not ok.all():
+        if means is not None:
+            return _reduce(cfg, seeds, _run_batch([cfg], seeds)[0])
+        losses, norms = losses[ok], norms[ok]
+    final_gaps = losses[:, -1].copy()
+    plateaus = losses[:, _plateau_start(T) - (T + 1):].mean(axis=1)
+    avg_grad = (None, None) if norms is None else _mean_se(norms[:, :T].mean(axis=1))
+    if means is None:
+        means = losses.mean(axis=0), norms.mean(axis=0)
+    return RunResult(*_mean_se(final_gaps), *avg_grad, *_mean_se(plateaus), *means,
+                     list(seeds), [s for s, good in zip(seeds, ok) if not good],
+                     final_gaps, plateaus, _traces(rows) if keep_traces else None)
 
 
 def _replicate(cfgs: list, seeds, keep_traces: bool = False,
                streamed: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
     group of configs that share a `_batch_key`.  `streamed`, the figures'
-    path, holds seed sums in place of the traces (see `_stream_reduce`)."""
+    path, holds seed sums in place of the traces (see `_run_batch`)."""
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -560,9 +560,8 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False,
     for members in groups.values():
         members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
         batch = _run_batch([cfgs[i] for i in members], seeds, streamed)
-        for i, out in zip(members, batch):
-            results[i] = (_stream_reduce(cfgs[i], seeds, out) if streamed
-                          else _reduce(cfgs[i], seeds, out, keep_traces))
+        for i, rows in zip(members, batch):
+            results[i] = _reduce(cfgs[i], seeds, rows, keep_traces)
     return results
 
 

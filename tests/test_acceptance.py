@@ -333,7 +333,8 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     dirs = [tmp_path / f"run{i}" for i in range(3)]
     assert cli_main(run_args + ["--out-dir", str(dirs[0]), "--workers", "1"]) == 0
     assert cli_main(run_args + ["--out-dir", str(dirs[1]), "--workers", "1"]) == 0
-    assert cli_main(run_args + ["--out-dir", str(dirs[2]), "--workers", "4"]) == 0
+    with pytest.warns(FutureWarning, match="workers is deprecated"):
+        assert cli_main(run_args + ["--out-dir", str(dirs[2]), "--workers", "4"]) == 0
     assert_same_dir(dirs[0], dirs[1])
     assert_same_dir(dirs[0], dirs[2])
 

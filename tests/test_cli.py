@@ -54,7 +54,8 @@ class TestRunCommand:
         args = ("run", "--aggregator", "bc", "--alpha", "0.5", "--beta", "0.1",
                 "--T", "200", "--seeds", "0-7", "--csv-stride", "1")
         assert run_cli(*args, "--workers", "1", "--out-dir", str(out1)) == 0
-        assert run_cli(*args, "--workers", "4", "--out-dir", str(out4)) == 0
+        with pytest.warns(FutureWarning, match="workers is deprecated"):
+            assert run_cli(*args, "--workers", "4", "--out-dir", str(out4)) == 0
         assert read_bytes(out1 / "aggregate_trace.csv") == \
             read_bytes(out4 / "aggregate_trace.csv")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,11 @@ from cosgd.schedules import eta_max, schedule_inputs
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, mean_dynamics_oracle,
                              mean_fixed_point, run, run_replicated, sweep,
                              sweep_config)
+
+
+def batch_traces(cfgs, seeds) -> list:
+    """Per config, one Trace per seed of one `_run_batch` call."""
+    return [simulator._traces(rows) for rows in simulator._run_batch(cfgs, seeds)]
 
 
 def make_cfg(aggregator="wga", alpha=0.5, beta=None, sigma0=1.0, sigma1=1.0,
@@ -52,10 +58,12 @@ class TestRunBasics:
         assert tr.iterates.shape == (5, 1)
 
     @pytest.mark.parametrize("key,value", [("iterate_stride", -1), ("iterate_stride", 0.5),
-                                           ("oracle_v", np.inf), ("oracle_v", np.nan)])
+                                           ("oracle_v", np.inf), ("oracle_v", np.nan),
+                                           ("horizon", 20.5), ("horizon", np.float64(20.0)),
+                                           ("warm_start_samples", 2.5)])
     def test_rejected_before_the_kernel(self, key, value):
         with pytest.raises(ValueError, match=key):
-            make_cfg("oracle_bc", **{key: value})
+            dataclasses.replace(make_cfg("oracle_bc"), **{key: value})
 
     def test_divergence_flagged_and_truncated(self):
         cfg = make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, sigma0=1.0, T=40)
@@ -204,7 +212,7 @@ class TestReferenceEquivalence:
                                     c0_policy="warm_start")
         cfgs = [sweep_config(base, "alpha", a) for a in (0.1, 0.4, 0.9)]
         seeds = [2, 5, 9]
-        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds)):
+        for cfg, traces in zip(cfgs, batch_traces(cfgs, seeds)):
             for seed, tr in zip(seeds, traces):
                 np.testing.assert_array_equal(
                     tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
@@ -217,7 +225,7 @@ class TestReferenceEquivalence:
                                     weights=dataclasses.replace(base.weights, alpha=a))
                 for v in (0.5, 1.5) for a in (0.3, 0.8)]
         seeds = [1, 4]
-        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds), strict=True):
+        for cfg, traces in zip(cfgs, batch_traces(cfgs, seeds), strict=True):
             for seed, tr in zip(seeds, traces, strict=True):
                 np.testing.assert_array_equal(
                     tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
@@ -554,7 +562,7 @@ class TestWarmStartDraws:
         base = make_cfg("bc", alpha=0.6, beta=0.2, T=50, c0_policy="warm_start")
         cfgs = [dataclasses.replace(base, warm_start_samples=k) for k in (8, 3, 20)]
         seeds = [1, 4]
-        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, seeds)):
+        for cfg, traces in zip(cfgs, batch_traces(cfgs, seeds)):
             for seed, tr in zip(seeds, traces):
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
 
@@ -656,7 +664,7 @@ class TestChunkLength:
         batches = []
         for draws in (1, simulator._CHUNK_DRAWS, 1 << 24):
             monkeypatch.setattr(simulator, "_CHUNK_DRAWS", draws)
-            batches.append(simulator._run_batch(cfgs, self.SEEDS))
+            batches.append(batch_traces(cfgs, self.SEEDS))
         for batch in batches[1:]:
             for traces, first in zip(batch, batches[0], strict=True):
                 for tr, tr0 in zip(traces, first, strict=True):
@@ -709,7 +717,7 @@ class TestDivergingLanes:
         # eta = 2.5 grows |x| about 1.5-fold a step: every seed diverges.
         cfgs = [sweep_config(base, "eta", eta) for eta in (0.05, 2.5, 0.1)]
         seeds = [0, 1, 2, 3]
-        batch = simulator._run_batch(cfgs, seeds)
+        batch = batch_traces(cfgs, seeds)
         for cfg, traces in zip(cfgs, batch):
             for seed, tr in zip(seeds, traces):
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
@@ -721,7 +729,7 @@ class TestDivergingLanes:
 
     def test_all_lanes_diverge(self):
         cfg = make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, T=40)
-        [traces] = simulator._run_batch([cfg], [0, 1])
+        [traces] = batch_traces([cfg], [0, 1])
         for seed, tr in zip([0, 1], traces):
             assert tr.diverged
             assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
@@ -738,7 +746,7 @@ class TestDivergingLanes:
         cfgs = [sweep_config(base, "eta", eta) for eta in (0.02, 2.5, 1e300)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            batch = simulator._run_batch(cfgs, [0, 1])
+            batch = batch_traces(cfgs, [0, 1])
         assert not any(tr.diverged for tr in batch[0])
         assert all(tr.diverged for tr in batch[1] + batch[2])
 
@@ -831,7 +839,7 @@ class TestMixedBatch:
                        for cfg in self.kinds(d)),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
         died = []
-        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, self.SEEDS), strict=True):
+        for cfg, traces in zip(cfgs, batch_traces(cfgs, self.SEEDS), strict=True):
             for seed, tr in zip(self.SEEDS, traces, strict=True):
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
                 died += [tr.steps_completed] if tr.diverged else []
@@ -863,7 +871,7 @@ class TestMixedBatch:
                        for cfg in self.two_collaborator_kinds()),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
         died = []
-        for cfg, traces in zip(cfgs, simulator._run_batch(cfgs, self.SEEDS), strict=True):
+        for cfg, traces in zip(cfgs, batch_traces(cfgs, self.SEEDS), strict=True):
             for seed, tr in zip(self.SEEDS, traces, strict=True):
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
                 died += [tr.steps_completed] if tr.diverged else []
@@ -896,7 +904,7 @@ class TestStreamedReduction:
         """Seed 1 of these 8 leaves the box at step 333, the others never:
         at eta = 2 the iterate's magnitude random-walks near the box."""
         cfg = make_cfg("alone", alpha=0.0, sigma0=1e9, eta=2.0, T=600, x0=0.95e12)
-        [traces] = simulator._run_batch([cfg], TestStreamedReduction.SEEDS)
+        [traces] = batch_traces([cfg], TestStreamedReduction.SEEDS)
         assert [tr.steps_completed for tr in traces] == [600, 333] + [600] * 6
         return cfg
 
@@ -949,6 +957,44 @@ class TestStreamedReduction:
                     acc[t0:t0 + m] += traces[s, t0:t0 + m]
             acc /= S
             assert acc.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("T", [1, 2, 9, 10, 11, 127, 128, 1000, 4097, 20_000])
+    def test_axis_reductions_equal_per_row_means(self, T):
+        """`_reduce` reads a config's rows in place, as views of the
+        kernel's (2, lanes, T+1) array, or as the rows of the seeds that
+        did not diverge.  Its axis reductions give the bits of a mean per
+        row (pairwise over the row) and of np.mean over the listed rows."""
+        S = 7
+        block = np.random.default_rng(T).lognormal(0.0, 5.0, (2, 3 * S, T + 1))
+        losses, norms = block[0, S:2 * S], block[1, S:2 * S]
+        start = simulator._plateau_start(T)
+        for ok in (np.ones(S, dtype=bool), np.arange(S) % 3 != 1):
+            rows_l, rows_n = (losses, norms) if ok.all() else (losses[ok], norms[ok])
+            listed_l = [row for row, good in zip(losses, ok) if good]
+            listed_n = [row for row, good in zip(norms, ok) if good]
+            pairs = [(rows_l[:, start - (T + 1):].mean(axis=1),
+                      np.array([row[start:].mean() for row in listed_l])),
+                     (rows_n[:, :T].mean(axis=1), np.array([row[:T].mean() for row in listed_n])),
+                     (rows_l.mean(axis=0), np.mean(listed_l, axis=0)),
+                     (rows_n.mean(axis=0), np.mean(listed_n, axis=0))]
+            for got, expected in pairs:
+                assert got.tobytes() == expected.tobytes()
+
+    def test_full_path_peak_is_its_trace_array(self):
+        """The full path reads the kernel's traces in place: a 64-seed
+        `run_replicated` with its traces kept allocates at most 1.2x the
+        kernel's (2, 64, T+1) trace array at its peak.  A stacked copy of
+        the seeds' losses for their mean alone would add 0.5x."""
+        cfg = make_cfg("bc", beta=0.2, T=20_000)
+        trace_bytes = 2 * 64 * (cfg.horizon + 1) * 8
+        tracemalloc.start()
+        try:
+            res = run_replicated(cfg, range(64), keep_traces=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.traces) == 64 and not res.diverged_seeds
+        assert peak < 1.2 * trace_bytes, peak / trace_bytes
 
 
 class TestOneCallPerFigure:
