@@ -5,6 +5,7 @@ default output directory comes from $COSGD_OUT_DIR (fallback ./out).
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -288,8 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`main`'s parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -176,7 +176,9 @@ class _Lanes:
     main task last; per-collaborator ones stack the K = A - 1
     collaborators.  Alone lanes hold placeholders alpha = 0 and tau = 0:
     their step takes g_0 itself.  The mix weights stack each lane's alpha
-    over the bc lanes' beta.
+    over the bc lanes' beta.  The weights a step multiplies by, tau and
+    the mix weights, span all d coordinates, so that their products take
+    numpy's loop for same-shape contiguous operands.
     """
 
     curv: np.ndarray  # (A, L, d) curvature
@@ -188,23 +190,23 @@ class _Lanes:
     # scaled-noise agents unchanged.
     var: np.ndarray
     scale: np.ndarray  # (A, L, 1) noise_scale
-    tau: np.ndarray  # (K, L, 1)
-    w: np.ndarray  # (L + B, 1): alpha, then beta of the B bc lanes
-    one_minus_w: np.ndarray  # (L + B, 1)
+    tau: np.ndarray  # (K, L, d)
+    w: np.ndarray  # (L + B, d): alpha, then beta of the B bc lanes
+    one_minus_w: np.ndarray  # (L + B, d)
     oracle_std: np.ndarray | None  # (L, 1), oracle_bc only
-    cfg: np.ndarray  # (L,) index of the lane's config
 
     @classmethod
     def build(cls, cfgs, n_seeds: int) -> "_Lanes":
-        def col(values):
-            """(L, 1), or (A, L, 1) from (A, configs) values."""
-            return np.repeat(np.asarray(values, dtype=float), n_seeds,
-                             axis=-1)[..., None]
+        d = cfgs[0].main_task.dim
+
+        def col(values, width=1):
+            """(L, width), or (A, L, width) from (A, configs) values."""
+            return np.repeat(np.repeat(np.asarray(values, dtype=float), n_seeds,
+                                       axis=-1)[..., None], width, axis=-1)
 
         # tasks[a][c]: agent a of config c.
         tasks = list(zip(*[list(cfg.collaborators) + [cfg.main_task] for cfg in cfgs]))
         n_agents = len(tasks)
-        d = cfgs[0].main_task.dim
         collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
         betas = [cfg.weights.beta for cfg in cfgs if cfg.aggregator == "bc"]
 
@@ -223,14 +225,13 @@ class _Lanes:
             var=col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0)),
             scale=col(per_agent(lambda t: t.noise_scale)),
             tau=col([[w.tau[k] if w else 0.0 for w in collab]
-                     for k in range(n_agents - 1)]),
-            w=col([w.alpha if w else 0.0 for w in collab] + betas),
+                     for k in range(n_agents - 1)], d),
+            w=col([w.alpha if w else 0.0 for w in collab] + betas, d),
             one_minus_w=col([1.0 - w.alpha if w else 1.0 for w in collab]
-                            + [1.0 - b for b in betas]),
+                            + [1.0 - b for b in betas], d),
             oracle_std=col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
                             for cfg in cfgs])
             if cfgs[0].aggregator == "oracle_bc" else None,
-            cfg=np.repeat(np.arange(len(cfgs)), n_seeds),
         )
 
 
@@ -292,21 +293,24 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
 
     etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
     # Each lane's loss and gradient norm from step `kept` on; streamed, only
-    # its losses over the plateau window, next to each config's seed sums.
-    # These start at 0, which adds exactly: no loss or norm is -0.0.
+    # its losses over the plateau window, next to each config's seed sums,
+    # which `record` writes a chunk of steps at a time.
     kept = _plateau_start(T) if streamed else 0
     traces = np.empty((1 if streamed else 2, L, T + 1 - kept))
-    sums = np.zeros((2, C, T + 1)) if streamed else None
+    sums = np.empty((2, C, T + 1)) if streamed else None
     stride = first.iterate_stride
     iterates = np.empty((L, T // stride + 1, d)) if stride else None
 
-    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 1))
+    # At least two steps, so that every block of seed sums spans two or
+    # more steps (see `record`).
+    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
     # Loss and gradient norm are computed per chunk from the recorded
     # iterates, with the same elementwise arithmetic as a per-step pass,
-    # lane-major from the first operation on, as the outputs are.
+    # lane-major from the first operation on, as the outputs are.  The
+    # last chunk also records the iterate after step T.
     a0, opt0 = p.curv[-1][:, None], p.opt[-1][:, None]
-    metric_work = np.empty((2, L * chunk * d))
-    metric_rows = np.empty((2, L * chunk))
+    metric_work = np.empty((2, L * (chunk + 1) * d))
+    metric_rows = np.empty((2, L * (chunk + 1)))
 
     def record(X, t0):
         """Metrics of the iterates X[i] of steps t0 + i, all lanes.  An
@@ -325,9 +329,11 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
             if t0 + m > kept:
                 traces[:, :, lo - kept:t0 + m - kept] = rows[:len(traces), :, lo - t0:]
             if streamed:
-                acc, r = sums[:, :, t0:t0 + m], rows.reshape(2, C, S, m)
-                for s in range(S):  # one add per seed, in seed order
-                    acc += r[:, :, s]
+                # Over a block of two or more steps, a reduction over the
+                # seed axis adds the seeds to 0 one at a time, in seed
+                # order, as np.mean over stacked traces does; over one
+                # step numpy would add the contiguous seeds pairwise.
+                np.add.reduce(rows.reshape(2, C, S, m), axis=2, out=sums[:, :, t0:t0 + m])
         if stride:
             skip = -t0 % stride
             k0 = (t0 + skip) // stride
@@ -348,6 +354,8 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
         an earlier chunk holds its frozen iterate in every row.
         """
         mag = np.abs(X[1:], out=magnitude[:len(X) - 1])
+        if not dead.any() and mag.max() <= DIVERGENCE_LIMIT:
+            return  # a NaN or inf maximum falls through
         out = ~np.all(mag <= DIVERGENCE_LIMIT, axis=-1)
         if dead.any():
             out &= ~dead
@@ -360,7 +368,12 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
             dead[lane] = True
 
     buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
-    spread = np.empty((chunk, len(gens), C, S, d)) if C > 1 else None
+    # The normals step-major, spread over the configs' lanes, so that a
+    # step reads each row contiguously.  A one-config call at d = 1 reads
+    # `buf` in place: there the transposing copy costs about what it saves
+    # the steps, and would add a buffer the size of `buf`.
+    spread = np.empty((chunk, len(gens), C, S, d)) if C > 1 or d > 1 else None
+    eta_all = np.empty((chunk, L, d))  # each lane's step sizes, full width
     curv, opt, var, scale, std = (v[n_agents - used:]
                                   for v in (p.curv, p.opt, p.var, p.scale, p.std))
     scaled_noise = bool(scale.any())
@@ -405,19 +418,21 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     for t0 in range(0, T, chunk):
         n = min(chunk, T - t0)
         X = X_all[:n + 1]
+        recorded = X if t0 + n == T else X[:n]  # the last chunk's include step T's
         if dead.all():
             X[:] = frozen
-            record(X[:n], t0)
+            record(recorded, t0)
             continue
         # Pre-draw this chunk's normals, spread them over the configs'
         # lanes and scale them.
         z = _draw(gens, buf[:, :, :n])
-        if C > 1:
+        if spread is not None:
             np.copyto(spread[:n], z[:, :, None])
             z = spread[:n].reshape(n, len(gens), L, d)
         for row, lane_std in stds:
             z[:, row] *= lane_std
-        eta = etas[t0:t0 + n][:, p.cfg][:, :, None]
+        eta = eta_all[:n]
+        np.copyto(eta.reshape(n, C, S, d), etas[t0:t0 + n, :, None, None])
 
         # Lanes are independent, so a dead lane's overflow and NaNs stay
         # in its own row until `freeze` replaces them.  z[:, -1] is the
@@ -449,10 +464,8 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
         freeze(X, t0)
-        record(X[:n], t0)
+        record(recorded, t0)
         X_all[0] = X[n]
-
-    record(X[n:], T)  # the last chunk's X[n] is the iterate after step T
 
     if streamed:
         sums /= S

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosgd import figures, simulator
+from cosgd import cli, figures, simulator
 from cosgd.aggregators import CollaborationWeights
 from cosgd.cli import main
 from cosgd.config import (ConfigError, ExperimentConfig, load_config,
@@ -550,6 +550,47 @@ class TestTauCommand:
     def test_guard_violation(self):
         assert run_cli("tau", "--sigmas", "1", "--zetas", "0",
                        "--alpha", "0.9", "--m", "2.0") == 1
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and parses every call
+    with it."""
+
+    ARGVS = [("figure", "fig5", "--T", "30", "--seeds", "0-1", "--out-dir", "out"),
+             ("run", "--aggregator", "wga", "--alpha", "0.5", "--T", "30",
+              "--seeds", "0-1", "--out-dir", "out"),
+             ("run", "--T", "30", "--no-such-flag")]
+
+    def session(self, where, capsys, monkeypatch, fresh):
+        """(exit code, stdout, stderr) of each call in ARGVS, run in
+        `where`, and the bytes of the files they write; `fresh` builds a
+        new parser for every call."""
+        where.mkdir()
+        monkeypatch.chdir(where)
+        runs = []
+        for argv in self.ARGVS:
+            if fresh:
+                cli._parser.cache_clear()
+            runs.append((run_cli(*argv), *capsys.readouterr()))
+        return runs, {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+
+    def test_calls_in_a_row_keep_codes_and_outputs(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        try:
+            fresh = self.session(tmp_path / "fresh", capsys, monkeypatch, fresh=True)
+            assert len(builds) == 3
+            cli._parser.cache_clear()
+            shared = self.session(tmp_path / "shared", capsys, monkeypatch, fresh=False)
+            assert len(builds) == 4
+        finally:
+            cli._parser.cache_clear()
+        assert shared == fresh
+        runs, files = shared
+        assert [code for code, _, _ in runs] == [0, 0, 1]
+        assert "unrecognized arguments: --no-such-flag" in runs[2][2]
+        assert "fig5_summary.csv" in files and "trace_seed1.csv" in files
 
 
 class TestEnvOutDir:

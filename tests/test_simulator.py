@@ -94,6 +94,9 @@ class TestReferenceEquivalence:
         w = cfg.weights
         x = cfg.x0.copy()
         losses = [eval_loss(cfg.main_task, x)]
+        etas = (cfg.step_size.values(cfg.horizon)
+                if isinstance(cfg.step_size, DecreasingPlSchedule)
+                else [cfg.step_size] * cfg.horizon)
         c = None  # first_bias: set from the first round's samples
         if cfg.c0_policy == "zero":
             c = np.zeros(cfg.main_task.dim)
@@ -118,7 +121,7 @@ class TestReferenceEquivalence:
                 g = oracle_bc_combine(g0, gks, w, bias,
                                       ogen.standard_normal(cfg.main_task.dim),
                                       cfg.oracle_v)
-            x = x - cfg.step_size * g
+            x = x - etas[t] * g
             losses.append(eval_loss(cfg.main_task, x))
         return np.array(losses)
 
@@ -229,6 +232,43 @@ class TestReferenceEquivalence:
             for seed, tr in zip(seeds, traces, strict=True):
                 np.testing.assert_array_equal(
                     tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
+
+    @staticmethod
+    def nonlinear_cfgs():
+        """The shape of the benchmark's nonlinear workload: d = 16, four
+        collaborators, every task with gradient-scaled noise; oracle_bc at
+        a constant step and wga under a decreasing PL schedule.  Each comes
+        with a second config of its kind, to share a batch with."""
+        rng = np.random.default_rng(4)
+        d, K, T = 16, 4, 49
+        a0, x_star = rng.uniform(0.5, 2.0, d), rng.normal(0.0, 1.0, d)
+        main = QuadraticTask(a0, x_star, noise_std=1.0, noise_scale=0.5)
+        colls = [QuadraticTask(a0 * rng.uniform(0.8, 1.25, d), x_star + rng.normal(0.0, 0.5, d),
+                               noise_std=float(rng.uniform(0.5, 2.0)),
+                               noise_scale=float(rng.uniform(0.1, 1.0)))
+                 for _ in range(K)]
+        tau = rng.dirichlet(np.ones(K))
+        x0 = np.full(d, 3.0)
+        oracle_w, wga_w = CollaborationWeights(0.8, tau), CollaborationWeights(0.5, tau)
+        schedule = DecreasingPlSchedule(schedule_inputs(main, colls, wga_w, T, x0))
+        oracle = RunConfig(main, colls, "oracle_bc", oracle_w, 0.01, T, x0, oracle_v=0.5)
+        wga = RunConfig(main, colls, "wga", wga_w, schedule, T, x0)
+        return [[oracle, dataclasses.replace(oracle, oracle_v=1.5, step_size=0.02)],
+                [wga, dataclasses.replace(wga, weights=CollaborationWeights(0.3, tau),
+                                          step_size=0.01)]]
+
+    def test_bitwise_match_nonlinear_shape(self, monkeypatch):
+        # Chunks of 256 // d = 16 steps: T = 49 ends on a one-step chunk.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        seeds = [0, 7, 13]
+        for cfgs in self.nonlinear_cfgs():
+            alone = [batch_traces([cfg], seeds)[0] for cfg in cfgs]
+            for cfg, solo, batched in zip(cfgs, alone, batch_traces(cfgs, seeds), strict=True):
+                for seed, tr_solo, tr_batched in zip(seeds, solo, batched, strict=True):
+                    ref = self.reference_run(dataclasses.replace(cfg, seed=seed))
+                    assert not tr_solo.diverged
+                    np.testing.assert_array_equal(tr_solo.test_loss, ref)
+                    np.testing.assert_array_equal(tr_batched.test_loss, ref)
 
     def assert_frozen_match(self, cfg):
         """The kernel's losses equal the reference up to the divergence
@@ -900,20 +940,27 @@ class TestStreamedReduction:
     SEEDS = list(range(8))
 
     @staticmethod
-    def partly_diverging():
-        """Seed 1 of these 8 leaves the box at step 333, the others never:
-        at eta = 2 the iterate's magnitude random-walks near the box."""
-        cfg = make_cfg("alone", alpha=0.0, sigma0=1e9, eta=2.0, T=600, x0=0.95e12)
+    def partly_diverging(T=600):
+        """Seed 1 of these 8 leaves the box at step 333, the others never
+        (T > 333): at eta = 2 the iterate's magnitude random-walks near the
+        box."""
+        cfg = make_cfg("alone", alpha=0.0, sigma0=1e9, eta=2.0, T=T, x0=0.95e12)
         [traces] = batch_traces([cfg], TestStreamedReduction.SEEDS)
-        assert [tr.steps_completed for tr in traces] == [600, 333] + [600] * 6
+        assert [tr.steps_completed for tr in traces] == [T, 333] + [T] * 6
         return cfg
 
     def test_equals_reduce(self, monkeypatch, kernel_calls):
         # Chunks of 256 steps, so the diverging seed leaves in the second.
+        # T = 513 ends on a one-step chunk, whose seeds a seed-axis
+        # reduction would add pairwise.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
-        cfgs = [make_cfg("bc", alpha=0.6, beta=0.2, T=600, c0_policy="zero"),
-                make_cfg("alone", alpha=0.0, T=600), self.partly_diverging(),
-                make_cfg("wga", alpha=0.5, T=600, sigma0=3.0)]
+        for T in (600, 513):
+            self.assert_streamed_equals_reduce(kernel_calls, T)
+
+    def assert_streamed_equals_reduce(self, kernel_calls, T):
+        cfgs = [make_cfg("bc", alpha=0.6, beta=0.2, T=T, c0_policy="zero"),
+                make_cfg("alone", alpha=0.0, T=T), self.partly_diverging(T),
+                make_cfg("wga", alpha=0.5, T=T, sigma0=3.0)]
         kernel_calls.clear()
         streamed = simulator._replicate(cfgs, self.SEEDS, streamed=True)
         # One call for the batch, and one replay of the diverging config.
@@ -979,6 +1026,22 @@ class TestStreamedReduction:
                      (rows_n.mean(axis=0), np.mean(listed_n, axis=0))]
             for got, expected in pairs:
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 257])
+    @pytest.mark.parametrize("S", [1, 7, 8, 9, 20, 100])
+    @pytest.mark.parametrize("C", [1, 3])
+    def test_seed_axis_reduce_is_a_seed_ordered_sum(self, C, S, m):
+        """`record` writes a chunk's seed sums with one np.add.reduce over
+        the seed axis of its (2, configs, seeds, steps) rows, into a slice
+        of the (2, configs, T+1) sums.  Over two or more steps that adds
+        the seeds to 0 one at a time, in seed order."""
+        rows = np.random.default_rng([C, S, m]).lognormal(0.0, 5.0, (2, C, S, m))
+        expected = np.zeros((2, C, m))
+        for s in range(S):
+            expected += rows[:, :, s]
+        sums = np.empty((2, C, m + 5))
+        got = np.add.reduce(rows, axis=2, out=sums[:, :, 3:3 + m])
+        assert got.tobytes() == expected.tobytes()
 
     def test_full_path_peak_is_its_trace_array(self):
         """The full path reads the kernel's traces in place: a 64-seed
