@@ -334,7 +334,9 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
         + alpha^2 zeta^2 / (mu (1-alpha^2 m)),
 
     with sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_1^2/N.
-    Golden-section search to 1e-10 (the objective is unimodal here)."""
+    Golden-section search to 1e-10 (the objective is unimodal here); the
+    interior point that survives an iteration keeps its value, so each
+    iteration evaluates one new point."""
     if m < 0:
         raise ValueError("m must be >= 0")
 
@@ -347,11 +349,14 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     c = hi - (hi - lo) / phi
     d = lo + (hi - lo) / phi
+    fc, fd = objective(c), objective(d)
     while hi - lo > 1e-10:
-        if objective(c) < objective(d):
-            hi = d
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) / phi
+            fc = objective(c)
         else:
-            lo = c
-        c = hi - (hi - lo) / phi
-        d = lo + (hi - lo) / phi
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) / phi
+            fd = objective(d)
     return (lo + hi) / 2.0

@@ -20,7 +20,9 @@ The configs of a batch share each (seed, agent) draw, which is spread
 over their lanes.  The agents share one leading array axis, so a step
 forms every agent's gradient and noise with one numpy call each, and
 applies the combine rules of `aggregators` and the noise model of
-`objective` through their arithmetic cores.
+`objective` through their arithmetic cores.  A kernel call is one
+`_Batch`, whose stages `draw`, `step`, `freeze` and `record` each run
+once per chunk of steps.
 """
 
 import math
@@ -165,278 +167,177 @@ def _batch_key(cfg: RunConfig) -> tuple:
             tuple(task.noise_scale == 0 for task in agents))
 
 
-@dataclass
-class _Lanes:
-    """Per-lane parameters of a batch: the lane axis L, after the agent
-    axis where there is one.
-
-    A lane is one (config, seed) pair; each config's values are repeated
-    over its seeds, and each kind's lanes are one slice.  Per-agent arrays
-    stack the A agents on a leading axis, the collaborators first and the
-    main task last; per-collaborator ones stack the K = A - 1
-    collaborators.  Alone lanes hold placeholders alpha = 0 and tau = 0:
-    their step takes g_0 itself.  The mix weights stack each lane's alpha
-    over the bc lanes' beta.  The weights a step multiplies by, tau and
-    the mix weights, span all d coordinates, so that their products take
-    numpy's loop for same-shape contiguous operands.
-    """
-
-    curv: np.ndarray  # (A, L, d) curvature
-    opt: np.ndarray  # (A, L, d) optimum
-    std: np.ndarray  # (A, L, 1) noise_std, the whole noise std of an additive agent
-    # (A, L, 1) noise_std ** 2 of a scaled-noise agent.  An additive agent
-    # has 1 here and noise_scale 0, so that `noise_std` is exactly 1 for
-    # it and its pre-scaled normals pass through a batch that also has
-    # scaled-noise agents unchanged.
-    var: np.ndarray
-    scale: np.ndarray  # (A, L, 1) noise_scale
-    tau: np.ndarray  # (K, L, d)
-    w: np.ndarray  # (L + B, d): alpha, then beta of the B bc lanes
-    one_minus_w: np.ndarray  # (L + B, d)
-    oracle_std: np.ndarray | None  # (L, 1), oracle_bc only
-
-    @classmethod
-    def build(cls, cfgs, n_seeds: int) -> "_Lanes":
-        d = cfgs[0].main_task.dim
-
-        def col(values, width=1):
-            """(L, width), or (A, L, width) from (A, configs) values."""
-            return np.repeat(np.repeat(np.asarray(values, dtype=float), n_seeds,
-                                       axis=-1)[..., None], width, axis=-1)
-
-        # tasks[a][c]: agent a of config c.
-        tasks = list(zip(*[list(cfg.collaborators) + [cfg.main_task] for cfg in cfgs]))
-        n_agents = len(tasks)
-        collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
-        betas = [cfg.weights.beta for cfg in cfgs if cfg.aggregator == "bc"]
-
-        def per_agent(value):
-            return [[value(t) for t in ts] for ts in tasks]
-
-        def vectors(value):
-            """(A, L, d) of the per-task vectors `value(task)`."""
-            return np.repeat(np.array(per_agent(value), dtype=float), n_seeds,
-                             axis=1)
-
-        return cls(
-            curv=vectors(lambda t: t.curvature),
-            opt=vectors(lambda t: t.optimum),
-            std=col(per_agent(lambda t: t.noise_std)),
-            var=col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0)),
-            scale=col(per_agent(lambda t: t.noise_scale)),
-            tau=col([[w.tau[k] if w else 0.0 for w in collab]
-                     for k in range(n_agents - 1)], d),
-            w=col([w.alpha if w else 0.0 for w in collab] + betas, d),
-            one_minus_w=col([1.0 - w.alpha if w else 1.0 for w in collab]
-                            + [1.0 - b for b in betas], d),
-            oracle_std=col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
-                            for cfg in cfgs])
-            if cfgs[0].aggregator == "oracle_bc" else None,
-        )
-
-
-def _draw(gens, z: np.ndarray) -> np.ndarray:
-    """Fill z, (rows, S, n, d), with the next n steps of normals from the
-    streams `gens[row][seed]`; returns its (n, rows, S, d) view."""
-    for row, z_row in zip(gens, z):
-        for gen, out in zip(row, z_row):
-            gen.standard_normal(out=out)
-    return z.transpose(2, 0, 1, 3)
-
-
 def _plateau_start(T: int) -> int:
     """First step of the plateau window, the last PLATEAU_FRACTION of T."""
     return T + 1 - max(1, int(round(PLATEAU_FRACTION * T)))
 
 
-def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
-    """Run configs that share a `_batch_key`, ordered by kind (alone |
-    wga | bc), under many seeds, as the lanes of one vectorized kernel.
+class _Batch:
+    """One `_run_batch` call: its per-lane parameters, its buffers, and
+    the stages each chunk of steps runs through.
 
-    Returns per config, in both modes, (losses, grad_norms, steps,
-    iterates, means): views of the call's own arrays, one row per seed.
-    The full path keeps each seed's whole loss and gradient-norm traces.
-    `streamed` keeps only its losses over the plateau window (the last
-    columns from step `kept` on), and adds the lanes' losses and norms to
-    per-config seed sums as it goes, which it returns as the (2, T+1)
-    means, diverged seeds included; its grad_norms are None.  Each row is
-    bitwise identical to running that (config, seed) alone: every
-    per-step operation is elementwise across lanes, and each lane reads
-    its own seed's streams.  A lane that diverges is frozen at its last
-    iterate inside the box; it is found once per pre-draw chunk and stays
-    in the batch, which leaves the other lanes' bits untouched.
+    A lane is one (config, seed) pair; each config's values are repeated
+    over its seeds, and each kind's lanes are one slice of the lane axis
+    L, which follows the agent axis where there is one.  Per-agent arrays
+    stack the used agents on a leading axis, the collaborators first and
+    the main task last; per-collaborator ones stack the K collaborators.
+    Alone lanes hold placeholders alpha = 0 and tau = 0: their step takes
+    g_0 itself.  The mix weights stack each lane's alpha over the bc
+    lanes' beta.  Every operand a step multiplies by (tau, the mix
+    weights, the step sizes and the normals) spans all d coordinates, so
+    that its products take numpy's loop for same-shape contiguous
+    operands.  Every buffer is allocated here, once per call.
     """
-    for cfg in cfgs:
-        _validate(cfg)
-    seeds = [int(s) for s in seeds]
-    S, C = len(seeds), len(cfgs)
-    L = C * S
-    first = cfgs[0]
-    d, T = first.main_task.dim, first.horizon
-    n_agents = 1 + len(first.collaborators)
-    n_alone = sum(cfg.aggregator == "alone" for cfg in cfgs) * S
-    bc_cfgs = [cfg for cfg in cfgs if cfg.aggregator == "bc"]
-    B = len(bc_cfgs) * S
-    oracle = first.aggregator == "oracle_bc"
-    # A batch of alone lanes forms, and draws, only the main task's gradient.
-    used = 1 if n_alone == L else n_agents
-    p = _Lanes.build(cfgs, S)
 
-    # One stream per (seed, row), drawn once for all configs; the row
-    # axis holds the used agents in `_Lanes` order, then the oracle's for
-    # oracle_bc.
-    gens = [[rng_mod.agent_stream(s, a) for s in seeds]
-            for a in [*range(1, n_agents), 0][n_agents - used:]]
-    if oracle:
-        gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
-                     for s in seeds])
+    def __init__(self, cfgs, seeds, streamed: bool):
+        for cfg in cfgs:
+            _validate(cfg)
+        seeds = [int(s) for s in seeds]
+        self.S, self.C = S, C = len(seeds), len(cfgs)
+        self.L = L = C * S
+        first = cfgs[0]
+        self.d, self.T = d, T = first.main_task.dim, first.horizon
+        n_agents = 1 + len(first.collaborators)
+        n_alone = sum(cfg.aggregator == "alone" for cfg in cfgs) * S
+        bc_cfgs = [cfg for cfg in cfgs if cfg.aggregator == "bc"]
+        self.B = B = len(bc_cfgs) * S
+        self.oracle = oracle = first.aggregator == "oracle_bc"
+        # A batch of alone lanes forms, and draws, only the main task's gradient.
+        self.used = used = 1 if n_alone == L else n_agents
 
-    etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
-    # Each lane's loss and gradient norm from step `kept` on; streamed, only
-    # its losses over the plateau window, next to each config's seed sums,
-    # which `record` writes a chunk of steps at a time.
-    kept = _plateau_start(T) if streamed else 0
-    traces = np.empty((1 if streamed else 2, L, T + 1 - kept))
-    sums = np.empty((2, C, T + 1)) if streamed else None
-    stride = first.iterate_stride
-    iterates = np.empty((L, T // stride + 1, d)) if stride else None
+        def col(values, width=1):
+            """(L, width), or (A, L, width) from (A, configs) values."""
+            return np.repeat(np.repeat(np.asarray(values, dtype=float), S,
+                                       axis=-1)[..., None], width, axis=-1)
 
-    # At least two steps, so that every block of seed sums spans two or
-    # more steps (see `record`).
-    chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
-    # Loss and gradient norm are computed per chunk from the recorded
-    # iterates, with the same elementwise arithmetic as a per-step pass,
-    # lane-major from the first operation on, as the outputs are.  The
-    # last chunk also records the iterate after step T.
-    a0, opt0 = p.curv[-1][:, None], p.opt[-1][:, None]
-    metric_work = np.empty((2, L * (chunk + 1) * d))
-    metric_rows = np.empty((2, L * (chunk + 1)))
+        # tasks[a][c]: used agent a of config c.
+        tasks = list(zip(*[list(cfg.collaborators) + [cfg.main_task]
+                           for cfg in cfgs]))[n_agents - used:]
 
-    def record(X, t0):
-        """Metrics of the iterates X[i] of steps t0 + i, all lanes.  An
-        iterate inside the box may still have a loss or gradient norm
-        beyond the float range, which is recorded as inf."""
-        m = X.shape[0]
-        diff0, g0_true = (work[:L * m * d].reshape(L, m, d) for work in metric_work)
-        rows = metric_rows[:, :L * m].reshape(2, L, m)
-        with np.errstate(over="ignore"):
-            np.subtract(X.transpose(1, 0, 2), opt0, diff0)
-            np.multiply(a0, diff0, g0_true)
-            np.add.reduce(np.multiply(g0_true, diff0, diff0), axis=-1, out=rows[0])
-            np.multiply(0.5, rows[0], rows[0])
-            np.add.reduce(np.multiply(g0_true, g0_true, g0_true), axis=-1, out=rows[1])
-            lo = max(t0, kept)
-            if t0 + m > kept:
-                traces[:, :, lo - kept:t0 + m - kept] = rows[:len(traces), :, lo - t0:]
-            if streamed:
-                # Over a block of two or more steps, a reduction over the
-                # seed axis adds the seeds to 0 one at a time, in seed
-                # order, as np.mean over stacked traces does; over one
-                # step numpy would add the contiguous seeds pairwise.
-                np.add.reduce(rows.reshape(2, C, S, m), axis=2, out=sums[:, :, t0:t0 + m])
-        if stride:
-            skip = -t0 % stride
-            k0 = (t0 + skip) // stride
-            snaps = X[skip::stride]
-            iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
+        def per_agent(value):
+            return [[value(t) for t in ts] for ts in tasks]
 
-    steps_completed = np.full(L, T)
-    dead = np.zeros(L, dtype=bool)
-    frozen = np.empty((L, d))  # a dead lane's last iterate inside the box
-    magnitude = np.empty((chunk, L, d))
+        self.curv, self.opt = (np.repeat(np.array(per_agent(value), dtype=float), S, axis=1)
+                               for value in (lambda t: t.curvature, lambda t: t.optimum))
+        std = col(per_agent(lambda t: t.noise_std))
+        # noise_std ** 2 of a scaled-noise agent.  An additive agent has 1
+        # here and noise_scale 0, so that `noise_std` is exactly 1 for it
+        # and its pre-scaled normals pass through a batch that also has
+        # scaled-noise agents unchanged.
+        self.var = col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0))
+        self.scale = scale = col(per_agent(lambda t: t.noise_scale))
+        self.scaled_noise = scaled_noise = bool(scale.any())
+        collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
+        betas = [cfg.weights.beta for cfg in bc_cfgs]
+        self.tau = col([[w.tau[k] if w else 0.0 for w in collab]
+                        for k in range(n_agents - 1)], d)[:, n_alone:]
+        self.w = col([w.alpha if w else 0.0 for w in collab] + betas, d)[n_alone:]
+        self.one_minus_w = col([1.0 - w.alpha if w else 1.0 for w in collab]
+                               + [1.0 - b for b in betas], d)[n_alone:]
 
-    def freeze(X, t0):
-        """Freeze each lane at its last iterate inside the box.
+        # One stream per (seed, row), drawn once for all configs; the row
+        # axis holds the used agents, then the oracle's for oracle_bc.  The
+        # rows `draw` scales by each lane's std are the additive agents' and
+        # the oracle's; a scaled-noise agent's std is formed per step.
+        self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
+                     for a in [*range(1, n_agents), 0][n_agents - used:]]
+        self.stds = [(a, std[a]) for a in range(used) if scale[a, 0, 0] == 0]
+        if oracle:
+            self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
+                              for s in seeds])
+            self.stds.append((used, col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
+                                         for cfg in cfgs])))
+        self.etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
 
-        X[j + 1] is the iterate after step t0 + j.  A lane whose X[j + 1]
-        leaves the box |x| <= DIVERGENCE_LIMIT, or is not finite, completed
-        t0 + j steps and holds X[j] from row j + 1 on; a lane frozen in
-        an earlier chunk holds its frozen iterate in every row.
-        """
-        mag = np.abs(X[1:], out=magnitude[:len(X) - 1])
-        if not dead.any() and mag.max() <= DIVERGENCE_LIMIT:
-            return  # a NaN or inf maximum falls through
-        out = ~np.all(mag <= DIVERGENCE_LIMIT, axis=-1)
-        if dead.any():
-            out &= ~dead
-            X[:, dead] = frozen[dead]
-        for lane in np.flatnonzero(out.any(axis=0)):
-            j = out[:, lane].argmax()
-            steps_completed[lane] = t0 + j
-            frozen[lane] = X[j, lane]
-            X[j + 1:, lane] = frozen[lane]
-            dead[lane] = True
+        # At least two steps, so that every block of seed sums spans two or
+        # more steps (see `record`).
+        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
+        rows = len(self.gens)
+        self.buf = np.empty((rows, S, chunk, d))  # each stream's draw
+        # The normals step-major and spread over the configs' lanes, so
+        # that a step reads each row contiguously.
+        self.spread = np.empty((chunk, rows, C, S, d))
+        self.eta_all = np.empty((chunk, L, d))  # each lane's step sizes
 
-    buf = np.empty((len(gens), S, chunk, d))  # reused by every chunk
-    # The normals step-major, spread over the configs' lanes, so that a
-    # step reads each row contiguously.  A one-config call at d = 1 reads
-    # `buf` in place: there the transposing copy costs about what it saves
-    # the steps, and would add a buffer the size of `buf`.
-    spread = np.empty((chunk, len(gens), C, S, d)) if C > 1 or d > 1 else None
-    eta_all = np.empty((chunk, L, d))  # each lane's step sizes, full width
-    curv, opt, var, scale, std = (v[n_agents - used:]
-                                  for v in (p.curv, p.opt, p.var, p.scale, p.std))
-    scaled_noise = bool(scale.any())
-    # The noise rows scaled per chunk by each lane's std: the additive
-    # agents' and the oracle's.  A scaled-noise agent's std is formed per step.
-    stds = [(a, std[a]) for a in range(used) if scale[a, 0, 0] == 0]
-    stds += [(used, p.oracle_std)] if oracle else []
+        # Each lane's loss and gradient norm from step `kept` on; streamed,
+        # only its losses over the plateau window, next to each config's
+        # seed sums, which `record` writes a chunk of steps at a time.
+        self.kept = _plateau_start(T) if streamed else 0
+        self.traces = np.empty((1 if streamed else 2, L, T + 1 - self.kept))
+        self.sums = np.empty((2, C, T + 1)) if streamed else None
+        self.stride = stride = first.iterate_stride
+        self.iterates = np.empty((L, T // stride + 1, d)) if stride else None
+        self.metric_work = np.empty((2, L * (chunk + 1) * d))
+        self.metric_rows = np.empty((2, L * (chunk + 1)))
 
-    # The step's work buffers, which every step overwrites.  Row X[i] of a
-    # chunk is the iterate before its step i.  G holds the used agents'
-    # samples, g_0 last, and then the bc lanes' c; P[:, :L] holds the
-    # products of the collaborator average, which is P[0, :L], and P[0, L:]
-    # the bc lanes' b.  So one mix over the lanes past the alone ones
-    # writes both c_{t+1} and g over its first operand, and an alone
-    # lane's g is its g_0.
-    X_all = np.empty((chunk + 1, L, d))
-    X_all[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
-    grads = np.empty((used, L, d))
-    G = np.empty((used * L + B, d))
-    P = np.empty((max(used - 1, 1), L + B, d))  # unread by alone-only batches
-    samples, c, b = G[:used * L].reshape(used, L, d), G[used * L:], P[0, L:]
-    g = samples[-1]
-    coll, prods, tau = samples[:-1, n_alone:], P[:, n_alone:L], p.tau[:, n_alone:]
-    g0_bc, gavg_bc = g[L - B:], P[0, L - B:L]
-    mix_a, mix_b = G[(used - 1) * L + n_alone:], P[0, n_alone:]
-    one_minus_w, w = p.one_minus_w[n_alone:], p.w[n_alone:]
-    if scaled_noise:
-        std_buf, sq = np.empty((used, L, 1)), np.empty((used, L, d))
-    bias = np.empty((used - 1, L, d)) if oracle else None
+        self.steps_completed = np.full(L, T)
+        self.dead = np.zeros(L, dtype=bool)
+        self.frozen = np.empty((L, d))  # a dead lane's last iterate inside the box
+        self.magnitude = np.empty((chunk, L, d))
 
-    # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
-    c[:] = 0.0
-    warm = [j for j, cfg in enumerate(bc_cfgs) if cfg.c0_policy == "warm_start"]
-    if warm:
-        normals = _warm_start_normals(
-            n_agents, seeds, max(bc_cfgs[j].warm_start_samples for j in warm), d)
-        for j in warm:
-            c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
-    first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
-    at_t0 = True
+        # The step's work buffers, which every step overwrites.  Row X[i]
+        # of a chunk is the iterate before its step i.  G holds the used
+        # agents' samples, g_0 last, and then the bc lanes' c; P[:, :L]
+        # holds the products of the collaborator average, which is
+        # P[0, :L], and P[0, L:] the bc lanes' b.  So one mix over the
+        # lanes past the alone ones writes both c_{t+1} and g over its
+        # first operand, and an alone lane's g is its g_0.
+        self.X = np.empty((chunk + 1, L, d))
+        self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
+        self.grads = np.empty((used, L, d))
+        G = np.empty((used * L + B, d))
+        P = np.empty((max(used - 1, 1), L + B, d))  # unread by alone-only batches
+        self.samples = samples = G[:used * L].reshape(used, L, d)
+        self.c = c = G[used * L:]
+        self.b = P[0, L:]
+        self.coll, self.prods = samples[:-1, n_alone:], P[:, n_alone:L]
+        self.g0_bc, self.gavg_bc = samples[-1, L - B:], P[0, L - B:L]
+        self.mix_a, self.mix_b = G[(used - 1) * L + n_alone:], P[0, n_alone:]
+        self.std_buf, self.sq = ((np.empty((used, L, 1)), np.empty((used, L, d)))
+                                 if scaled_noise else (None, None))
+        self.bias = np.empty((used - 1, L, d)) if oracle else None
 
-    for t0 in range(0, T, chunk):
-        n = min(chunk, T - t0)
-        X = X_all[:n + 1]
-        recorded = X if t0 + n == T else X[:n]  # the last chunk's include step T's
-        if dead.all():
-            X[:] = frozen
-            record(recorded, t0)
-            continue
-        # Pre-draw this chunk's normals, spread them over the configs'
-        # lanes and scale them.
-        z = _draw(gens, buf[:, :, :n])
-        if spread is not None:
-            np.copyto(spread[:n], z[:, :, None])
-            z = spread[:n].reshape(n, len(gens), L, d)
-        for row, lane_std in stds:
+        # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
+        c[:] = 0.0
+        warm = [j for j, cfg in enumerate(bc_cfgs) if cfg.c0_policy == "warm_start"]
+        if warm:
+            normals = _warm_start_normals(
+                n_agents, seeds, max(bc_cfgs[j].warm_start_samples for j in warm), d)
+            for j in warm:
+                c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
+        self.first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
+
+    def draw(self, t0: int, n: int):
+        """The normals of steps t0 .. t0 + n - 1, (n, rows, L, d): drawn,
+        spread over the configs' lanes and scaled, and those steps' sizes,
+        (n, L, d)."""
+        buf = self.buf[:, :, :n]
+        for row, z_row in zip(self.gens, buf):
+            for gen, out in zip(row, z_row):
+                gen.standard_normal(out=out)
+        np.copyto(self.spread[:n], buf.transpose(2, 0, 1, 3)[:, :, None])
+        z = self.spread[:n].reshape(n, len(buf), self.L, self.d)
+        for row, lane_std in self.stds:
             z[:, row] *= lane_std
-        eta = eta_all[:n]
-        np.copyto(eta.reshape(n, C, S, d), etas[t0:t0 + n, :, None, None])
+        eta = self.eta_all[:n]
+        np.copyto(eta.reshape(n, self.C, self.S, self.d), self.etas[t0:t0 + n, :, None, None])
+        return z, eta
 
-        # Lanes are independent, so a dead lane's overflow and NaNs stay
-        # in its own row until `freeze` replaces them.  z[:, -1] is the
-        # oracle's row for oracle_bc, and unread otherwise.
+    def step(self, X, t0: int, z, eta) -> None:
+        """Steps t0 .. t0 + n - 1 from X[0], written to X[1:].
+
+        Lanes are independent, so a dead lane's overflow and NaNs stay in
+        its own row until `freeze` replaces them.  z[:, -1] is the
+        oracle's row for oracle_bc, and unread otherwise."""
+        curv, opt, grads, samples, d = self.curv, self.opt, self.grads, self.samples, self.d
+        var, scale, std_buf, sq = self.var, self.scale, self.std_buf, self.sq
+        tau, coll, prods, bias, c, b = (self.tau, self.coll, self.prods, self.bias,
+                                        self.c, self.b)
+        g0_bc, gavg_bc, mix_a, mix_b = self.g0_bc, self.gavg_bc, self.mix_a, self.mix_b
+        one_minus_w, w, first_bias = self.one_minus_w, self.w, self.first_bias
+        used, scaled_noise, oracle, B = self.used, self.scaled_noise, self.oracle, self.B
+        g = samples[-1]
+        at_t0 = t0 == 0
         with np.errstate(over="ignore", invalid="ignore"):
             for x, x_next, z_i, z_oracle, eta_i in zip(
                     X[:-1], X[1:], z[:, :used], z[:, -1], eta):
@@ -463,17 +364,109 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
                         np.subtract(gavg_bc, c, gavg_bc)
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
-        freeze(X, t0)
-        record(recorded, t0)
-        X_all[0] = X[n]
 
-    if streamed:
-        sums /= S
-    blocks = [slice(k * S, (k + 1) * S) for k in range(C)]
-    return [(traces[0, lanes], None if streamed else traces[1, lanes],
-             steps_completed[lanes], iterates[lanes] if stride else None,
-             sums[:, k] if streamed else None)
-            for k, lanes in enumerate(blocks)]
+    def freeze(self, X, t0: int) -> None:
+        """Freeze each lane at its last iterate inside the box.
+
+        X[j + 1] is the iterate after step t0 + j.  A lane whose X[j + 1]
+        leaves the box |x| <= DIVERGENCE_LIMIT, or is not finite, completed
+        t0 + j steps and holds X[j] from row j + 1 on; a lane frozen in
+        an earlier chunk holds its frozen iterate in every row, also in a
+        chunk that was not stepped because every lane is dead.
+        """
+        dead, frozen = self.dead, self.frozen
+        if dead.all():
+            X[:] = frozen
+            return
+        mag = np.abs(X[1:], out=self.magnitude[:len(X) - 1])
+        if not dead.any() and mag.max() <= DIVERGENCE_LIMIT:
+            return  # a NaN or inf maximum falls through
+        out = ~np.all(mag <= DIVERGENCE_LIMIT, axis=-1)
+        if dead.any():
+            out &= ~dead
+            X[:, dead] = frozen[dead]
+        for lane in np.flatnonzero(out.any(axis=0)):
+            j = out[:, lane].argmax()
+            self.steps_completed[lane] = t0 + j
+            frozen[lane] = X[j, lane]
+            X[j + 1:, lane] = frozen[lane]
+            dead[lane] = True
+
+    def record(self, X, t0: int) -> None:
+        """Metrics of the iterates X[i] of steps t0 + i, all lanes, and
+        the iterates on the stride.
+
+        Loss and gradient norm are formed with the same elementwise
+        arithmetic as a per-step pass, lane-major from the first operation
+        on, as the outputs are.  An iterate inside the box may still have
+        a loss or gradient norm beyond the float range, which is recorded
+        as inf."""
+        L, d, kept, traces, sums = self.L, self.d, self.kept, self.traces, self.sums
+        m = X.shape[0]
+        diff0, g0_true = (work[:L * m * d].reshape(L, m, d) for work in self.metric_work)
+        rows = self.metric_rows[:, :L * m].reshape(2, L, m)
+        with np.errstate(over="ignore"):
+            np.subtract(X.transpose(1, 0, 2), self.opt[-1][:, None], diff0)
+            np.multiply(self.curv[-1][:, None], diff0, g0_true)
+            np.add.reduce(np.multiply(g0_true, diff0, diff0), axis=-1, out=rows[0])
+            np.multiply(0.5, rows[0], rows[0])
+            np.add.reduce(np.multiply(g0_true, g0_true, g0_true), axis=-1, out=rows[1])
+            lo = max(t0, kept)
+            if t0 + m > kept:
+                traces[:, :, lo - kept:t0 + m - kept] = rows[:len(traces), :, lo - t0:]
+            if sums is not None:
+                # Over a block of two or more steps, a reduction over the
+                # seed axis adds the seeds to 0 one at a time, in seed
+                # order, as np.mean over stacked traces does; over one
+                # step numpy would add the contiguous seeds pairwise.
+                np.add.reduce(rows.reshape(2, self.C, self.S, m), axis=2,
+                              out=sums[:, :, t0:t0 + m])
+        if self.stride:
+            skip = -t0 % self.stride
+            k0 = (t0 + skip) // self.stride
+            snaps = X[skip::self.stride]
+            self.iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
+
+    def outputs(self) -> list:
+        """Per config, (losses, grad_norms, steps, iterates, means) as
+        views of the call's arrays; see `_run_batch`."""
+        S, traces, sums, iterates = self.S, self.traces, self.sums, self.iterates
+        if sums is not None:
+            sums /= S
+        blocks = [slice(k * S, (k + 1) * S) for k in range(self.C)]
+        return [(traces[0, lanes], None if sums is not None else traces[1, lanes],
+                 self.steps_completed[lanes], None if iterates is None else iterates[lanes],
+                 None if sums is None else sums[:, k])
+                for k, lanes in enumerate(blocks)]
+
+
+def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
+    """Run configs that share a `_batch_key`, ordered by kind (alone |
+    wga | bc), under many seeds, as the lanes of one `_Batch`, one chunk
+    of steps at a time.
+
+    Returns per config (losses, grad_norms, steps, iterates, means):
+    views of the call's own arrays, one row per seed.  The full path
+    keeps each seed's whole loss and gradient-norm traces.  `streamed`
+    keeps only the losses over the plateau window and adds the lanes'
+    losses and norms to per-config seed sums as it goes, which it returns
+    as the (2, T+1) means, diverged seeds included; its grad_norms are
+    None.  Each row is bitwise identical to running that (config, seed)
+    alone: every per-step operation is elementwise across lanes, each
+    lane reads its own seed's streams, and a diverged lane is frozen in
+    its row, which leaves the other lanes' bits untouched.
+    """
+    batch = _Batch(cfgs, seeds, streamed)
+    T = batch.T
+    for t0 in range(0, T, batch.chunk):
+        n = min(batch.chunk, T - t0)
+        X = batch.X[:n + 1]
+        if not batch.dead.all():  # a chunk of only dead lanes draws nothing
+            batch.step(X, t0, *batch.draw(t0, n))
+        batch.freeze(X, t0)
+        batch.record(X if t0 + n == T else X[:n], t0)  # the last chunk's include step T's
+        X[0] = X[n]
+    return batch.outputs()
 
 
 def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:

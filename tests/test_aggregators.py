@@ -6,12 +6,26 @@ from hypothesis import strategies as st
 from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
                                check_alpha_guard, mix, oracle_bc_combine, tau_sum,
                                wga_combine)
-from cosgd.objective import QuadraticTask, true_gradient
+from cosgd.objective import (QuadraticTask, gradient_noise_std, sample_gradient,
+                             true_gradient)
 from cosgd.rng import agent_stream
 
 
 def gs(v):
     return np.atleast_1d(np.asarray(v, float))
+
+
+def sample_batch(task, x, stream, n):
+    """n `sample_gradient` calls on `stream` as one (n, 1) batch: one
+    generator call draws the same normals, and the arithmetic is the same."""
+    grad = true_gradient(task, x)
+    return grad + stream.standard_normal((n, 1)) * gradient_noise_std(task, grad)
+
+
+def assert_first_rows_are_samples(task, x, batch, stream):
+    """The batch's first rows are `sample_gradient` calls on a fresh stream."""
+    np.testing.assert_array_equal(batch[:3], [sample_gradient(task, x, stream)
+                                              for _ in range(3)])
 
 
 class TestCollaborationWeights:
@@ -155,13 +169,12 @@ class TestWgaCombine:
         t1 = QuadraticTask(2.0, 2.0, noise_std=3.0)
         w = CollaborationWeights(0.6, [1.0])
         x = 1.0
-        g = agent_stream(5, 0)
-        h = agent_stream(5, 1)
-        from cosgd.objective import sample_gradient
         n = 10 ** 5
-        outs = np.array([wga_combine(sample_gradient(t0, x, g),
-                                     [sample_gradient(t1, x, h)], w)[0]
-                         for _ in range(n)])
+        g0 = sample_batch(t0, x, agent_stream(5, 0), n)
+        g1 = sample_batch(t1, x, agent_stream(5, 1), n)
+        assert_first_rows_are_samples(t0, x, g0, agent_stream(5, 0))
+        assert_first_rows_are_samples(t1, x, g1, agent_stream(5, 1))
+        outs = wga_combine(g0, [g1], w)[:, 0]
         target = (0.4 * true_gradient(t0, x) + 0.6 * true_gradient(t1, x))[0]
         var = 0.4 ** 2 * 4.0 + 0.6 ** 2 * 9.0
         assert abs(outs.mean() - target) < 3 * np.sqrt(var / n)
@@ -271,19 +284,19 @@ class TestOracleBcCombine:
         np.testing.assert_allclose(out, true_gradient(t0, x))
 
     def test_unbiased_and_variance(self):
-        from cosgd.objective import sample_gradient
         t0 = QuadraticTask(1.0, 0.0, noise_std=2.0)
         t1 = QuadraticTask(2.0, 2.0, noise_std=3.0)
         alpha, v = 0.6, 1.5
         w = CollaborationWeights(alpha, [1.0])
         x = 1.0
-        g, h, o = agent_stream(9, 0), agent_stream(9, 1), agent_stream(9, 0, 1)
         bias = true_gradient(t1, x) - true_gradient(t0, x)
         n = 10 ** 5
-        outs = np.array([oracle_bc_combine(sample_gradient(t0, x, g),
-                                           [sample_gradient(t1, x, h)],
-                                           w, bias, o.standard_normal(1), v)[0]
-                         for _ in range(n)])
+        g0 = sample_batch(t0, x, agent_stream(9, 0), n)
+        g1 = sample_batch(t1, x, agent_stream(9, 1), n)
+        assert_first_rows_are_samples(t0, x, g0, agent_stream(9, 0))
+        assert_first_rows_are_samples(t1, x, g1, agent_stream(9, 1))
+        z = agent_stream(9, 0, 1).standard_normal((n, 1))
+        outs = oracle_bc_combine(g0, [g1], w, bias, z, v)[:, 0]
         target = true_gradient(t0, x)[0]
         var = (1 - alpha) ** 2 * 4.0 + alpha ** 2 * (9.0 + v ** 2 / 1)
         assert abs(outs.mean() - target) < 3 * np.sqrt(var / n)

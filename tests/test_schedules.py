@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosgd import schedules
 from cosgd.aggregators import CollaborationWeights
 from cosgd.objective import QuadraticTask, SimilarityParams
 from cosgd.schedules import (ScheduleInputs, alpha_opt_oracle,
@@ -268,6 +269,23 @@ class TestAlphaOptWgaGeneral:
     def test_large_zeta_drives_alpha_to_zero(self):
         a = alpha_opt_wga_general(0.0, 1e12, 1.0, 1.0, 1.0, 1.0, 1000, 10)
         assert a < 1e-4
+
+    def test_one_objective_call_per_iteration(self, monkeypatch):
+        # Golden-section search shrinks [0, 1] by 1/phi per iteration, so
+        # 1e-10 takes 48 iterations: about 50 calls if the surviving
+        # interior point keeps its value, 96 if both are evaluated anew.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return terms(*args)
+
+        terms = schedules.wga_pl_terms
+        monkeypatch.setattr(schedules, "wga_pl_terms", counting)
+        for m, n in ((0.0, 1), (0.0, 10), (4.0, 10), (0.25, 3)):
+            calls.clear()
+            alpha_opt_wga_general(m, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, n)
+            assert len(calls) <= 55
 
 
 class TestEtaCeilingProperty:

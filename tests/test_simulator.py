@@ -1073,3 +1073,47 @@ class TestOneCallPerFigure:
         monkeypatch.setattr(simulator, "_run_batch", counting)
         getattr(figures, name)(str(tmp_path), horizon=30, seeds=[0, 1])
         assert calls == [(configs, True)]
+
+
+class TestStages:
+    """`_run_batch` runs each chunk of steps through `_Batch`'s stages,
+    which profilers and other step forms look up by name."""
+
+    @staticmethod
+    def mixed():
+        """Alone, wga and bc lanes, those at eta = 2.5 diverging in the
+        first chunk while the others run on."""
+        return sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 2.5)
+                       for cfg in TestMixedBatch.kinds(1)),
+                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("cfgs,stepped", [
+        (mixed(), [0, 256, 512]),
+        # Every lane dies in the first chunk: the later ones draw nothing.
+        ([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0]),
+    ])
+    def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, streamed):
+        # Chunks of 256 steps; T = 700 ends on a chunk of 188.
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        cfgs = [dataclasses.replace(cfg, horizon=700, iterate_stride=9) for cfg in cfgs]
+        seeds = [0, 3, 5]
+        plain = simulator._run_batch(cfgs, seeds, streamed)
+        assert any((steps < 700).any() for _, _, steps, _, _ in plain)
+        calls = {"draw": [], "step": [], "freeze": [], "record": []}
+        # Where each stage takes its chunk's first step t0.
+        for name, at in (("draw", 0), ("step", 1), ("freeze", 1), ("record", 1)):
+            def wrapper(batch, *args, stage=getattr(simulator._Batch, name), at=at,
+                        t0s=calls[name]):
+                t0s.append(args[at])
+                return stage(batch, *args)
+            monkeypatch.setattr(simulator._Batch, name, wrapper)
+        wrapped = simulator._run_batch(cfgs, seeds, streamed)
+        assert calls == {"draw": stepped, "step": stepped,
+                         "freeze": [0, 256, 512], "record": [0, 256, 512]}
+        for rows, plain_rows in zip(wrapped, plain, strict=True):
+            for out, plain_out in zip(rows, plain_rows, strict=True):
+                if plain_out is None:
+                    assert out is None
+                else:
+                    np.testing.assert_array_equal(out, plain_out)
