@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except (ConfigError, AllSeedsDiverged) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except MemoryError:  # allocating the seeds, or the kernel's step sizes or traces
+    except MemoryError:  # allocating the seeds, or the kernel's traces
         print("config error: the run does not fit in memory: lower the horizon "
               "(--T) or the number of seeds", file=sys.stderr)
         return 1

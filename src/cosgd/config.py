@@ -2,8 +2,8 @@
 
 Unknown keys are rejected at every nesting level so that typos fail fast
 instead of silently running with defaults, and numbers must fit their
-key's type.  `RunConfig.iterate_stride` has no key: a run writes nothing
-from the iterates.  parse -> serialize -> parse is the identity.
+key's type.  parse -> serialize -> parse is the identity, and
+`save_config` writes atomically.
 """
 
 import json
@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .aggregators import CollaborationWeights
-from .csvio import CSV_STRIDE
+from .csvio import CSV_STRIDE, write_text
 from .objective import QuadraticTask
 from .rng import SEED_LIMIT
 from .simulator import (SWEEP_AXES, DecreasingPlSchedule, RunConfig, _validate,
@@ -226,6 +226,5 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write `cfg` as JSON, atomically: a failure leaves `path` as it was."""
+    write_text(path, json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,7 @@ temp file and renamed, so readers never observe a partial file.
 """
 
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -75,9 +75,17 @@ def write_csv(path, header, columns) -> None:
     rows = [",".join(_FORMATS[c] for c in p.tobytes()) + "\n" for p in patterns]
     text = (",".join(header) + "\n" + "".join(map(rows.__getitem__, inverse.tolist()))
             % tuple(np.array(values, dtype=object).T.ravel().tolist()))
+    write_text(path, text)
+
+
+def write_text(path, text: str) -> None:
+    """Atomically write `text` to `path`, making its directory: a failure
+    leaves `path` as it was.  The file gets the mode `open` gives a new
+    file, 0o666 less the umask (`mkstemp` would give 0o600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds
 from .aggregators import CollaborationWeights
-from .csvio import CSV_STRIDE, write_csv
+from .csvio import CSV_STRIDE, write_csv, write_text
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
                         wga_pl_terms)
@@ -107,11 +107,7 @@ def _write_figure(out_dir: str, name: str, title: str, curves, header, summary,
     lines = [f"set title '{title}'", "set logscale y", "set xlabel 'step'",
              "set ylabel 'test loss'", "set key right top",
              "plot " + ", ".join(plots)]
-    path = os.path.join(out_dir, f"{name}.gp")
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_text(os.path.join(out_dir, f"{name}.gp"), "\n".join(lines) + "\n")
     return FigureResult(curves={key: res for key, _, _, res in curves},
                         summary=summary, chosen=chosen or {})
 

@@ -64,8 +64,9 @@ class DecreasingPlSchedule:
     inputs: ScheduleInputs
     c: int = 2
 
-    def values(self, horizon: int) -> np.ndarray:
-        return eta_decreasing_pl(np.arange(horizon), self.inputs, self.c)
+    def values(self, horizon: int, start: int = 0) -> np.ndarray:
+        """eta_t for t = start .. horizon - 1."""
+        return eta_decreasing_pl(np.arange(start, horizon), self.inputs, self.c)
 
 
 @dataclass
@@ -81,7 +82,6 @@ class RunConfig:
     c0_policy: str = "first_bias"
     warm_start_samples: int = 8
     oracle_v: float = 0.0
-    iterate_stride: int = 0  # 0: do not record iterates
 
     def __post_init__(self):
         self.x0 = _as_vector(self.x0)
@@ -89,8 +89,7 @@ class RunConfig:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if self.c0_policy not in C0_POLICIES:
             raise ValueError(f"c0_policy must be one of {C0_POLICIES}")
-        for key, lo, hi in (("horizon", 1, MAX_HORIZON), ("warm_start_samples", 1, math.inf),
-                            ("iterate_stride", 0, math.inf)):
+        for key, lo, hi in (("horizon", 1, MAX_HORIZON), ("warm_start_samples", 1, math.inf)):
             value = getattr(self, key)
             if not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
                 raise ValueError(f"{key} must be an integer in [{lo}, {hi}]")
@@ -111,12 +110,13 @@ class RunConfig:
 
 @dataclass
 class Trace:
-    """Per-step metrics of one run (arrays of length T+1, step 0 included)."""
+    """Per-step metrics of one run (arrays of length T+1, step 0 included)
+    and its final iterate: x_T, or a diverged run's frozen iterate."""
 
     test_loss: np.ndarray
     grad_norm_sq: np.ndarray
     final_gap: float
-    iterates: np.ndarray | None = None
+    final_iterate: np.ndarray
     diverged: bool = False
     steps_completed: int = 0
 
@@ -140,10 +140,11 @@ class RunResult:
     traces: list | None = None
 
 
-def _step_sizes(cfg: RunConfig) -> np.ndarray:
+def _step_sizes(cfg: RunConfig, t0: int, n: int) -> np.ndarray:
+    """The sizes of steps t0 .. t0 + n - 1."""
     if isinstance(cfg.step_size, DecreasingPlSchedule):
-        return cfg.step_size.values(cfg.horizon)
-    return np.full(cfg.horizon, float(cfg.step_size))
+        return cfg.step_size.values(t0 + n, start=t0)
+    return np.full(n, float(cfg.step_size))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -163,8 +164,7 @@ def _batch_key(cfg: RunConfig) -> tuple:
     """
     agents = [cfg.main_task] + list(cfg.collaborators)
     return (cfg.aggregator == "oracle_bc", cfg.horizon, cfg.main_task.dim,
-            len(agents), cfg.iterate_stride,
-            tuple(task.noise_scale == 0 for task in agents))
+            len(agents), tuple(task.noise_scale == 0 for task in agents))
 
 
 def _plateau_start(T: int) -> int:
@@ -186,7 +186,9 @@ class _Batch:
     lanes' beta.  Every operand a step multiplies by (tau, the mix
     weights, the step sizes and the normals) spans all d coordinates, so
     that its products take numpy's loop for same-shape contiguous
-    operands.  Every buffer is allocated here, once per call.
+    operands.  Every buffer is allocated here, once per call, and only
+    the traces and seed sums span the horizon: the step sizes are formed
+    per chunk, and X[0] ends as each lane's final iterate.
     """
 
     def __init__(self, cfgs, seeds, streamed: bool):
@@ -247,7 +249,7 @@ class _Batch:
                               for s in seeds])
             self.stds.append((used, col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
                                          for cfg in cfgs])))
-        self.etas = np.stack([_step_sizes(cfg) for cfg in cfgs], axis=1)  # (T, configs)
+        self.cfgs = cfgs
 
         # At least two steps, so that every block of seed sums spans two or
         # more steps (see `record`).
@@ -265,8 +267,6 @@ class _Batch:
         self.kept = _plateau_start(T) if streamed else 0
         self.traces = np.empty((1 if streamed else 2, L, T + 1 - self.kept))
         self.sums = np.empty((2, C, T + 1)) if streamed else None
-        self.stride = stride = first.iterate_stride
-        self.iterates = np.empty((L, T // stride + 1, d)) if stride else None
         self.metric_work = np.empty((2, L * (chunk + 1) * d))
         self.metric_rows = np.empty((2, L * (chunk + 1)))
 
@@ -320,7 +320,8 @@ class _Batch:
         for row, lane_std in self.stds:
             z[:, row] *= lane_std
         eta = self.eta_all[:n]
-        np.copyto(eta.reshape(n, self.C, self.S, self.d), self.etas[t0:t0 + n, :, None, None])
+        steps = np.stack([_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)
+        np.copyto(eta.reshape(n, self.C, self.S, self.d), steps[:, :, None, None])
         return z, eta
 
     def step(self, X, t0: int, z, eta) -> None:
@@ -393,8 +394,7 @@ class _Batch:
             dead[lane] = True
 
     def record(self, X, t0: int) -> None:
-        """Metrics of the iterates X[i] of steps t0 + i, all lanes, and
-        the iterates on the stride.
+        """Metrics of the iterates X[i] of steps t0 + i, all lanes.
 
         Loss and gradient norm are formed with the same elementwise
         arithmetic as a per-step pass, lane-major from the first operation
@@ -421,21 +421,17 @@ class _Batch:
                 # step numpy would add the contiguous seeds pairwise.
                 np.add.reduce(rows.reshape(2, self.C, self.S, m), axis=2,
                               out=sums[:, :, t0:t0 + m])
-        if self.stride:
-            skip = -t0 % self.stride
-            k0 = (t0 + skip) // self.stride
-            snaps = X[skip::self.stride]
-            self.iterates[:, k0:k0 + snaps.shape[0]] = snaps.transpose(1, 0, 2)
 
     def outputs(self) -> list:
-        """Per config, (losses, grad_norms, steps, iterates, means) as
-        views of the call's arrays; see `_run_batch`."""
-        S, traces, sums, iterates = self.S, self.traces, self.sums, self.iterates
+        """Per config, (losses, grad_norms, steps, final iterates, means)
+        as views of the call's arrays; see `_run_batch`.  The final
+        iterates are copied out of X[0], so that no view holds all of X."""
+        S, traces, sums, final = self.S, self.traces, self.sums, self.X[0].copy()
         if sums is not None:
             sums /= S
         blocks = [slice(k * S, (k + 1) * S) for k in range(self.C)]
         return [(traces[0, lanes], None if sums is not None else traces[1, lanes],
-                 self.steps_completed[lanes], None if iterates is None else iterates[lanes],
+                 self.steps_completed[lanes], final[lanes],
                  None if sums is None else sums[:, k])
                 for k, lanes in enumerate(blocks)]
 
@@ -445,13 +441,14 @@ def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     wga | bc), under many seeds, as the lanes of one `_Batch`, one chunk
     of steps at a time.
 
-    Returns per config (losses, grad_norms, steps, iterates, means):
+    Returns per config (losses, grad_norms, steps, final iterates, means):
     views of the call's own arrays, one row per seed.  The full path
     keeps each seed's whole loss and gradient-norm traces.  `streamed`
     keeps only the losses over the plateau window and adds the lanes'
     losses and norms to per-config seed sums as it goes, which it returns
     as the (2, T+1) means, diverged seeds included; its grad_norms are
-    None.  Each row is bitwise identical to running that (config, seed)
+    None.  A lane's final iterate is x_T, or its frozen iterate if it
+    diverged.  Each row is bitwise identical to running that (config, seed)
     alone: every per-step operation is elementwise across lanes, each
     lane reads its own seed's streams, and a diverged lane is frozen in
     its row, which leaves the other lanes' bits untouched.
@@ -503,12 +500,11 @@ def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
 
 def _traces(rows) -> list:
     """One Trace per seed of a full-path `_run_batch` output, as views."""
-    losses, norms, steps, iterates, _ = rows
+    losses, norms, steps, finals, _ = rows
     T = losses.shape[1] - 1
-    iterates = [None] * len(steps) if iterates is None else iterates
-    return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(loss[T]), iterates=x,
-                  diverged=bool(s < T), steps_completed=int(s))
-            for loss, norm, s, x in zip(losses, norms, steps, iterates)]
+    return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(loss[T]),
+                  final_iterate=x, diverged=bool(s < T), steps_completed=int(s))
+            for loss, norm, s, x in zip(losses, norms, steps, finals)]
 
 
 def run(cfg: RunConfig) -> Trace:

@@ -284,7 +284,7 @@ class TestInputContract:
         ("horizon", "10.5"),
         ("step_size", '"0.01"'),
         ("oracle_v", "1e400"),
-        ("iterate_stride", "1"),  # only the API takes it
+        ("iterate_stride", "1"),  # an unknown key: RunConfig has no such field
     ], ids=lambda v: v)
     def test_config_bad_number(self, tmp_path, capsys, key, raw):
         """JSON numbers (1e400 is inf) that do not fit their key fail as
@@ -397,6 +397,21 @@ class TestConfigFile:
             r.main_task, r.collaborators, r.weights, 100, r.x0))
         with pytest.raises(ConfigError, match="no JSON form"):
             cfg.to_dict()
+
+    def test_failed_save_keeps_the_saved_file(self, tmp_path):
+        """A config that cannot be saved leaves the file it would have
+        replaced as it was, and no temp file beside it."""
+        path = tmp_path / "cfg.json"
+        save_config(self.make_config(), str(path))
+        saved = path.read_bytes()
+        cfg = self.make_config()
+        r = cfg.run
+        r.step_size = DecreasingPlSchedule(schedule_inputs(
+            r.main_task, r.collaborators, r.weights, 100, r.x0))
+        with pytest.raises(ConfigError, match="no JSON form"):
+            save_config(cfg, str(path))
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_missing_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1

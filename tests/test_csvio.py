@@ -1,12 +1,14 @@
 """The column-wise CSV writer against the per-value rule it replaced."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cosgd import figures
 from cosgd.csvio import fmt_value, write_csv
 
 
@@ -128,3 +130,16 @@ def test_ragged_rows_rejected_without_a_file(tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], columns)
         assert list(tmp_path.iterdir()) == []
+
+
+def test_files_take_the_umask_mode(tmp_path):
+    """Every file a figure writes, its CSVs and its gnuplot script, is
+    created as `open` creates one: mode 0o666 less the umask."""
+    old = os.umask(0o027)
+    try:
+        figures.fig5(str(tmp_path), horizon=20, seeds=[0, 1])
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert "fig5.gp" in modes and "fig5_summary.csv" in modes
+    assert set(modes.values()) == {0o640}, modes

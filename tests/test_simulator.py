@@ -53,12 +53,25 @@ class TestRunBasics:
         with pytest.raises(ValueError):
             run(make_cfg("bc", beta=None))
 
-    def test_iterate_snapshots(self):
-        tr = run(make_cfg(T=20, iterate_stride=5))
-        assert tr.iterates.shape == (5, 1)
+    def test_final_iterate(self):
+        """An exact step to the optimum ends at x* = 0; a diverged run
+        ends at its frozen iterate, x_t of its last completed step t."""
+        tr = run(make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, eta=1.0, T=3))
+        assert tr.final_iterate.shape == (1,)
+        assert tr.final_iterate[0] == 0.0
+        cfg = make_cfg("alone", alpha=0.0, eta=2.5, T=300)
+        tr = run(cfg)
+        assert tr.diverged and 0 < tr.steps_completed < 300
+        assert np.all(np.abs(tr.final_iterate) <= simulator.DIVERGENCE_LIMIT)
+        np.testing.assert_array_equal(
+            tr.final_iterate,
+            run(dataclasses.replace(cfg, horizon=tr.steps_completed)).final_iterate)
 
-    @pytest.mark.parametrize("key,value", [("iterate_stride", -1), ("iterate_stride", 0.5),
-                                           ("oracle_v", np.inf), ("oracle_v", np.nan),
+    def test_iterate_stride_removed(self):
+        with pytest.raises(TypeError, match="iterate_stride"):
+            make_cfg(iterate_stride=5)
+
+    @pytest.mark.parametrize("key,value", [("oracle_v", np.inf), ("oracle_v", np.nan),
                                            ("horizon", 20.5), ("horizon", np.float64(20.0)),
                                            ("warm_start_samples", 2.5)])
     def test_rejected_before_the_kernel(self, key, value):
@@ -324,6 +337,10 @@ class TestDecreasingPlSchedule:
         values = DecreasingPlSchedule(inputs, c).values(T)
         assert values[0] == cap > loop[-1]
         np.testing.assert_array_equal(values, np.array(loop))
+        # The kernel forms them a chunk at a time, with the same bits.
+        for start, stop in ((0, 256), (1, 257), (12_345, 12_600), (T - 1, T)):
+            np.testing.assert_array_equal(
+                DecreasingPlSchedule(inputs, c).values(stop, start=start), loop[start:stop])
 
 
 class TestAlphaZeroEquivalence:
@@ -433,16 +450,16 @@ class TestMeanDynamicsOracle:
         np.testing.assert_allclose(seq[-1], mean_fixed_point(cfg), atol=1e-10)
 
     def test_matches_monte_carlo(self):
-        cfg = make_cfg("wga", alpha=0.5, sigma0=1.0, sigma1=1.0, eta=0.02, T=500,
-                       iterate_stride=100)
+        """E[x_t] over 200 seeds, each x_t the final iterate of a run with
+        horizon t, is within 3 SE of the oracle."""
+        cfg = make_cfg("wga", alpha=0.5, sigma0=1.0, sigma1=1.0, eta=0.02, T=500)
         seeds = range(200)
         oracle = mean_dynamics_oracle(cfg)
-        res = run_replicated(cfg, seeds, keep_traces=True)
-        snaps = np.stack([tr.iterates[:, 0] for tr in res.traces])
-        mean_iter = snaps.mean(axis=0)
-        se = snaps.std(axis=0, ddof=1) / np.sqrt(snaps.shape[0])
-        for j, t in enumerate(range(0, 501, 100)):
-            assert abs(mean_iter[j] - oracle[t, 0]) <= 3 * max(se[j], 1e-12)
+        for t in range(100, 501, 100):
+            res = run_replicated(dataclasses.replace(cfg, horizon=t), seeds, keep_traces=True)
+            snaps = np.array([tr.final_iterate[0] for tr in res.traces])
+            se = snaps.std(ddof=1) / np.sqrt(len(snaps))
+            assert abs(snaps.mean() - oracle[t, 0]) <= 3 * max(se, 1e-12)
 
     def test_bc_unsupported(self):
         with pytest.raises(ValueError):
@@ -462,8 +479,7 @@ def assert_results_equal(a, b):
 def assert_traces_equal(a, b):
     np.testing.assert_array_equal(a.test_loss, b.test_loss)
     np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
-    if a.iterates is not None or b.iterates is not None:
-        np.testing.assert_array_equal(a.iterates, b.iterates)
+    np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
     assert (a.final_gap, a.diverged, a.steps_completed) \
         == (b.final_gap, b.diverged, b.steps_completed)
 
@@ -694,8 +710,7 @@ class TestChunkLength:
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
     def test_traces_do_not_depend_on_chunk_length(self, monkeypatch, aggregator, d):
-        base = dataclasses.replace(TestNoiseDraws.base_cfg(aggregator, d),
-                                   horizon=700, iterate_stride=9)
+        base = dataclasses.replace(TestNoiseDraws.base_cfg(aggregator, d), horizon=700)
         # Lanes of eta >= 1.35 diverge in some aggregators, mid-chunk: eta
         # = 2.5 within the first chunk of the smallest chunk length (256 //
         # d steps), and at least one other eta in a later chunk.
@@ -753,7 +768,7 @@ class TestDivergingLanes:
         # Small chunks, so lanes die mid-chunk and the survivors run on
         # through later chunks.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 40)
-        base = make_cfg(aggregator, T=300, iterate_stride=7, **kw)
+        base = make_cfg(aggregator, T=300, **kw)
         # eta = 2.5 grows |x| about 1.5-fold a step: every seed diverges.
         cfgs = [sweep_config(base, "eta", eta) for eta in (0.05, 2.5, 0.1)]
         seeds = [0, 1, 2, 3]
@@ -898,7 +913,7 @@ class TestMixedBatch:
         def cfg(aggregator, alpha, beta=None, **kw):
             return RunConfig(main, colls, aggregator,
                              CollaborationWeights(alpha, [0.3, 0.7], beta=beta),
-                             0.05, 400, np.full(3, 4.0), iterate_stride=7, **kw)
+                             0.05, 400, np.full(3, 4.0), **kw)
         return ([cfg("alone", 0.5), cfg("wga", 0.5)]
                 + [cfg("bc", 0.6, 0.2, c0_policy=p) for p in simulator.C0_POLICIES])
 
@@ -1059,6 +1074,24 @@ class TestStreamedReduction:
         assert len(res.traces) == 64 and not res.diverged_seeds
         assert peak < 1.2 * trace_bytes, peak / trace_bytes
 
+    def test_batch_spans_the_horizon_only_in_its_outputs(self):
+        """Building a fig2-shaped streamed batch (9 configs, 20 seeds,
+        T = 200 000) allocates at most 1.1x its plateau-window traces and
+        seed sums, 57.6 MB: every other array spans one chunk of steps."""
+        T, seeds = 200_000, range(20)
+        cfgs = ([make_cfg("alone", alpha=0.0, eta=eta, T=T) for eta in figures.ETA_GRID]
+                + [make_cfg("wga", eta=eta, T=T) for eta in figures.ETA_GRID]
+                + [make_cfg("bc", beta=1e-4, eta=1e-4, T=T, c0_policy="zero")])
+        tracemalloc.start()
+        try:
+            batch = simulator._Batch(cfgs, seeds, streamed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = batch.traces.nbytes + batch.sums.nbytes
+        assert round(outputs / 1e6, 1) == 57.6
+        assert peak < 1.1 * outputs, peak / 1e6
+
 
 class TestOneCallPerFigure:
     @pytest.mark.parametrize("name,configs", [("fig2", 9), ("fig3", 4), ("fig4", 5),
@@ -1096,7 +1129,7 @@ class TestStages:
     def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, streamed):
         # Chunks of 256 steps; T = 700 ends on a chunk of 188.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
-        cfgs = [dataclasses.replace(cfg, horizon=700, iterate_stride=9) for cfg in cfgs]
+        cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in cfgs]
         seeds = [0, 3, 5]
         plain = simulator._run_batch(cfgs, seeds, streamed)
         assert any((steps < 700).any() for _, _, steps, _, _ in plain)
