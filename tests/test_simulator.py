@@ -67,15 +67,15 @@ class TestRunBasics:
             tr.final_iterate,
             run(dataclasses.replace(cfg, horizon=tr.steps_completed)).final_iterate)
 
-    def test_iterate_stride_removed(self):
-        with pytest.raises(TypeError, match="iterate_stride"):
-            make_cfg(iterate_stride=5)
-
     @pytest.mark.parametrize("key,value", [("oracle_v", np.inf), ("oracle_v", np.nan),
                                            ("horizon", 20.5), ("horizon", np.float64(20.0)),
-                                           ("warm_start_samples", 2.5)])
+                                           ("warm_start_samples", 2.5),
+                                           ("iterate_stride", -1), ("iterate_stride", 0.5)])
     def test_rejected_before_the_kernel(self, key, value):
-        with pytest.raises(ValueError, match=key):
+        # iterate_stride is no longer a RunConfig field: any value is refused
+        # as an unknown keyword.
+        error = TypeError if key == "iterate_stride" else ValueError
+        with pytest.raises(error, match=key):
             dataclasses.replace(make_cfg("oracle_bc"), **{key: value})
 
     def test_divergence_flagged_and_truncated(self):
