@@ -14,15 +14,17 @@ Seeds and configs are vectorized through one kernel: a lane is one
 (config, seed) pair, every per-step operation is elementwise across
 lanes and each config's parameters are broadcast over its own lanes,
 which makes a batched run bitwise equal to the corresponding single
-runs.  Alone, WGA and BC share one step rule (Alone is WGA with alpha = 0,
-WGA is BC with c = 0 and beta = 0); Oracle BC runs in calls of its own.
-The configs of a batch share each (seed, agent) draw, which is spread
-over their lanes.  The agents share one leading array axis, so a step
-forms every agent's gradient and noise with one numpy call each, and
-applies the combine rules of `aggregators` and the noise model of
-`objective` through their arithmetic cores.  A kernel call is one
-`_Batch`, whose stages `draw`, `step`, `freeze` and `record` each run
-once per chunk of steps.
+runs.  The four aggregators share one step rule (Alone is WGA with
+alpha = 0, WGA is BC with c = 0 and beta = 0, and Oracle BC is BC whose
+c is the oracle's noisy true bias), so configs share a call whenever
+their arrays have the same shape, whatever their aggregators and noise
+models.  The configs of a batch share each (seed, agent) draw, which
+is spread over their lanes.  The agents share one leading array axis,
+so a step forms every agent's gradient and noise with one numpy call
+each, and applies the combine rules of `aggregators` and the noise
+model of `objective` through their arithmetic cores.  A kernel call is
+one `_Batch`, whose stages `draw`, `step`, `freeze` and `record` each
+run once per chunk of steps.
 """
 
 import math
@@ -156,15 +158,10 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _batch_key(cfg: RunConfig) -> tuple:
-    """Configs with equal keys share one kernel call.
-
-    They agree on everything that shapes the kernel's arrays or picks a
-    code path; all other parameters, the aggregator among them unless it
-    is oracle_bc, are per lane.
-    """
-    agents = [cfg.main_task] + list(cfg.collaborators)
-    return (cfg.aggregator == "oracle_bc", cfg.horizon, cfg.main_task.dim,
-            len(agents), tuple(task.noise_scale == 0 for task in agents))
+    """Configs with equal keys share one kernel call: the key is the shape
+    of its arrays (horizon, dimension and agent count), and every other
+    parameter, the aggregator and noise model among them, is per lane."""
+    return cfg.horizon, cfg.main_task.dim, 1 + len(cfg.collaborators)
 
 
 def _plateau_start(T: int) -> int:
@@ -181,8 +178,8 @@ class _Batch:
     L, which follows the agent axis where there is one.  Per-agent arrays
     stack the used agents on a leading axis, the collaborators first and
     the main task last; per-collaborator ones stack the K collaborators.
-    Alone lanes hold placeholders alpha = 0 and tau = 0: their step takes
-    g_0 itself.  The mix weights stack each lane's alpha over the bc
+    tau and the mix weights skip the alone lanes, whose step takes g_0
+    itself; the mix weights stack the other lanes' alpha over the bc
     lanes' beta.  Every operand a step multiplies by (tau, the mix
     weights, the step sizes and the normals) spans all d coordinates, so
     that its products take numpy's loop for same-shape contiguous
@@ -200,12 +197,14 @@ class _Batch:
         first = cfgs[0]
         self.d, self.T = d, T = first.main_task.dim, first.horizon
         n_agents = 1 + len(first.collaborators)
-        n_alone = sum(cfg.aggregator == "alone" for cfg in cfgs) * S
-        bc_cfgs = [cfg for cfg in cfgs if cfg.aggregator == "bc"]
+        collab = [cfg for cfg in cfgs if cfg.aggregator != "alone"]
+        bc_cfgs = [cfg for cfg in collab if cfg.aggregator == "bc"]
+        n_alone = L - len(collab) * S
         self.B = B = len(bc_cfgs) * S
-        self.oracle = oracle = first.aggregator == "oracle_bc"
+        self.O = O = sum(cfg.aggregator == "oracle_bc" for cfg in collab) * S
         # A batch of alone lanes forms, and draws, only the main task's gradient.
-        self.used = used = 1 if n_alone == L else n_agents
+        self.used = used = 1 if not collab else n_agents
+        K = used - 1
 
         def col(values, width=1):
             """(L, width), or (A, L, width) from (A, configs) values."""
@@ -221,34 +220,27 @@ class _Batch:
 
         self.curv, self.opt = (np.repeat(np.array(per_agent(value), dtype=float), S, axis=1)
                                for value in (lambda t: t.curvature, lambda t: t.optimum))
-        std = col(per_agent(lambda t: t.noise_std))
-        # noise_std ** 2 of a scaled-noise agent.  An additive agent has 1
-        # here and noise_scale 0, so that `noise_std` is exactly 1 for it
-        # and its pre-scaled normals pass through a batch that also has
-        # scaled-noise agents unchanged.
-        self.var = col(per_agent(lambda t: t.noise_std ** 2 if t.noise_scale else 1.0))
+        self.var = col(per_agent(lambda t: t.noise_std ** 2))
         self.scale = scale = col(per_agent(lambda t: t.noise_scale))
         self.scaled_noise = scaled_noise = bool(scale.any())
-        collab = [cfg.weights if cfg.aggregator != "alone" else None for cfg in cfgs]
         betas = [cfg.weights.beta for cfg in bc_cfgs]
-        self.tau = col([[w.tau[k] if w else 0.0 for w in collab]
-                        for k in range(n_agents - 1)], d)[:, n_alone:]
-        self.w = col([w.alpha if w else 0.0 for w in collab] + betas, d)[n_alone:]
-        self.one_minus_w = col([1.0 - w.alpha if w else 1.0 for w in collab]
-                               + [1.0 - b for b in betas], d)[n_alone:]
+        self.tau = col([[cfg.weights.tau[k] for cfg in collab] for k in range(K)], d)
+        self.w = col([cfg.weights.alpha for cfg in collab] + betas, d)
+        self.one_minus_w = col([1.0 - cfg.weights.alpha for cfg in collab]
+                               + [1.0 - b for b in betas], d)
 
-        # One stream per (seed, row), drawn once for all configs; the row
-        # axis holds the used agents, then the oracle's for oracle_bc.  The
-        # rows `draw` scales by each lane's std are the additive agents' and
-        # the oracle's; a scaled-noise agent's std is formed per step.
+        # One stream per (seed, row), drawn once for all configs: the used
+        # agents', then the oracle's if there are oracle_bc lanes.  `draw`
+        # scales the oracle's row by each lane's std, and the agents' too
+        # unless the batch has scaled noise, whose stds `step` forms.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
-        self.stds = [(a, std[a]) for a in range(used) if scale[a, 0, 0] == 0]
-        if oracle:
+        stds = [] if scaled_noise else list(col(per_agent(lambda t: t.noise_std)))
+        if O:
             self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                               for s in seeds])
-            self.stds.append((used, col([oracle_noise_std(cfg.oracle_v, n_agents - 1, d)
-                                         for cfg in cfgs])))
+            stds.append(col([oracle_noise_std(cfg.oracle_v, K, d) for cfg in cfgs]))
+        self.stds = np.reshape(stds, (len(stds), L, 1))
         self.cfgs = cfgs
 
         # At least two steps, so that every block of seed sums spans two or
@@ -277,25 +269,28 @@ class _Batch:
 
         # The step's work buffers, which every step overwrites.  Row X[i]
         # of a chunk is the iterate before its step i.  G holds the used
-        # agents' samples, g_0 last, and then the bc lanes' c; P[:, :L]
-        # holds the products of the collaborator average, which is
-        # P[0, :L], and P[0, L:] the bc lanes' b.  So one mix over the
-        # lanes past the alone ones writes both c_{t+1} and g over its
-        # first operand, and an alone lane's g is its g_0.
+        # agents' samples, g_0 last, then c: the bc lanes', then the oracle
+        # lanes', which is the first row of the oracle's K products.
+        # P[:, :L] holds the products of the collaborator average, which
+        # is P[0, :L], and P[0, L:] the bc lanes' b.  So one mix over the
+        # lanes past the alone ones and the bc lanes' c writes g and c_{t+1}
+        # over its first operand, and an alone lane's g is its g_0.
         self.X = np.empty((chunk + 1, L, d))
         self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
         self.grads = np.empty((used, L, d))
-        G = np.empty((used * L + B, d))
-        P = np.empty((max(used - 1, 1), L + B, d))  # unread by alone-only batches
+        G = np.empty((used * L + B + K * O, d))
+        P = np.empty((max(K, 1), L + B, d))  # unread by alone-only batches
         self.samples = samples = G[:used * L].reshape(used, L, d)
-        self.c = c = G[used * L:]
+        self.c = c = G[used * L:used * L + B + O]
         self.b = P[0, L:]
         self.coll, self.prods = samples[:-1, n_alone:], P[:, n_alone:L]
-        self.g0_bc, self.gavg_bc = samples[-1, L - B:], P[0, L - B:L]
-        self.mix_a, self.mix_b = G[(used - 1) * L + n_alone:], P[0, n_alone:]
+        self.g0_bc, self.gavg_bc = samples[-1, L - B - O:L - O], P[0, L - B - O:L - O]
+        self.gavg_c = P[0, L - B - O:L]
+        self.oracle_prods = G[used * L + B:].reshape(K, O, d)
+        self.tau_oracle = self.tau[:, L - n_alone - O:]
+        self.mix_a, self.mix_b = G[(used - 1) * L + n_alone:used * L + B], P[0, n_alone:]
         self.std_buf, self.sq = ((np.empty((used, L, 1)), np.empty((used, L, d)))
                                  if scaled_noise else (None, None))
-        self.bias = np.empty((used - 1, L, d)) if oracle else None
 
         # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
         c[:] = 0.0
@@ -317,8 +312,7 @@ class _Batch:
                 gen.standard_normal(out=out)
         np.copyto(self.spread[:n], buf.transpose(2, 0, 1, 3)[:, :, None])
         z = self.spread[:n].reshape(n, len(buf), self.L, self.d)
-        for row, lane_std in self.stds:
-            z[:, row] *= lane_std
+        z[:, len(buf) - len(self.stds):] *= self.stds
         eta = self.eta_all[:n]
         steps = np.stack([_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)
         np.copyto(eta.reshape(n, self.C, self.S, self.d), steps[:, :, None, None])
@@ -329,19 +323,20 @@ class _Batch:
 
         Lanes are independent, so a dead lane's overflow and NaNs stay in
         its own row until `freeze` replaces them.  z[:, -1] is the
-        oracle's row for oracle_bc, and unread otherwise."""
+        oracle's row if the batch has oracle_bc lanes."""
         curv, opt, grads, samples, d = self.curv, self.opt, self.grads, self.samples, self.d
         var, scale, std_buf, sq = self.var, self.scale, self.std_buf, self.sq
-        tau, coll, prods, bias, c, b = (self.tau, self.coll, self.prods, self.bias,
-                                        self.c, self.b)
-        g0_bc, gavg_bc, mix_a, mix_b = self.g0_bc, self.gavg_bc, self.mix_a, self.mix_b
-        one_minus_w, w, first_bias = self.one_minus_w, self.w, self.first_bias
-        used, scaled_noise, oracle, B = self.used, self.scaled_noise, self.oracle, self.B
-        g = samples[-1]
+        tau, coll, prods, c, b = self.tau, self.coll, self.prods, self.c, self.b
+        tau_oracle, oracle_prods = self.tau_oracle, self.oracle_prods
+        g0_bc, gavg_bc, gavg_c = self.g0_bc, self.gavg_bc, self.gavg_c
+        mix_a, mix_b, one_minus_w, w = self.mix_a, self.mix_b, self.one_minus_w, self.w
+        used, scaled_noise, B, O, L = self.used, self.scaled_noise, self.B, self.O, self.L
+        g, c_bc, first_bias = samples[-1], c[:B], self.first_bias
+        true_coll, true_g0 = grads[:-1, L - O:], grads[-1, L - O:]
         at_t0 = t0 == 0
         with np.errstate(over="ignore", invalid="ignore"):
             for x, x_next, z_i, z_oracle, eta_i in zip(
-                    X[:-1], X[1:], z[:, :used], z[:, -1], eta):
+                    X[:-1], X[1:], z[:, :used], z[:, -1, L - O:], eta):
                 # Each used agent's true and stochastic gradient.
                 np.multiply(curv, np.subtract(x, opt, grads), grads)
                 if scaled_noise:
@@ -351,18 +346,19 @@ class _Batch:
                     np.add(grads, z_i, samples)
                 if used > 1:
                     # g = (1-a) g_0 + a (g_avg - c), with c = 0 on wga lanes.
-                    gavg = tau_sum(tau, coll, prods)
-                    if oracle:
-                        true_bias = tau_sum(tau, grads[:-1], bias)
-                        np.subtract(true_bias, grads[-1], true_bias)
-                        np.add(true_bias, z_oracle, true_bias)
-                        np.subtract(gavg, true_bias, gavg)
-                    elif B:
+                    tau_sum(tau, coll, prods)
+                    if O:
+                        # The oracle's c: the true bias plus the oracle's noise.
+                        c_oracle = tau_sum(tau_oracle, true_coll, oracle_prods)
+                        np.subtract(c_oracle, true_g0, c_oracle)
+                        np.add(c_oracle, z_oracle, c_oracle)
+                    if B:
                         np.subtract(gavg_bc, g0_bc, b)
                         if at_t0:
-                            c[first_bias] = b[first_bias]
+                            c_bc[first_bias] = b[first_bias]
                             at_t0 = False
-                        np.subtract(gavg_bc, c, gavg_bc)
+                    if B or O:
+                        np.subtract(gavg_c, c, gavg_c)
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
 
@@ -438,8 +434,8 @@ class _Batch:
 
 def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
     """Run configs that share a `_batch_key`, ordered by kind (alone |
-    wga | bc), under many seeds, as the lanes of one `_Batch`, one chunk
-    of steps at a time.
+    wga | bc | oracle_bc), under many seeds, as the lanes of one
+    `_Batch`, one chunk of steps at a time.
 
     Returns per config (losses, grad_norms, steps, final iterates, means):
     views of the call's own arrays, one row per seed.  The full path
@@ -586,8 +582,9 @@ def sweep_names(values) -> list:
     and so would share one output file, are a ValueError."""
     try:
         names = [f"{v:g}" for v in values]
-    except (TypeError, ValueError):
-        raise ValueError(f"sweep values must be numbers, got {values!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("sweep values must be numbers in the float range, "
+                         f"got {values!r}") from None
     alike = sorted({name for name in names if names.count(name) > 1})
     if alike:
         raise ValueError("sweep values must differ to 6 significant digits, which "
@@ -600,13 +597,17 @@ def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = Non
 
     zeta: rebuild each collaborator optimum so zeta_k = value (1D only)
     N: averaged-collaborator noise sigma/sqrt(N); with
-       alpha_rule="n_over_n_plus_1" also alpha = N/(N+1)
+       alpha_rule="n_over_n_plus_1", the only rule, also alpha = N/(N+1)
     delta: collaborator curvature a_0 + delta, optimum moved to keep zeta_k
     sigma: main noise value, collaborator noise rescaled proportionally
-    alpha/beta/eta/T: direct replacements
+    alpha/beta/eta/T: direct replacements; N and T must be integral
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
+    if alpha_rule is not None and (axis, alpha_rule) != ("N", "n_over_n_plus_1"):
+        raise ValueError(f"alpha_rule {alpha_rule!r} does not apply to sweep axis {axis!r}")
+    if axis in ("N", "T") and value % 1 != 0:  # nan for inf and nan
+        raise ValueError(f"{axis} must be an integer, got {value!r}")
     cfg = base
     if axis == "zeta":
         if base.main_task.dim != 1:
@@ -622,10 +623,8 @@ def sweep_config(base: RunConfig, axis: str, value, alpha_rule: str | None = Non
         colls = [replace(c, noise_std=sigma / math.sqrt(n))
                  for c in base.collaborators]
         cfg = replace(cfg, collaborators=colls)
-        if alpha_rule == "n_over_n_plus_1":
+        if alpha_rule is not None:
             cfg = replace(cfg, weights=replace(base.weights, alpha=n / (n + 1.0)))
-        elif alpha_rule is not None:
-            raise ValueError(f"unknown alpha_rule {alpha_rule!r}")
         return cfg
     if axis == "alpha":
         return replace(cfg, weights=replace(base.weights, alpha=float(value)))

@@ -119,12 +119,29 @@ class TestInputContract:
                        "--out-dir", str(tmp_path)) == 1
         assert "N must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis,rule", [("eta", "bogus"), ("eta", "n_over_n_plus_1"),
+                                           ("N", "bogus")])
+    def test_config_sweep_alpha_rule(self, tmp_path, capsys, axis, rule):
+        """alpha_rule sets alpha from N, so on any other axis it is an
+        error, as is a rule that does not exist."""
+        d = TestConfigFile().make_config().to_dict()
+        d["sweep"] = {"axis": axis, "values": [2, 3], "alpha_rule": rule}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"alpha_rule {rule!r} does not apply to sweep axis {axis!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis,values,message", [
         ("eta", [0.01, 0.0100000001], "significant digits, which name their "
                                       "outputs; repeated: 0.01"),
         ("N", [10, 10.0, 3], "repeated: 10"),
         ("eta", ["0.01"], "sweep values must be numbers"),
-    ], ids=["eta-6-digits", "N-int-and-float", "eta-string"])
+        ("T", [10 ** 400], "sweep values must be numbers in the float range"),
+    ], ids=["eta-6-digits", "N-int-and-float", "eta-string", "T-beyond-float"])
     def test_config_sweep_values_need_distinct_names(self, tmp_path, capsys, axis,
                                                      values, message):
         """Each swept value names its trace file and aggregate rows by %g,

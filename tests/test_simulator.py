@@ -233,6 +233,23 @@ class TestReferenceEquivalence:
                 np.testing.assert_array_equal(
                     tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
 
+    def test_bitwise_match_all_kinds_in_one_call(self, kernel_calls):
+        # Every aggregator under both noise layouts, so that each agent has
+        # gradient-scaled noise in some configs of the call and additive
+        # noise in others.
+        kinds = [("alone", {}), ("wga", {}), ("bc", dict(beta=0.2)),
+                 ("bc", dict(beta=0.2, c0_policy="warm_start")),
+                 ("oracle_bc", dict(oracle_v=1.5))]
+        cfgs = [self.mixed_noise_cfg(aggregator, 3, scaled_main, **kw)
+                for scaled_main in (True, False) for aggregator, kw in kinds]
+        seeds = [2, 9]
+        results = simulator._replicate(cfgs, seeds, keep_traces=True)
+        assert kernel_calls == [len(cfgs)]
+        for cfg, res in zip(cfgs, results, strict=True):
+            for seed, tr in zip(seeds, res.traces, strict=True):
+                np.testing.assert_array_equal(
+                    tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
+
     def test_bitwise_match_oracle_bc_batch(self):
         # Four oracle_bc configs, oracle_v x alpha, as the lanes of one
         # kernel call, with K = 2 and scaled collaborator noise.
@@ -436,6 +453,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_config(make_cfg(), "bogus", 1.0)
 
+    @pytest.mark.parametrize("axis,value", [("N", 1.5), ("T", 50.7), ("N", float("inf"))])
+    def test_fractional_count_rejected(self, tmp_path, axis, value):
+        # Truncated, N = 1.5 would run N = 1 under outputs named 1.5.
+        base = make_cfg()
+        with pytest.raises(ValueError, match=f"{axis} must be an integer, got {value}"):
+            sweep(base, axis, [10, value], [0])
+        assert sweep_config(base, axis, 10.0) == sweep_config(base, axis, 10)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            figures.fig5(str(tmp_path), ns=(1.5, 10), horizon=30, seeds=[0])
+        assert not list(tmp_path.iterdir())
+
 
 class TestMeanDynamicsOracle:
     def test_alone_closed_form(self):
@@ -543,9 +571,8 @@ class TestSweepBatching:
             assert_results_equal(res, run_replicated(sweep_config(base, "T", value),
                                                      self.SEEDS))
 
-    def test_mixed_aggregators_fall_back_to_separate_calls(self, kernel_calls):
-        # Alone, wga and bc configs, whatever their c0_policy, share one
-        # call; only oracle_bc falls back to a call of its own.
+    def test_mixed_aggregators_share_one_call(self, kernel_calls):
+        # Configs of every aggregator and c0_policy share one call.
         cfgs = [make_cfg("alone", alpha=0.0, T=120),
                 make_cfg("bc", beta=0.3, T=120),
                 make_cfg("wga", alpha=0.2, T=120),
@@ -553,7 +580,7 @@ class TestSweepBatching:
                 make_cfg("wga", alpha=0.7, T=120),
                 make_cfg("bc", beta=0.3, T=120, c0_policy="zero")]
         results = simulator._replicate(cfgs, self.SEEDS)
-        assert kernel_calls == [5, 1]
+        assert kernel_calls == [6]
         kernel_calls.clear()
         for cfg, res in zip(cfgs, results):
             assert_results_equal(res, run_replicated(cfg, self.SEEDS))
@@ -672,13 +699,14 @@ class TestNoiseDraws:
         w = CollaborationWeights(kw.pop("alpha", 0.5), [1.0], beta=kw.pop("beta", None))
         return RunConfig(main, [coll], aggregator, w, 0.05, 600, np.full(d, 4.0), **kw)
 
-    def assert_draws_once(self, draws, aggregator, d, base, axis, values):
-        cfgs = [sweep_config(base, axis, v) for v in values]
+    def assert_draws_once(self, draws, rows, d, cfgs):
+        """`cfgs` in one `_replicate` call open each of their `rows`
+        streams per seed once, and draw each once."""
         results = simulator._replicate(cfgs, self.SEEDS, keep_traces=True)
         keys, normals = list(draws["keys"]), draws["normals"]
-        streams = len(self.SEEDS) * self.ROWS[aggregator]
+        streams = len(self.SEEDS) * rows
         assert len(keys) == len(set(keys)) == streams
-        assert normals == streams * base.horizon * d
+        assert normals == streams * cfgs[0].horizon * d
         for cfg, res in zip(cfgs, results):
             solo = run_replicated(cfg, self.SEEDS, keep_traces=True)
             assert_results_equal(res, solo)
@@ -689,16 +717,24 @@ class TestNoiseDraws:
     @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
     def test_eta_sweep(self, draws, aggregator, d):
         base = self.base_cfg(aggregator, d)
-        self.assert_draws_once(draws, aggregator, d, base, "eta",
-                               [0.01, 0.02, 0.05, 0.1])
+        self.assert_draws_once(draws, self.ROWS[aggregator], d,
+                               [sweep_config(base, "eta", v) for v in (0.01, 0.02, 0.05, 0.1)])
 
     @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
     def test_mixed_noise_sigma_sweep(self, draws, aggregator):
         # Each config has its own noise std for both agents, so each lane
         # scales the shared normals by its own std after they are spread.
         base = self.base_cfg(aggregator, 3, scaled_collaborator=True)
-        self.assert_draws_once(draws, aggregator, 3, base, "sigma",
-                               [0.5, 1.0, 2.0, 4.0])
+        self.assert_draws_once(draws, self.ROWS[aggregator], 3,
+                               [sweep_config(base, "sigma", v) for v in (0.5, 1.0, 2.0, 4.0)])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_bc_beside_oracle_bc(self, draws, d):
+        # bc and oracle_bc lanes share one call, which draws the agents'
+        # streams once for both kinds and the oracle's once per seed.
+        cfgs = [sweep_config(self.base_cfg(aggregator, d), "eta", eta)
+                for aggregator in ("bc", "oracle_bc") for eta in (0.01, 0.05)]
+        self.assert_draws_once(draws, self.ROWS["oracle_bc"], d, cfgs)
 
 
 class TestChunkLength:
