@@ -13,7 +13,8 @@ allowed): gradients g_0 and g_k, and the bias estimate c_t.  Alone needs
 no rule, since g = g_0.  All combine functions are pure; `bc_update`
 returns the next c_t as a fresh array.  Each checks its inputs, then
 calls the validation-free cores `tau_sum`, `mix` and `oracle_noise_std`,
-which the simulator's kernel calls on its per-lane arrays as well.
+which the simulator's kernel calls on its per-lane arrays as well, the
+first through its adds, `tau_chain`.
 """
 
 import math
@@ -70,9 +71,16 @@ def tau_sum(tau, gs, out=None):
     if tau.ndim < gs.ndim:
         tau = tau.reshape(tau.shape + (1,) * (gs.ndim - tau.ndim))
     prods = np.multiply(tau, gs, out)
-    acc = prods[0]
-    for k in range(1, len(prods)):
-        acc = np.add(acc, prods[k], None if out is None else acc)
+    return tau_chain(prods[0, ...], prods[1:])  # a 0-d view, not a scalar, for (K,) gs
+
+
+def tau_chain(acc, rest):
+    """acc + rest[0] + rest[1] + ..., left to right, written over `acc`:
+    the adds of `tau_sum`.  The kernel forms the products itself, into
+    a buffer whose rows it has split once, so that a step makes the K
+    products and the K - 1 adds and nothing else."""
+    for row in rest:
+        np.add(acc, row, acc)
     return acc
 
 

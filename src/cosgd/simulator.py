@@ -34,7 +34,7 @@ import numpy as np
 
 from . import rng as rng_mod
 from .aggregators import (CollaborationWeights, check_alpha_guard, mix,
-                          oracle_noise_std, tau_sum, wga_combine)
+                          oracle_noise_std, tau_chain, tau_sum, wga_combine)
 from .objective import (QuadraticTask, _as_vector, gradient_noise_std,
                         noise_std, similarity_params, true_gradient)
 from .schedules import ScheduleInputs, eta_decreasing_pl
@@ -231,16 +231,18 @@ class _Batch:
 
         # One stream per (seed, row), drawn once for all configs: the used
         # agents', then the oracle's if there are oracle_bc lanes.  `draw`
-        # scales the oracle's row by each lane's std, and the agents' too
-        # unless the batch has scaled noise, whose stds `step` forms.
+        # spreads the oracle's row over the oracle_bc lanes only, the last
+        # O, and scales it by each lane's std; it scales the agents' rows,
+        # spread over every lane, unless the batch has scaled noise, whose
+        # stds `step` forms.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
-        stds = [] if scaled_noise else list(col(per_agent(lambda t: t.noise_std)))
+        self.stds = None if scaled_noise else col(per_agent(lambda t: t.noise_std))
         if O:
             self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                               for s in seeds])
-            stds.append(col([oracle_noise_std(cfg.oracle_v, K, d) for cfg in cfgs]))
-        self.stds = np.reshape(stds, (len(stds), L, 1))
+            self.oracle_std = col([oracle_noise_std(cfg.oracle_v, K, d)
+                                   for cfg in cfgs[C - O // S:]])
         self.cfgs = cfgs
 
         # At least two steps, so that every block of seed sums spans two or
@@ -248,9 +250,10 @@ class _Batch:
         self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
         rows = len(self.gens)
         self.buf = np.empty((rows, S, chunk, d))  # each stream's draw
-        # The normals step-major and spread over the configs' lanes, so
-        # that a step reads each row contiguously.
-        self.spread = np.empty((chunk, rows, C, S, d))
+        # The normals step-major and spread over the lanes that read them,
+        # so that a step reads each row contiguously.
+        self.spread = np.empty((chunk, used, C, S, d))
+        self.oracle_spread = np.empty((chunk, O // S, S, d))
         self.eta_all = np.empty((chunk, L, d))  # each lane's step sizes
 
         # Each lane's loss and gradient norm from step `kept` on; streamed,
@@ -303,27 +306,34 @@ class _Batch:
         self.first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
 
     def draw(self, t0: int, n: int):
-        """The normals of steps t0 .. t0 + n - 1, (n, rows, L, d): drawn,
-        spread over the configs' lanes and scaled, and those steps' sizes,
-        (n, L, d)."""
+        """The normals of steps t0 .. t0 + n - 1, drawn, spread over the
+        lanes that read them and scaled: the agents', (n, used, L, d), and
+        the oracle's on the oracle_bc lanes, (n, O, d); and those steps'
+        sizes, (n, L, d)."""
+        used, O = self.used, self.O
         buf = self.buf[:, :, :n]
         for row, z_row in zip(self.gens, buf):
             for gen, out in zip(row, z_row):
                 gen.standard_normal(out=out)
-        np.copyto(self.spread[:n], buf.transpose(2, 0, 1, 3)[:, :, None])
-        z = self.spread[:n].reshape(n, len(buf), self.L, self.d)
-        z[:, len(buf) - len(self.stds):] *= self.stds
+        np.copyto(self.spread[:n], buf[:used].transpose(2, 0, 1, 3)[:, :, None])
+        z = self.spread[:n].reshape(n, used, self.L, self.d)
+        if self.stds is not None:
+            z *= self.stds
+        z_oracle = self.oracle_spread[:n].reshape(n, O, self.d)
+        if O:
+            np.copyto(self.oracle_spread[:n], buf[used].transpose(1, 0, 2)[:, None])
+            z_oracle *= self.oracle_std
         eta = self.eta_all[:n]
         steps = np.stack([_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)
         np.copyto(eta.reshape(n, self.C, self.S, self.d), steps[:, :, None, None])
-        return z, eta
+        return z, z_oracle, eta
 
-    def step(self, X, t0: int, z, eta) -> None:
+    def step(self, X, t0: int, z, z_oracle, eta) -> None:
         """Steps t0 .. t0 + n - 1 from X[0], written to X[1:].
 
         Lanes are independent, so a dead lane's overflow and NaNs stay in
-        its own row until `freeze` replaces them.  z[:, -1] is the
-        oracle's row if the batch has oracle_bc lanes."""
+        its own row until `freeze` replaces them.  z and z_oracle are the
+        normals `draw` returns."""
         curv, opt, grads, samples, d = self.curv, self.opt, self.grads, self.samples, self.d
         var, scale, std_buf, sq = self.var, self.scale, self.std_buf, self.sq
         tau, coll, prods, c, b = self.tau, self.coll, self.prods, self.c, self.b
@@ -331,12 +341,15 @@ class _Batch:
         g0_bc, gavg_bc, gavg_c = self.g0_bc, self.gavg_bc, self.gavg_c
         mix_a, mix_b, one_minus_w, w = self.mix_a, self.mix_b, self.one_minus_w, self.w
         used, scaled_noise, B, O, L = self.used, self.scaled_noise, self.B, self.O, self.L
+        # Each tau sum's first product row, which ends as the sum, and the rest.
+        gavg, gavg_rest = prods[0], tuple(prods[1:])
+        c_oracle, oracle_rest = c[B:], tuple(oracle_prods[1:])
         g, c_bc, first_bias = samples[-1], c[:B], self.first_bias
         true_coll, true_g0 = grads[:-1, L - O:], grads[-1, L - O:]
         at_t0 = t0 == 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, x_next, z_i, z_oracle, eta_i in zip(
-                    X[:-1], X[1:], z[:, :used], z[:, -1, L - O:], eta):
+            for x, x_next, z_i, z_oracle_i, eta_i in zip(
+                    X[:-1], X[1:], z, z_oracle, eta):
                 # Each used agent's true and stochastic gradient.
                 np.multiply(curv, np.subtract(x, opt, grads), grads)
                 if scaled_noise:
@@ -346,12 +359,14 @@ class _Batch:
                     np.add(grads, z_i, samples)
                 if used > 1:
                     # g = (1-a) g_0 + a (g_avg - c), with c = 0 on wga lanes.
-                    tau_sum(tau, coll, prods)
+                    np.multiply(tau, coll, prods)
+                    tau_chain(gavg, gavg_rest)
                     if O:
                         # The oracle's c: the true bias plus the oracle's noise.
-                        c_oracle = tau_sum(tau_oracle, true_coll, oracle_prods)
+                        np.multiply(tau_oracle, true_coll, oracle_prods)
+                        tau_chain(c_oracle, oracle_rest)
                         np.subtract(c_oracle, true_g0, c_oracle)
-                        np.add(c_oracle, z_oracle, c_oracle)
+                        np.add(c_oracle, z_oracle_i, c_oracle)
                     if B:
                         np.subtract(gavg_bc, g0_bc, b)
                         if at_t0:
@@ -702,3 +717,33 @@ def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
     ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
     return (_mean_mix(cfg, lambda task: task.curvature * task.optimum)
             / _mean_mix(cfg, lambda task: task.curvature))
+
+
+def expected_test_loss(cfg: RunConfig) -> np.ndarray:
+    """Exact E[loss_t] for t = 0 .. T, for Alone/WGA with a constant step
+    and additive noise on every agent.
+
+    Such a run is linear-Gaussian.  Per coordinate, x_t has mean mu_t
+    (`mean_dynamics_oracle`) and variance P_t = eta^2 s^2 (1 - r^(2t)) /
+    (1 - r^2), or eta^2 s^2 t where r^2 = 1, with r = 1 - eta h.  s^2 is
+    the variance of the combined gradient's noise, (1-a)^2 sigma_0^2 + a^2
+    sum_k tau_k^2 sigma_k^2 with a = 0 for Alone: `schedules.sigma_tilde_sq`
+    for additive noise.  The loss is 1/2 sum_j a_0j ((mu_tj - x_0j*)^2 +
+    P_tj).
+    """
+    if any(task.noise_scale > 0 for task in [cfg.main_task, *cfg.collaborators]):
+        raise ValueError("expected test loss requires additive noise on every agent")
+    mu = mean_dynamics_oracle(cfg)
+    eta = float(cfg.step_size)
+    r_sq = (1.0 - eta * _mean_mix(cfg, lambda task: task.curvature)) ** 2
+    s_sq = cfg.main_task.noise_std ** 2
+    if cfg.aggregator == "wga":
+        a = cfg.weights.alpha
+        s_sq = mix((1.0 - a) ** 2, a ** 2, s_sq, tau_sum(
+            cfg.weights.tau ** 2, [task.noise_std ** 2 for task in cfg.collaborators]))
+    t = np.arange(cfg.horizon + 1)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))
+    task = cfg.main_task
+    variance = eta ** 2 * s_sq * geometric
+    return 0.5 * np.sum(task.curvature * ((mu - task.optimum) ** 2 + variance), axis=1)

@@ -11,9 +11,9 @@ from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
                                oracle_bc_combine, wga_combine)
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
 from cosgd.schedules import eta_max, schedule_inputs
-from cosgd.simulator import (DecreasingPlSchedule, RunConfig, mean_dynamics_oracle,
-                             mean_fixed_point, run, run_replicated, sweep,
-                             sweep_config)
+from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss,
+                             mean_dynamics_oracle, mean_fixed_point, run,
+                             run_replicated, sweep, sweep_config)
 
 
 def batch_traces(cfgs, seeds) -> list:
@@ -494,6 +494,84 @@ class TestMeanDynamicsOracle:
             mean_dynamics_oracle(make_cfg("bc", beta=0.5))
 
 
+class TestExpectedTestLoss:
+    """The exact expected loss of Alone and WGA under additive noise
+    against the seed mean of simulated runs."""
+
+    SEEDS = range(200)
+    Z = 4.0  # |seed mean - exact| <= Z sample SE
+    TRANSIENT = (10, 40)  # two steps on the way down, before the plateau
+
+    @staticmethod
+    def cfg(aggregator, d, k):
+        """d dimensions and k collaborators with distinct curvature, optima
+        and noise, so that the WGA mix weighs each term by its own tau."""
+        main = QuadraticTask(np.linspace(1.0, 1.5, d), np.zeros(d), noise_std=2.0)
+        colls = [QuadraticTask(np.linspace(2.0, 1.2, d) * (1.0 + 0.25 * j),
+                               np.full(d, 0.5 - j), noise_std=3.0 / (1 + j))
+                 for j in range(k)]
+        tau = [1.0] if k == 1 else [0.3, 0.7]
+        w = CollaborationWeights(0.0 if aggregator == "alone" else 0.6, tau)
+        return RunConfig(main, colls, aggregator, w, 0.05, 300, np.full(d, 4.0))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("aggregator", ["alone", "wga"])
+    def test_matches_seed_mean(self, aggregator, d, k):
+        cfg = self.cfg(aggregator, d, k)
+        exact = expected_test_loss(cfg)
+        assert exact.shape == (cfg.horizon + 1,)
+        res = run_replicated(cfg, self.SEEDS, keep_traces=True)
+        losses = np.array([tr.test_loss for tr in res.traces])
+        n = len(self.SEEDS)
+        for t in self.TRANSIENT:
+            se = losses[:, t].std(ddof=1) / np.sqrt(n)
+            assert abs(losses[:, t].mean() - exact[t]) <= self.Z * se, t
+        plateau = exact[simulator._plateau_start(cfg.horizon):].mean()
+        assert abs(res.plateau_mean - plateau) <= self.Z * res.plateau_se
+
+    def test_first_steps(self):
+        # Started at the mean's fixed point, only the variance moves: P_0 =
+        # 0, P_1 = eta^2 s^2 and P_2 = eta^2 s^2 (1 + r^2), with s^2 and h
+        # written out for alpha 0.6, tau (0.3, 0.7) and noise stds 2, 3, 1.5.
+        cfg = self.cfg("wga", 3, 2)
+        cfg = dataclasses.replace(cfg, x0=mean_fixed_point(cfg))
+        a0, a1, a2 = (task.curvature for task in [cfg.main_task, *cfg.collaborators])
+        s_sq = 0.4 ** 2 * 2.0 ** 2 + 0.6 ** 2 * (0.3 ** 2 * 3.0 ** 2 + 0.7 ** 2 * 1.5 ** 2)
+        r = 1.0 - 0.05 * (0.4 * a0 + 0.6 * (0.3 * a1 + 0.7 * a2))
+        P = 0.05 ** 2 * s_sq * np.array([np.zeros(3), np.ones(3), 1.0 + r ** 2])
+        expected = 0.5 * np.sum(a0 * (cfg.x0 ** 2 + P), axis=1)
+        np.testing.assert_allclose(expected_test_loss(cfg)[:3], expected, rtol=1e-12)
+
+    def test_noiseless_run_is_exact(self):
+        cfg = make_cfg("wga", alpha=0.4, sigma0=0.0, sigma1=0.0, T=60)
+        np.testing.assert_allclose(expected_test_loss(cfg), run(cfg).test_loss,
+                                   rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("cfg", [
+        make_cfg("bc", beta=0.5),
+        make_cfg("oracle_bc", oracle_v=1.0),
+        dataclasses.replace(make_cfg("wga"), step_size=DecreasingPlSchedule(
+            schedule_inputs(QuadraticTask(1.0, 0.0, noise_std=1.0),
+                            [QuadraticTask(2.0, 2.0, noise_std=1.0)],
+                            CollaborationWeights(0.5, [1.0]), 200, 5.0))),
+        dataclasses.replace(make_cfg("alone", alpha=0.0), main_task=QuadraticTask(
+            1.0, 0.0, noise_std=1.0, noise_scale=0.5)),
+        dataclasses.replace(make_cfg("wga"), collaborators=[QuadraticTask(
+            2.0, 2.0, noise_std=1.0, noise_scale=0.1)]),
+    ], ids=["bc", "oracle_bc", "decreasing_pl", "scaled_main", "scaled_collaborator"])
+    def test_outside_the_class(self, cfg):
+        with pytest.raises(ValueError):
+            expected_test_loss(cfg)
+
+    def test_r_minus_one(self):
+        # eta h = 2: r = -1, so |mu_t - x*| stays 3 and P_t = eta^2 sigma^2 t.
+        cfg = make_cfg("alone", alpha=0.0, sigma0=1.5, eta=2.0, T=40, x0=3.0)
+        t = np.arange(41)
+        np.testing.assert_allclose(expected_test_loss(cfg),
+                                   0.5 * (9.0 + 2.0 ** 2 * 1.5 ** 2 * t), rtol=1e-14)
+
+
 def assert_results_equal(a, b):
     np.testing.assert_array_equal(a.mean_test_loss, b.mean_test_loss)
     np.testing.assert_array_equal(a.mean_grad_norm_sq, b.mean_grad_norm_sq)
@@ -737,6 +815,22 @@ class TestNoiseDraws:
         self.assert_draws_once(draws, self.ROWS["oracle_bc"], d, cfgs)
 
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_oracle_row_on_oracle_lanes_only(self, draws, d):
+        # Every kind in one call, the oracle_bc configs last with their own
+        # oracle_v: the oracle's row is spread and scaled over their lanes
+        # alone, and every lane keeps the bits of its solo run.
+        cfgs = [self.base_cfg(aggregator, d) for aggregator in ("alone", "wga")]
+        cfgs += [sweep_config(self.base_cfg("bc", d), "eta", eta) for eta in (0.01, 0.05)]
+        cfgs += [dataclasses.replace(self.base_cfg("oracle_bc", d), oracle_v=v)
+                 for v in (0.5, 2.0)]
+        self.assert_draws_once(draws, self.ROWS["oracle_bc"], d, cfgs)
+        batch = simulator._Batch(cfgs, self.SEEDS, streamed=False)
+        z, z_oracle, _ = batch.draw(0, batch.chunk)
+        assert z.shape == (batch.chunk, 2, 6 * len(self.SEEDS), d)
+        assert z_oracle.shape == (batch.chunk, 2 * len(self.SEEDS), d)
+
+
 class TestChunkLength:
     """The pre-draw chunk length changes no bit of any trace, and a wide
     batch draws at least 256 normals per generator call."""
@@ -842,6 +936,12 @@ class TestDivergingLanes:
         assert all(tr.diverged for tr in batch[1] + batch[2])
 
 
+def simulated_pick(results, grid):
+    """The (step size, RunResult) of `grid` with the lowest simulated mean
+    plateau, from each value's result; the first grid value wins ties."""
+    return min(zip(grid, results), key=lambda pair: pair[1].plateau_mean)
+
+
 class TestGridSearch:
     @staticmethod
     def loop_grid_search(cfg_for_eta, seeds, grid):
@@ -857,22 +957,57 @@ class TestGridSearch:
     def test_same_choice_as_loop(self, aggregator):
         base = make_cfg(aggregator, alpha=0.5, sigma0=3.0, T=400)
         grid = (1e-3, 1e-2, 1e-1, 0.5)
-        eta, res = figures._grid_search([res for _, res in sweep(base, "eta", grid,
-                                                                 range(6))], grid)
+        eta, res = simulated_pick([res for _, res in sweep(base, "eta", grid, range(6))],
+                                  grid)
         ref_eta, ref = self.loop_grid_search(
             lambda e: sweep_config(base, "eta", e), range(6), grid)
         assert eta == ref_eta
         assert_results_equal(res, ref)
 
     def test_first_value_wins_ties(self):
-        # Noiseless and started at the optimum: every step size gives loss 0.
+        # Noiseless and started at the optimum: every step size has exact
+        # plateau 0.
         base = make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, x0=0.0, T=50)
         grid = (0.1, 0.05, 0.2)
-        eta, res = figures._grid_search([res for _, res in sweep(base, "eta", grid,
-                                                                 [0, 1])], grid)
-        assert eta == 0.1 == self.loop_grid_search(
-            lambda e: sweep_config(base, "eta", e), [0, 1], grid)[0]
-        assert res.plateau_mean == 0.0
+        for eta in grid:
+            assert not expected_test_loss(sweep_config(base, "eta", eta)).any()
+        assert figures._exact_pick(base, grid) == 0.1
+
+
+class TestExactPick:
+    """fig2's step sizes, picked by the exact plateau, against the pick of
+    the lowest simulated plateau over fig2's whole grid."""
+
+    @staticmethod
+    def picks(horizon, seeds):
+        """Per tuned config of fig2, (exact pick, simulated pick), the
+        latter from fig2's 8 grid configs, which fig2 itself does not
+        simulate, run here as one streamed call."""
+        grid = figures.ETA_GRID
+        bases = figures._fig2_configs(horizon)[:2]
+        results = simulator._replicate(
+            [sweep_config(base, "eta", eta) for base in bases for eta in grid],
+            seeds, streamed=True)
+        return [(figures._exact_pick(base), simulated_pick(results[i:i + len(grid)], grid)[0])
+                for base, i in zip(bases, (0, len(grid)))]
+
+    @pytest.mark.parametrize("horizon,seeds", [(500, range(4)), (2000, range(4)),
+                                               (5000, range(20))],
+                             ids=["T500-seeds0-3", "T2000-seeds0-3", "T5000-seeds0-19"])
+    def test_same_pick_as_the_simulated_grid(self, horizon, seeds):
+        for exact, simulated in self.picks(horizon, seeds):
+            assert exact == simulated
+
+    def test_lucky_seeds(self):
+        # Seeds 5000-5003 give alone at eta = 1e-2 a low simulated plateau
+        # by chance; its exact plateau is higher than the exact pick's.
+        base = figures._fig2_configs(500)[0]
+        (exact, simulated), _ = self.picks(500, range(5000, 5004))
+        assert (exact, simulated) == (1e-3, 1e-2)
+        start = simulator._plateau_start(500)
+        plateau = {eta: expected_test_loss(sweep_config(base, "eta", eta))[start:].mean()
+                   for eta in (exact, simulated)}
+        assert plateau[exact] < plateau[simulated]
 
 
 class TestTimeToPlateau:
@@ -1111,9 +1246,10 @@ class TestStreamedReduction:
         assert peak < 1.2 * trace_bytes, peak / trace_bytes
 
     def test_batch_spans_the_horizon_only_in_its_outputs(self):
-        """Building a fig2-shaped streamed batch (9 configs, 20 seeds,
-        T = 200 000) allocates at most 1.1x its plateau-window traces and
-        seed sums, 57.6 MB: every other array spans one chunk of steps."""
+        """Building a streamed batch of fig2's whole eta grid and bc (9
+        configs, 20 seeds, T = 200 000) allocates at most 1.1x its
+        plateau-window traces and seed sums, 57.6 MB: every other array
+        spans one chunk of steps."""
         T, seeds = 200_000, range(20)
         cfgs = ([make_cfg("alone", alpha=0.0, eta=eta, T=T) for eta in figures.ETA_GRID]
                 + [make_cfg("wga", eta=eta, T=T) for eta in figures.ETA_GRID]
@@ -1130,7 +1266,7 @@ class TestStreamedReduction:
 
 
 class TestOneCallPerFigure:
-    @pytest.mark.parametrize("name,configs", [("fig2", 9), ("fig3", 4), ("fig4", 5),
+    @pytest.mark.parametrize("name,configs", [("fig2", 3), ("fig3", 4), ("fig4", 5),
                                               ("fig5", 3)])
     def test_figure_is_one_streamed_call(self, tmp_path, monkeypatch, name, configs):
         calls = []
