@@ -47,12 +47,19 @@ class CollaborationWeights:
         return self.tau.shape[0]
 
 
-def check_alpha_guard(alpha: float, m: float) -> None:
-    """For WGA with m > 0 the theory requires alpha < 1/sqrt(m)."""
-    if m > 0 and alpha >= 1.0 / np.sqrt(m):
-        raise ValueError(
-            f"alpha={alpha} >= 1/sqrt(m)={1.0 / np.sqrt(m):.6g}: "
-            "WGA guarantee is vacuous in this regime")
+def pl_guard(alpha: float, m: float) -> float:
+    """1 - alpha^2 m, the factor the WGA analyses divide by."""
+    return 1.0 - alpha ** 2 * m
+
+
+def check_alpha_guard(alpha: float, m: float) -> float:
+    """pl_guard(alpha, m), checked: for WGA with m > 0 the theory requires
+    alpha < 1/sqrt(m), so a guard > 0, in floats as well."""
+    guard = pl_guard(alpha, m)
+    if m > 0 and (alpha >= 1.0 / np.sqrt(m) or not guard > 0):
+        raise ValueError(f"alpha={alpha} >= 1/sqrt(m)={1.0 / np.sqrt(m):.6g}: "
+                         "WGA guarantee is vacuous in this regime")
+    return guard
 
 
 def tau_sum(tau, gs, out=None):

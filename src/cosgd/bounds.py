@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregators import check_alpha_guard
-from .schedules import (ScheduleInputs, alpha_opt_wga_m0, bc_step_cap, eta_max,
-                        pl_guard, sigma_tilde_sq, speedup_factor, zeta_tilde_sq)
+from .schedules import (ScheduleInputs, alpha_opt_wga_m0, bc_step_cap,
+                        combined_variance, eta_max, sigma_tilde_sq,
+                        speedup_factor, zeta_tilde_sq)
 
 
 @dataclass
@@ -45,19 +46,12 @@ def bound_wga_nonconvex(b: BoundInputs) -> float:
     """[F_0/(eta_max T) + sqrt(2 L F_0 sigma_tilde^2 / T) + alpha^2 zeta^2 / 2]
     * c / (1 - alpha^2 m), valid for the prescribed nonconvex step size."""
     s = b.base
-    m = s.sim.grad_scale_mismatch
-    check_alpha_guard(s.alpha, m)
-    guard = pl_guard(s.alpha, m)
+    guard = check_alpha_guard(s.alpha, s.sim.grad_scale_mismatch)
     L, T = s.sim.smoothness, s.horizon
-    st = sigma_tilde_sq(s)
     core = (s.f0_gap / (eta_max(s) * T)
-            + np.sqrt(2.0 * L * s.f0_gap * st / T)
+            + np.sqrt(2.0 * L * s.f0_gap * sigma_tilde_sq(s) / T)
             + 0.5 * s.alpha ** 2 * s.sim.grad_offset_sq)
     return float(core * b.c / guard)
-
-
-def _geometric_pl(f0: float, rho: float, floor: float, T: int) -> float:
-    return float(rho ** T * f0 + floor)
 
 
 def bound_wga_pl(b: BoundInputs) -> float:
@@ -67,16 +61,14 @@ def bound_wga_pl(b: BoundInputs) -> float:
       + c [alpha^2 zeta^2 + L eta sigma_tilde^2] / (4 mu (1-alpha^2 m)).
     """
     s = b.base
-    m = s.sim.grad_scale_mismatch
-    check_alpha_guard(s.alpha, m)
-    guard = pl_guard(s.alpha, m)
+    guard = check_alpha_guard(s.alpha, s.sim.grad_scale_mismatch)
     mu, L = s.sim.pl_constant, s.sim.smoothness
     if b.eta > eta_max(s):
         raise ValueError("eta exceeds eta_max; bound not valid")
     rho = 1.0 - 2.0 * mu * b.eta * guard / b.c
     floor = b.c * (s.alpha ** 2 * s.sim.grad_offset_sq
                    + L * b.eta * sigma_tilde_sq(s)) / (4.0 * mu * guard)
-    return _geometric_pl(s.f0_gap, rho, floor, s.horizon)
+    return float(rho ** s.horizon * s.f0_gap + floor)
 
 
 def bound_wga_pl_decreasing(b: BoundInputs, t0: int, f_t0: float | None = None) -> float:
@@ -87,21 +79,12 @@ def bound_wga_pl_decreasing(b: BoundInputs, t0: int, f_t0: float | None = None) 
       + t_0^2 F_{t_0} / T^2.
     """
     s = b.base
-    m = s.sim.grad_scale_mismatch
-    check_alpha_guard(s.alpha, m)
-    guard = pl_guard(s.alpha, m)
+    guard = check_alpha_guard(s.alpha, s.sim.grad_scale_mismatch)
     mu, L, T = s.sim.pl_constant, s.sim.smoothness, s.horizon
     f_t0 = s.f0_gap if f_t0 is None else float(f_t0)
     return float(b.c * s.alpha ** 2 * s.sim.grad_offset_sq / (4.0 * mu * guard)
                  + b.c ** 2 * L * sigma_tilde_sq(s) / (2.0 * mu ** 2 * guard ** 2 * T)
                  + t0 ** 2 * f_t0 / T ** 2)
-
-
-def oracle_sigma_tilde_sq(s: ScheduleInputs) -> float:
-    """(1-alpha)^2 sigma_0^2 + alpha^2 (sigma_a^2 + v^2/N)."""
-    a = s.alpha
-    return ((1.0 - a) ** 2 * s.sigma0_sq
-            + a ** 2 * (s.sigma_a_sq + s.oracle_var / s.n_collaborators))
 
 
 def bound_oracle(b: BoundInputs) -> float:
@@ -113,8 +96,9 @@ def bound_oracle(b: BoundInputs) -> float:
     if b.eta > eta_max(replace(s, alpha=0.0)):
         raise ValueError("eta exceeds eta_max; bound not valid")
     rho = 1.0 - 2.0 * b.eta * mu / b.c
-    floor = b.c * L * b.eta * oracle_sigma_tilde_sq(s) / (4.0 * mu)
-    return _geometric_pl(s.f0_gap, rho, floor, s.horizon)
+    floor = b.c * L * b.eta * combined_variance(
+        s.alpha, s.sigma0_sq, s.sigma_a_sq + s.oracle_var / s.n_collaborators) / (4.0 * mu)
+    return float(rho ** s.horizon * s.f0_gap + floor)
 
 
 def bound_bc(b: BoundInputs) -> float:

@@ -6,21 +6,20 @@ default output directory comes from $COSGD_OUT_DIR (fallback ./out).
 
 import argparse
 import functools
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import figures
-from .aggregators import CollaborationWeights
+from .aggregators import CollaborationWeights, check_alpha_guard
 from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
                      bound_wga_pl)
 from .config import ConfigError, ExperimentConfig, deprecated_workers, load_config
 from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
 from .rng import SEED_LIMIT
-from .schedules import ScheduleInputs, pl_guard, tau_qp, tau_qp_objective
+from .schedules import ScheduleInputs, tau_qp, tau_qp_objective
 from .simulator import (MAX_HORIZON, AllSeedsDiverged, RunConfig, _validate,
                         run_replicated, sweep, sweep_names)
 
@@ -30,6 +29,14 @@ ENV_OUT_DIR = "COSGD_OUT_DIR"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
+
+
+class _Noted(argparse.Action):
+    """argparse's plain store action that also lists the flag in `given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = [*getattr(namespace, "given", []), option_string]
 
 
 def _default_out_dir() -> str:
@@ -104,6 +111,11 @@ def _write_stats(path: str, labels: list, results: list) -> None:
 def _cmd_run(args) -> int:
     if args.config:
         cfg = load_config(args.config)
+        extra = [flag for flag in dict.fromkeys(getattr(args, "given", []))
+                 if flag not in ("--config", "--out-dir", "--workers")]
+        if extra:
+            raise ConfigError(f"{', '.join(extra)} cannot be given with --config, "
+                              "whose JSON sets every run parameter")
         if args.out_dir:
             cfg.out_dir = args.out_dir
     else:
@@ -191,22 +203,20 @@ def _cmd_tau(args) -> int:
     try:
         sigmas = [float(s) for s in args.sigmas.split(",")]
         zetas = [float(z) for z in args.zetas.split(",")]
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    if not all(map(math.isfinite, [args.L, args.mu, args.m, *sigmas, *zetas])):
-        raise ConfigError("--L, --mu, --m, --sigmas and --zetas must be finite")
-    if not 0 <= args.alpha <= 1:
-        raise ConfigError("alpha must be in [0, 1]")
-    guard = pl_guard(args.alpha, args.m)
-    if guard <= 0:
-        raise ConfigError("alpha^2 m must be < 1")
-    if not (args.mu > 0 and args.T >= 1):
-        raise ConfigError("mu must be > 0 and T >= 1")
-    coeff = args.L / (args.mu * args.T * guard)
-    try:
+        # Read and checked as `bounds` reads them; the QP uses L, mu, m, T
+        # and alpha, so the gap and variances are left at 0.
+        s = ScheduleInputs(
+            sim=SimilarityParams(smoothness=args.L, pl_constant=args.mu,
+                                 grad_scale_mismatch=args.m, grad_offset_sq=0.0,
+                                 grad_offsets_sq=zetas, hessian_dissimilarity=0.0),
+            horizon=args.T, f0_gap=0.0, sigma0_sq=0.0, sigma_a_sq=0.0, alpha=args.alpha)
+        guard = check_alpha_guard(s.alpha, s.sim.grad_scale_mismatch)
+        coeff = s.sim.smoothness / (s.sim.pl_constant * s.horizon * guard)
         tau = tau_qp(sigmas, zetas, coeff)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    except ZeroDivisionError as e:  # mu T (1 - alpha^2 m) rounds to 0
+        raise ConfigError("inputs out of range: L / (mu T (1 - alpha^2 m)) overflows") from e
     obj = tau_qp_objective(tau, sigmas, zetas, coeff)
     print("tau: " + " ".join(fmt_value(t) for t in tau))
     print("objective: " + fmt_value(obj))
@@ -220,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Options that `run` and `figure` share.
     shared = argparse.ArgumentParser(add_help=False)
+    shared.register("action", None, _Noted)
     shared.add_argument("--T", type=_int, default=figures.DEFAULT_T)
     shared.add_argument("--seeds", default="0-19")
     shared.add_argument("--out-dir", dest="out_dir", default=None)
@@ -230,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", parents=[shared],
                        help="run one config (file or inline flags)")
+    r.register("action", None, _Noted)
     r.add_argument("--config", help="JSON experiment config")
     r.add_argument("--aggregator", default="alone",
                    choices=("alone", "wga", "bc", "oracle_bc"))

@@ -10,13 +10,14 @@ collaborator average and M is the gradient-norm noise-scale cap
 (SimilarityParams.noise_scale_cap).
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import check_alpha_guard
+from .aggregators import check_alpha_guard, pl_guard
 from .objective import (QuadraticTask, SimilarityParams, eval_loss,
                         similarity_params, true_gradient, _as_vector)
 
@@ -83,11 +84,6 @@ def schedule_inputs(main: QuadraticTask, collaborators, weights, horizon: int,
     )
 
 
-def pl_guard(alpha: float, m: float) -> float:
-    """1 - alpha^2 m, the factor the WGA analyses divide by."""
-    return 1.0 - alpha ** 2 * m
-
-
 def bc_step_cap(alpha: float, delta: float) -> float:
     """1/(6 alpha^2 delta^2), the BC step-size cap; inf unless alpha > 0
     and the product is > 0 (delta = 0, or the product underflows).
@@ -100,10 +96,14 @@ def bc_step_cap(alpha: float, delta: float) -> float:
     return 1.0 / denom if alpha > 0 and denom > 0 else np.inf
 
 
+def combined_variance(alpha: float, sigma0_sq: float, sigma_a_sq: float) -> float:
+    """sigma_tilde^2 = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2."""
+    return (1.0 - alpha) ** 2 * sigma0_sq + alpha ** 2 * sigma_a_sq
+
+
 def sigma_tilde_sq(inputs: ScheduleInputs) -> float:
     """(1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2."""
-    a = inputs.alpha
-    return (1.0 - a) ** 2 * inputs.sigma0_sq + a ** 2 * inputs.sigma_a_sq
+    return combined_variance(inputs.alpha, inputs.sigma0_sq, inputs.sigma_a_sq)
 
 
 def zeta_tilde_sq(inputs: ScheduleInputs) -> float:
@@ -139,21 +139,21 @@ def eta_wga_pl(inputs: ScheduleInputs) -> float:
     Returns 0 when the log argument clamps to 1 (the guarantee is vacuous
     there); callers should fall back to eta_wga_nonconvex.
     """
-    m = inputs.sim.grad_scale_mismatch
-    check_alpha_guard(inputs.alpha, m)
+    guard = check_alpha_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
     L, mu, T = inputs.sim.smoothness, inputs.sim.pl_constant, inputs.horizon
     denom = 3.0 * L * sigma_tilde_sq(inputs)
     arg = np.inf if denom == 0.0 else 2.0 * mu * inputs.f0_gap * T / denom
     log_term = float(np.log(max(1.0, arg)))
     if log_term == 0.0:
         return 0.0
-    return min(eta_max(inputs), log_term / (pl_guard(inputs.alpha, m) * mu * T))
+    return min(eta_max(inputs), log_term / (guard * mu * T))
 
 
-def _decreasing_pl_raw(t, inputs: ScheduleInputs, c: int):
-    """Unclamped c (2t+1) / (2 mu (1-alpha^2 m) (t+1)^2); t may be an array."""
-    guard = pl_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
-    return c * (2.0 * t + 1.0) / (2.0 * inputs.sim.pl_constant * guard * (t + 1.0) ** 2)
+def _decreasing_pl_raw(inputs: ScheduleInputs, c: int):
+    """t -> c (2t+1) / (2 mu (1-alpha^2 m) (t+1)^2), unclamped, guard checked."""
+    scale = 2.0 * inputs.sim.pl_constant * check_alpha_guard(
+        inputs.alpha, inputs.sim.grad_scale_mismatch)
+    return lambda t: c * (2.0 * t + 1.0) / (scale * (t + 1.0) ** 2)
 
 
 def eta_decreasing_pl(t, inputs: ScheduleInputs, c: int = 2):
@@ -161,18 +161,14 @@ def eta_decreasing_pl(t, inputs: ScheduleInputs, c: int = 2):
     clamped at eta_max.  `t` may be an array of steps."""
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    check_alpha_guard(inputs.alpha, inputs.sim.grad_scale_mismatch)
-    return np.minimum(_decreasing_pl_raw(t, inputs, c), eta_max(inputs))
+    return np.minimum(_decreasing_pl_raw(inputs, c)(t), eta_max(inputs))
 
 
 def decreasing_pl_start_index(inputs: ScheduleInputs, c: int = 2) -> int:
     """Smallest t_0 at which the unclamped decreasing schedule fits under
     eta_max; the decreasing-step bound restarts its analysis there."""
-    cap = eta_max(inputs)
-    t = 0
-    while _decreasing_pl_raw(t, inputs, c) > cap:
-        t += 1
-    return t
+    raw, cap = _decreasing_pl_raw(inputs, c), eta_max(inputs)
+    return next(t for t in itertools.count() if not raw(t) > cap)
 
 
 def beta_bc(inputs: ScheduleInputs, eta: float) -> float:
@@ -230,11 +226,10 @@ def alpha_opt_oracle(N: int, v_sq: float, sigma0_sq: float) -> float:
 
 
 def oracle_sigma_tilde_sq_opt(N: int, v_sq: float, sigma0_sq: float) -> float:
-    """sigma_tilde^2 at alpha_opt_oracle: sigma_0^2 (1 + v^2/sigma_0^2) / (N + 1 + v^2/sigma_0^2)."""
-    if sigma0_sq == 0.0:
-        return 0.0
-    r = v_sq / sigma0_sq
-    return sigma0_sq * (1.0 + r) / (N + 1.0 + r)
+    """sigma_tilde^2 at alpha_opt_oracle, every agent's noise variance
+    sigma_0^2: sigma_0^2 (1 + v^2/sigma_0^2) / (N + 1 + v^2/sigma_0^2)."""
+    alpha = alpha_opt_oracle(N, v_sq, sigma0_sq)
+    return combined_variance(alpha, sigma0_sq, (sigma0_sq + v_sq) / N)
 
 
 def tau_qp(sigmas_sq, zetas_sq, coeff: float) -> np.ndarray:
@@ -249,8 +244,8 @@ def tau_qp(sigmas_sq, zetas_sq, coeff: float) -> np.ndarray:
     z = _as_vector(zetas_sq)
     if s.shape != z.shape:
         raise ValueError("sigmas_sq and zetas_sq must have equal length")
-    if np.any(s < 0) or np.any(z < 0) or coeff < 0:
-        raise ValueError("all inputs must be >= 0")
+    if not all(np.all((0 <= v) & (v < np.inf)) for v in (s, z, coeff)):
+        raise ValueError("sigmas_sq, zetas_sq and coeff must be finite and >= 0")
     n = s.shape[0]
     with np.errstate(over="ignore"):
         q = 2.0 * coeff * s  # derivative of the quadratic part is q_k tau_k
@@ -321,8 +316,7 @@ def wga_pl_terms(alpha: float, m: float, sigma0_sq: float, sigma1_sq: float,
     """(1 - alpha^2 m) and sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2
     + alpha^2 sigma_1^2/N, for N collaborators of noise variance
     sigma_1^2 averaged with equal weights."""
-    return (pl_guard(alpha, m),
-            (1.0 - alpha) ** 2 * sigma0_sq + alpha * alpha * sigma1_sq / N)
+    return pl_guard(alpha, m), combined_variance(alpha, sigma0_sq, sigma1_sq / N)
 
 
 def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
@@ -339,9 +333,10 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
     iteration evaluates one new point."""
     if m < 0:
         raise ValueError("m must be >= 0")
+    sigma_a_sq = sigma1_sq / N
 
     def objective(a):
-        guard, st = wga_pl_terms(a, m, sigma0_sq, sigma1_sq, N)
+        guard, st = pl_guard(a, m), combined_variance(a, sigma0_sq, sigma_a_sq)
         return (L * st / (mu ** 2 * T * guard ** 2)
                 + a * a * zeta_sq / (mu * guard))
 

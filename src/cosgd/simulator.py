@@ -34,10 +34,11 @@ import numpy as np
 
 from . import rng as rng_mod
 from .aggregators import (CollaborationWeights, check_alpha_guard, mix,
-                          oracle_noise_std, tau_chain, tau_sum, wga_combine)
+                          oracle_noise_std, tau_chain, tau_sum)
 from .objective import (QuadraticTask, _as_vector, gradient_noise_std,
                         noise_std, similarity_params, true_gradient)
-from .schedules import ScheduleInputs, eta_decreasing_pl
+from .schedules import (ScheduleInputs, eta_decreasing_pl, schedule_inputs,
+                        sigma_tilde_sq)
 
 AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
 C0_POLICIES = ("first_bias", "zero", "warm_start")
@@ -682,13 +683,25 @@ def sweep(base: RunConfig, axis: str, values, seeds,
     return list(zip(values, _replicate(cfgs, seeds)))
 
 
-def _mean_mix(cfg: RunConfig, value) -> np.ndarray:
-    """The Alone/WGA combine rule applied to the noise-free per-agent
-    values `value(task)`."""
-    v0 = value(cfg.main_task)
-    if cfg.aggregator == "alone":
-        return v0
-    return wga_combine(v0, [value(c) for c in cfg.collaborators], cfg.weights)
+def _mean_terms(cfg: RunConfig) -> tuple:
+    """(h, x_bar) = ((1-a) A_0 + a sum_k tau_k A_k, ((1-a) A_0 x_0* + a sum_k
+    tau_k A_k x_k*) / h), mixed as WGA mixes gradients; a = 0 for Alone."""
+    rows = np.array([[task.curvature, task.curvature * task.optimum]
+                     for task in [cfg.main_task, *cfg.collaborators]])
+    h, weighted = rows[0] if cfg.aggregator == "alone" else mix(
+        1.0 - cfg.weights.alpha, cfg.weights.alpha, rows[0], tau_sum(cfg.weights.tau, rows[1:]))
+    return h, weighted / h
+
+
+def _mean_path(cfg: RunConfig, T: int) -> tuple:
+    """(h, E[x_t] for t = 0 .. T) for Alone/WGA at a constant step."""
+    if cfg.aggregator not in ("alone", "wga"):
+        raise ValueError("mean dynamics oracle supports alone and wga only")
+    if isinstance(cfg.step_size, DecreasingPlSchedule):
+        raise ValueError("mean dynamics oracle requires a constant step size")
+    h, x_bar = _mean_terms(cfg)
+    t = np.arange(T + 1)[:, None]
+    return h, x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
 
 
 def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
@@ -701,22 +714,13 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
     its mean is affine too, but in the joint state (x_t, c_t), which this
     recursion in x alone does not track.
     """
-    if cfg.aggregator not in ("alone", "wga"):
-        raise ValueError("mean dynamics oracle supports alone and wga only")
-    if isinstance(cfg.step_size, DecreasingPlSchedule):
-        raise ValueError("mean dynamics oracle requires a constant step size")
-    T = cfg.horizon if T is None else int(T)
-    h = _mean_mix(cfg, lambda task: task.curvature)
-    x_bar = mean_fixed_point(cfg)
-    t = np.arange(T + 1)[:, None]
-    return x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
+    return _mean_path(cfg, cfg.horizon if T is None else int(T))[1]
 
 
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
     """Fixed point of the mean dynamics: the weighted optimum
     ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
-    return (_mean_mix(cfg, lambda task: task.curvature * task.optimum)
-            / _mean_mix(cfg, lambda task: task.curvature))
+    return _mean_terms(cfg)[1]
 
 
 def expected_test_loss(cfg: RunConfig) -> np.ndarray:
@@ -726,21 +730,17 @@ def expected_test_loss(cfg: RunConfig) -> np.ndarray:
     Such a run is linear-Gaussian.  Per coordinate, x_t has mean mu_t
     (`mean_dynamics_oracle`) and variance P_t = eta^2 s^2 (1 - r^(2t)) /
     (1 - r^2), or eta^2 s^2 t where r^2 = 1, with r = 1 - eta h.  s^2 is
-    the variance of the combined gradient's noise, (1-a)^2 sigma_0^2 + a^2
-    sum_k tau_k^2 sigma_k^2 with a = 0 for Alone: `schedules.sigma_tilde_sq`
-    for additive noise.  The loss is 1/2 sum_j a_0j ((mu_tj - x_0j*)^2 +
-    P_tj).
+    the combined gradient's noise variance, sigma_0^2 for Alone and
+    `schedules.sigma_tilde_sq` for WGA.  The loss is 1/2 sum_j a_0j
+    ((mu_tj - x_0j*)^2 + P_tj).
     """
     if any(task.noise_scale > 0 for task in [cfg.main_task, *cfg.collaborators]):
         raise ValueError("expected test loss requires additive noise on every agent")
-    mu = mean_dynamics_oracle(cfg)
+    h, mu = _mean_path(cfg, cfg.horizon)
     eta = float(cfg.step_size)
-    r_sq = (1.0 - eta * _mean_mix(cfg, lambda task: task.curvature)) ** 2
-    s_sq = cfg.main_task.noise_std ** 2
-    if cfg.aggregator == "wga":
-        a = cfg.weights.alpha
-        s_sq = mix((1.0 - a) ** 2, a ** 2, s_sq, tau_sum(
-            cfg.weights.tau ** 2, [task.noise_std ** 2 for task in cfg.collaborators]))
+    r_sq = (1.0 - eta * h) ** 2
+    s_sq = cfg.main_task.noise_std ** 2 if cfg.aggregator == "alone" else sigma_tilde_sq(
+        schedule_inputs(cfg.main_task, cfg.collaborators, cfg.weights, cfg.horizon, cfg.x0))
     t = np.arange(cfg.horizon + 1)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))

@@ -6,12 +6,12 @@ import pytest
 from cosgd.aggregators import CollaborationWeights
 from cosgd.bounds import (BoundInputs, bound_bc, bound_oracle,
                           bound_wga_nonconvex, bound_wga_pl,
-                          bound_wga_pl_decreasing, gainfactor_surface,
-                          oracle_sigma_tilde_sq)
+                          bound_wga_pl_decreasing, gainfactor_surface)
 from cosgd.objective import QuadraticTask
 from cosgd.schedules import (decreasing_pl_start_index, eta_max, eta_wga_nonconvex,
-                             schedule_inputs)
-from cosgd.simulator import DecreasingPlSchedule, RunConfig, run_replicated
+                             schedule_inputs, sigma_tilde_sq, wga_pl_terms)
+from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss,
+                             mean_fixed_point, run_replicated)
 
 
 def inputs(alpha=0.5, a1=2.0, x1star=2.0, sigma0=1.0, sigma1=1.0,
@@ -137,9 +137,12 @@ class TestOracle:
 
     def test_sigma_tilde_includes_oracle_noise(self):
         s = dataclasses.replace(inputs(alpha=0.5, n=4), oracle_var=2.0)
-        # (1-a)^2 sigma0^2 + a^2 (sigma_a^2 + v^2/N), sigma_a^2 = 4*(1/16) = 1/4
-        assert oracle_sigma_tilde_sq(s) == pytest.approx(
-            0.25 * 1.0 + 0.25 * (0.25 + 0.5))
+        # (1-a)^2 sigma0^2 + a^2 (sigma_a^2 + v^2/N), sigma_a^2 = 4*(1/16) = 1/4,
+        # in the floor c L eta sigma_tilde^2 / (4 mu), with L = mu = 1.
+        sigma_tilde_sq = 0.25 * 1.0 + 0.25 * (0.25 + 0.5)
+        rho = 1.0 - 2.0 * 0.1 / 2
+        assert bound_oracle(BoundInputs(s, eta=0.1)) == pytest.approx(
+            rho ** s.horizon * s.f0_gap + 2 * 0.1 * sigma_tilde_sq / 4.0)
 
     def test_no_bias_floor(self):
         # unlike WGA, a large zeta does not move the oracle bound
@@ -215,3 +218,43 @@ class TestEmpiricalDominance:
         res = run_replicated(cfg, range(20))
         bound = bound_wga_nonconvex(BoundInputs(s, eta=eta))
         assert res.avg_grad_sq_mean <= bound
+
+
+class TestSigmaTildeOneNumber:
+    """sigma_tilde^2 = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2 is one
+    number wherever it enters: the same bits, not merely close ones."""
+
+    @staticmethod
+    def draws(n, seed):
+        """alpha, sigma_0^2, sigma_1^2, N and v^2, drawn n times."""
+        rng = np.random.default_rng(seed)
+        return zip(rng.random(n), rng.uniform(0.0, 10.0, n),
+                   rng.uniform(0.0, 10.0, n), rng.integers(1, 51, n).tolist(),
+                   rng.uniform(0.0, 10.0, n))
+
+    def test_wga_pl_terms_and_oracle_floor(self):
+        s = inputs(T=50)
+        for alpha, s0, s1, n, v in self.draws(2000, 0):
+            sa = dataclasses.replace(s, alpha=alpha, sigma0_sq=s0,
+                                     sigma_a_sq=s1 / n, f0_gap=0.0)
+            assert wga_pl_terms(alpha, 0.5, s0, s1, n)[1] == sigma_tilde_sq(sa)
+            # With F_0 = 0 the oracle bound is its floor; here L = mu = 1.
+            with_v = dataclasses.replace(sa, oracle_var=v, n_collaborators=n)
+            floor_st = sigma_tilde_sq(dataclasses.replace(
+                sa, sigma_a_sq=sa.sigma_a_sq + v / n))
+            assert bound_oracle(BoundInputs(with_v, eta=0.1)) == (
+                2 * 1.0 * 0.1 * floor_st / (4.0 * 1.0))
+
+    def test_expected_test_loss(self):
+        # Started at the mean's fixed point, E[loss_1] = 1/2 a_0
+        # ((x_bar - x_0*)^2 + eta^2 sigma_tilde^2).
+        for alpha, s0, s1, n, _ in self.draws(200, 1):
+            main = QuadraticTask(1.5, 0.0, noise_std=np.sqrt(s0))
+            colls = [QuadraticTask(2.0, 1.0, noise_std=np.sqrt(s1))] * n
+            w = CollaborationWeights(alpha, [1.0 / n] * n)
+            cfg = RunConfig(main, colls, "wga", w, 0.05, 3, 0.0)
+            cfg = dataclasses.replace(cfg, x0=mean_fixed_point(cfg))
+            st = sigma_tilde_sq(schedule_inputs(main, colls, w, 3, cfg.x0))
+            dev = cfg.x0 - main.optimum
+            assert expected_test_loss(cfg)[1] == 0.5 * np.sum(
+                main.curvature * (dev ** 2 + 0.05 ** 2 * st * 1.0))

@@ -230,15 +230,17 @@ class TestInputContract:
         allocator grants) fails at its first allocation.  Both are config
         errors naming the horizon, before any file is written."""
         argv = list(argv)
-        if "CONFIG" in argv:
+        if "CONFIG" in argv:  # the JSON config, not --seeds, sets the seeds
             d = TestConfigFile().make_config().to_dict()
-            d["horizon"] = None
+            d["horizon"], d["seeds"] = None, [0]
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(d).replace('"horizon": null',
                                                   f'"horizon": {argv.pop()}'))
             argv[argv.index("CONFIG")] = str(path)
+        else:
+            argv += ["--seeds", "0"]
         out = tmp_path / "out"
-        assert run_cli(*argv, "--seeds", "0", "--out-dir", str(out)) == 1
+        assert run_cli(*argv, "--out-dir", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "horizon" in err
         assert "Traceback" not in err and not out.exists()
@@ -433,6 +435,32 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--T", "7", "--seeds", "0-5", "--aggregator", "bc", "--csv-stride", "3"),
+         "--T, --seeds, --aggregator, --csv-stride"),
+        (("--T", "100"), "--T"),  # the config's own value, given again
+        (("--x0=3", "--eta", "1e-3"), "--x0, --eta"),
+        (("--se", "0"), "--seeds"),  # an abbreviation
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+    def test_run_flags_beside_config_rejected(self, tmp_path, capsys, flags, named):
+        """The JSON config sets every run parameter, so a run flag beside
+        --config, which the run would not use, is a config error naming it."""
+        path = tmp_path / "cfg.json"
+        save_config(self.make_config(), str(path))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), *flags,
+                       "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named} cannot be given with --config")
+        assert not out.exists()
+
+    def test_out_dir_and_workers_beside_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        save_config(self.make_config(), str(path))
+        assert run_cli("run", "--config", str(path), "--workers", "1",
+                       "--out-dir", str(tmp_path / "out")) == 0
+        assert (tmp_path / "out" / "aggregate.csv").exists()
+
     def test_run_from_config_with_sweep(self, tmp_path):
         cfg = self.make_config(sweep_axis="alpha", sweep_values=[0.0, 0.5])
         path = tmp_path / "cfg.json"
@@ -582,6 +610,30 @@ class TestTauCommand:
     def test_guard_violation(self):
         assert run_cli("tau", "--sigmas", "1", "--zetas", "0",
                        "--alpha", "0.9", "--m", "2.0") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--m", "-3"),
+        ("--mu", "2", "--L", "1"),
+        ("--L", "0"),
+        # alpha = 1/sqrt(m) to a rounding: the guard is a few ulps above 0.
+        ("--alpha", "0.19250009809305813", "--m", "26.985973509249394"),
+        # alpha < 1/sqrt(m) in floats, but 1 - alpha^2 m rounds to 0.
+        ("--alpha", "5.955531625532372e-06", "--m", "28194145040.749027"),
+    ], ids=" ".join)
+    def test_rejects_what_bounds_rejects(self, capsys, flags):
+        """tau reads L, mu, m and the alpha guard as `bounds` does, and
+        fails with the same message."""
+        assert run_cli("bounds", "wga-pl", *flags) == 1
+        message = capsys.readouterr().err
+        assert message.startswith("config error:")
+        assert run_cli("tau", "--sigmas", "1,4", "--zetas", "0.1,0", *flags) == 1
+        assert capsys.readouterr().err == message
+
+    def test_underflowing_guard_term_is_config_error(self, capsys):
+        # mu T (1 - alpha^2 m) = 5e-324 * 0.028 rounds to 0.
+        assert run_cli("tau", "--sigmas", "1", "--zetas", "0", "--mu", "5e-324",
+                       "--T", "1", "--alpha", "0.9", "--m", "1.2") == 1
+        assert "config error: inputs out of range" in capsys.readouterr().err
 
 
 class TestParserReuse:

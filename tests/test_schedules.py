@@ -274,18 +274,19 @@ class TestAlphaOptWgaGeneral:
         # Golden-section search shrinks [0, 1] by 1/phi per iteration, so
         # 1e-10 takes 48 iterations: about 50 calls if the surviving
         # interior point keeps its value, 96 if both are evaluated anew.
+        # The objective makes one pl_guard call per evaluation.
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return terms(*args)
+            return guard(*args)
 
-        terms = schedules.wga_pl_terms
-        monkeypatch.setattr(schedules, "wga_pl_terms", counting)
+        guard = schedules.pl_guard
+        monkeypatch.setattr(schedules, "pl_guard", counting)
         for m, n in ((0.0, 1), (0.0, 10), (4.0, 10), (0.25, 3)):
             calls.clear()
             alpha_opt_wga_general(m, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, n)
-            assert len(calls) <= 55
+            assert 48 <= len(calls) <= 55
 
 
 class TestEtaCeilingProperty:
