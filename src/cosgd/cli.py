@@ -135,12 +135,12 @@ def _cmd_run(args) -> int:
             print(f"{label}: plateau {fmt_value(res.plateau_mean)}"
                   f" final_gap {fmt_value(res.final_gap_mean)}")
     else:
-        res = run_replicated(cfg.run, cfg.seeds, keep_traces=True)
+        res = run_replicated(cfg.run, cfg.seeds, keep_traces=True, trace_stride=stride)
         steps = np.arange(0, cfg.run.horizon + 1, stride)
         for seed, trace in zip(cfg.seeds, res.traces):
             write_csv(os.path.join(out_dir, f"trace_seed{seed}.csv"),
                       ["step", "test_loss", "grad_norm_sq"],
-                      (steps, trace.test_loss[::stride], trace.grad_norm_sq[::stride]))
+                      (steps, trace.test_loss, trace.grad_norm_sq))
         figures._write_trace(os.path.join(out_dir, "aggregate_trace.csv"), res, stride)
         labels, results = ["run"], [res]
         print(f"final loss (plateau): {fmt_value(res.plateau_mean)}"
@@ -315,9 +315,9 @@ def main(argv=None) -> int:
     except (ConfigError, AllSeedsDiverged) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except MemoryError:  # allocating the seeds, or the kernel's traces
+    except MemoryError:  # allocating the seeds, or the kernel's outputs
         print("config error: the run does not fit in memory: lower the horizon "
-              "(--T) or the number of seeds", file=sys.stderr)
+              "(--T) or the number of seeds, or raise --csv-stride", file=sys.stderr)
         return 1
     except Exception as e:  # internal error
         print(f"internal error: {e}", file=sys.stderr)

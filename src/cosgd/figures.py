@@ -1,7 +1,7 @@
 """Reproduction of the noisy-quadratic experiments and speedup charts.
 
 Each function builds its default configuration, runs its simulations
-as one streamed kernel call, writes per-curve CSVs (plus a small
+as one kernel call, writes per-curve CSVs (plus a small
 gnuplot script) to `out_dir`, and returns the computed results so tests
 and callers can inspect them without re-reading files.
 
@@ -89,8 +89,8 @@ def _swept(base: RunConfig, axis: str, values, alpha_rule=None) -> list:
 
 def _run_curves(curves, seeds) -> list:
     """Each (key, suffix, label, config) of `curves` with its config's
-    RunResult in place, all configs run as one streamed batch."""
-    results = _replicate([cfg for *_, cfg in curves], seeds, streamed=True)
+    RunResult in place, all configs run as one batch."""
+    results = _replicate([cfg for *_, cfg in curves], seeds)
     return [(*curve[:3], res) for curve, res in zip(curves, results)]
 
 
@@ -149,7 +149,7 @@ def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,
     The step sizes of Alone and WGA are each tuned over a log grid, by
     the exact plateau (`_exact_pick`); BC uses a fixed, untuned step size
     and beta.  Only the three plotted configs are simulated, as one
-    streamed call.  All chosen values land in the summary CSV.
+    kernel call.  All chosen values land in the summary CSV.
     """
     alone, wga, bc = _fig2_configs(horizon)
     alone, wga = (sweep_config(cfg, "eta", _exact_pick(cfg)) for cfg in (alone, wga))

@@ -113,8 +113,7 @@ class RunConfig:
 
 @dataclass
 class Trace:
-    """Per-step metrics of one run (arrays of length T+1, step 0 included)
-    and its final iterate: x_T, or a diverged run's frozen iterate."""
+    """One run's metrics at steps 0, s, 2s, ... <= T (s = 1 for `run`) and final iterate."""
 
     test_loss: np.ndarray
     grad_norm_sq: np.ndarray
@@ -130,7 +129,7 @@ class RunResult:
 
     final_gap_mean: float
     final_gap_se: float | None
-    avg_grad_sq_mean: float | None  # None from a streamed run
+    avg_grad_sq_mean: float
     avg_grad_sq_se: float | None
     plateau_mean: float
     plateau_se: float | None
@@ -185,11 +184,11 @@ class _Batch:
     weights, the step sizes and the normals) spans all d coordinates, so
     that its products take numpy's loop for same-shape contiguous
     operands.  Every buffer is allocated here, once per call, and only
-    the traces and seed sums span the horizon: the step sizes are formed
-    per chunk, and X[0] ends as each lane's final iterate.
+    the seed sums and the rows at a stride span the horizon: the step
+    sizes are formed per chunk, and X[0] ends as each lane's final iterate.
     """
 
-    def __init__(self, cfgs, seeds, streamed: bool):
+    def __init__(self, cfgs, seeds, stride: int | None):
         for cfg in cfgs:
             _validate(cfg)
         seeds = [int(s) for s in seeds]
@@ -257,12 +256,13 @@ class _Batch:
         self.oracle_spread = np.empty((chunk, O // S, S, d))
         self.eta_all = np.empty((chunk, L, d))  # each lane's step sizes
 
-        # Each lane's loss and gradient norm from step `kept` on; streamed,
-        # only its losses over the plateau window, next to each config's
-        # seed sums, which `record` writes a chunk of steps at a time.
-        self.kept = _plateau_start(T) if streamed else 0
-        self.traces = np.empty((1 if streamed else 2, L, T + 1 - self.kept))
-        self.sums = np.empty((2, C, T + 1)) if streamed else None
+        # The outputs, which `record` writes a chunk of steps at a time
+        # (see `_run_batch`); the window starts at step `kept`.
+        self.kept, self.stride = _plateau_start(T), stride
+        self.sums = np.empty((2, C, T + 1))
+        self.window = np.empty((L, T + 1 - self.kept))
+        self.grad_sums = np.zeros(L)
+        self.rows = None if stride is None else np.empty((2, L, T // stride + 1))
         self.metric_work = np.empty((2, L * (chunk + 1) * d))
         self.metric_rows = np.empty((2, L * (chunk + 1)))
 
@@ -413,7 +413,7 @@ class _Batch:
         on, as the outputs are.  An iterate inside the box may still have
         a loss or gradient norm beyond the float range, which is recorded
         as inf."""
-        L, d, kept, traces, sums = self.L, self.d, self.kept, self.traces, self.sums
+        L, d, kept, stride = self.L, self.d, self.kept, self.stride
         m = X.shape[0]
         diff0, g0_true = (work[:L * m * d].reshape(L, m, d) for work in self.metric_work)
         rows = self.metric_rows[:, :L * m].reshape(2, L, m)
@@ -423,49 +423,54 @@ class _Batch:
             np.add.reduce(np.multiply(g0_true, diff0, diff0), axis=-1, out=rows[0])
             np.multiply(0.5, rows[0], rows[0])
             np.add.reduce(np.multiply(g0_true, g0_true, g0_true), axis=-1, out=rows[1])
-            lo = max(t0, kept)
+            # Over a block of two or more steps, a reduction over the seed
+            # axis adds the seeds to 0 one at a time, in seed order, as
+            # np.mean over stacked traces does; over one step numpy would
+            # add the contiguous seeds pairwise.
+            np.add.reduce(rows.reshape(2, self.C, self.S, m), axis=2,
+                          out=self.sums[:, :, t0:t0 + m])
             if t0 + m > kept:
-                traces[:, :, lo - kept:t0 + m - kept] = rows[:len(traces), :, lo - t0:]
-            if sums is not None:
-                # Over a block of two or more steps, a reduction over the
-                # seed axis adds the seeds to 0 one at a time, in seed
-                # order, as np.mean over stacked traces does; over one
-                # step numpy would add the contiguous seeds pairwise.
-                np.add.reduce(rows.reshape(2, self.C, self.S, m), axis=2,
-                              out=sums[:, :, t0:t0 + m])
+                lo = max(t0, kept)
+                self.window[:, lo - kept:t0 + m - kept] = rows[0, :, lo - t0:]
+            if stride is not None:  # from step t0 + skip, the chunk's first on the stride
+                skip = -t0 % stride
+                picked = rows[:, :, skip::stride]
+                self.rows[:, :, (t0 + skip) // stride:][:, :, :picked.shape[2]] = picked
+            # Last, as it overwrites the norms: steps before T in step order, whatever the chunks.
+            norms = rows[1, :, :self.T - t0]
+            norms[:, 0] += self.grad_sums
+            self.grad_sums[:] = np.add.accumulate(norms, axis=1, out=norms)[:, -1]
 
     def outputs(self) -> list:
-        """Per config, (losses, grad_norms, steps, final iterates, means)
-        as views of the call's arrays; see `_run_batch`.  The final
+        """Per config, (means, window, grad sums, steps, final iterates,
+        rows) as views of the call's arrays; see `_run_batch`.  The final
         iterates are copied out of X[0], so that no view holds all of X."""
-        S, traces, sums, final = self.S, self.traces, self.sums, self.X[0].copy()
-        if sums is not None:
-            sums /= S
+        S, sums, rows, final = self.S, self.sums, self.rows, self.X[0].copy()
+        sums /= S
         blocks = [slice(k * S, (k + 1) * S) for k in range(self.C)]
-        return [(traces[0, lanes], None if sums is not None else traces[1, lanes],
+        return [(sums[:, k], self.window[lanes], self.grad_sums[lanes],
                  self.steps_completed[lanes], final[lanes],
-                 None if sums is None else sums[:, k])
+                 None if rows is None else rows[:, lanes])
                 for k, lanes in enumerate(blocks)]
 
 
-def _run_batch(cfgs, seeds, streamed: bool = False) -> list:
+def _run_batch(cfgs, seeds, stride: int | None = None) -> list:
     """Run configs that share a `_batch_key`, ordered by kind (alone |
     wga | bc | oracle_bc), under many seeds, as the lanes of one
     `_Batch`, one chunk of steps at a time.
 
-    Returns per config (losses, grad_norms, steps, final iterates, means):
-    views of the call's own arrays, one row per seed.  The full path
-    keeps each seed's whole loss and gradient-norm traces.  `streamed`
-    keeps only the losses over the plateau window and adds the lanes'
-    losses and norms to per-config seed sums as it goes, which it returns
-    as the (2, T+1) means, diverged seeds included; its grad_norms are
-    None.  A lane's final iterate is x_T, or its frozen iterate if it
-    diverged.  Each row is bitwise identical to running that (config, seed)
-    alone: every per-step operation is elementwise across lanes, each
-    lane reads its own seed's streams, and a diverged lane is frozen in
-    its row, which leaves the other lanes' bits untouched.
+    Returns per config, as views of the call's arrays, (means, window,
+    grad sums, steps, final iterates, rows): the (2, T+1) seed means of
+    loss and gradient norm, diverged seeds included, and per seed its
+    losses over the plateau window, its gradient norms summed over steps
+    0 .. T-1, its steps completed, its final iterate (x_T, or a frozen
+    diverged one) and, given a stride s, its (2, T // s + 1) loss and
+    gradient norm at steps 0, s, 2s, ...  Each seed's values are bitwise
+    those of its (config, seed) run alone: every per-step operation is
+    elementwise across lanes, each lane reads its own seed's streams, and
+    a diverged lane is frozen in its row.
     """
-    batch = _Batch(cfgs, seeds, streamed)
+    batch = _Batch(cfgs, seeds, stride)
     T = batch.T
     for t0 in range(0, T, batch.chunk):
         n = min(batch.chunk, T - t0)
@@ -510,18 +515,18 @@ def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
         return acc / K
 
 
-def _traces(rows) -> list:
-    """One Trace per seed of a full-path `_run_batch` output, as views."""
-    losses, norms, steps, finals, _ = rows
-    T = losses.shape[1] - 1
-    return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(loss[T]),
+def _traces(out) -> list:
+    """One Trace per seed of a `_run_batch` output with rows, as views."""
+    means, window, _, steps, finals, (losses, norms) = out
+    T = means.shape[1] - 1
+    return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(w[-1]),
                   final_iterate=x, diverged=bool(s < T), steps_completed=int(s))
-            for loss, norm, s, x in zip(losses, norms, steps, finals)]
+            for loss, norm, w, s, x in zip(losses, norms, window, steps, finals)]
 
 
 def run(cfg: RunConfig) -> Trace:
     """Execute one seeded run; a pure function of the config."""
-    return _traces(_run_batch([cfg], [cfg.seed])[0])[0]
+    return _traces(_run_batch([cfg], [cfg.seed], 1)[0])[0]
 
 
 def _mean_se(values: np.ndarray):
@@ -530,13 +535,11 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _reduce(cfg: RunConfig, seeds: list, rows, keep_traces: bool = False) -> RunResult:
-    """Seed aggregates of one config's `_run_batch` output, read in place.
-
-    Diverged seeds are left out: a streamed config with one is replayed on
-    the full path, exactly (the streams are counter-based).  A streamed
-    result has no traces and no avg_grad_sq (a pairwise mean over T)."""
-    losses, norms, steps, _, means = rows
+def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
+    """Seed aggregates of one config's `_run_batch` output, and a Trace per
+    seed if it has rows.  Diverged seeds are left out: the seed means are
+    then replayed over the others, exactly (the streams are counter-based)."""
+    means, window, grad_sums, steps, _, rows = out
     T = cfg.horizon
     ok = steps == T
     if not ok.any():
@@ -546,24 +549,19 @@ def _reduce(cfg: RunConfig, seeds: list, rows, keep_traces: bool = False) -> Run
         raise AllSeedsDiverged(f"all seeds diverged at {step}: the longest run "
                                f"completed {steps.max()} of {T} steps")
     if not ok.all():
-        if means is not None:
-            return _reduce(cfg, seeds, _run_batch([cfg], seeds)[0])
-        losses, norms = losses[ok], norms[ok]
-    final_gaps = losses[:, -1].copy()
-    plateaus = losses[:, _plateau_start(T) - (T + 1):].mean(axis=1)
-    avg_grad = (None, None) if norms is None else _mean_se(norms[:, :T].mean(axis=1))
-    if means is None:
-        means = losses.mean(axis=0), norms.mean(axis=0)
-    return RunResult(*_mean_se(final_gaps), *avg_grad, *_mean_se(plateaus), *means,
-                     list(seeds), [s for s, good in zip(seeds, ok) if not good],
-                     final_gaps, plateaus, _traces(rows) if keep_traces else None)
+        means = _run_batch([cfg], [s for s, good in zip(seeds, ok) if good])[0][0]
+        window, grad_sums = window[ok], grad_sums[ok]
+    final_gaps, plateaus = window[:, -1].copy(), window.mean(axis=1)
+    return RunResult(*_mean_se(final_gaps), *_mean_se(grad_sums / T), *_mean_se(plateaus),
+                     *means, list(seeds), [s for s, good in zip(seeds, ok) if not good],
+                     final_gaps, plateaus, None if rows is None else _traces(out))
 
 
-def _replicate(cfgs: list, seeds, keep_traces: bool = False,
-               streamed: bool = False) -> list:
+def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int = 1) -> list:
     """One RunResult per config, in input order, with one kernel call per
-    group of configs that share a `_batch_key`.  `streamed`, the figures'
-    path, holds seed sums in place of the traces (see `_run_batch`)."""
+    group of configs that share a `_batch_key`."""
+    if not (isinstance(trace_stride, (int, np.integer)) and trace_stride >= 1):
+        raise ValueError(f"trace_stride must be an integer >= 1, got {trace_stride!r}")
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
@@ -573,20 +571,22 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False,
     results = [None] * len(cfgs)
     for members in groups.values():
         members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
-        batch = _run_batch([cfgs[i] for i in members], seeds, streamed)
-        for i, rows in zip(members, batch):
-            results[i] = _reduce(cfgs[i], seeds, rows, keep_traces)
+        outs = _run_batch([cfgs[i] for i in members], seeds, trace_stride if keep_traces else None)
+        for i, out in zip(members, outs):
+            results[i] = _reduce(cfgs[i], seeds, out)
     return results
 
 
-def run_replicated(cfg: RunConfig, seeds, keep_traces: bool = False) -> RunResult:
+def run_replicated(cfg: RunConfig, seeds, keep_traces: bool = False,
+                   trace_stride: int = 1) -> RunResult:
     """Independent runs per seed, aggregated mean/SE.
 
     Diverged seeds are reported and excluded from the aggregates.  The
     plateau metric is the mean test loss over the final `PLATEAU_FRACTION`
-    of steps.  Results are gathered in input order.
+    of steps.  Results are gathered in input order.  `keep_traces` keeps a
+    Trace per seed, with rows at steps 0, s, 2s, ... for s = `trace_stride`.
     """
-    return _replicate([cfg], seeds, keep_traces)[0]
+    return _replicate([cfg], seeds, keep_traces, trace_stride)[0]
 
 
 SWEEP_AXES = ("zeta", "N", "alpha", "beta", "eta", "delta", "sigma", "T")
@@ -686,6 +686,8 @@ def sweep(base: RunConfig, axis: str, values, seeds,
 def _mean_terms(cfg: RunConfig) -> tuple:
     """(h, x_bar) = ((1-a) A_0 + a sum_k tau_k A_k, ((1-a) A_0 x_0* + a sum_k
     tau_k A_k x_k*) / h), mixed as WGA mixes gradients; a = 0 for Alone."""
+    if cfg.aggregator not in ("alone", "wga"):
+        raise ValueError("mean dynamics oracle supports alone and wga only")
     rows = np.array([[task.curvature, task.curvature * task.optimum]
                      for task in [cfg.main_task, *cfg.collaborators]])
     h, weighted = rows[0] if cfg.aggregator == "alone" else mix(
@@ -695,11 +697,9 @@ def _mean_terms(cfg: RunConfig) -> tuple:
 
 def _mean_path(cfg: RunConfig, T: int) -> tuple:
     """(h, E[x_t] for t = 0 .. T) for Alone/WGA at a constant step."""
-    if cfg.aggregator not in ("alone", "wga"):
-        raise ValueError("mean dynamics oracle supports alone and wga only")
+    h, x_bar = _mean_terms(cfg)
     if isinstance(cfg.step_size, DecreasingPlSchedule):
         raise ValueError("mean dynamics oracle requires a constant step size")
-    h, x_bar = _mean_terms(cfg)
     t = np.arange(T + 1)[:, None]
     return h, x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
 
@@ -718,8 +718,8 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
 
 
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
-    """Fixed point of the mean dynamics: the weighted optimum
-    ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
+    """Fixed point of the Alone/WGA mean dynamics (a ValueError for BC): the
+    weighted optimum ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
     return _mean_terms(cfg)[1]
 
 

@@ -86,6 +86,16 @@ class TestRunCommand:
     def test_bad_flag_value_is_config_error(self, tmp_path):
         assert run_cli("run", "--T", "ten", "--out-dir", str(tmp_path)) == 1
 
+    def test_out_of_memory_names_what_sets_the_size(self, tmp_path, capsys):
+        """A run whose outputs cannot be allocated (16 PB of seed sums) is
+        a configuration error that names the horizon, the seeds and the
+        CSV stride, and writes no file."""
+        assert run_cli("run", "--T", "1000000000000000", "--seeds", "0",
+                       "--out-dir", str(tmp_path / "out")) == 1
+        assert ("lower the horizon (--T) or the number of seeds, or raise --csv-stride"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestInputContract:
     """Bad seed specs, strides and parameters are configuration errors
@@ -514,7 +524,7 @@ class TestFigureCommand:
     def test_swept_values_named_before_any_run(self, tmp_path, monkeypatch, make):
         """Swept values that print alike are rejected before the kernel
         runs and before any file is written."""
-        def no_run(cfgs, seeds):
+        def no_run(cfgs, seeds, stride=None):
             raise AssertionError("the kernel ran before the values were named")
         monkeypatch.setattr(simulator, "_run_batch", no_run)
         with pytest.raises(ValueError, match="repeated"):

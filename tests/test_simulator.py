@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cosgd import figures, simulator
+from cosgd import cli, figures, simulator
 from cosgd import rng as rng_mod
 from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
                                oracle_bc_combine, wga_combine)
+from cosgd.csvio import write_csv
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
 from cosgd.schedules import eta_max, schedule_inputs
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss,
@@ -18,7 +19,7 @@ from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss
 
 def batch_traces(cfgs, seeds) -> list:
     """Per config, one Trace per seed of one `_run_batch` call."""
-    return [simulator._traces(rows) for rows in simulator._run_batch(cfgs, seeds)]
+    return [simulator._traces(out) for out in simulator._run_batch(cfgs, seeds, 1)]
 
 
 def make_cfg(aggregator="wga", alpha=0.5, beta=None, sigma0=1.0, sigma1=1.0,
@@ -392,6 +393,33 @@ class TestRunReplicated:
             single = run(dataclasses.replace(cfg, seed=seed))
             np.testing.assert_array_equal(tr.test_loss, single.test_loss)
 
+    @pytest.mark.parametrize("aggregator,kw", [
+        ("alone", dict(alpha=0.0)),
+        ("wga", {}),
+        ("bc", dict(beta=0.3)),
+        ("oracle_bc", dict(oracle_v=1.0)),
+    ])
+    def test_avg_grad_sq_is_the_trace_mean(self, monkeypatch, aggregator, kw):
+        """avg_grad_sq_mean is the seed mean of each seed's gradient norms
+        over steps 0 .. T-1, summed in step order and divided by T: within
+        a relative 1e-12 of numpy's pairwise mean of `run`'s trace (a
+        step-order sum of T = 700 terms >= 0 is within 700 eps = 1.6e-13
+        of the exact sum), and bitwise the step-order loop's."""
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)  # chunks of 256 steps
+        T, seeds = 700, [0, 3, 5]
+        cfg = make_cfg(aggregator, T=T, **kw)
+        res = run_replicated(cfg, seeds)
+        norms = [run(dataclasses.replace(cfg, seed=s)).grad_norm_sq[:T] for s in seeds]
+        np.testing.assert_allclose(res.avg_grad_sq_mean,
+                                   np.mean([row.mean() for row in norms]), rtol=1e-12, atol=0)
+        in_order = []
+        for row in norms:
+            acc = 0.0
+            for value in row:
+                acc += value
+            in_order.append(acc / T)
+        assert res.avg_grad_sq_mean == np.mean(in_order)
+
     def test_monotone_noise_effect(self):
         base = make_cfg("wga", sigma0=1.0, sigma1=1.0, T=400)
         doubled = make_cfg("wga", sigma0=2.0, sigma1=2.0, T=400)
@@ -490,8 +518,19 @@ class TestMeanDynamicsOracle:
             assert abs(snaps.mean() - oracle[t, 0]) <= 3 * max(se, 1e-12)
 
     def test_bc_unsupported(self):
-        with pytest.raises(ValueError):
-            mean_dynamics_oracle(make_cfg("bc", beta=0.5))
+        for cfg in (make_cfg("bc", beta=0.5), make_cfg("oracle_bc", oracle_v=1.0)):
+            with pytest.raises(ValueError, match="supports alone and wga only"):
+                mean_dynamics_oracle(cfg)
+
+    def test_fixed_point_rejects_bc(self):
+        # A noiseless bc run ends near 0 (BC removes the bias), not at the
+        # WGA weighted optimum 4.0 of these tasks.
+        cfg = make_cfg("bc", alpha=0.8, beta=0.5, sigma0=0.0, sigma1=0.0, a1=1.0,
+                       x1star=5.0, eta=0.1, T=3000, c0_policy="zero")
+        assert run(cfg).final_iterate[0] == pytest.approx(0.0, abs=1e-30)
+        for kind in (cfg, dataclasses.replace(cfg, aggregator="oracle_bc")):
+            with pytest.raises(ValueError, match="supports alone and wga only"):
+                mean_fixed_point(kind)
 
 
 class TestExpectedTestLoss:
@@ -596,9 +635,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = simulator._run_batch
 
-    def counting(cfgs, seeds, streamed=False):
+    def counting(cfgs, seeds, stride=None):
         calls.append(len(cfgs))
-        return original(cfgs, seeds, streamed)
+        return original(cfgs, seeds, stride)
     monkeypatch.setattr(simulator, "_run_batch", counting)
     return calls
 
@@ -825,7 +864,7 @@ class TestNoiseDraws:
         cfgs += [dataclasses.replace(self.base_cfg("oracle_bc", d), oracle_v=v)
                  for v in (0.5, 2.0)]
         self.assert_draws_once(draws, self.ROWS["oracle_bc"], d, cfgs)
-        batch = simulator._Batch(cfgs, self.SEEDS, streamed=False)
+        batch = simulator._Batch(cfgs, self.SEEDS, None)
         z, z_oracle, _ = batch.draw(0, batch.chunk)
         assert z.shape == (batch.chunk, 2, 6 * len(self.SEEDS), d)
         assert z_oracle.shape == (batch.chunk, 2 * len(self.SEEDS), d)
@@ -859,6 +898,22 @@ class TestChunkLength:
         assert not any(tr.diverged for tr in batches[0][0])
         assert any(256 // d < n for n in died)
         assert all(n % (256 // d) for n in died)
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 256, 700, 701])
+    def test_rows_at_a_stride(self, monkeypatch, stride):
+        """Rows at stride s are the stride-1 rows at steps 0, s, 2s, ...
+        <= T, across chunk ends (chunks of 256 steps, T = 700) and diverged
+        lanes."""
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in TestStages.mixed()]
+        every = batch_traces(cfgs, self.SEEDS)
+        for out, traces in zip(simulator._run_batch(cfgs, self.SEEDS, stride), every,
+                               strict=True):
+            losses, norms = out[-1]
+            assert losses.shape == (len(self.SEEDS), 700 // stride + 1)
+            for loss, norm, tr in zip(losses, norms, traces, strict=True):
+                np.testing.assert_array_equal(loss, tr.test_loss[::stride])
+                np.testing.assert_array_equal(norm, tr.grad_norm_sq[::stride])
 
     def test_wide_batch_draws_256_normals_per_call(self, monkeypatch):
         """256 lanes at d = 1: every gradient-stream call but a stream's
@@ -982,12 +1037,11 @@ class TestExactPick:
     def picks(horizon, seeds):
         """Per tuned config of fig2, (exact pick, simulated pick), the
         latter from fig2's 8 grid configs, which fig2 itself does not
-        simulate, run here as one streamed call."""
+        simulate, run here as one kernel call."""
         grid = figures.ETA_GRID
         bases = figures._fig2_configs(horizon)[:2]
         results = simulator._replicate(
-            [sweep_config(base, "eta", eta) for base in bases for eta in grid],
-            seeds, streamed=True)
+            [sweep_config(base, "eta", eta) for base in bases for eta in grid], seeds)
         return [(figures._exact_pick(base), simulated_pick(results[i:i + len(grid)], grid)[0])
                 for base, i in zip(bases, (0, len(grid)))]
 
@@ -1120,8 +1174,9 @@ class TestMixedBatch:
 
 
 class TestStreamedReduction:
-    """The figures' streamed path keeps seed sums, not traces, and gives
-    `_reduce`'s results bit for bit."""
+    """The kernel forms each config's seed sums and each seed's plateau
+    window as it goes, and keeps no per-step rows unless asked; its
+    aggregates are those of the stacked traces bit for bit."""
 
     SEEDS = list(range(8))
 
@@ -1144,33 +1199,82 @@ class TestStreamedReduction:
             self.assert_streamed_equals_reduce(kernel_calls, T)
 
     def assert_streamed_equals_reduce(self, kernel_calls, T):
+        """Each config's aggregates against those of its seeds' stacked
+        stride-1 traces: np.mean over the seeds that did not diverge, and
+        each one's mean over the plateau window."""
         cfgs = [make_cfg("bc", alpha=0.6, beta=0.2, T=T, c0_policy="zero"),
                 make_cfg("alone", alpha=0.0, T=T), self.partly_diverging(T),
                 make_cfg("wga", alpha=0.5, T=T, sigma0=3.0)]
         kernel_calls.clear()
-        streamed = simulator._replicate(cfgs, self.SEEDS, streamed=True)
+        results = simulator._replicate(cfgs, self.SEEDS)
         # One call for the batch, and one replay of the diverging config.
         assert kernel_calls == [4, 1]
-        for cfg, res in zip(cfgs, streamed):
-            full = run_replicated(cfg, self.SEEDS)
+        start = simulator._plateau_start(T)
+        for cfg, res in zip(cfgs, results, strict=True):
+            [traces] = batch_traces([cfg], self.SEEDS)
+            kept = [tr for tr in traces if not tr.diverged]
             assert res.seeds == self.SEEDS and res.traces is None
-            np.testing.assert_array_equal(res.mean_test_loss, full.mean_test_loss)
-            np.testing.assert_array_equal(res.mean_grad_norm_sq, full.mean_grad_norm_sq)
-            np.testing.assert_array_equal(res.per_seed_plateau, full.per_seed_plateau)
-            np.testing.assert_array_equal(res.per_seed_final_gap, full.per_seed_final_gap)
-            assert res.diverged_seeds == full.diverged_seeds
-            assert (res.plateau_mean, res.plateau_se, res.final_gap_mean, res.final_gap_se) \
-                == (full.plateau_mean, full.plateau_se, full.final_gap_mean, full.final_gap_se)
-        assert streamed[2].diverged_seeds == [1]
-        assert_results_equal(streamed[2], run_replicated(cfgs[2], self.SEEDS))
-        assert streamed[0].avg_grad_sq_mean is None is streamed[0].avg_grad_sq_se
+            np.testing.assert_array_equal(res.mean_test_loss,
+                                          np.mean([tr.test_loss for tr in kept], axis=0))
+            np.testing.assert_array_equal(res.mean_grad_norm_sq,
+                                          np.mean([tr.grad_norm_sq for tr in kept], axis=0))
+            np.testing.assert_array_equal(res.per_seed_plateau,
+                                          [tr.test_loss[start:].mean() for tr in kept])
+            np.testing.assert_array_equal(res.per_seed_final_gap, [tr.final_gap for tr in kept])
+            assert res.diverged_seeds == [s for s, tr in zip(self.SEEDS, traces) if tr.diverged]
+            np.testing.assert_allclose(res.avg_grad_sq_mean,
+                                       np.mean([tr.grad_norm_sq[:T].mean() for tr in kept]),
+                                       rtol=1e-12, atol=0)
+        assert results[2].diverged_seeds == [1]
+        # The config with a diverged seed is its run over the others.
+        survivors = run_replicated(cfgs[2], [s for s in self.SEEDS if s != 1])
+        for name in ("mean_test_loss", "mean_grad_norm_sq", "per_seed_plateau",
+                     "per_seed_final_gap"):
+            np.testing.assert_array_equal(getattr(results[2], name), getattr(survivors, name))
+        for name in ("plateau_mean", "plateau_se", "final_gap_mean", "final_gap_se",
+                     "avg_grad_sq_mean", "avg_grad_sq_se"):
+            assert getattr(results[2], name) == getattr(survivors, name)
+
+    def test_cli_writes_the_diverged_seeds_rows(self, tmp_path, capsys):
+        """`cosgd run` writes every seed's rows at its stride, those of the
+        diverged seed frozen from its last step on."""
+        cfg = self.partly_diverging()
+        # The same runs from the CLI's flags: alone reads the main task alone.
+        assert cli.main(["run", "--aggregator", "alone", "--sigma", "1e9", "--eta", "2",
+                         "--x0", "0.95e12", "--T", "600", "--seeds", "0-7",
+                         "--csv-stride", "7", "--out-dir", str(tmp_path)]) == 0
+        assert "diverged seeds: [1]" in capsys.readouterr().out
+        for seed in self.SEEDS:
+            tr = run(dataclasses.replace(cfg, seed=seed))
+            assert tr.diverged == (seed == 1)
+            write_csv(str(tmp_path / "expected.csv"), ["step", "test_loss", "grad_norm_sq"],
+                      (np.arange(0, 601, 7), tr.test_loss[::7], tr.grad_norm_sq[::7]))
+            assert ((tmp_path / f"trace_seed{seed}.csv").read_bytes()
+                    == (tmp_path / "expected.csv").read_bytes())
+
+    def test_cli_run_holds_its_rows_at_the_stride(self, tmp_path):
+        """`cosgd run` over 64 seeds at T = 50 000 and stride 10 peaks below
+        one (lanes, T+1) float64 array: each lane's rows are kept at the
+        stride, and only its plateau window at every step."""
+        T, lanes = 50_000, 64
+        tracemalloc.start()
+        try:
+            code = cli.main(["run", "--aggregator", "bc", "--alpha", "0.9090909090909091",
+                             "--beta", "1e-4", "--eta", "1e-4", "--T", str(T),
+                             "--seeds", f"0-{lanes - 1}", "--csv-stride", "10",
+                             "--out-dir", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(list(tmp_path.glob("trace_seed*.csv"))) == lanes
+        assert peak < lanes * (T + 1) * 8, peak / 1e6
 
     def test_all_seeds_diverged(self):
         cfgs = [make_cfg("wga", T=40), make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, T=40)]
         messages = []
-        for streamed in (False, True):
+        for keep_traces in (False, True):
             with pytest.raises(simulator.AllSeedsDiverged) as err:
-                simulator._replicate(cfgs, [0, 1], streamed=streamed)
+                simulator._replicate(cfgs, [0, 1], keep_traces=keep_traces)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("all seeds diverged at eta=2.5e+12")
@@ -1193,10 +1297,11 @@ class TestStreamedReduction:
 
     @pytest.mark.parametrize("T", [1, 2, 9, 10, 11, 127, 128, 1000, 4097, 20_000])
     def test_axis_reductions_equal_per_row_means(self, T):
-        """`_reduce` reads a config's rows in place, as views of the
-        kernel's (2, lanes, T+1) array, or as the rows of the seeds that
-        did not diverge.  Its axis reductions give the bits of a mean per
-        row (pairwise over the row) and of np.mean over the listed rows."""
+        """Axis reductions over rows read in place, as views of a (2,
+        lanes, T+1) array, or over the rows of the seeds that did not
+        diverge, give the bits of a mean per row (pairwise over the row)
+        and of np.mean over the listed rows; `_reduce` so takes each
+        seed's plateau from its window."""
         S = 7
         block = np.random.default_rng(T).lognormal(0.0, 5.0, (2, 3 * S, T + 1))
         losses, norms = block[0, S:2 * S], block[1, S:2 * S]
@@ -1230,10 +1335,10 @@ class TestStreamedReduction:
         assert got.tobytes() == expected.tobytes()
 
     def test_full_path_peak_is_its_trace_array(self):
-        """The full path reads the kernel's traces in place: a 64-seed
-        `run_replicated` with its traces kept allocates at most 1.2x the
-        kernel's (2, 64, T+1) trace array at its peak.  A stacked copy of
-        the seeds' losses for their mean alone would add 0.5x."""
+        """Kept traces are views of the kernel's rows: a 64-seed
+        `run_replicated` with its traces kept at stride 1 allocates at most
+        1.2x the kernel's (2, 64, T+1) rows at its peak.  A stacked copy
+        of the seeds' losses alone would add 0.5x."""
         cfg = make_cfg("bc", beta=0.2, T=20_000)
         trace_bytes = 2 * 64 * (cfg.horizon + 1) * 8
         tracemalloc.start()
@@ -1246,21 +1351,21 @@ class TestStreamedReduction:
         assert peak < 1.2 * trace_bytes, peak / trace_bytes
 
     def test_batch_spans_the_horizon_only_in_its_outputs(self):
-        """Building a streamed batch of fig2's whole eta grid and bc (9
+        """Building a batch without rows of fig2's whole eta grid and bc (9
         configs, 20 seeds, T = 200 000) allocates at most 1.1x its
-        plateau-window traces and seed sums, 57.6 MB: every other array
-        spans one chunk of steps."""
+        plateau windows and seed sums, 57.6 MB: every other array spans
+        one chunk of steps or one value per lane."""
         T, seeds = 200_000, range(20)
         cfgs = ([make_cfg("alone", alpha=0.0, eta=eta, T=T) for eta in figures.ETA_GRID]
                 + [make_cfg("wga", eta=eta, T=T) for eta in figures.ETA_GRID]
                 + [make_cfg("bc", beta=1e-4, eta=1e-4, T=T, c0_policy="zero")])
         tracemalloc.start()
         try:
-            batch = simulator._Batch(cfgs, seeds, streamed=True)
+            batch = simulator._Batch(cfgs, seeds, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = batch.traces.nbytes + batch.sums.nbytes
+        outputs = batch.window.nbytes + batch.sums.nbytes + batch.grad_sums.nbytes
         assert round(outputs / 1e6, 1) == 57.6
         assert peak < 1.1 * outputs, peak / 1e6
 
@@ -1272,12 +1377,12 @@ class TestOneCallPerFigure:
         calls = []
         original = simulator._run_batch
 
-        def counting(cfgs, seeds, streamed=False):
-            calls.append((len(cfgs), streamed))
-            return original(cfgs, seeds, streamed)
+        def counting(cfgs, seeds, stride=None):
+            calls.append((len(cfgs), stride))
+            return original(cfgs, seeds, stride)
         monkeypatch.setattr(simulator, "_run_batch", counting)
         getattr(figures, name)(str(tmp_path), horizon=30, seeds=[0, 1])
-        assert calls == [(configs, True)]
+        assert calls == [(configs, None)]
 
 
 class TestStages:
@@ -1292,19 +1397,19 @@ class TestStages:
                        for cfg in TestMixedBatch.kinds(1)),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
 
-    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("cfgs,stepped", [
         (mixed(), [0, 256, 512]),
         # Every lane dies in the first chunk: the later ones draw nothing.
         ([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0]),
     ])
-    def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, streamed):
+    def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, rows):
         # Chunks of 256 steps; T = 700 ends on a chunk of 188.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in cfgs]
-        seeds = [0, 3, 5]
-        plain = simulator._run_batch(cfgs, seeds, streamed)
-        assert any((steps < 700).any() for _, _, steps, _, _ in plain)
+        seeds, stride = [0, 3, 5], 3 if rows else None
+        plain = simulator._run_batch(cfgs, seeds, stride)
+        assert any((out[3] < 700).any() for out in plain)
         calls = {"draw": [], "step": [], "freeze": [], "record": []}
         # Where each stage takes its chunk's first step t0.
         for name, at in (("draw", 0), ("step", 1), ("freeze", 1), ("record", 1)):
@@ -1313,7 +1418,7 @@ class TestStages:
                 t0s.append(args[at])
                 return stage(batch, *args)
             monkeypatch.setattr(simulator._Batch, name, wrapper)
-        wrapped = simulator._run_batch(cfgs, seeds, streamed)
+        wrapped = simulator._run_batch(cfgs, seeds, stride)
         assert calls == {"draw": stepped, "step": stepped,
                          "freeze": [0, 256, 512], "record": [0, 256, 512]}
         for rows, plain_rows in zip(wrapped, plain, strict=True):
