@@ -89,8 +89,9 @@ def _swept(base: RunConfig, axis: str, values, alpha_rule=None) -> list:
 
 def _run_curves(curves, seeds) -> list:
     """Each (key, suffix, label, config) of `curves` with its config's
-    RunResult in place, all configs run as one batch."""
-    results = _replicate([cfg for *_, cfg in curves], seeds)
+    RunResult in place, all configs run as one batch, which takes the
+    affine step when every config is in its class."""
+    results = _replicate([cfg for *_, cfg in curves], seeds, affine=True)
     return [(*curve[:3], res) for curve, res in zip(curves, results)]
 
 

@@ -68,8 +68,9 @@ def schedule_inputs(main: QuadraticTask, collaborators, weights, horizon: int,
     x0 = _as_vector(x0)
     g0 = true_gradient(main, x0)
     tau = weights.tau
+    # tau_k * tau_k, not tau_k ** 2: a scalar `**` calls pow, an ulp off on some tau_k.
     sig_a = float(sum(
-        tau[k] ** 2 * (c.noise_std ** 2 + 2.0 * c.noise_scale * sim.grad_offsets_sq[k])
+        tau[k] * tau[k] * (c.noise_std ** 2 + 2.0 * c.noise_scale * sim.grad_offsets_sq[k])
         for k, c in enumerate(collaborators)))
     return ScheduleInputs(
         sim=sim,

@@ -25,10 +25,19 @@ each, and applies the combine rules of `aggregators` and the noise
 model of `objective` through their arithmetic cores.  A kernel call is
 one `_Batch`, whose stages `draw`, `step`, `freeze` and `record` each
 run once per chunk of steps.
+
+A batch whose every config is in the affine class (`_affine_class`) can
+take a second step, `affine_step`, when its caller asks for it: each
+lane then follows s_{t+1} = A s_t + b + B z_t, with s = (x, c), from its
+constant (A, b, B).  That step does the loop's arithmetic in another
+order, so its values agree with the loop's only to rounding; the
+figures ask for it, and `run`, `run_replicated` and `sweep` keep the
+loop.
 """
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +173,36 @@ def _batch_key(cfg: RunConfig) -> tuple:
     return cfg.horizon, cfg.main_task.dim, 1 + len(cfg.collaborators)
 
 
+def _affine_class(cfg: RunConfig) -> bool:
+    """Whether `cfg`'s lanes follow a constant affine step (`_AffineForm`):
+    additive noise on every agent, a constant step size, and an alone or
+    wga config, or a bc config whose c_0 is set before step 0."""
+    return (not isinstance(cfg.step_size, DecreasingPlSchedule)
+            and all(task.noise_scale == 0 for task in [cfg.main_task, *cfg.collaborators])
+            and (cfg.aggregator in ("alone", "wga")
+                 or (cfg.aggregator == "bc" and cfg.c0_policy != "first_bias")))
+
+
+class _AffineForm(NamedTuple):
+    """One step s_{t+1} = A s_t + b + B z_t of every lane, per coordinate.
+
+    s is (x, c), or x alone when the batch has no bc lanes, and z holds
+    the used agents' unit normals.  With H = (1-a) a_0 + a sum_k tau_k a_k,
+    D = sum_k tau_k a_k - a_0 and e = sum_k tau_k a_k x_k* - a_0 x_0*:
+
+        A = [[1 - eta H, eta a], [beta D, 1 - beta]]
+        b = [eta ((1-a) a_0 x_0* + a sum_k tau_k a_k x_k*), -beta e]
+
+    and B's column for z_0 is [-eta (1-a) s_0, -beta s_0], for z_k
+    [-eta a tau_k s_k, beta tau_k s_k].  Alone lanes have a = 0, and alone
+    and wga lanes beta = 0, so that their c stays 0."""
+
+    A_diag: np.ndarray  # (rows, L, d): A[x, x] over A[c, c]
+    A_off: np.ndarray | None  # (2, L, d): A[x, c] over A[c, x]; None without c
+    b: np.ndarray  # (rows, L, d)
+    B: np.ndarray  # (rows, used, L, d)
+
+
 def _plateau_start(T: int) -> int:
     """First step of the plateau window, the last PLATEAU_FRACTION of T."""
     return T + 1 - max(1, int(round(PLATEAU_FRACTION * T)))
@@ -186,9 +225,11 @@ class _Batch:
     operands.  Every buffer is allocated here, once per call, and only
     the seed sums and the rows at a stride span the horizon: the step
     sizes are formed per chunk, and X[0] ends as each lane's final iterate.
+    Given `affine`, a batch whose every config is in the affine class
+    also builds its `_AffineForm` and steps with `affine_step`.
     """
 
-    def __init__(self, cfgs, seeds, stride: int | None):
+    def __init__(self, cfgs, seeds, stride: int | None, affine: bool = False):
         for cfg in cfgs:
             _validate(cfg)
         seeds = [int(s) for s in seeds]
@@ -223,6 +264,7 @@ class _Batch:
         self.var = col(per_agent(lambda t: t.noise_std ** 2))
         self.scale = scale = col(per_agent(lambda t: t.noise_scale))
         self.scaled_noise = scaled_noise = bool(scale.any())
+        self.affine = affine = affine and all(map(_affine_class, cfgs))
         betas = [cfg.weights.beta for cfg in bc_cfgs]
         self.tau = col([[cfg.weights.tau[k] for cfg in collab] for k in range(K)], d)
         self.w = col([cfg.weights.alpha for cfg in collab] + betas, d)
@@ -234,10 +276,11 @@ class _Batch:
         # spreads the oracle's row over the oracle_bc lanes only, the last
         # O, and scales it by each lane's std; it scales the agents' rows,
         # spread over every lane, unless the batch has scaled noise, whose
-        # stds `step` forms.
+        # stds `step` forms, or takes the affine step, whose B holds them.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
-        self.stds = None if scaled_noise else col(per_agent(lambda t: t.noise_std))
+        stds = col(per_agent(lambda t: t.noise_std))
+        self.stds = None if scaled_noise or affine else stds
         if O:
             self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                               for s in seeds])
@@ -279,7 +322,10 @@ class _Batch:
         # is P[0, :L], and P[0, L:] the bc lanes' b.  So one mix over the
         # lanes past the alone ones and the bc lanes' c writes g and c_{t+1}
         # over its first operand, and an alone lane's g is its g_0.
-        self.X = np.empty((chunk + 1, L, d))
+        # `state[0] = state[n]` carries a chunk's last state to the next.
+        # The affine step stacks each lane's c under its x, per step.
+        self.state = np.empty((chunk + 1, 1 + bool(B), L, d) if affine else (chunk + 1, L, d))
+        self.X = self.state[:, 0] if affine else self.state
         self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
         self.grads = np.empty((used, L, d))
         G = np.empty((used * L + B + K * O, d))
@@ -305,6 +351,39 @@ class _Batch:
             for j in warm:
                 c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
         self.first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
+
+        if affine:
+            self.form = form = self._affine_form(
+                n_alone, col([float(cfg.step_size) for cfg in cfgs], d), stds)
+            if B:
+                self.state[0, 1, :L - B] = 0.0
+                self.state[0, 1, L - B:] = c
+            self.u = np.empty((chunk,) + form.b.shape)  # a chunk's u_t = b + B z_t
+            self.off_term = np.empty_like(form.b)
+
+    def _affine_form(self, n_alone: int, eta, stds) -> _AffineForm:
+        """The batch's `_AffineForm`, from the fields and cores the loop
+        reads; eta is each lane's step size and stds each used agent's
+        noise std on each lane."""
+        L, d, B = self.L, self.d, self.B
+        alpha, beta = np.zeros((2, L, d))
+        alpha[n_alone:], beta[L - B:] = self.w[:L - n_alone], self.w[L - n_alone:]
+        tau = np.zeros((self.used - 1, L, d))  # 0 on the alone lanes
+        tau[:, n_alone:] = self.tau
+        curv, curv_opt = self.curv, self.curv * self.opt
+        # sum_k tau_k a_k and sum_k tau_k a_k x_k*.
+        sum_a, sum_ax = (tau_sum(tau, v[:-1]) if len(tau) else np.zeros((L, d))
+                         for v in (curv, curv_opt))
+        H = mix(1.0 - alpha, alpha, curv[-1], sum_a)
+        noise = np.concatenate([tau, np.ones((1, L, d))]) * stds  # tau_k s_k, then s_0
+        rows = 1 + bool(B)
+        return _AffineForm(
+            np.stack([1.0 - eta * H, 1.0 - beta])[:rows],
+            np.stack([eta * alpha, beta * (sum_a - curv[-1])]) if B else None,
+            np.stack([eta * mix(1.0 - alpha, alpha, curv_opt[-1], sum_ax),
+                      -beta * (sum_ax - curv_opt[-1])])[:rows],
+            np.stack([-eta * np.concatenate([alpha * noise[:-1], (1.0 - alpha) * noise[-1:]]),
+                      beta * np.concatenate([noise[:-1], -noise[-1:]])])[:rows])
 
     def draw(self, t0: int, n: int):
         """The normals of steps t0 .. t0 + n - 1, drawn, spread over the
@@ -377,6 +456,22 @@ class _Batch:
                         np.subtract(gavg_c, c, gavg_c)
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
+
+    def affine_step(self, X, t0: int, z, z_oracle, eta) -> None:
+        """Steps t0 .. t0 + n - 1 in the affine form: s' = A s + u_t, with
+        every u_t = b + B z_t of the chunk formed first.  X is the stacked
+        state's x, so the iterates land where `freeze` and `record` read
+        them; the step sizes are in A, b and B, and there is no oracle."""
+        form, n = self.form, len(X) - 1
+        state, u = self.state[:n + 1], self.u[:n]
+        np.add(np.einsum("rald,nald->nrld", form.B, z, out=u), form.b, u)
+        diag, off, off_term = form.A_diag, form.A_off, self.off_term
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, s_next, u_i in zip(state[:-1], state[1:], u):
+                np.multiply(diag, s, s_next)
+                if off is not None:  # A[x, c] c and A[c, x] x, from the reversed stack
+                    np.add(s_next, np.multiply(off, s[::-1], off_term), s_next)
+                np.add(s_next, u_i, s_next)
 
     def freeze(self, X, t0: int) -> None:
         """Freeze each lane at its last iterate inside the box.
@@ -454,10 +549,11 @@ class _Batch:
                 for k, lanes in enumerate(blocks)]
 
 
-def _run_batch(cfgs, seeds, stride: int | None = None) -> list:
+def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> list:
     """Run configs that share a `_batch_key`, ordered by kind (alone |
     wga | bc | oracle_bc), under many seeds, as the lanes of one
-    `_Batch`, one chunk of steps at a time.
+    `_Batch`, one chunk of steps at a time: with `affine_step` given
+    `affine` and a batch of the affine class, else with `step`.
 
     Returns per config, as views of the call's arrays, (means, window,
     grad sums, steps, final iterates, rows): the (2, T+1) seed means of
@@ -466,20 +562,21 @@ def _run_batch(cfgs, seeds, stride: int | None = None) -> list:
     0 .. T-1, its steps completed, its final iterate (x_T, or a frozen
     diverged one) and, given a stride s, its (2, T // s + 1) loss and
     gradient norm at steps 0, s, 2s, ...  Each seed's values are bitwise
-    those of its (config, seed) run alone: every per-step operation is
-    elementwise across lanes, each lane reads its own seed's streams, and
-    a diverged lane is frozen in its row.
+    those of its (config, seed) run alone under the same step: every
+    per-step operation is elementwise across lanes, each lane reads its
+    own seed's streams, and a diverged lane is frozen in its row.
     """
-    batch = _Batch(cfgs, seeds, stride)
+    batch = _Batch(cfgs, seeds, stride, affine)
+    step = batch.affine_step if batch.affine else batch.step
     T = batch.T
     for t0 in range(0, T, batch.chunk):
         n = min(batch.chunk, T - t0)
         X = batch.X[:n + 1]
         if not batch.dead.all():  # a chunk of only dead lanes draws nothing
-            batch.step(X, t0, *batch.draw(t0, n))
+            step(X, t0, *batch.draw(t0, n))
         batch.freeze(X, t0)
         batch.record(X if t0 + n == T else X[:n], t0)  # the last chunk's include step T's
-        X[0] = X[n]
+        batch.state[0] = batch.state[n]
     return batch.outputs()
 
 
@@ -535,10 +632,11 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
+def _reduce(cfg: RunConfig, seeds: list, out, affine: bool = False) -> RunResult:
     """Seed aggregates of one config's `_run_batch` output, and a Trace per
     seed if it has rows.  Diverged seeds are left out: the seed means are
-    then replayed over the others, exactly (the streams are counter-based)."""
+    then replayed over the others under the same step, exactly (the
+    streams are counter-based)."""
     means, window, grad_sums, steps, _, rows = out
     T = cfg.horizon
     ok = steps == T
@@ -549,7 +647,7 @@ def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
         raise AllSeedsDiverged(f"all seeds diverged at {step}: the longest run "
                                f"completed {steps.max()} of {T} steps")
     if not ok.all():
-        means = _run_batch([cfg], [s for s, good in zip(seeds, ok) if good])[0][0]
+        means = _run_batch([cfg], [s for s, good in zip(seeds, ok) if good], None, affine)[0][0]
         window, grad_sums = window[ok], grad_sums[ok]
     final_gaps, plateaus = window[:, -1].copy(), window.mean(axis=1)
     return RunResult(*_mean_se(final_gaps), *_mean_se(grad_sums / T), *_mean_se(plateaus),
@@ -557,9 +655,11 @@ def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
                      final_gaps, plateaus, None if rows is None else _traces(out))
 
 
-def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int = 1) -> list:
+def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int = 1,
+               affine: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
-    group of configs that share a `_batch_key`."""
+    group of configs that share a `_batch_key`.  Given `affine`, a group
+    whose every config is in the affine class takes the affine step."""
     if not (isinstance(trace_stride, (int, np.integer)) and trace_stride >= 1):
         raise ValueError(f"trace_stride must be an integer >= 1, got {trace_stride!r}")
     seeds = [int(s) for s in seeds]
@@ -571,9 +671,11 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int =
     results = [None] * len(cfgs)
     for members in groups.values():
         members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
-        outs = _run_batch([cfgs[i] for i in members], seeds, trace_stride if keep_traces else None)
+        group = [cfgs[i] for i in members]
+        takes_affine = affine and all(map(_affine_class, group))
+        outs = _run_batch(group, seeds, trace_stride if keep_traces else None, takes_affine)
         for i, out in zip(members, outs):
-            results[i] = _reduce(cfgs[i], seeds, out)
+            results[i] = _reduce(cfgs[i], seeds, out, takes_affine)
     return results
 
 

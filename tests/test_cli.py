@@ -524,7 +524,7 @@ class TestFigureCommand:
     def test_swept_values_named_before_any_run(self, tmp_path, monkeypatch, make):
         """Swept values that print alike are rejected before the kernel
         runs and before any file is written."""
-        def no_run(cfgs, seeds, stride=None):
+        def no_run(cfgs, seeds, stride=None, affine=False):
             raise AssertionError("the kernel ran before the values were named")
         monkeypatch.setattr(simulator, "_run_batch", no_run)
         with pytest.raises(ValueError, match="repeated"):

@@ -48,6 +48,21 @@ class TestHelpers:
         assert si.sigma_a_sq == pytest.approx(9.0)
         assert si.sim.grad_offset_sq == pytest.approx(16.0)
 
+    def test_sigma_a_sq_squares_tau_as_numpy_does(self):
+        """sigma_a^2 = sum_k tau_k^2 sigma_k^2, bit for bit the same sum over
+        numpy's array squares tau ** 2, which round tau_k * tau_k correctly
+        (a scalar `**` calls the C library's pow, an ulp off on a few draws).
+        The sigma_k are integers, so that their squares are exact."""
+        rng = np.random.default_rng(2021)
+        main = QuadraticTask(1.0, 0.0, noise_std=1.0)
+        for K in range(1, 6):
+            colls = [QuadraticTask(1.0, 0.0, noise_std=1.0 + k) for k in range(K)]
+            sigma_sq = np.array([c.noise_std for c in colls]) ** 2
+            for tau in rng.dirichlet(np.ones(K), size=1600):
+                w = CollaborationWeights(0.5, tau)
+                expected = float(sum(tau ** 2 * sigma_sq))
+                assert schedule_inputs(main, colls, w, 100, x0=0.0).sigma_a_sq == expected
+
 
 class TestEtaWgaNonconvex:
     def test_formula_value(self):

@@ -635,11 +635,23 @@ def kernel_calls(monkeypatch):
     calls = []
     original = simulator._run_batch
 
-    def counting(cfgs, seeds, stride=None):
+    def counting(cfgs, seeds, stride=None, affine=False):
         calls.append(len(cfgs))
-        return original(cfgs, seeds, stride)
+        return original(cfgs, seeds, stride, affine)
     monkeypatch.setattr(simulator, "_run_batch", counting)
     return calls
+
+
+@pytest.fixture
+def steps_run(monkeypatch):
+    """The name of each `_Batch` step form that runs, once per chunk."""
+    names = []
+    for name in ("step", "affine_step"):
+        def wrapper(batch, *args, stage=getattr(simulator._Batch, name), name=name):
+            names.append(name)
+            return stage(batch, *args)
+        monkeypatch.setattr(simulator._Batch, name, wrapper)
+    return names
 
 
 def nonlinear_tasks(rng, d=16, n_collaborators=4):
@@ -1373,16 +1385,20 @@ class TestStreamedReduction:
 class TestOneCallPerFigure:
     @pytest.mark.parametrize("name,configs", [("fig2", 3), ("fig3", 4), ("fig4", 5),
                                               ("fig5", 3)])
-    def test_figure_is_one_streamed_call(self, tmp_path, monkeypatch, name, configs):
+    def test_figure_is_one_streamed_call(self, tmp_path, monkeypatch, steps_run, name,
+                                         configs):
+        """One kernel call per figure, without rows, and its one chunk
+        takes the affine step."""
         calls = []
         original = simulator._run_batch
 
-        def counting(cfgs, seeds, stride=None):
-            calls.append((len(cfgs), stride))
-            return original(cfgs, seeds, stride)
+        def counting(cfgs, seeds, stride=None, affine=False):
+            calls.append((len(cfgs), stride, affine))
+            return original(cfgs, seeds, stride, affine)
         monkeypatch.setattr(simulator, "_run_batch", counting)
         getattr(figures, name)(str(tmp_path), horizon=30, seeds=[0, 1])
-        assert calls == [(configs, None)]
+        assert calls == [(configs, None, True)]
+        assert steps_run == ["affine_step"]
 
 
 class TestStages:
@@ -1398,32 +1414,170 @@ class TestStages:
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
 
     @pytest.mark.parametrize("rows", [False, True])
-    @pytest.mark.parametrize("cfgs,stepped", [
-        (mixed(), [0, 256, 512]),
+    @pytest.mark.parametrize("cfgs,stepped,affine", [
+        pytest.param(mixed(), [0, 256, 512], False, id="cfgs0-stepped0"),
+        # Without its first_bias bc configs, a batch of the affine class.
+        pytest.param([cfg for cfg in mixed()
+                      if cfg.aggregator != "bc" or cfg.c0_policy != "first_bias"],
+                     [0, 256, 512], True, id="affine-cfgs0-stepped0"),
         # Every lane dies in the first chunk: the later ones draw nothing.
-        ([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0]),
+        pytest.param([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0], False,
+                     id="cfgs1-stepped1"),
+        pytest.param([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0], True,
+                     id="affine-cfgs1-stepped1"),
     ])
-    def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, rows):
+    def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, affine, rows):
         # Chunks of 256 steps; T = 700 ends on a chunk of 188.
         monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in cfgs]
         seeds, stride = [0, 3, 5], 3 if rows else None
-        plain = simulator._run_batch(cfgs, seeds, stride)
+        plain = simulator._run_batch(cfgs, seeds, stride, affine)
         assert any((out[3] < 700).any() for out in plain)
-        calls = {"draw": [], "step": [], "freeze": [], "record": []}
+        step = "affine_step" if affine else "step"
+        calls = {"draw": [], "step": [], "affine_step": [], "freeze": [], "record": []}
         # Where each stage takes its chunk's first step t0.
-        for name, at in (("draw", 0), ("step", 1), ("freeze", 1), ("record", 1)):
+        for name, at in (("draw", 0), ("step", 1), ("affine_step", 1), ("freeze", 1),
+                         ("record", 1)):
             def wrapper(batch, *args, stage=getattr(simulator._Batch, name), at=at,
                         t0s=calls[name]):
                 t0s.append(args[at])
                 return stage(batch, *args)
             monkeypatch.setattr(simulator._Batch, name, wrapper)
-        wrapped = simulator._run_batch(cfgs, seeds, stride)
-        assert calls == {"draw": stepped, "step": stepped,
-                         "freeze": [0, 256, 512], "record": [0, 256, 512]}
+        wrapped = simulator._run_batch(cfgs, seeds, stride, affine)
+        assert calls == {"draw": stepped, "step": [], "affine_step": [],
+                         step: stepped, "freeze": [0, 256, 512], "record": [0, 256, 512]}
         for rows, plain_rows in zip(wrapped, plain, strict=True):
             for out, plain_out in zip(rows, plain_rows, strict=True):
                 if plain_out is None:
                     assert out is None
                 else:
                     np.testing.assert_array_equal(out, plain_out)
+
+
+class TestAffineStep:
+    """`_Batch.affine_step` against the loop: one step of the form on
+    the same normals, whole runs on the same seeds, and the batches that
+    keep the loop."""
+
+    # The affine step rounds in another order than the loop, so runs on
+    # the same seeds agree to a relative RTOL, and below a loss of ATOL,
+    # the floor for bc lanes near zero loss, to ATOL.
+    RTOL, ATOL = 1e-9, 1e-12
+    Z = 4.0  # |seed mean plateau - exact plateau| <= Z sample SE
+    SEEDS = range(20)
+
+    @staticmethod
+    def kinds(d, eta=0.05, T=5000):
+        """Alone, wga, and bc with c_0 zero and warm-started, at d
+        dimensions and K = 2 collaborators whose curvature, optima, noise
+        and tau all differ."""
+        main = QuadraticTask(np.linspace(1.0, 1.5, d), np.zeros(d), noise_std=2.0)
+        colls = [QuadraticTask(np.linspace(2.0, 1.2, d) * (1.0 + 0.25 * j),
+                               np.full(d, 0.5 - j), noise_std=3.0 / (1 + j))
+                 for j in range(2)]
+
+        def cfg(aggregator, alpha, beta=None, **kw):
+            return RunConfig(main, colls, aggregator,
+                             CollaborationWeights(alpha, [0.3, 0.7], beta=beta),
+                             eta, T, np.full(d, 4.0), **kw)
+        return [cfg("alone", 0.0), cfg("wga", 0.6), cfg("bc", 0.6, 0.2, c0_policy="zero"),
+                cfg("bc", 0.6, 0.2, c0_policy="warm_start")]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_form_is_one_loop_step(self, d):
+        """A s + b + B z, for s = (x, c) off the fixed point and z one
+        step's unit normals, is the loop's step from (x, c) on the same
+        normals, to 1e-12 (a few ulps of the step's O(1) terms)."""
+        cfgs, seeds = self.kinds(d), [0, 7]
+        loop, batch = simulator._Batch(cfgs, seeds, None), simulator._Batch(cfgs, seeds, None, True)
+        assert batch.affine and not loop.affine
+        L, B, form = batch.L, batch.B, batch.form
+        rng = np.random.default_rng(1)
+        x, c = rng.normal(0.0, 2.0, (L, d)), np.zeros((L, d))
+        c[L - B:] = rng.normal(0.0, 2.0, (B, d))
+        z, z_oracle, eta = loop.draw(0, 1)
+        unit = batch.draw(0, 1)[0]
+        np.testing.assert_array_equal(z, unit * loop.stds)
+        loop.X[0], loop.c[:] = x, c[L - B:]
+        loop.step(loop.X[:2], 1, z, z_oracle, eta)
+        s = np.stack([x, c])
+        want = (form.A_diag * s + form.A_off * s[::-1] + form.b
+                + np.sum(form.B * unit[0], axis=1))
+        np.testing.assert_allclose(want[0], loop.X[1], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(want[1, L - B:], loop.c, rtol=1e-12, atol=1e-12)
+        assert not want[1, :L - B].any()  # alone and wga lanes keep c = 0
+
+    def assert_close(self, affine, loop):
+        np.testing.assert_allclose(affine, loop, rtol=self.RTOL, atol=self.ATOL)
+
+    def assert_results_close(self, affine, loop):
+        for name in ("mean_test_loss", "mean_grad_norm_sq", "per_seed_plateau",
+                     "per_seed_final_gap"):
+            self.assert_close(getattr(affine, name), getattr(loop, name))
+        assert affine.diverged_seeds == loop.diverged_seeds
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_figure_against_the_loop(self, tmp_path, monkeypatch, name):
+        """Each figure's curves, simulated with the affine step, against
+        the loop on the same seeds; and its alone and wga plateaus against
+        their exact value."""
+        ran = []
+
+        def replicate(cfgs, seeds, *args, **kwargs):
+            ran.append((cfgs, seeds, simulator._replicate(cfgs, seeds, *args, **kwargs)))
+            return ran[-1][2]
+        monkeypatch.setattr(figures, "_replicate", replicate)
+        getattr(figures, name)(str(tmp_path), horizon=5000, seeds=self.SEEDS)
+        [(cfgs, seeds, results)] = ran
+        assert all(map(simulator._affine_class, cfgs))
+        for cfg, affine, loop in zip(cfgs, results, simulator._replicate(cfgs, seeds),
+                                     strict=True):
+            self.assert_results_close(affine, loop)
+            if cfg.aggregator != "bc":
+                exact = expected_test_loss(cfg)[simulator._plateau_start(cfg.horizon):].mean()
+                assert abs(affine.plateau_mean - exact) <= self.Z * affine.plateau_se
+
+    def test_mixed_batch_against_the_loop(self):
+        """At d = 3 and K = 2, every output of a batch of each kind, at a
+        step size that converges and at one whose lanes diverge: a
+        diverging lane completes as many steps and is frozen at the same
+        iterate as under the loop."""
+        cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.7)
+                       for cfg in self.kinds(3)),
+                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        seeds = range(8)
+        affine, loop = (simulator._run_batch(cfgs, seeds, 1, flag) for flag in (True, False))
+        died = 0
+        for out, ref in zip(affine, loop, strict=True):
+            means, window, grad_sums, steps, finals, rows = out
+            np.testing.assert_array_equal(steps, ref[3])
+            died += int((steps < 5000).sum())
+            for value, want in zip((means, window, grad_sums, finals, rows),
+                                   (ref[0], ref[1], ref[2], ref[4], ref[5])):
+                self.assert_close(value, want)
+        assert died > 0
+
+    @pytest.mark.parametrize("outside", [
+        dict(aggregator="oracle_bc", oracle_v=1.5),
+        dict(aggregator="bc", weights=CollaborationWeights(0.6, [1.0], beta=0.2)),
+        dict(aggregator="wga", main_task=QuadraticTask(1.0, 0.0, noise_std=1.0,
+                                                       noise_scale=0.5)),
+    ], ids=["oracle_bc", "first_bias", "scaled_noise"])
+    def test_outside_the_class_keeps_the_loop(self, steps_run, outside):
+        """A batch asked for the affine step with one config outside its
+        class runs the loop, and every lane equals the reference loop bit
+        for bit."""
+        inside = [make_cfg("alone", alpha=0.0, T=60), make_cfg("wga", alpha=0.6, T=60),
+                  make_cfg("bc", alpha=0.6, beta=0.2, T=60, c0_policy="zero")]
+        odd = dataclasses.replace(make_cfg(T=60), **outside)
+        assert not simulator._affine_class(odd)
+        cfgs = sorted(inside + [odd],
+                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        seeds = [0, 12]
+        outs = simulator._run_batch(cfgs, seeds, 1, True)
+        assert set(steps_run) == {"step"}
+        reference = TestReferenceEquivalence()
+        for cfg, out in zip(cfgs, outs, strict=True):
+            for seed, tr in zip(seeds, simulator._traces(out), strict=True):
+                np.testing.assert_array_equal(
+                    tr.test_loss, reference.reference_run(dataclasses.replace(cfg, seed=seed)))
