@@ -140,7 +140,7 @@ def _exact_pick(base: RunConfig, grid=ETA_GRID):
     is not biased towards a step size whose seeds were lucky."""
     start = _plateau_start(base.horizon)
     return min(grid, key=lambda eta: expected_test_loss(
-        sweep_config(base, "eta", eta))[start:].mean())
+        sweep_config(base, "eta", eta), start).mean())
 
 
 def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,

@@ -29,10 +29,11 @@ run once per chunk of steps.
 A batch whose every config is in the affine class (`_affine_class`) can
 take a second step, `affine_step`, when its caller asks for it: each
 lane then follows s_{t+1} = A s_t + b + B z_t, with s = (x, c), from its
-constant (A, b, B).  That step does the loop's arithmetic in another
-order, so its values agree with the loop's only to rounding; the
-figures ask for it, and `run`, `run_replicated` and `sweep` keep the
-loop.
+constant (A, b, B), and a chunk of steps is solved in blocks from the
+powers of A, without a per-step loop.  That step does the loop's
+arithmetic in another order, so its values agree with the loop's only to
+rounding; the figures ask for it, and `run`, `run_replicated` and
+`sweep` keep the loop.
 """
 
 import math
@@ -203,6 +204,27 @@ class _AffineForm(NamedTuple):
     B: np.ndarray  # (rows, used, L, d)
 
 
+def _powers(diag, off, k: int) -> tuple:
+    """A^1 - I .. A^k - I of a step whose A is (diag, off) (`_AffineForm`),
+    stacked as (diag, off) pairs, A^j - I at row j - 1.  Held apart from
+    I, a power keeps the digits of its distance from I, which sets where a
+    slow lane settles.  With D = A - I, A^(j+1) - I = A (A^j - I) + D; the
+    product A M has diagonal A_d M_d + A_o M_o' and off-diagonal A_d M_o +
+    A_o M_d', where ' swaps the x and c rows; without c it is A_d M_d."""
+    pow_diag = np.empty((k,) + diag.shape)
+    pow_off = None if off is None else np.empty((k,) + off.shape)
+    pow_diag[0] = D = diag - 1.0
+    if off is not None:
+        pow_off[0] = off
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, k):
+            pow_diag[j] = diag * pow_diag[j - 1] + D
+            if off is not None:
+                pow_diag[j] += off * pow_off[j - 1][::-1]
+                pow_off[j] = diag * pow_off[j - 1] + off * pow_diag[j - 1][::-1] + off
+    return pow_diag, pow_off
+
+
 def _plateau_start(T: int) -> int:
     """First step of the plateau window, the last PLATEAU_FRACTION of T."""
     return T + 1 - max(1, int(round(PLATEAU_FRACTION * T)))
@@ -226,7 +248,10 @@ class _Batch:
     the seed sums and the rows at a stride span the horizon: the step
     sizes are formed per chunk, and X[0] ends as each lane's final iterate.
     Given `affine`, a batch whose every config is in the affine class
-    also builds its `_AffineForm` and steps with `affine_step`.
+    also builds its `_AffineForm` and steps with `affine_step`, which
+    solves a chunk as m = ceil(chunk / k) blocks of k = ceil(sqrt(chunk))
+    steps from each lane's powers A^j - I, j = 1 .. k (`_powers`), built
+    here; a batch whose powers leave the float range keeps the loop.
     """
 
     def __init__(self, cfgs, seeds, stride: int | None, affine: bool = False):
@@ -264,12 +289,27 @@ class _Batch:
         self.var = col(per_agent(lambda t: t.noise_std ** 2))
         self.scale = scale = col(per_agent(lambda t: t.noise_scale))
         self.scaled_noise = scaled_noise = bool(scale.any())
-        self.affine = affine = affine and all(map(_affine_class, cfgs))
+        affine = affine and all(map(_affine_class, cfgs))
         betas = [cfg.weights.beta for cfg in bc_cfgs]
         self.tau = col([[cfg.weights.tau[k] for cfg in collab] for k in range(K)], d)
         self.w = col([cfg.weights.alpha for cfg in collab] + betas, d)
         self.one_minus_w = col([1.0 - cfg.weights.alpha for cfg in collab]
                                + [1.0 - b for b in betas], d)
+
+        # At least two steps, so that every block of seed sums spans two or
+        # more steps (see `record`).
+        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
+        stds = col(per_agent(lambda t: t.noise_std))
+        if affine:
+            self.form = form = self._affine_form(
+                n_alone, col([float(cfg.step_size) for cfg in cfgs], d), stds)
+            k = math.isqrt(chunk - 1) + 1
+            self.powers = powers = _powers(form.A_diag, form.A_off, k)
+            # Powers beyond the float range would turn a zero state into nan
+            # where the loop's iterate stays finite: such a batch keeps the loop.
+            affine = all(np.isfinite(p).all() for p in powers if p is not None)
+        self.affine = affine
+        padded = k * -(-chunk // k) if affine else chunk
 
         # One stream per (seed, row), drawn once for all configs: the used
         # agents', then the oracle's if there are oracle_bc lanes.  `draw`
@@ -279,7 +319,6 @@ class _Batch:
         # stds `step` forms, or takes the affine step, whose B holds them.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
-        stds = col(per_agent(lambda t: t.noise_std))
         self.stds = None if scaled_noise or affine else stds
         if O:
             self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
@@ -288,16 +327,15 @@ class _Batch:
                                    for cfg in cfgs[C - O // S:]])
         self.cfgs = cfgs
 
-        # At least two steps, so that every block of seed sums spans two or
-        # more steps (see `record`).
-        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
         rows = len(self.gens)
         self.buf = np.empty((rows, S, chunk, d))  # each stream's draw
         # The normals step-major and spread over the lanes that read them,
-        # so that a step reads each row contiguously.
-        self.spread = np.empty((chunk, used, C, S, d))
+        # so that a step reads each row contiguously; the affine step's
+        # blocks read them padded with zeros to m k steps.
+        self.spread = np.zeros((padded, used, C, S, d))
         self.oracle_spread = np.empty((chunk, O // S, S, d))
-        self.eta_all = np.empty((chunk, L, d))  # each lane's step sizes
+        # Each lane's step sizes, which the affine step holds in its form.
+        self.eta_all = None if affine else np.empty((chunk, L, d))
 
         # The outputs, which `record` writes a chunk of steps at a time
         # (see `_run_batch`); the window starts at step `kept`.
@@ -323,8 +361,9 @@ class _Batch:
         # lanes past the alone ones and the bc lanes' c writes g and c_{t+1}
         # over its first operand, and an alone lane's g is its g_0.
         # `state[0] = state[n]` carries a chunk's last state to the next.
-        # The affine step stacks each lane's c under its x, per step.
-        self.state = np.empty((chunk + 1, 1 + bool(B), L, d) if affine else (chunk + 1, L, d))
+        # The affine step stacks each lane's c under its x, per step, and
+        # writes all m k rows of its blocks.
+        self.state = np.empty((padded + 1, 1 + bool(B), L, d) if affine else (chunk + 1, L, d))
         self.X = self.state[:, 0] if affine else self.state
         self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
         self.grads = np.empty((used, L, d))
@@ -353,13 +392,20 @@ class _Batch:
         self.first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
 
         if affine:
-            self.form = form = self._affine_form(
-                n_alone, col([float(cfg.step_size) for cfg in cfgs], d), stds)
             if B:
                 self.state[0, 1, :L - B] = 0.0
                 self.state[0, 1, L - B:] = c
-            self.u = np.empty((chunk,) + form.b.shape)  # a chunk's u_t = b + B z_t
-            self.off_term = np.empty_like(form.b)
+            m, rows = padded // k, 1 + bool(B)
+            # Block-major, so that each step of the local pass reads and
+            # writes contiguous rows: work[j, :, b] is block b's step j,
+            # first u_{bk+j} and then w_{b,j}.  A is repeated over the
+            # blocks, to the shape of what it multiplies.
+            self.work = np.empty((k, rows, m, L, d))
+            self.A_blocks = tuple(None if a is None else np.repeat(a[:, None], m, axis=1)
+                                  for a in (form.A_diag, form.A_off))
+            self.off_term = np.empty((rows, m, L, d))
+            self.starts = np.empty((m, rows, L, d))  # S_b, each block's start
+            self.carry = np.empty((rows, L, d))
 
     def _affine_form(self, n_alone: int, eta, stds) -> _AffineForm:
         """The batch's `_AffineForm`, from the fields and cores the loop
@@ -389,7 +435,8 @@ class _Batch:
         """The normals of steps t0 .. t0 + n - 1, drawn, spread over the
         lanes that read them and scaled: the agents', (n, used, L, d), and
         the oracle's on the oracle_bc lanes, (n, O, d); and those steps'
-        sizes, (n, L, d)."""
+        sizes, (n, L, d), or None on the affine step, whose form holds
+        them."""
         used, O = self.used, self.O
         buf = self.buf[:, :, :n]
         for row, z_row in zip(self.gens, buf):
@@ -403,6 +450,8 @@ class _Batch:
         if O:
             np.copyto(self.oracle_spread[:n], buf[used].transpose(1, 0, 2)[:, None])
             z_oracle *= self.oracle_std
+        if self.affine:
+            return z, z_oracle, None
         eta = self.eta_all[:n]
         steps = np.stack([_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)
         np.copyto(eta.reshape(n, self.C, self.S, self.d), steps[:, :, None, None])
@@ -458,20 +507,52 @@ class _Batch:
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
 
     def affine_step(self, X, t0: int, z, z_oracle, eta) -> None:
-        """Steps t0 .. t0 + n - 1 in the affine form: s' = A s + u_t, with
-        every u_t = b + B z_t of the chunk formed first.  X is the stacked
-        state's x, so the iterates land where `freeze` and `record` read
-        them; the step sizes are in A, b and B, and there is no oracle."""
-        form, n = self.form, len(X) - 1
-        state, u = self.state[:n + 1], self.u[:n]
-        np.add(np.einsum("rald,nald->nrld", form.B, z, out=u), form.b, u)
-        diag, off, off_term = form.A_diag, form.A_off, self.off_term
+        """Steps t0 .. t0 + n - 1 in the affine form s_{t+1} = A s_t + u_t,
+        as m blocks of k steps: every u_t = b + B z_t of the chunk first,
+        then w_{b,j} = A w_{b,j-1} + u_{bk+j} of each block from a zero
+        start, all blocks at once; then the blocks' starts S_{b+1} = A^k S_b
+        + w_{b,k-1} from S_0 = s_{t0}; then every x_{bk+j+1}, the x row of
+        A^{j+1} S_b + w_{b,j}, and the whole last state s_{t0+n}, which the
+        next chunk starts from.  That is about 2 sqrt(n) passes of a few
+        numpy calls, not n.  The normals are read from the spread buffer,
+        zero past step n; the iterates land in X, the stacked state's x,
+        where `freeze` and `record` read them; the step sizes are in A, b
+        and B, and there is no oracle."""
+        form, n, (diag, off), work = self.form, len(X) - 1, self.A_blocks, self.work
+        k, rows, m, L, d = work.shape
+        (pow_diag, pow_off), starts = self.powers, self.starts
+        off_term, carry = self.off_term, self.carry
+        self.spread[n:] = 0.0  # a short chunk's padding
+        z_blocks = self.spread.reshape(m, k, self.used, L, d)
+        np.add(np.einsum("rald,bjald->jrbld", form.B, z_blocks, out=work), form.b[:, None], work)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, s_next, u_i in zip(state[:-1], state[1:], u):
-                np.multiply(diag, s, s_next)
+            for w, w_next in zip(work[:-1], work[1:]):
+                np.add(w_next, np.multiply(diag, w, off_term), w_next)
                 if off is not None:  # A[x, c] c and A[c, x] x, from the reversed stack
-                    np.add(s_next, np.multiply(off, s[::-1], off_term), s_next)
-                np.add(s_next, u_i, s_next)
+                    np.add(w_next, np.multiply(off, w[::-1], off_term), w_next)
+            # S_{b+1} = w_{b,k-1} + (A^k - I) S_b + S_b, from w_{b,k-1}
+            # copied to contiguous rows.
+            starts[0] = self.state[0]
+            np.copyto(starts[1:], work[-1, :, :-1].transpose(1, 0, 2, 3))
+            for start, start_next in zip(starts[:-1], starts[1:]):
+                np.add(start_next, np.multiply(pow_diag[-1], start, carry), start_next)
+                if off is not None:
+                    np.add(start_next, np.multiply(pow_off[-1], start[::-1], carry), start_next)
+                np.add(start_next, start, start_next)
+            # x_{bk+j+1} = A^{j+1}[x, c] c_b + w_{b,j}[x] + (A^{j+1} - I)[x, x] x_b
+            # + x_b, with (x_b, c_b) = S_b, written step-major.
+            x_rows = self.state[1:, 0].reshape(m, k, L, d).transpose(1, 0, 2, 3)
+            w_x, (x_b, *c_b) = work[:, 0], starts.transpose(1, 0, 2, 3)
+            if off is not None:
+                np.add(np.multiply(pow_off[:, 0, None], c_b[0], x_rows), w_x, w_x)
+            np.add(np.multiply(pow_diag[:, 0, None], x_b, x_rows), w_x, w_x)
+            np.add(w_x, x_b, x_rows)
+            if off is not None:  # and the last state's c, in the same order
+                b, j = divmod(n - 1, k)
+                c, x_b, c_b = self.state[n, 1], starts[b, 0], starts[b, 1]
+                np.add(np.multiply(pow_off[j, 1], x_b, c), work[j, 1, b], c)
+                np.add(np.multiply(pow_diag[j, 1], c_b, carry[1]), c, c)
+                np.add(c, c_b, c)
 
     def freeze(self, X, t0: int) -> None:
         """Freeze each lane at its last iterate inside the box.
@@ -797,12 +878,12 @@ def _mean_terms(cfg: RunConfig) -> tuple:
     return h, weighted / h
 
 
-def _mean_path(cfg: RunConfig, T: int) -> tuple:
-    """(h, E[x_t] for t = 0 .. T) for Alone/WGA at a constant step."""
+def _mean_path(cfg: RunConfig, T: int, start: int = 0) -> tuple:
+    """(h, E[x_t] for t = start .. T) for Alone/WGA at a constant step."""
     h, x_bar = _mean_terms(cfg)
     if isinstance(cfg.step_size, DecreasingPlSchedule):
         raise ValueError("mean dynamics oracle requires a constant step size")
-    t = np.arange(T + 1)[:, None]
+    t = np.arange(start, T + 1)[:, None]
     return h, x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
 
 
@@ -825,9 +906,10 @@ def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
     return _mean_terms(cfg)[1]
 
 
-def expected_test_loss(cfg: RunConfig) -> np.ndarray:
-    """Exact E[loss_t] for t = 0 .. T, for Alone/WGA with a constant step
-    and additive noise on every agent.
+def expected_test_loss(cfg: RunConfig, start: int = 0) -> np.ndarray:
+    """Exact E[loss_t] for t = start .. T, for Alone/WGA with a constant
+    step and additive noise on every agent.  Each step's value is formed
+    on its own, so a window has the bits of the whole curve's slice.
 
     Such a run is linear-Gaussian.  Per coordinate, x_t has mean mu_t
     (`mean_dynamics_oracle`) and variance P_t = eta^2 s^2 (1 - r^(2t)) /
@@ -838,12 +920,12 @@ def expected_test_loss(cfg: RunConfig) -> np.ndarray:
     """
     if any(task.noise_scale > 0 for task in [cfg.main_task, *cfg.collaborators]):
         raise ValueError("expected test loss requires additive noise on every agent")
-    h, mu = _mean_path(cfg, cfg.horizon)
+    h, mu = _mean_path(cfg, cfg.horizon, start)
     eta = float(cfg.step_size)
     r_sq = (1.0 - eta * h) ** 2
     s_sq = cfg.main_task.noise_std ** 2 if cfg.aggregator == "alone" else sigma_tilde_sq(
         schedule_inputs(cfg.main_task, cfg.collaborators, cfg.weights, cfg.horizon, cfg.x0))
-    t = np.arange(cfg.horizon + 1)[:, None]
+    t = np.arange(start, cfg.horizon + 1)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))
     task = cfg.main_task

@@ -84,18 +84,18 @@ def digests(argv) -> dict:
 DIGESTS = {
     "fig2": {
         "exit": 0,
-        "stdout": "1bbf0ce2f760f961e1990215fd99311c341fa7862c29d23baf8554ac5b3d56a0",
+        "stdout": "6e91d719dc175cbd5d271f4e4e6188552f7fd54808ce488d4d30fe98bb3907cb",
         "fig2.gp": "b72e5f71c1fda53878dd68c23e145943bac545a05b4777ef4f00e9a5fa5c0939",
         "fig2_alone.csv": "d0204b0bb68346831ebdedbcecad6845baf048aeddc99d95cd08643c81c9fae1",
         "fig2_bc.csv": "5b812f9b919e93631fbda06908929f4887be1c9f85f977e2266775845442e6df",
-        "fig2_summary.csv": "e6e1523ed5b778400bf493e5efb18a9ac5f29444263357043e988f397d89a66e",
+        "fig2_summary.csv": "659d93057abae76c066304fec4665266e9fde3f6755d56aef41fe5590536ffb9",
         "fig2_wga.csv": "d65d9305068a36bfa2ffebead232db84e890af7da9d4f87aefb7618f00530f7c"
     },
     "fig3": {
         "exit": 0,
-        "stdout": "01af56d55d856cc56626ee3cf43332612e1986afb39d5b6f9f6497f8be355353",
+        "stdout": "5d490a158590eb079fb1f391df652a39de25536a2293d123f490d7cca98103ab",
         "fig3.gp": "f5021a67bc7c28ac47ca993f8ce42d2f442335b71d3c32936ee1fd1c885cd9a1",
-        "fig3_summary.csv": "bf7913a74f2f4214da20673aef24118e67d98230343d00329ae4b56de26cd8c5",
+        "fig3_summary.csv": "834111c1708aeacce700660dec9c983d1fa0738e3a86ead03760dc4ceaf3fc82",
         "fig3_zeta1.csv": "34d20df971218ececa9f795050ea2ef5a7aa3fae23fd605ba9f9d5a14d1c1b44",
         "fig3_zeta16.csv": "a54b23385afd1007f03e73867257a0eb5cb0c27aa301ea63877ec3a355fc2ab3",
         "fig3_zeta4.csv": "4043aa6dac385ee9e0faa939c477c827c814151f1fc901111bd852bc22be9bab",
@@ -114,12 +114,12 @@ DIGESTS = {
     },
     "fig5": {
         "exit": 0,
-        "stdout": "bacba5881f683b2be75fbb3521948cf04683d87bb2e3ba30b996cbde3b92b62e",
+        "stdout": "a78c341d6bde7aa182d6d7046871c8bbdc7e82540d6de4ca6d066bf62ad5f6ca",
         "fig5.gp": "e8675580f93e841aaf029cb446f4db13319284a3fbeafbd3dffd8e983138bf9a",
         "fig5_N1.csv": "b332f21f18de429f399ee4f085b33a75bd7c775dcc28c5c5356495c248b09145",
         "fig5_N10.csv": "97afc7b91cac56ade0268e2ef8d3e98865bb1c17103e5c599f575e844212cfe2",
         "fig5_N100.csv": "764ba202d8d285a68301cf41be33b770294983d9e4df7a4a946b393d8deb4b38",
-        "fig5_summary.csv": "d7d298297254c8d120a742bfdf7d8c710d6b4d1b82595556046590850e75439b"
+        "fig5_summary.csv": "d77093438811969aa77723bb0206f96e40cca677c5b28e2a007ae6c24294cfe2"
     },
     "run_bc_warm_start": {
         "exit": 0,

@@ -1075,6 +1075,17 @@ class TestExactPick:
                    for eta in (exact, simulated)}
         assert plateau[exact] < plateau[simulated]
 
+    @pytest.mark.parametrize("horizon", [500, 200_000])
+    def test_window_is_the_curve_slice(self, horizon):
+        """The plateau window `_exact_pick` forms alone has the bits of the
+        whole curve's slice, for each fig2 base and grid value."""
+        start = simulator._plateau_start(horizon)
+        for base in figures._fig2_configs(horizon)[:2]:
+            for eta in figures.ETA_GRID:
+                cfg = sweep_config(base, "eta", eta)
+                np.testing.assert_array_equal(expected_test_loss(cfg, start),
+                                              expected_test_loss(cfg)[start:])
+
 
 class TestTimeToPlateau:
     def test_short_trace(self):
@@ -1496,7 +1507,8 @@ class TestAffineStep:
         x, c = rng.normal(0.0, 2.0, (L, d)), np.zeros((L, d))
         c[L - B:] = rng.normal(0.0, 2.0, (B, d))
         z, z_oracle, eta = loop.draw(0, 1)
-        unit = batch.draw(0, 1)[0]
+        unit, _, no_eta = batch.draw(0, 1)
+        assert no_eta is None and batch.eta_all is None  # A, b and B hold the step sizes
         np.testing.assert_array_equal(z, unit * loop.stds)
         loop.X[0], loop.c[:] = x, c[L - B:]
         loop.step(loop.X[:2], 1, z, z_oracle, eta)
@@ -1545,17 +1557,63 @@ class TestAffineStep:
         cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.7)
                        for cfg in self.kinds(3)),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
-        seeds = range(8)
+        assert self.assert_batch_close(cfgs, range(8)) > 0
+
+    def assert_batch_close(self, cfgs, seeds) -> int:
+        """Every output of one batch on the affine step against the loop,
+        each lane's steps completed equal; returns how many lanes died."""
+        assert simulator._Batch(cfgs, seeds, 1, True).affine
         affine, loop = (simulator._run_batch(cfgs, seeds, 1, flag) for flag in (True, False))
         died = 0
         for out, ref in zip(affine, loop, strict=True):
             means, window, grad_sums, steps, finals, rows = out
             np.testing.assert_array_equal(steps, ref[3])
-            died += int((steps < 5000).sum())
+            died += int((steps < cfgs[0].horizon).sum())
             for value, want in zip((means, window, grad_sums, finals, rows),
                                    (ref[0], ref[1], ref[2], ref[4], ref[5])):
                 self.assert_close(value, want)
-        assert died > 0
+        return died
+
+    @pytest.mark.parametrize("T", [1, 2, 18, 20, 342, 361],
+                             ids=["1", "2", "k-1", "k+1", "chunk+1", "chunk+k+1"])
+    def test_short_blocks_and_chunks(self, T):
+        """Horizons whose one chunk, or last chunk, is shorter than a
+        block or not a multiple of k, for the chunk of 341 steps and k = 19
+        of this batch at a long horizon: the blocks past the last step
+        read zero normals."""
+        cfgs, seeds = self.kinds(3), range(4)
+        batch = simulator._Batch(cfgs, seeds, None, True)
+        assert (batch.chunk, batch.work.shape[0]) == (341, 19)
+        self.assert_batch_close([dataclasses.replace(cfg, horizon=T) for cfg in cfgs], seeds)
+
+    def test_batch_without_bc_lanes(self):
+        """Alone and wga lanes only, as in fig4: the state is x alone, and
+        the last chunk is shorter than the others."""
+        cfgs = [dataclasses.replace(cfg, horizon=1000) for cfg in self.kinds(3)[:2]]
+        batch = simulator._Batch(cfgs, range(4), None, True)
+        assert batch.state.shape[1] == 1 and batch.A_blocks[1] is None
+        self.assert_batch_close(cfgs, range(4))
+
+    @pytest.mark.parametrize("kind,eta", [(0, 2.01), (1, 1.12), (2, 1.1)],
+                             ids=["alone", "wga", "bc"])
+    def test_one_lane_diverges_in_a_late_block(self, kind, eta):
+        """One lane whose one chunk is the whole horizon, so that k is the
+        largest a batch takes, leaves the box several blocks in: it
+        completes as many steps as under the loop."""
+        cfg = self.kinds(1, eta=eta, T=16384)[kind]
+        batch = simulator._Batch([cfg], [0], None, True)
+        assert (batch.chunk, batch.work.shape[0]) == (16384, 128)
+        assert self.assert_batch_close([cfg], [0]) == 1
+
+    def test_overflowing_powers_keep_the_loop(self):
+        """A lane whose A^k is beyond the float range runs the loop, bit for
+        bit: here x stays at its optimum 0, where inf times 0 would be nan."""
+        cfg = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=300)
+        assert not simulator._Batch([cfg], [0], 1, True).affine
+        out = simulator._run_batch([cfg], [0], 1, True)[0]
+        assert out[3][0] == 300 and not out[0].any()
+        for value, want in zip(out, simulator._run_batch([cfg], [0], 1)[0]):
+            np.testing.assert_array_equal(value, want)
 
     @pytest.mark.parametrize("outside", [
         dict(aggregator="oracle_bc", oracle_v=1.5),
