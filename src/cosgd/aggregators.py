@@ -47,9 +47,16 @@ class CollaborationWeights:
         return self.tau.shape[0]
 
 
-def pl_guard(alpha: float, m: float) -> float:
-    """1 - alpha^2 m, the factor the WGA analyses divide by."""
-    return 1.0 - alpha ** 2 * m
+def float_sq(x):
+    """x ** 2 of a float or, elementwise, of an array, rounded as a Python
+    float's `**` rounds it (libm pow).  An array's `** 2` is x * x, which
+    differs from pow in the last bit for some x; np.float_power does not."""
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def pl_guard(alpha, m):
+    """1 - alpha^2 m, the factor the WGA analyses divide by; it broadcasts."""
+    return 1.0 - float_sq(alpha) * m
 
 
 def check_alpha_guard(alpha: float, m: float) -> float:

@@ -134,14 +134,13 @@ def bound_bc(b: BoundInputs) -> float:
 def gainfactor_surface(n_grid, ratio_grid) -> np.ndarray:
     """Speedup factor 1/(1 - alpha_opt) over a grid of N (columns) and
     r = L sigma_0^2 / (mu T zeta^2) (rows), in the m = 0 regime where
-    alpha_opt = (1 + 1/N + 1/r)^{-1}."""
-    out = np.empty((len(ratio_grid), len(n_grid)))
-    for i, r in enumerate(ratio_grid):
-        if r <= 0:
-            raise ValueError("ratio grid entries must be > 0")
-        for j, n in enumerate(n_grid):
-            # alpha_opt_wga_m0 with mu zeta^2 T/(L sigma_0^2) = 1/r
-            alpha = alpha_opt_wga_m0(int(n), mu=1.0, L=1.0, zeta_sq=1.0 / r,
-                                     sigma0_sq=1.0, T=1)
-            out[i, j] = speedup_factor(alpha)
-    return out
+    alpha_opt = (1 + 1/N + 1/r)^{-1}; r = inf is the zeta = 0 limit."""
+    ratio = np.asarray(ratio_grid, dtype=float)
+    if not np.all(ratio > 0):
+        raise ValueError("ratio grid entries must be > 0")
+    with np.errstate(over="ignore"):  # a subnormal r: 1/r = inf, no speedup
+        inverse = 1.0 / ratio[:, None]
+    # alpha_opt_wga_m0 with mu zeta^2 T/(L sigma_0^2) = 1/r, at every point at once
+    alpha = alpha_opt_wga_m0(np.asarray(n_grid).astype(int), mu=1.0, L=1.0,
+                             zeta_sq=inverse, sigma0_sq=1.0, T=1)
+    return speedup_factor(alpha)

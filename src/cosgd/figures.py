@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .aggregators import CollaborationWeights
+from .aggregators import CollaborationWeights, float_sq
 from .csvio import CSV_STRIDE, write_csv, write_text
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
@@ -217,8 +217,11 @@ def fig5(out_dir: str, ns=(1, 10, 100), horizon: int = DEFAULT_T,
 
 def gainfactor(out_dir: str) -> FigureResult:
     """Heatmap of the collaborative speedup 1/(1 - alpha_opt) over N and
-    r = L sigma_0^2 / (mu T zeta^2)."""
-    n_grid = np.unique(np.round(np.logspace(0, 2, 41)).astype(int))
+    r = L sigma_0^2 / (mu T zeta^2), evaluated as one array."""
+    # The rounded logspace is non-decreasing, so dropping each repeat of
+    # its predecessor leaves the distinct values in order.
+    n_grid = np.round(np.logspace(0, 2, 41)).astype(int)
+    n_grid = n_grid[np.diff(n_grid, prepend=0) > 0]
     ratio_grid = np.logspace(-3, 3, 49)
     surface = bounds.gainfactor_surface(n_grid, ratio_grid)
     write_csv(os.path.join(out_dir, "gainfactor.csv"),
@@ -233,23 +236,18 @@ def sublinear(out_dir: str) -> FigureResult:
     Speedup is the alone-to-collaborative ratio of the PL variance term,
     sigma_0^2 (1 - alpha^2 m)^2 / sigma_tilde^2(alpha) at the optimal
     alpha, with every agent's noise variance sigma_0^2 = 1.  The m = 0
-    curve uses the closed form and equals N + 1 exactly.
+    curve uses the closed form and equals N + 1 exactly.  Each curve is
+    one array expression, and the m > 0 curves share one search.
     """
     ms = (0.0, 0.5, 1.0, 2.0, 4.0)
     ns = np.arange(1, 51)
-    out = FigureResult()
-    for m in ms:
-        speeds = np.empty(len(ns))
-        for i, n in enumerate(ns):
-            if m == 0:
-                alpha = alpha_opt_wga_m0(int(n), 1.0, 1.0, 0.0, 1.0, 1)
-                speeds[i] = speedup_factor(alpha)
-            else:
-                alpha = alpha_opt_wga_general(m, 0.0, 1.0, 1.0, 1.0, 1.0, 1000, int(n))
-                guard, st = wga_pl_terms(alpha, m, 1.0, 1.0, int(n))
-                speeds[i] = guard ** 2 / st
-        out.curves[m] = speeds
+    positive_m = np.array(ms[1:])[:, None]
+    alpha = alpha_opt_wga_general(positive_m, 0.0, 1.0, 1.0, 1.0, 1.0, 1000, ns)
+    guard, st = wga_pl_terms(alpha, positive_m, 1.0, 1.0, ns)
+    speeds = [speedup_factor(alpha_opt_wga_m0(ns, 1.0, 1.0, 0.0, 1.0, 1)),
+              *float_sq(guard) / st]
+    out = FigureResult(curves=dict(zip(ms, speeds)))
     write_csv(os.path.join(out_dir, "sublinear.csv"),
-              ["N"] + [f"m{m:g}" for m in ms], [ns] + [out.curves[m] for m in ms])
+              ["N"] + [f"m{m:g}" for m in ms], [ns, *speeds])
     out.summary = [(m, float(out.curves[m][-1])) for m in ms]
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregators import check_alpha_guard, pl_guard
+from .aggregators import check_alpha_guard, float_sq, pl_guard
 from .objective import (QuadraticTask, SimilarityParams, eval_loss,
                         similarity_params, true_gradient, _as_vector)
 
@@ -97,9 +97,9 @@ def bc_step_cap(alpha: float, delta: float) -> float:
     return 1.0 / denom if alpha > 0 and denom > 0 else np.inf
 
 
-def combined_variance(alpha: float, sigma0_sq: float, sigma_a_sq: float) -> float:
-    """sigma_tilde^2 = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2."""
-    return (1.0 - alpha) ** 2 * sigma0_sq + alpha ** 2 * sigma_a_sq
+def combined_variance(alpha, sigma0_sq, sigma_a_sq):
+    """sigma_tilde^2 = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_a^2; it broadcasts."""
+    return float_sq(1.0 - alpha) * sigma0_sq + float_sq(alpha) * sigma_a_sq
 
 
 def sigma_tilde_sq(inputs: ScheduleInputs) -> float:
@@ -204,13 +204,13 @@ def eta_bc(inputs: ScheduleInputs) -> float:
     return min(terms)
 
 
-def alpha_opt_wga_m0(N: int, mu: float, L: float, zeta_sq: float,
-                     sigma0_sq: float, T: int) -> float:
+def alpha_opt_wga_m0(N, mu, L, zeta_sq, sigma0_sq: float, T):
     """Optimal WGA weight for m = 0: (1 + 1/N + mu zeta^2 T / (L sigma_0^2))^{-1}.
 
     Returns 0 when sigma_0^2 = 0 (no variance to reduce, bias only hurts).
+    Every argument but sigma_0^2 may be an array; they broadcast.
     """
-    if N < 1:
+    if np.any(np.asarray(N) < 1):
         raise ValueError("N must be >= 1")
     if sigma0_sq == 0.0:
         return 0.0
@@ -305,24 +305,28 @@ def tau_qp_objective(tau, sigmas_sq, zetas_sq, coeff: float) -> float:
     return float(np.sum(coeff * tau ** 2 * _as_vector(sigmas_sq) + tau * _as_vector(zetas_sq)))
 
 
-def speedup_factor(alpha_opt: float) -> float:
-    """Collaborative speedup 1/(1 - alpha_opt)."""
-    if not (0.0 <= alpha_opt < 1.0):
+def speedup_factor(alpha_opt):
+    """Collaborative speedup 1/(1 - alpha_opt); it broadcasts."""
+    if not np.all((0.0 <= alpha_opt) & (alpha_opt < 1.0)):
         raise ValueError("alpha_opt must lie in [0, 1)")
     return 1.0 / (1.0 - alpha_opt)
 
 
-def wga_pl_terms(alpha: float, m: float, sigma0_sq: float, sigma1_sq: float,
-                 N: int) -> tuple:
+def wga_pl_terms(alpha, m, sigma0_sq, sigma1_sq, N) -> tuple:
     """(1 - alpha^2 m) and sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2
     + alpha^2 sigma_1^2/N, for N collaborators of noise variance
-    sigma_1^2 averaged with equal weights."""
+    sigma_1^2 averaged with equal weights; they broadcast."""
     return pl_guard(alpha, m), combined_variance(alpha, sigma0_sq, sigma1_sq / N)
 
 
-def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
-                          sigma1_sq: float, mu: float, L: float,
-                          T: int, N: int) -> float:
+# Each argument of alpha_opt_wga_general: its name, and the bound it must
+# keep, besides being finite.
+_WGA_GENERAL_DOMAIN = (("m", ">=", 0), ("zeta_sq", ">=", 0), ("sigma0_sq", ">=", 0),
+                       ("sigma1_sq", ">=", 0), ("mu", ">", 0), ("L", ">", 0),
+                       ("T", ">", 0), ("N", ">=", 1))
+
+
+def alpha_opt_wga_general(m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N):
     """argmin over alpha in (0, min(1, 1/sqrt(m))) of the PL WGA rate
 
         L sigma_tilde^2(alpha) / (mu^2 T (1-alpha^2 m)^2)
@@ -331,28 +335,49 @@ def alpha_opt_wga_general(m: float, zeta_sq: float, sigma0_sq: float,
     with sigma_tilde^2(alpha) = (1-alpha)^2 sigma_0^2 + alpha^2 sigma_1^2/N.
     Golden-section search to 1e-10 (the objective is unimodal here); the
     interior point that survives an iteration keeps its value, so each
-    iteration evaluates one new point."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    iteration evaluates one new point.
+
+    The arguments broadcast, and one search runs over the whole grid: an
+    element whose interval is narrow enough stops moving, at the iteration
+    where a search of it alone would stop, so each element's bits do not
+    depend on the grid.  Scalar arguments give a float."""
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
+        m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N)))
+    shape = args[0].shape
+    m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N = args = [v.ravel() for v in args]
+    for (name, op, low), v in zip(_WGA_GENERAL_DOMAIN, args):
+        if not np.all(np.isfinite(v) & (v > low if op == ">" else v >= low)):
+            raise ValueError(f"{name} must be finite and {op} {low:g}")
     sigma_a_sq = sigma1_sq / N
 
     def objective(a):
         guard, st = pl_guard(a, m), combined_variance(a, sigma0_sq, sigma_a_sq)
-        return (L * st / (mu ** 2 * T * guard ** 2)
-                + a * a * zeta_sq / (mu * guard))
+        return L * st / (scale * float_sq(guard)) + a * a * zeta_sq / (mu * guard)
 
-    lo, hi = 0.0, min(1.0, 1.0 / math.sqrt(m)) if m > 0 else 1.0
+    lo = np.zeros_like(m)
+    with np.errstate(divide="ignore"):  # m = 0: 1/sqrt(m) = inf, and hi = 1
+        hi = np.minimum(1.0, 1.0 / np.sqrt(m))
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     c = hi - (hi - lo) / phi
     d = lo + (hi - lo) / phi
-    fc, fd = objective(c), objective(d)
-    while hi - lo > 1e-10:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) / phi
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) / phi
-            fd = objective(d)
-    return (lo + hi) / 2.0
+    # Every element takes every iteration, also once it has stopped;
+    # `kept` holds its interval from the last iteration it took live.
+    live, kept = np.ones(m.shape, bool), np.array([lo, hi])
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            scale = float_sq(mu) * T
+            fc, fd = objective(c), objective(d)
+            while (live := live & (hi - lo > 1e-10)).any():
+                left = fc < fd
+                hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+                step = (hi - lo) / phi
+                new = np.where(left, hi - step, lo + step)
+                f = objective(new)
+                c, d = np.where(left, new, d), np.where(left, c, new)
+                fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+                np.copyto(kept, (lo, hi), where=live)
+    except FloatingPointError as err:
+        raise ValueError(f"the WGA rate leaves the float range here ({err})") from None
+    lo, hi = kept
+    alpha = ((lo + hi) / 2.0).reshape(shape)
+    return float(alpha) if alpha.ndim == 0 else alpha

@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cosgd import figures
 from cosgd.aggregators import CollaborationWeights
 from cosgd.bounds import (BoundInputs, bound_bc, bound_oracle,
                           bound_wga_nonconvex, bound_wga_pl,
                           bound_wga_pl_decreasing, gainfactor_surface)
 from cosgd.objective import QuadraticTask
-from cosgd.schedules import (decreasing_pl_start_index, eta_max, eta_wga_nonconvex,
-                             schedule_inputs, sigma_tilde_sq, wga_pl_terms)
+from cosgd.schedules import (alpha_opt_wga_m0, decreasing_pl_start_index, eta_max,
+                             eta_wga_nonconvex, schedule_inputs, sigma_tilde_sq,
+                             speedup_factor, wga_pl_terms)
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss,
                              mean_fixed_point, run_replicated)
 
@@ -204,6 +206,30 @@ class TestGainfactorSurface:
     def test_rejects_nonpositive_ratio(self):
         with pytest.raises(ValueError):
             gainfactor_surface([1], [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -2.0])
+    def test_rejects_nan_with_its_own_message(self, bad):
+        with pytest.raises(ValueError, match="ratio grid entries must be > 0"):
+            gainfactor_surface([1, 10], [1.0, bad])
+
+    @staticmethod
+    def per_point(n_grid, ratio_grid):
+        return np.array([[speedup_factor(alpha_opt_wga_m0(int(n), mu=1.0, L=1.0,
+                                                          zeta_sq=1.0 / r, sigma0_sq=1.0, T=1))
+                          for n in n_grid] for r in ratio_grid])
+
+    def test_is_the_per_point_loop_on_the_figure_grid(self, tmp_path):
+        grids = figures.gainfactor(str(tmp_path)).curves
+        n_grid, ratio_grid = grids["n_grid"], grids["ratio_grid"]
+        np.testing.assert_array_equal(n_grid, np.unique(np.round(np.logspace(0, 2, 41))))
+        np.testing.assert_array_equal(gainfactor_surface(n_grid, ratio_grid),
+                                      self.per_point(n_grid, ratio_grid))
+
+    def test_infinite_ratio_is_the_zeta_zero_limit(self):
+        ns = [1, 10, 100]
+        out = gainfactor_surface(ns, [np.inf])
+        np.testing.assert_array_equal(out, self.per_point(ns, [np.inf]))
+        np.testing.assert_allclose(out[0], [2.0, 11.0, 101.0], rtol=1e-12)
 
 
 class TestEmpiricalDominance:

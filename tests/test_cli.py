@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -644,6 +647,39 @@ class TestTauCommand:
         assert run_cli("tau", "--sigmas", "1", "--zetas", "0", "--mu", "5e-324",
                        "--T", "1", "--alpha", "0.9", "--m", "1.2") == 1
         assert "config error: inputs out of range" in capsys.readouterr().err
+
+
+class TestFreshProcess:
+    # numpy.ma is numpy's masked-array module, which numpy imports lazily:
+    # about 17 ms on first use, which would count in any command that
+    # touched it.  np.unique, for one, loads it.
+    SCRIPT = """
+import json, sys
+from cosgd import cli, figures
+loaded = {"import": "numpy.ma" in sys.modules}
+out = sys.argv[1]
+for name in figures.FIGURES:
+    flags = ["--T", "40", "--seeds", "0-1"] if name.startswith("fig") else []
+    assert cli.main(["figure", name, *flags, "--out-dir", f"{out}/{name}"]) == 0
+    loaded[name] = "numpy.ma" in sys.modules
+assert cli.main(["run", "--T", "40", "--seeds", "0-1", "--out-dir", f"{out}/run"]) == 0
+loaded["run"] = "numpy.ma" in sys.modules
+print(json.dumps(loaded))
+"""
+
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        """Import, then every `cosgd figure` (fig2-fig5 at a tiny T) and a
+        `cosgd run`, one after another in one fresh interpreter: none of
+        them leaves numpy.ma in sys.modules."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert list(loaded) == ["import", *figures.FIGURES, "run"]
+        assert [step for step, hit in loaded.items() if hit] == []
 
 
 class TestParserReuse:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,15 @@ class TestAlphaOptWgaM0:
     def test_sigma_zero(self):
         assert alpha_opt_wga_m0(10, 1.0, 1.0, 1.0, 0.0, 100) == 0.0
 
+    def test_broadcasts_over_n_and_zeta(self):
+        ns, zetas = np.arange(1, 30), np.array([0.0, 0.3, 7.0])
+        got = alpha_opt_wga_m0(ns, 1.5, 2.0, zetas[:, None], 0.7, 40)
+        want = [[alpha_opt_wga_m0(int(n), 1.5, 2.0, float(z), 0.7, 40) for n in ns]
+                for z in zetas]
+        np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            alpha_opt_wga_m0(np.array([3, 0]), 1.0, 1.0, 1.0, 1.0, 1)
+
     def test_monotonicity(self):
         zs = [alpha_opt_wga_m0(5, 1.0, 1.0, z, 1.0, 100) for z in (0.0, 0.1, 1.0, 10.0)]
         assert zs == sorted(zs, reverse=True)
@@ -270,6 +281,12 @@ class TestSpeedupFactor:
         with pytest.raises(ValueError):
             speedup_factor(1.0)
 
+    def test_array_checks_every_element(self):
+        np.testing.assert_array_equal(speedup_factor(np.array([0.0, 0.5])), [1.0, 2.0])
+        for bad in (1.0, np.nan, -0.5):
+            with pytest.raises(ValueError, match="alpha_opt must lie"):
+                speedup_factor(np.array([0.5, bad]))
+
 
 class TestAlphaOptWgaGeneral:
     def test_matches_closed_form_m0(self):
@@ -302,6 +319,78 @@ class TestAlphaOptWgaGeneral:
             calls.clear()
             alpha_opt_wga_general(m, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, n)
             assert 48 <= len(calls) <= 55
+
+    @staticmethod
+    def scalar_search(m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N):
+        """The search one element at a time, in Python floats: the
+        reference the array search must equal bit for bit."""
+        sigma_a_sq = sigma1_sq / N
+
+        def objective(a):
+            guard = 1.0 - a ** 2 * m
+            st = (1.0 - a) ** 2 * sigma0_sq + a ** 2 * sigma_a_sq
+            return L * st / (mu ** 2 * T * guard ** 2) + a * a * zeta_sq / (mu * guard)
+
+        lo, hi = 0.0, min(1.0, 1.0 / math.sqrt(m)) if m > 0 else 1.0
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        c = hi - (hi - lo) / phi
+        d = lo + (hi - lo) / phi
+        fc, fd = objective(c), objective(d)
+        while hi - lo > 1e-10:
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - (hi - lo) / phi
+                fc = objective(c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + (hi - lo) / phi
+                fd = objective(d)
+        return (lo + hi) / 2.0
+
+    def test_array_search_is_the_scalar_search(self):
+        ms, zetas, ns = (0.0, 0.25, 1.0, 2.0, 4.0), (0.0, 0.5), np.arange(1, 51)
+        got = alpha_opt_wga_general(np.array(ms)[:, None, None], np.array(zetas)[:, None],
+                                    1.0, 1.0, 1.0, 1.0, 1000, ns)
+        assert got.shape == (len(ms), len(zetas), len(ns))
+        want = [[[self.scalar_search(m, z, 1.0, 1.0, 1.0, 1.0, 1000, int(n)) for n in ns]
+                 for z in zetas] for m in ms]
+        np.testing.assert_array_equal(got, want)
+
+    def test_scalar_call_returns_a_float(self):
+        args = (2.0, 0.5, 1.0, 3.0, 0.5, 2.0, 1000, 7)
+        got = alpha_opt_wga_general(*args)
+        assert type(got) is float and got == self.scalar_search(*args)
+
+    def test_mixed_grid_matches_elementwise(self):
+        # Elements that stop at different iterations (m > 1 narrows the
+        # first interval) keep the bits of their own search.
+        rng = np.random.default_rng(3)
+        args = (rng.uniform(0, 5, 40), rng.uniform(0, 3, 40), rng.uniform(0, 4, 40),
+                rng.uniform(0, 4, 40), rng.uniform(0.1, 2, 40), rng.uniform(1, 3, 40),
+                rng.integers(1, 10 ** 5, 40), rng.integers(1, 100, 40))
+        want = [self.scalar_search(*(a[i].item() for a in args)) for i in range(40)]
+        np.testing.assert_array_equal(alpha_opt_wga_general(*args), want)
+
+    @pytest.mark.parametrize("index,value,name", [
+        (7, 0, "N"), (7, -3, "N"), (7, np.nan, "N"), (4, 0.0, "mu"), (4, -1.0, "mu"),
+        (0, -1.0, "m"), (0, np.nan, "m"), (0, np.inf, "m"), (1, np.nan, "zeta_sq"),
+        (1, -0.5, "zeta_sq"), (2, np.nan, "sigma0_sq"), (3, np.inf, "sigma1_sq"),
+        (5, 0.0, "L"), (6, 0, "T"), (6, np.inf, "T"),
+    ])
+    def test_rejects_invalid_inputs(self, index, value, name):
+        args = [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, 10]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            alpha_opt_wga_general(*args)
+        # One bad element of an array argument is enough.
+        args[index] = np.array([args[index], [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, 10][index]])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            alpha_opt_wga_general(*args)
+
+    def test_rate_beyond_the_float_range_is_rejected(self):
+        # mu^2 underflows to 0, so the rate divides by zero.
+        with pytest.raises(ValueError, match="float range"):
+            alpha_opt_wga_general(4.0, 1.0, 1.0, 1.0, 1e-200, 1.0, 10, 3)
 
 
 class TestEtaCeilingProperty:
