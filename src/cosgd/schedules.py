@@ -204,14 +204,37 @@ def eta_bc(inputs: ScheduleInputs) -> float:
     return min(terms)
 
 
+def _checked(domain, values, finite: bool) -> list:
+    """`values` as float arrays, each inside its (name, op, bound) of
+    `domain` and, given `finite`, finite; else a ValueError that names
+    the first argument outside, also one beyond the float range."""
+    arrays = []
+    for (name, op, low), v in zip(domain, values):
+        try:
+            v = np.asarray(v, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{name} is beyond the float range") from None
+        inside = v > low if op == ">" else v >= low
+        if not np.all(inside & np.isfinite(v) if finite else inside):
+            raise ValueError(f"{name} must be {'finite and ' if finite else ''}{op} {low:g}")
+        arrays.append(v)
+    return arrays
+
+
+# Each argument of alpha_opt_wga_m0: its name, and the bound it must keep.
+_WGA_M0_DOMAIN = (("N", ">=", 1), ("mu", ">", 0), ("L", ">", 0), ("zeta_sq", ">=", 0),
+                  ("sigma0_sq", ">=", 0), ("T", ">", 0))
+
+
 def alpha_opt_wga_m0(N, mu, L, zeta_sq, sigma0_sq: float, T):
     """Optimal WGA weight for m = 0: (1 + 1/N + mu zeta^2 T / (L sigma_0^2))^{-1}.
 
     Returns 0 when sigma_0^2 = 0 (no variance to reduce, bias only hurts).
-    Every argument but sigma_0^2 may be an array; they broadcast.
+    Every argument but sigma_0^2 may be an array; they broadcast.  An
+    argument outside its domain (`_WGA_M0_DOMAIN`), or NaN, is a
+    ValueError; zeta^2 and sigma_0^2 may be inf.
     """
-    if np.any(np.asarray(N) < 1):
-        raise ValueError("N must be >= 1")
+    _checked(_WGA_M0_DOMAIN, (N, mu, L, zeta_sq, sigma0_sq, T), finite=False)
     if sigma0_sq == 0.0:
         return 0.0
     return 1.0 / (1.0 + 1.0 / N + mu * zeta_sq * T / (L * sigma0_sq))
@@ -341,13 +364,10 @@ def alpha_opt_wga_general(m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N):
     element whose interval is narrow enough stops moving, at the iteration
     where a search of it alone would stop, so each element's bits do not
     depend on the grid.  Scalar arguments give a float."""
-    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (
-        m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N)))
+    args = np.broadcast_arrays(*_checked(_WGA_GENERAL_DOMAIN, (
+        m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N), finite=True))
     shape = args[0].shape
-    m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N = args = [v.ravel() for v in args]
-    for (name, op, low), v in zip(_WGA_GENERAL_DOMAIN, args):
-        if not np.all(np.isfinite(v) & (v > low if op == ">" else v >= low)):
-            raise ValueError(f"{name} must be finite and {op} {low:g}")
+    m, zeta_sq, sigma0_sq, sigma1_sq, mu, L, T, N = [v.ravel() for v in args]
     sigma_a_sq = sigma1_sq / N
 
     def objective(a):

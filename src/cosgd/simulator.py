@@ -26,14 +26,14 @@ model of `objective` through their arithmetic cores.  A kernel call is
 one `_Batch`, whose stages `draw`, `step`, `freeze` and `record` each
 run once per chunk of steps.
 
-A batch whose every config is in the affine class (`_affine_class`) can
-take a second step, `affine_step`, when its caller asks for it: each
-lane then follows s_{t+1} = A s_t + b + B z_t, with s = (x, c), from its
-constant (A, b, B), and a chunk of steps is solved in blocks from the
-powers of A, without a per-step loop.  That step does the loop's
-arithmetic in another order, so its values agree with the loop's only to
-rounding; the figures ask for it, and `run`, `run_replicated` and
-`sweep` keep the loop.
+A batch whose every config is in the affine class (see
+`_outside_affine_class`) can take a second step, `affine_step`, when its
+caller asks for it: each lane then follows s_{t+1} = A s_t + b + B z_t,
+with s = (x, c), from its constant (A, b, B), and a chunk of steps is
+solved in blocks from the powers of A, without a per-step loop.  That
+step does the loop's arithmetic in another order, so its values agree
+with the loop's only to rounding; the figures ask for it, and `run`,
+`run_replicated` and `sweep` keep the loop.
 """
 
 import math
@@ -174,43 +174,82 @@ def _batch_key(cfg: RunConfig) -> tuple:
     return cfg.horizon, cfg.main_task.dim, 1 + len(cfg.collaborators)
 
 
-def _affine_class(cfg: RunConfig) -> bool:
-    """Whether `cfg`'s lanes follow a constant affine step (`_AffineForm`):
-    additive noise on every agent, a constant step size, and an alone or
-    wga config, or a bc config whose c_0 is set before step 0."""
-    return (not isinstance(cfg.step_size, DecreasingPlSchedule)
-            and all(task.noise_scale == 0 for task in [cfg.main_task, *cfg.collaborators])
-            and (cfg.aggregator in ("alone", "wga")
-                 or (cfg.aggregator == "bc" and cfg.c0_policy != "first_bias")))
+def _outside_affine_class(cfg: RunConfig, kinds=("alone", "wga", "bc"), step: bool = True,
+                          additive: bool = True) -> str | None:
+    """Why `cfg`'s lanes do not follow a constant affine step (`_AffineForm`), or None: that
+    takes additive noise on every agent, a constant step size, and an alone or wga config,
+    or a bc one whose c_0 is set before step 0; the exact moments narrow `kinds`."""
+    if additive and any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
+        return "expected test loss requires additive noise on every agent"
+    if cfg.aggregator not in kinds or cfg.aggregator == "bc" and cfg.c0_policy == "first_bias":
+        return "mean dynamics oracle supports alone and wga only"
+    if step and isinstance(cfg.step_size, DecreasingPlSchedule):
+        return "mean dynamics oracle requires a constant step size"
+    return None
+
+
+def _per_agent(cfgs, used: int, value) -> np.ndarray:
+    """value(task) of each config's last `used` agents, the main task last: (used, C, ...)."""
+    return np.array([[value(task) for task in [*cfg.collaborators, cfg.main_task][-used:]]
+                     for cfg in cfgs], dtype=float).swapaxes(0, 1)
 
 
 class _AffineForm(NamedTuple):
-    """One step s_{t+1} = A s_t + b + B z_t of every lane, per coordinate.
+    """One step s_{t+1} = A s_t + b + B z_t, per coordinate, held as A - I.
 
-    s is (x, c), or x alone when the batch has no bc lanes, and z holds
-    the used agents' unit normals.  With H = (1-a) a_0 + a sum_k tau_k a_k,
+    s is (x, c), or x alone when no config is bc, and z holds the used
+    agents' unit normals.  With H = (1-a) a_0 + a sum_k tau_k a_k,
     D = sum_k tau_k a_k - a_0 and e = sum_k tau_k a_k x_k* - a_0 x_0*:
 
-        A = [[1 - eta H, eta a], [beta D, 1 - beta]]
+        A - I = [[-eta H, eta a], [beta D, -beta]]
         b = [eta ((1-a) a_0 x_0* + a sum_k tau_k a_k x_k*), -beta e]
 
     and B's column for z_0 is [-eta (1-a) s_0, -beta s_0], for z_k
-    [-eta a tau_k s_k, beta tau_k s_k].  Alone lanes have a = 0, and alone
-    and wga lanes beta = 0, so that their c stays 0."""
+    [-eta a tau_k s_k, beta tau_k s_k].  Alone configs have a = 0, and
+    alone and wga configs beta = 0, so that their c stays 0.  Held apart
+    from I, -eta H keeps the digits that set where x settles."""
 
-    A_diag: np.ndarray  # (rows, L, d): A[x, x] over A[c, c]
-    A_off: np.ndarray | None  # (2, L, d): A[x, c] over A[c, x]; None without c
-    b: np.ndarray  # (rows, L, d)
-    B: np.ndarray  # (rows, used, L, d)
+    diag: np.ndarray  # (rows, C, d): (A - I)[x, x] over (A - I)[c, c]
+    off: np.ndarray | None  # (2, C, d): A[x, c] over A[c, x]; None without c
+    b: np.ndarray  # (rows, C, d)
+    B: np.ndarray  # (rows, used, C, d)
+
+
+def _affine_form(cfgs, used: int) -> _AffineForm:
+    """Each config's `_AffineForm`, on the config axis C, for a step that
+    reads the last `used` of its agents, from the cores the loop reads;
+    eta is the size of step 0, which is every step's in the affine class."""
+    C, K = len(cfgs), used - 1
+    ones = np.ones((C, cfgs[0].main_task.dim))  # spreads each value over the coordinates
+    alpha = ones * [[0.0 if cfg.aggregator == "alone" else cfg.weights.alpha] for cfg in cfgs]
+    beta = ones * [[cfg.weights.beta if cfg.aggregator == "bc" else 0.0] for cfg in cfgs]
+    eta = ones * [[_step_sizes(cfg, 0, 1)[0]] for cfg in cfgs]
+    tau = ones * np.reshape([[0.0 if cfg.aggregator == "alone" else cfg.weights.tau[k]
+                              for cfg in cfgs] for k in range(K)], (K, C, 1))
+    curv = _per_agent(cfgs, used, lambda t: t.curvature)
+    curv_opt = curv * _per_agent(cfgs, used, lambda t: t.optimum)
+    # sum_k tau_k a_k and sum_k tau_k a_k x_k*.
+    sum_a, sum_ax = (tau_sum(tau, v[:-1]) if K else 0.0 * ones for v in (curv, curv_opt))
+    H = mix(1.0 - alpha, alpha, curv[-1], sum_a)
+    # tau_k s_k, then s_0.
+    noise = np.concatenate([tau, ones[None]]) * _per_agent(cfgs, used, lambda t: [t.noise_std])
+    rows = 1 + any(cfg.aggregator == "bc" for cfg in cfgs)
+    return _AffineForm(
+        np.stack([-(eta * H), -beta])[:rows],
+        np.stack([eta * alpha, beta * (sum_a - curv[-1])]) if rows > 1 else None,
+        np.stack([eta * mix(1.0 - alpha, alpha, curv_opt[-1], sum_ax),
+                  -beta * (sum_ax - curv_opt[-1])])[:rows],
+        np.stack([-eta * np.concatenate([alpha * noise[:-1], (1.0 - alpha) * noise[-1:]]),
+                  beta * np.concatenate([noise[:-1], -noise[-1:]])])[:rows])
 
 
 def _powers(diag, off, k: int) -> tuple:
-    """A^1 - I .. A^k - I of a step whose A is (diag, off) (`_AffineForm`),
-    stacked as (diag, off) pairs, A^j - I at row j - 1.  Held apart from
-    I, a power keeps the digits of its distance from I, which sets where a
-    slow lane settles.  With D = A - I, A^(j+1) - I = A (A^j - I) + D; the
-    product A M has diagonal A_d M_d + A_o M_o' and off-diagonal A_d M_o +
-    A_o M_d', where ' swaps the x and c rows; without c it is A_d M_d."""
+    """A^1 - I .. A^k - I of a step whose A is (diag, off), stacked as (diag,
+    off) pairs, A^j - I at row j - 1.  Held apart from I, a power keeps the
+    digits of its distance from I, which sets where a slow lane settles.
+    With D = A - I, formed from A to keep the figures' bits, A^(j+1) - I =
+    A (A^j - I) + D; the product A M has diagonal A_d M_d + A_o M_o' and
+    off-diagonal A_d M_o + A_o M_d', ' swapping x and c; without c, A_d M_d."""
     pow_diag = np.empty((k,) + diag.shape)
     pow_off = None if off is None else np.empty((k,) + off.shape)
     pow_diag[0] = D = diag - 1.0
@@ -277,19 +316,12 @@ class _Batch:
             return np.repeat(np.repeat(np.asarray(values, dtype=float), S,
                                        axis=-1)[..., None], width, axis=-1)
 
-        # tasks[a][c]: used agent a of config c.
-        tasks = list(zip(*[list(cfg.collaborators) + [cfg.main_task]
-                           for cfg in cfgs]))[n_agents - used:]
-
-        def per_agent(value):
-            return [[value(t) for t in ts] for ts in tasks]
-
-        self.curv, self.opt = (np.repeat(np.array(per_agent(value), dtype=float), S, axis=1)
+        self.curv, self.opt = (np.repeat(_per_agent(cfgs, used, value), S, axis=1)
                                for value in (lambda t: t.curvature, lambda t: t.optimum))
-        self.var = col(per_agent(lambda t: t.noise_std ** 2))
-        self.scale = scale = col(per_agent(lambda t: t.noise_scale))
+        self.var = col(_per_agent(cfgs, used, lambda t: t.noise_std ** 2))
+        self.scale = scale = col(_per_agent(cfgs, used, lambda t: t.noise_scale))
         self.scaled_noise = scaled_noise = bool(scale.any())
-        affine = affine and all(map(_affine_class, cfgs))
+        affine = affine and not any(map(_outside_affine_class, cfgs))
         betas = [cfg.weights.beta for cfg in bc_cfgs]
         self.tau = col([[cfg.weights.tau[k] for cfg in collab] for k in range(K)], d)
         self.w = col([cfg.weights.alpha for cfg in collab] + betas, d)
@@ -299,16 +331,18 @@ class _Batch:
         # At least two steps, so that every block of seed sums spans two or
         # more steps (see `record`).
         self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
-        stds = col(per_agent(lambda t: t.noise_std))
         if affine:
-            self.form = form = self._affine_form(
-                n_alone, col([float(cfg.step_size) for cfg in cfgs], d), stds)
+            self.form = form = _AffineForm(*(None if a is None else np.repeat(a, S, axis=-2)
+                                             for a in _affine_form(cfgs, used)))
+            A = 1.0 + form.diag, form.off  # 1 + (-eta H) has the bits of 1 - eta H
             k = math.isqrt(chunk - 1) + 1
-            self.powers = powers = _powers(form.A_diag, form.A_off, k)
+            self.powers = powers = _powers(*A, k)
             # Powers beyond the float range would turn a zero state into nan
             # where the loop's iterate stays finite: such a batch keeps the loop.
             affine = all(np.isfinite(p).all() for p in powers if p is not None)
         self.affine = affine
+        self.stds = None if scaled_noise or affine else col(
+            _per_agent(cfgs, used, lambda t: t.noise_std))
         padded = k * -(-chunk // k) if affine else chunk
 
         # One stream per (seed, row), drawn once for all configs: the used
@@ -319,7 +353,6 @@ class _Batch:
         # stds `step` forms, or takes the affine step, whose B holds them.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
-        self.stds = None if scaled_noise or affine else stds
         if O:
             self.gens.append([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
                               for s in seeds])
@@ -402,34 +435,10 @@ class _Batch:
             # blocks, to the shape of what it multiplies.
             self.work = np.empty((k, rows, m, L, d))
             self.A_blocks = tuple(None if a is None else np.repeat(a[:, None], m, axis=1)
-                                  for a in (form.A_diag, form.A_off))
+                                  for a in A)
             self.off_term = np.empty((rows, m, L, d))
             self.starts = np.empty((m, rows, L, d))  # S_b, each block's start
             self.carry = np.empty((rows, L, d))
-
-    def _affine_form(self, n_alone: int, eta, stds) -> _AffineForm:
-        """The batch's `_AffineForm`, from the fields and cores the loop
-        reads; eta is each lane's step size and stds each used agent's
-        noise std on each lane."""
-        L, d, B = self.L, self.d, self.B
-        alpha, beta = np.zeros((2, L, d))
-        alpha[n_alone:], beta[L - B:] = self.w[:L - n_alone], self.w[L - n_alone:]
-        tau = np.zeros((self.used - 1, L, d))  # 0 on the alone lanes
-        tau[:, n_alone:] = self.tau
-        curv, curv_opt = self.curv, self.curv * self.opt
-        # sum_k tau_k a_k and sum_k tau_k a_k x_k*.
-        sum_a, sum_ax = (tau_sum(tau, v[:-1]) if len(tau) else np.zeros((L, d))
-                         for v in (curv, curv_opt))
-        H = mix(1.0 - alpha, alpha, curv[-1], sum_a)
-        noise = np.concatenate([tau, np.ones((1, L, d))]) * stds  # tau_k s_k, then s_0
-        rows = 1 + bool(B)
-        return _AffineForm(
-            np.stack([1.0 - eta * H, 1.0 - beta])[:rows],
-            np.stack([eta * alpha, beta * (sum_a - curv[-1])]) if B else None,
-            np.stack([eta * mix(1.0 - alpha, alpha, curv_opt[-1], sum_ax),
-                      -beta * (sum_ax - curv_opt[-1])])[:rows],
-            np.stack([-eta * np.concatenate([alpha * noise[:-1], (1.0 - alpha) * noise[-1:]]),
-                      beta * np.concatenate([noise[:-1], -noise[-1:]])])[:rows])
 
     def draw(self, t0: int, n: int):
         """The normals of steps t0 .. t0 + n - 1, drawn, spread over the
@@ -619,14 +628,14 @@ class _Batch:
 
     def outputs(self) -> list:
         """Per config, (means, window, grad sums, steps, final iterates,
-        rows) as views of the call's arrays; see `_run_batch`.  The final
-        iterates are copied out of X[0], so that no view holds all of X."""
+        rows, affine) as views of the call's arrays; see `_run_batch`.  The
+        final iterates are copied out of X[0], so that no view holds all of X."""
         S, sums, rows, final = self.S, self.sums, self.rows, self.X[0].copy()
         sums /= S
         blocks = [slice(k * S, (k + 1) * S) for k in range(self.C)]
         return [(sums[:, k], self.window[lanes], self.grad_sums[lanes],
                  self.steps_completed[lanes], final[lanes],
-                 None if rows is None else rows[:, lanes])
+                 None if rows is None else rows[:, lanes], self.affine)
                 for k, lanes in enumerate(blocks)]
 
 
@@ -636,16 +645,18 @@ def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> 
     `_Batch`, one chunk of steps at a time: with `affine_step` given
     `affine` and a batch of the affine class, else with `step`.
 
-    Returns per config, as views of the call's arrays, (means, window,
-    grad sums, steps, final iterates, rows): the (2, T+1) seed means of
-    loss and gradient norm, diverged seeds included, and per seed its
-    losses over the plateau window, its gradient norms summed over steps
-    0 .. T-1, its steps completed, its final iterate (x_T, or a frozen
-    diverged one) and, given a stride s, its (2, T // s + 1) loss and
-    gradient norm at steps 0, s, 2s, ...  Each seed's values are bitwise
-    those of its (config, seed) run alone under the same step: every
-    per-step operation is elementwise across lanes, each lane reads its
-    own seed's streams, and a diverged lane is frozen in its row.
+    Returns per config, as views of the call's arrays, (means, window, grad
+    sums, steps, final iterates, rows, affine): the (2, T+1) seed means of
+    loss and gradient norm, diverged seeds included, and per seed its losses
+    over the plateau window, its gradient norms summed over steps 0 .. T-1,
+    its steps completed, its final iterate (x_T, or a frozen diverged one)
+    and, given a stride s, its (2, T // s + 1) loss and gradient norm at
+    steps 0, s, 2s, ...; and whether it took the affine step.  On the loop,
+    each seed's values are bitwise those of its (config, seed) run alone:
+    every per-step operation is elementwise across lanes, each lane reads
+    its own seed's streams, and a diverged lane is frozen in its row.  The
+    affine step's blocks follow the chunk length, which the lane count sets,
+    so there they agree with those only to rounding.
     """
     batch = _Batch(cfgs, seeds, stride, affine)
     step = batch.affine_step if batch.affine else batch.step
@@ -695,7 +706,7 @@ def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
 
 def _traces(out) -> list:
     """One Trace per seed of a `_run_batch` output with rows, as views."""
-    means, window, _, steps, finals, (losses, norms) = out
+    means, window, _, steps, finals, (losses, norms), _ = out
     T = means.shape[1] - 1
     return [Trace(test_loss=loss, grad_norm_sq=norm, final_gap=float(w[-1]),
                   final_iterate=x, diverged=bool(s < T), steps_completed=int(s))
@@ -703,8 +714,9 @@ def _traces(out) -> list:
 
 
 def run(cfg: RunConfig) -> Trace:
-    """Execute one seeded run; a pure function of the config."""
-    return _traces(_run_batch([cfg], [cfg.seed], 1)[0])[0]
+    """Execute one seeded run; a pure function of the config, whose seed sums are its rows."""
+    out = _run_batch([cfg], [cfg.seed])[0]
+    return _traces((*out[:5], out[0][:, None], out[6]))[0]
 
 
 def _mean_se(values: np.ndarray):
@@ -713,12 +725,12 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _reduce(cfg: RunConfig, seeds: list, out, affine: bool = False) -> RunResult:
+def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
     """Seed aggregates of one config's `_run_batch` output, and a Trace per
     seed if it has rows.  Diverged seeds are left out: the seed means are
-    then replayed over the others under the same step, exactly (the
-    streams are counter-based)."""
-    means, window, grad_sums, steps, _, rows = out
+    then replayed over the others on the step the batch took (the streams
+    are counter-based), exactly on the loop (see `_run_batch`)."""
+    means, window, grad_sums, steps, _, rows, affine = out
     T = cfg.horizon
     ok = steps == T
     if not ok.any():
@@ -740,7 +752,7 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int =
                affine: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
     group of configs that share a `_batch_key`.  Given `affine`, a group
-    whose every config is in the affine class takes the affine step."""
+    takes the affine step where its `_Batch` can."""
     if not (isinstance(trace_stride, (int, np.integer)) and trace_stride >= 1):
         raise ValueError(f"trace_stride must be an integer >= 1, got {trace_stride!r}")
     seeds = [int(s) for s in seeds]
@@ -753,10 +765,9 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int =
     for members in groups.values():
         members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
         group = [cfgs[i] for i in members]
-        takes_affine = affine and all(map(_affine_class, group))
-        outs = _run_batch(group, seeds, trace_stride if keep_traces else None, takes_affine)
+        outs = _run_batch(group, seeds, trace_stride if keep_traces else None, affine)
         for i, out in zip(members, outs):
-            results[i] = _reduce(cfgs[i], seeds, out, takes_affine)
+            results[i] = _reduce(cfgs[i], seeds, out)
     return results
 
 
@@ -866,25 +877,16 @@ def sweep(base: RunConfig, axis: str, values, seeds,
     return list(zip(values, _replicate(cfgs, seeds)))
 
 
-def _mean_terms(cfg: RunConfig) -> tuple:
-    """(h, x_bar) = ((1-a) A_0 + a sum_k tau_k A_k, ((1-a) A_0 x_0* + a sum_k
-    tau_k A_k x_k*) / h), mixed as WGA mixes gradients; a = 0 for Alone."""
-    if cfg.aggregator not in ("alone", "wga"):
-        raise ValueError("mean dynamics oracle supports alone and wga only")
-    rows = np.array([[task.curvature, task.curvature * task.optimum]
-                     for task in [cfg.main_task, *cfg.collaborators]])
-    h, weighted = rows[0] if cfg.aggregator == "alone" else mix(
-        1.0 - cfg.weights.alpha, cfg.weights.alpha, rows[0], tau_sum(cfg.weights.tau, rows[1:]))
-    return h, weighted / h
-
-
-def _mean_path(cfg: RunConfig, T: int, start: int = 0) -> tuple:
-    """(h, E[x_t] for t = start .. T) for Alone/WGA at a constant step."""
-    h, x_bar = _mean_terms(cfg)
-    if isinstance(cfg.step_size, DecreasingPlSchedule):
-        raise ValueError("mean dynamics oracle requires a constant step size")
-    t = np.arange(start, T + 1)[:, None]
-    return h, x_bar + (1.0 - float(cfg.step_size) * h) ** t * (cfg.x0 - x_bar)
+def _exact_mean(cfg: RunConfig, T: int, start: int = 0, **checks) -> tuple:
+    """(A, x_bar = -(A - I)^-1 b, E[x_t] = x_bar + A^t (x_0 - x_bar) for t = start
+    .. T) of an alone or wga cfg's x, 1x1 per coordinate, from its `_AffineForm`;
+    a ValueError outside the class `checks` narrow (`_outside_affine_class`)."""
+    reason = _outside_affine_class(cfg, ("alone", "wga"), **checks)
+    if reason:
+        raise ValueError(reason)
+    form = _affine_form([cfg], 1 + len(cfg.collaborators))
+    A, x_bar = 1.0 + form.diag[0, 0], -form.b[0, 0] / form.diag[0, 0]
+    return A, x_bar, x_bar + A ** np.arange(start, T + 1)[:, None] * (cfg.x0 - x_bar)
 
 
 def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
@@ -897,13 +899,13 @@ def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
     its mean is affine too, but in the joint state (x_t, c_t), which this
     recursion in x alone does not track.
     """
-    return _mean_path(cfg, cfg.horizon if T is None else int(T))[1]
+    return _exact_mean(cfg, cfg.horizon if T is None else int(T), additive=False)[2]
 
 
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
-    """Fixed point of the Alone/WGA mean dynamics (a ValueError for BC): the
-    weighted optimum ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
-    return _mean_terms(cfg)[1]
+    """Fixed point -(A - I)^-1 b of the Alone/WGA mean dynamics at step 0 (a ValueError for
+    BC): ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
+    return _exact_mean(cfg, 0, step=False, additive=False)[1]
 
 
 def expected_test_loss(cfg: RunConfig, start: int = 0) -> np.ndarray:
@@ -918,16 +920,13 @@ def expected_test_loss(cfg: RunConfig, start: int = 0) -> np.ndarray:
     `schedules.sigma_tilde_sq` for WGA.  The loss is 1/2 sum_j a_0j
     ((mu_tj - x_0j*)^2 + P_tj).
     """
-    if any(task.noise_scale > 0 for task in [cfg.main_task, *cfg.collaborators]):
-        raise ValueError("expected test loss requires additive noise on every agent")
-    h, mu = _mean_path(cfg, cfg.horizon, start)
-    eta = float(cfg.step_size)
-    r_sq = (1.0 - eta * h) ** 2
+    r, _, mu = _exact_mean(cfg, cfg.horizon, start)
+    r_sq = r ** 2
     s_sq = cfg.main_task.noise_std ** 2 if cfg.aggregator == "alone" else sigma_tilde_sq(
         schedule_inputs(cfg.main_task, cfg.collaborators, cfg.weights, cfg.horizon, cfg.x0))
     t = np.arange(start, cfg.horizon + 1)[:, None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))
     task = cfg.main_task
-    variance = eta ** 2 * s_sq * geometric
+    variance = float(cfg.step_size) ** 2 * s_sq * geometric
     return 0.5 * np.sum(task.curvature * ((mu - task.optimum) ** 2 + variance), axis=1)

@@ -184,6 +184,21 @@ class TestAlphaOptWgaM0:
         with pytest.raises(ValueError, match="N must be >= 1"):
             alpha_opt_wga_m0(np.array([3, 0]), 1.0, 1.0, 1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("index,value,name", [
+        (0, np.nan, "N"), (1, 0.0, "mu"), (1, -1.0, "mu"), (1, np.nan, "mu"),
+        (2, 0.0, "L"), (2, -2.0, "L"), (3, -5.0, "zeta_sq"), (3, np.nan, "zeta_sq"),
+        (4, -1.0, "sigma0_sq"), (4, np.nan, "sigma0_sq"), (5, -3, "T"), (5, 0, "T"),
+        (5, np.nan, "T"),
+    ])
+    def test_rejects_invalid_inputs(self, index, value, name):
+        args = [10, 1.0, 1.0, 1.0, 1.0, 100]
+        args[index] = value
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            alpha_opt_wga_m0(*args)
+
+    def test_infinite_zeta_has_no_weight(self):
+        assert alpha_opt_wga_m0(10, 1.0, 1.0, np.inf, 1.0, 100) == 0.0
+
     def test_monotonicity(self):
         zs = [alpha_opt_wga_m0(5, 1.0, 1.0, z, 1.0, 100) for z in (0.0, 0.1, 1.0, 10.0)]
         assert zs == sorted(zs, reverse=True)
@@ -386,6 +401,10 @@ class TestAlphaOptWgaGeneral:
         args[index] = np.array([args[index], [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1000, 10][index]])
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             alpha_opt_wga_general(*args)
+
+    def test_integer_beyond_the_float_range_is_rejected(self):
+        with pytest.raises(ValueError, match="^T is beyond the float range"):
+            alpha_opt_wga_general(0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 10 ** 400, 10)
 
     def test_rate_beyond_the_float_range_is_rejected(self):
         # mu^2 underflows to 0, so the rate divides by zero.

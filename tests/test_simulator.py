@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -505,6 +507,19 @@ class TestMeanDynamicsOracle:
         seq = mean_dynamics_oracle(cfg)
         np.testing.assert_allclose(seq[-1], mean_fixed_point(cfg), atol=1e-10)
 
+    @pytest.mark.parametrize("eta", [1e-5, 1e-7])
+    def test_fixed_point_in_exact_rationals(self, eta):
+        """At a small step size, fig2's wga fixed point -b / (A - I) is its
+        weighted optimum to 4 ulp of the exact rational value; b / (1 - A)
+        would lose the digits of eta h that 1 - eta h rounds away."""
+        cfg = sweep_config(figures._fig2_configs(100)[1], "eta", eta)
+        alpha = Fraction(cfg.weights.alpha)
+        (a0, x0), (a1, x1) = ((Fraction(float(t.curvature[0])), Fraction(float(t.optimum[0])))
+                              for t in [cfg.main_task, *cfg.collaborators])
+        want = ((1 - alpha) * a0 * x0 + alpha * a1 * x1) / ((1 - alpha) * a0 + alpha * a1)
+        got = mean_fixed_point(cfg)[0]
+        assert abs(Fraction(float(got)) - want) <= 4 * Fraction(math.ulp(float(want)))
+
     def test_matches_monte_carlo(self):
         """E[x_t] over 200 seeds, each x_t the final iterate of a run with
         horizon t, is within 3 SE of the oracle."""
@@ -921,7 +936,7 @@ class TestChunkLength:
         every = batch_traces(cfgs, self.SEEDS)
         for out, traces in zip(simulator._run_batch(cfgs, self.SEEDS, stride), every,
                                strict=True):
-            losses, norms = out[-1]
+            losses, norms = out[5]
             assert losses.shape == (len(self.SEEDS), 700 // stride + 1)
             for loss, norm, tr in zip(losses, norms, traces, strict=True):
                 np.testing.assert_array_equal(loss, tr.test_loss[::stride])
@@ -1496,9 +1511,9 @@ class TestAffineStep:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_form_is_one_loop_step(self, d):
-        """A s + b + B z, for s = (x, c) off the fixed point and z one
-        step's unit normals, is the loop's step from (x, c) on the same
-        normals, to 1e-12 (a few ulps of the step's O(1) terms)."""
+        """s + (A - I) s + b + B z, for s = (x, c) off the fixed point and
+        z one step's unit normals, is the loop's step from (x, c) on the
+        same normals, to 1e-12 (a few ulps of the step's O(1) terms)."""
         cfgs, seeds = self.kinds(d), [0, 7]
         loop, batch = simulator._Batch(cfgs, seeds, None), simulator._Batch(cfgs, seeds, None, True)
         assert batch.affine and not loop.affine
@@ -1513,7 +1528,7 @@ class TestAffineStep:
         loop.X[0], loop.c[:] = x, c[L - B:]
         loop.step(loop.X[:2], 1, z, z_oracle, eta)
         s = np.stack([x, c])
-        want = (form.A_diag * s + form.A_off * s[::-1] + form.b
+        want = (s + form.diag * s + form.off * s[::-1] + form.b
                 + np.sum(form.B * unit[0], axis=1))
         np.testing.assert_allclose(want[0], loop.X[1], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(want[1, L - B:], loop.c, rtol=1e-12, atol=1e-12)
@@ -1541,7 +1556,7 @@ class TestAffineStep:
         monkeypatch.setattr(figures, "_replicate", replicate)
         getattr(figures, name)(str(tmp_path), horizon=5000, seeds=self.SEEDS)
         [(cfgs, seeds, results)] = ran
-        assert all(map(simulator._affine_class, cfgs))
+        assert not any(map(simulator._outside_affine_class, cfgs))
         for cfg, affine, loop in zip(cfgs, results, simulator._replicate(cfgs, seeds),
                                      strict=True):
             self.assert_results_close(affine, loop)
@@ -1566,7 +1581,7 @@ class TestAffineStep:
         affine, loop = (simulator._run_batch(cfgs, seeds, 1, flag) for flag in (True, False))
         died = 0
         for out, ref in zip(affine, loop, strict=True):
-            means, window, grad_sums, steps, finals, rows = out
+            means, window, grad_sums, steps, finals, rows, _ = out
             np.testing.assert_array_equal(steps, ref[3])
             died += int((steps < cfgs[0].horizon).sum())
             for value, want in zip((means, window, grad_sums, finals, rows),
@@ -1615,6 +1630,21 @@ class TestAffineStep:
         for value, want in zip(out, simulator._run_batch([cfg], [0], 1)[0]):
             np.testing.assert_array_equal(value, want)
 
+    def test_diverged_seeds_replay_on_the_step_taken(self):
+        """P's powers leave the float range, so a batch of P and Q asked for
+        the affine step keeps the loop; Q's seeds that diverge are then
+        left out of its seed means by a replay on the loop as well, and
+        every result equals the loop's bit for bit."""
+        P = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e10, T=1000)
+        Q = make_cfg("alone", alpha=0.0, sigma0=5e11, eta=0.5, T=1000)
+        seeds = range(8)
+        assert not simulator._Batch([P, Q], seeds, None, True).affine
+        affine, loop = (simulator._replicate([P, Q], seeds, affine=flag)
+                        for flag in (True, False))
+        assert affine[1].diverged_seeds == [0, 1, 3, 5, 7]
+        for a, b in zip(affine, loop, strict=True):
+            assert_results_equal(a, b)
+
     @pytest.mark.parametrize("outside", [
         dict(aggregator="oracle_bc", oracle_v=1.5),
         dict(aggregator="bc", weights=CollaborationWeights(0.6, [1.0], beta=0.2)),
@@ -1628,7 +1658,7 @@ class TestAffineStep:
         inside = [make_cfg("alone", alpha=0.0, T=60), make_cfg("wga", alpha=0.6, T=60),
                   make_cfg("bc", alpha=0.6, beta=0.2, T=60, c0_policy="zero")]
         odd = dataclasses.replace(make_cfg(T=60), **outside)
-        assert not simulator._affine_class(odd)
+        assert simulator._outside_affine_class(odd)
         cfgs = sorted(inside + [odd],
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
         seeds = [0, 12]
