@@ -24,8 +24,8 @@ from .csvio import CSV_STRIDE, write_csv, write_text
 from .objective import QuadraticTask
 from .schedules import (alpha_opt_wga_general, alpha_opt_wga_m0, speedup_factor,
                         wga_pl_terms)
-from .simulator import (RunConfig, RunResult, _plateau_start, _replicate,
-                        expected_test_loss, sweep_config, sweep_names)
+from .simulator import (RunConfig, RunResult, _expected_losses, _plateau_start, _replicate,
+                        sweep_config, sweep_names)
 # No figure calls these two; perfbench/tracing.py wraps them on this module.
 from .simulator import run_replicated, sweep  # noqa: F401
 
@@ -133,14 +133,19 @@ def _fig2_configs(horizon: int) -> tuple:
                       1e-4, horizon, x0, c0_policy="zero"))
 
 
+def _exact_plateaus(base: RunConfig, grid=ETA_GRID) -> list:
+    """`base`'s exact plateau at each value of `grid`, its expected loss
+    averaged over the plateau window, from one call over the grid."""
+    cfgs = [sweep_config(base, "eta", eta) for eta in grid]
+    return [window.mean() for window in _expected_losses(cfgs, _plateau_start(base.horizon))]
+
+
 def _exact_pick(base: RunConfig, grid=ETA_GRID):
-    """The value of `grid` at which `base` has the lowest exact plateau,
-    its expected loss averaged over the plateau window; the first value
-    wins ties.  Unlike the least of several simulated plateaus, this pick
-    is not biased towards a step size whose seeds were lucky."""
-    start = _plateau_start(base.horizon)
-    return min(grid, key=lambda eta: expected_test_loss(
-        sweep_config(base, "eta", eta), start).mean())
+    """The value of `grid` at which `base` has the lowest exact plateau
+    (`_exact_plateaus`); the first value wins ties.  Unlike the least of
+    several simulated plateaus, this pick is not biased towards a step
+    size whose seeds were lucky."""
+    return min(zip(grid, _exact_plateaus(base, grid)), key=lambda pair: pair[1])[0]
 
 
 def fig2(out_dir: str, horizon: int = DEFAULT_T, seeds=DEFAULT_SEEDS,

@@ -26,14 +26,14 @@ model of `objective` through their arithmetic cores.  A kernel call is
 one `_Batch`, whose stages `draw`, `step`, `freeze` and `record` each
 run once per chunk of steps.
 
-A batch whose every config is in the affine class (see
-`_outside_affine_class`) can take a second step, `affine_step`, when its
-caller asks for it: each lane then follows s_{t+1} = A s_t + b + B z_t,
-with s = (x, c), from its constant (A, b, B), and a chunk of steps is
-solved in blocks from the powers of A, without a per-step loop.  That
-step does the loop's arithmetic in another order, so its values agree
-with the loop's only to rounding; the figures ask for it, and `run`,
-`run_replicated` and `sweep` keep the loop.
+A batch whose every config is in the affine class (`_outside_affine_class`)
+can take a second step, `affine_step`, when its caller asks for it: each
+lane then follows s_{t+1} = A s_t + b + B z_t, s = (x, c), from its
+`_AffineForm`, solved a chunk at a time in blocks from the powers of A.
+Its values agree with the loop's only to rounding; the figures ask for
+it, and `run`, `run_replicated` and `sweep` keep the loop.  The exact
+Alone/WGA moments (`_exact_mean`) read the same form, for a list of
+configs in one call.
 """
 
 import math
@@ -43,12 +43,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rng_mod
-from .aggregators import (CollaborationWeights, check_alpha_guard, mix,
+from .aggregators import (CollaborationWeights, check_alpha_guard, float_sq, mix,
                           oracle_noise_std, tau_chain, tau_sum)
 from .objective import (QuadraticTask, _as_vector, gradient_noise_std,
                         noise_std, similarity_params, true_gradient)
-from .schedules import (ScheduleInputs, eta_decreasing_pl, schedule_inputs,
-                        sigma_tilde_sq)
+from .schedules import ScheduleInputs, combined_variance, eta_decreasing_pl
 
 AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
 C0_POLICIES = ("first_bias", "zero", "warm_start")
@@ -174,17 +173,14 @@ def _batch_key(cfg: RunConfig) -> tuple:
     return cfg.horizon, cfg.main_task.dim, 1 + len(cfg.collaborators)
 
 
-def _outside_affine_class(cfg: RunConfig, kinds=("alone", "wga", "bc"), step: bool = True,
-                          additive: bool = True) -> str | None:
-    """Why `cfg`'s lanes do not follow a constant affine step (`_AffineForm`), or None: that
-    takes additive noise on every agent, a constant step size, and an alone or wga config,
-    or a bc one whose c_0 is set before step 0; the exact moments narrow `kinds`."""
-    if additive and any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
-        return "expected test loss requires additive noise on every agent"
-    if cfg.aggregator not in kinds or cfg.aggregator == "bc" and cfg.c0_policy == "first_bias":
-        return "mean dynamics oracle supports alone and wga only"
-    if step and isinstance(cfg.step_size, DecreasingPlSchedule):
-        return "mean dynamics oracle requires a constant step size"
+def _outside_affine_class(cfg: RunConfig) -> str | None:
+    """Why `cfg`'s lanes cannot take the affine step (`_AffineForm`), or None."""
+    if any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
+        return "affine step requires additive noise on every agent"
+    if isinstance(cfg.step_size, DecreasingPlSchedule):
+        return "affine step requires a constant step size"
+    if cfg.aggregator == "oracle_bc" or cfg.aggregator == "bc" and cfg.c0_policy == "first_bias":
+        return "affine step takes alone, wga, and bc whose c_0 is set before step 0"
     return None
 
 
@@ -215,21 +211,23 @@ class _AffineForm(NamedTuple):
     B: np.ndarray  # (rows, used, C, d)
 
 
+def _step_weights(cfgs, K: int) -> np.ndarray:
+    """Each config's (eta, beta, alpha, tau_1 .. tau_K) as `_AffineForm` reads them: (K + 3, C)."""
+    return np.array([[_step_sizes(cfg, 0, 1)[0], cfg.weights.beta if cfg.aggregator == "bc"
+                      else 0.0, *([0.0] * (K + 1) if cfg.aggregator == "alone" else
+                                  [cfg.weights.alpha, *cfg.weights.tau])] for cfg in cfgs]).T
+
+
 def _affine_form(cfgs, used: int) -> _AffineForm:
     """Each config's `_AffineForm`, on the config axis C, for a step that
     reads the last `used` of its agents, from the cores the loop reads;
     eta is the size of step 0, which is every step's in the affine class."""
-    C, K = len(cfgs), used - 1
-    ones = np.ones((C, cfgs[0].main_task.dim))  # spreads each value over the coordinates
-    alpha = ones * [[0.0 if cfg.aggregator == "alone" else cfg.weights.alpha] for cfg in cfgs]
-    beta = ones * [[cfg.weights.beta if cfg.aggregator == "bc" else 0.0] for cfg in cfgs]
-    eta = ones * [[_step_sizes(cfg, 0, 1)[0]] for cfg in cfgs]
-    tau = ones * np.reshape([[0.0 if cfg.aggregator == "alone" else cfg.weights.tau[k]
-                              for cfg in cfgs] for k in range(K)], (K, C, 1))
+    ones = np.ones((len(cfgs), cfgs[0].main_task.dim))  # spreads each value over the coordinates
+    (eta, beta, alpha), tau = np.split(ones * _step_weights(cfgs, used - 1)[..., None], [3])
     curv = _per_agent(cfgs, used, lambda t: t.curvature)
     curv_opt = curv * _per_agent(cfgs, used, lambda t: t.optimum)
     # sum_k tau_k a_k and sum_k tau_k a_k x_k*.
-    sum_a, sum_ax = (tau_sum(tau, v[:-1]) if K else 0.0 * ones for v in (curv, curv_opt))
+    sum_a, sum_ax = (tau_sum(tau, v[:-1]) if used > 1 else 0.0 * ones for v in (curv, curv_opt))
     H = mix(1.0 - alpha, alpha, curv[-1], sum_a)
     # tau_k s_k, then s_0.
     noise = np.concatenate([tau, ones[None]]) * _per_agent(cfgs, used, lambda t: [t.noise_std])
@@ -877,56 +875,57 @@ def sweep(base: RunConfig, axis: str, values, seeds,
     return list(zip(values, _replicate(cfgs, seeds)))
 
 
-def _exact_mean(cfg: RunConfig, T: int, start: int = 0, **checks) -> tuple:
-    """(A, x_bar = -(A - I)^-1 b, E[x_t] = x_bar + A^t (x_0 - x_bar) for t = start
-    .. T) of an alone or wga cfg's x, 1x1 per coordinate, from its `_AffineForm`;
-    a ValueError outside the class `checks` narrow (`_outside_affine_class`)."""
-    reason = _outside_affine_class(cfg, ("alone", "wga"), **checks)
-    if reason:
-        raise ValueError(reason)
-    form = _affine_form([cfg], 1 + len(cfg.collaborators))
-    A, x_bar = 1.0 + form.diag[0, 0], -form.b[0, 0] / form.diag[0, 0]
-    return A, x_bar, x_bar + A ** np.arange(start, T + 1)[:, None] * (cfg.x0 - x_bar)
+def _exact_mean(cfgs, steps) -> tuple:
+    """(A, x_bar = -(A - I)^-1 b, E[x_t] = x_bar + A^t (x_0 - x_bar) for t in `steps`) of alone
+    and wga configs that share a `_batch_key`, 1x1 per coordinate, from one `_affine_form` call."""
+    if any(cfg.aggregator not in ("alone", "wga") for cfg in cfgs):
+        raise ValueError("mean dynamics oracle supports alone and wga only")
+    if len(steps) and any(isinstance(cfg.step_size, DecreasingPlSchedule) for cfg in cfgs):
+        raise ValueError("mean dynamics oracle requires a constant step size")
+    form = _affine_form(cfgs, 1 + len(cfgs[0].collaborators))
+    A, x_bar = 1.0 + form.diag[0][:, None], (-form.b[0] / form.diag[0])[:, None]
+    x0 = np.array([cfg.x0 for cfg in cfgs])[:, None]
+    return A, x_bar, x_bar + A ** np.asarray(steps)[:, None] * (x0 - x_bar)
 
 
-def mean_dynamics_oracle(cfg: RunConfig, T: int | None = None) -> np.ndarray:
-    """Exact expected-iterate sequence for Alone/WGA with constant step.
-
-    Noise is zero-mean, so E[x_t] follows the affine recursion
-    E[x_{t+1}] = E[x_t] - eta h (E[x_t] - x_bar), with h the mixed
-    curvature (1-a) A_0 + a sum_k tau_k A_k and x_bar = mean_fixed_point:
-    E[x_t] = x_bar + (1 - eta h)^t (x_0 - x_bar).  BC is not covered:
-    its mean is affine too, but in the joint state (x_t, c_t), which this
-    recursion in x alone does not track.
-    """
-    return _exact_mean(cfg, cfg.horizon if T is None else int(T), additive=False)[2]
+def mean_dynamics_oracle(cfg: RunConfig) -> np.ndarray:
+    """Exact E[x_t] = x_bar + (1 - eta h)^t (x_0 - x_bar), t = 0 .. T, for Alone/WGA with a
+    constant step (noise is zero-mean): h = (1-a) A_0 + a sum_k tau_k A_k and x_bar is
+    `mean_fixed_point`.  BC's mean is affine in (x_t, c_t), which x alone does not track."""
+    return _exact_mean([cfg], np.arange(cfg.horizon + 1))[2][0]
 
 
 def mean_fixed_point(cfg: RunConfig) -> np.ndarray:
     """Fixed point -(A - I)^-1 b of the Alone/WGA mean dynamics at step 0 (a ValueError for
     BC): ((1-a) A_0 x_0* + a sum tau_k A_k x_k*) / ((1-a) A_0 + a sum tau_k A_k)."""
-    return _exact_mean(cfg, 0, step=False, additive=False)[1]
+    return _exact_mean([cfg], ())[1][0, 0]
+
+
+def _expected_losses(cfgs, start: int) -> np.ndarray:
+    """`expected_test_loss(cfg, start)` of configs that share a `_batch_key`, a row each."""
+    if not (isinstance(start, (int, np.integer)) and 0 <= start <= cfgs[0].horizon):
+        raise ValueError(f"start must be an integer in [0, {cfgs[0].horizon}], got {start!r}")
+    if any(task.noise_scale != 0 for cfg in cfgs for task in [cfg.main_task, *cfg.collaborators]):
+        raise ValueError("expected test loss requires additive noise on every agent")
+    t = np.arange(start, cfgs[0].horizon + 1)[:, None]
+    r, _, mu = _exact_mean(cfgs, t[:, 0])
+    (eta, _, alpha), tau = np.split(_step_weights(cfgs, len(cfgs[0].collaborators)), [3])
+    sq = float_sq(_per_agent(cfgs, 1 + len(tau), lambda task: task.noise_std))
+    s_sq = combined_variance(alpha, sq[-1], tau_sum(tau * tau, sq[:-1]) if len(tau) else 0.0)
+    r_sq = r ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))
+    variance = (float_sq(eta) * s_sq)[:, None, None] * geometric
+    a, opt = (np.array([getattr(cfg.main_task, key) for cfg in cfgs])[:, None]
+              for key in ("curvature", "optimum"))
+    return 0.5 * np.sum(a * ((mu - opt) ** 2 + variance), axis=-1)
 
 
 def expected_test_loss(cfg: RunConfig, start: int = 0) -> np.ndarray:
-    """Exact E[loss_t] for t = start .. T, for Alone/WGA with a constant
-    step and additive noise on every agent.  Each step's value is formed
-    on its own, so a window has the bits of the whole curve's slice.
-
-    Such a run is linear-Gaussian.  Per coordinate, x_t has mean mu_t
-    (`mean_dynamics_oracle`) and variance P_t = eta^2 s^2 (1 - r^(2t)) /
-    (1 - r^2), or eta^2 s^2 t where r^2 = 1, with r = 1 - eta h.  s^2 is
-    the combined gradient's noise variance, sigma_0^2 for Alone and
-    `schedules.sigma_tilde_sq` for WGA.  The loss is 1/2 sum_j a_0j
-    ((mu_tj - x_0j*)^2 + P_tj).
-    """
-    r, _, mu = _exact_mean(cfg, cfg.horizon, start)
-    r_sq = r ** 2
-    s_sq = cfg.main_task.noise_std ** 2 if cfg.aggregator == "alone" else sigma_tilde_sq(
-        schedule_inputs(cfg.main_task, cfg.collaborators, cfg.weights, cfg.horizon, cfg.x0))
-    t = np.arange(start, cfg.horizon + 1)[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        geometric = np.where(r_sq == 1.0, t, (1.0 - r_sq ** t) / (1.0 - r_sq))
-    task = cfg.main_task
-    variance = float(cfg.step_size) ** 2 * s_sq * geometric
-    return 0.5 * np.sum(task.curvature * ((mu - task.optimum) ** 2 + variance), axis=1)
+    """Exact E[loss_t], t = start .. T, an integer in [0, T], for Alone/WGA with a constant
+    step and additive noise on every agent; a window has the bits of the curve's slice.
+    The run is linear-Gaussian: per coordinate, x_t has mean mu_t (`mean_dynamics_oracle`)
+    and variance P_t = eta^2 s^2 (1 - r^(2t)) / (1 - r^2), or eta^2 s^2 t where r^2 = 1,
+    with r = 1 - eta h and s^2 = `schedules.combined_variance` of sigma_0^2 and sigma_a^2 =
+    sum_k tau_k^2 sigma_k^2.  The loss is 1/2 sum_j a_0j ((mu_tj - x_0j*)^2 + P_tj)."""
+    return _expected_losses([cfg], start)[0]

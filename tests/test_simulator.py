@@ -548,6 +548,14 @@ class TestMeanDynamicsOracle:
                 mean_fixed_point(kind)
 
 
+ONLY = "supports alone and wga only"
+CONSTANT = "requires a constant step size"
+ADDITIVE = "requires additive noise"
+DECREASING = DecreasingPlSchedule(schedule_inputs(
+    QuadraticTask(1.0, 0.0, noise_std=1.0), [QuadraticTask(2.0, 2.0, noise_std=1.0)],
+    CollaborationWeights(0.5, [1.0]), 200, 5.0))
+
+
 class TestExpectedTestLoss:
     """The exact expected loss of Alone and WGA under additive noise
     against the seed mean of simulated runs."""
@@ -605,10 +613,7 @@ class TestExpectedTestLoss:
     @pytest.mark.parametrize("cfg", [
         make_cfg("bc", beta=0.5),
         make_cfg("oracle_bc", oracle_v=1.0),
-        dataclasses.replace(make_cfg("wga"), step_size=DecreasingPlSchedule(
-            schedule_inputs(QuadraticTask(1.0, 0.0, noise_std=1.0),
-                            [QuadraticTask(2.0, 2.0, noise_std=1.0)],
-                            CollaborationWeights(0.5, [1.0]), 200, 5.0))),
+        make_cfg("wga", eta=DECREASING),
         dataclasses.replace(make_cfg("alone", alpha=0.0), main_task=QuadraticTask(
             1.0, 0.0, noise_std=1.0, noise_scale=0.5)),
         dataclasses.replace(make_cfg("wga"), collaborators=[QuadraticTask(
@@ -624,6 +629,57 @@ class TestExpectedTestLoss:
         t = np.arange(41)
         np.testing.assert_allclose(expected_test_loss(cfg),
                                    0.5 * (9.0 + 2.0 ** 2 * 1.5 ** 2 * t), rtol=1e-14)
+
+    @pytest.mark.parametrize("start", [-3, 2.5, 60], ids=["negative", "fractional", "past_T"])
+    def test_start_outside_the_curve(self, start):
+        # -3 names steps before step 0, whose variance term reads negative;
+        # 2.5 names no step; 60 lies past T.
+        cfg = figures._fig2_configs(50)[1]
+        with pytest.raises(ValueError, match=r"start must be an integer in \[0, 50\]"):
+            expected_test_loss(cfg, start)
+        assert expected_test_loss(cfg, np.int64(50)).shape == (1,)
+
+
+class TestClassRules:
+    """Which configs the affine step and each exact moment take."""
+
+    @pytest.mark.parametrize("cfg,in_class,loss,path,fixed_point", [
+        (make_cfg("alone", alpha=0.0), True, None, None, None),
+        (make_cfg("wga"), True, None, None, None),
+        (make_cfg("bc", beta=0.5, c0_policy="zero"), True, ONLY, ONLY, ONLY),
+        (make_cfg("bc", beta=0.5, c0_policy="warm_start"), True, ONLY, ONLY, ONLY),
+        (make_cfg("bc", beta=0.5), False, ONLY, ONLY, ONLY),
+        (make_cfg("oracle_bc", oracle_v=1.0), False, ONLY, ONLY, ONLY),
+        (make_cfg("wga", eta=DECREASING), False, CONSTANT, CONSTANT, None),
+        (dataclasses.replace(make_cfg("alone", alpha=0.0), main_task=QuadraticTask(
+            1.0, 0.0, noise_std=1.0, noise_scale=0.5)), False, ADDITIVE, None, None),
+        (dataclasses.replace(make_cfg("wga"), collaborators=[QuadraticTask(
+            2.0, 2.0, noise_std=1.0, noise_scale=0.1)]), False, ADDITIVE, None, None),
+    ], ids=["alone", "wga", "bc_zero", "bc_warm_start", "bc_first_bias", "oracle_bc",
+            "decreasing_pl", "scaled_main", "scaled_collaborator"])
+    def test_accepts_and_rejects(self, cfg, in_class, loss, path, fixed_point):
+        """Each moment function raises its message (or accepts the config),
+        and the class rule names the affine step for a config outside it."""
+        reason = simulator._outside_affine_class(cfg)
+        assert reason is None if in_class else reason.startswith("affine step")
+        for moment, message in ((expected_test_loss, loss), (mean_dynamics_oracle, path),
+                                (mean_fixed_point, fixed_point)):
+            if message is None:
+                assert np.isfinite(moment(cfg)).all()
+            else:
+                with pytest.raises(ValueError, match=message):
+                    moment(cfg)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_figures_are_in_the_class(self, tmp_path, monkeypatch, name):
+        ran = []
+
+        def replicate(cfgs, *args, **kwargs):
+            ran.extend(cfgs)
+            return simulator._replicate(cfgs, *args, **kwargs)
+        monkeypatch.setattr(figures, "_replicate", replicate)
+        getattr(figures, name)(str(tmp_path), horizon=40, seeds=[0])
+        assert ran and all(simulator._outside_affine_class(cfg) is None for cfg in ran)
 
 
 def assert_results_equal(a, b):
@@ -1093,13 +1149,36 @@ class TestExactPick:
     @pytest.mark.parametrize("horizon", [500, 200_000])
     def test_window_is_the_curve_slice(self, horizon):
         """The plateau window `_exact_pick` forms alone has the bits of the
-        whole curve's slice, for each fig2 base and grid value."""
+        whole curve's slice, and the one call over the grid has, for each
+        config, the bits of its own `expected_test_loss(cfg, start)` and of
+        its window mean: for each fig2 base over its grid, and for a d = 3,
+        K = 2 wga config at two step sizes."""
         start = simulator._plateau_start(horizon)
-        for base in figures._fig2_configs(horizon)[:2]:
-            for eta in figures.ETA_GRID:
-                cfg = sweep_config(base, "eta", eta)
-                np.testing.assert_array_equal(expected_test_loss(cfg, start),
-                                              expected_test_loss(cfg)[start:])
+        wga = dataclasses.replace(TestExpectedTestLoss.cfg("wga", 3, 2), horizon=horizon)
+        inputs = [(base, figures.ETA_GRID) for base in figures._fig2_configs(horizon)[:2]]
+        for base, grid in inputs + [(wga, (0.05, 0.02))]:
+            cfgs = [sweep_config(base, "eta", eta) for eta in grid]
+            curves = simulator._expected_losses(cfgs, start)
+            plateaus = figures._exact_plateaus(base, grid)
+            for cfg, curve, plateau in zip(cfgs, curves, plateaus, strict=True):
+                own = expected_test_loss(cfg, start)
+                np.testing.assert_array_equal(own, expected_test_loss(cfg)[start:])
+                np.testing.assert_array_equal(curve, own)
+                assert plateau == own.mean()
+
+    def test_one_form_per_pick(self, monkeypatch):
+        """`_exact_pick` reads its whole grid from one `_affine_form` call."""
+        calls = []
+        form = simulator._affine_form
+
+        def counted(cfgs, used):
+            calls.append(len(cfgs))
+            return form(cfgs, used)
+        monkeypatch.setattr(simulator, "_affine_form", counted)
+        for base in figures._fig2_configs(500)[:2]:
+            calls.clear()
+            figures._exact_pick(base)
+            assert calls == [len(figures.ETA_GRID)]
 
 
 class TestTimeToPlateau:
