@@ -20,8 +20,8 @@ from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
 from .rng import SEED_LIMIT
 from .schedules import ScheduleInputs, tau_qp, tau_qp_objective
-from .simulator import (MAX_HORIZON, AllSeedsDiverged, RunConfig, _validate,
-                        run_replicated, sweep, sweep_names)
+from .simulator import (AGGREGATORS, C0_POLICIES, MAX_HORIZON, AllSeedsDiverged,
+                        RunConfig, _validate, run_replicated, sweep, sweep_names)
 
 ENV_OUT_DIR = "COSGD_OUT_DIR"
 
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.register("action", None, _Noted)
     r.add_argument("--config", help="JSON experiment config")
     r.add_argument("--aggregator", default="alone",
-                   choices=("alone", "wga", "bc", "oracle_bc"))
+                   choices=AGGREGATORS)
     r.add_argument("--a0", type=float, default=1.0)
     r.add_argument("--x0star", type=float, default=0.0)
     r.add_argument("--a1", type=float, default=2.0)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eta", type=float, default=1e-4)
     r.add_argument("--x0", type=float, default=10.0)
     r.add_argument("--c0-policy", dest="c0_policy", default="first_bias",
-                   choices=("first_bias", "zero", "warm_start"))
+                   choices=C0_POLICIES)
     r.add_argument("--oracle-v", dest="oracle_v", type=float, default=0.0)
     r.set_defaults(func=_cmd_run)
 

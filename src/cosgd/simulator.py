@@ -23,8 +23,8 @@ is spread over their lanes.  The agents share one leading array axis,
 so a step forms every agent's gradient and noise with one numpy call
 each, and applies the combine rules of `aggregators` and the noise
 model of `objective` through their arithmetic cores.  A kernel call is
-one `_Batch`, whose stages `draw`, `step`, `freeze` and `record` each
-run once per chunk of steps.
+one `_Batch`, whose stages `draw` (the normals alone), `step`, `freeze`
+and `record` each run once per chunk of steps, on the batch's buffers.
 
 A batch whose every config is in the affine class (`_outside_affine_class`)
 can take a second step, `affine_step`, when its caller asks for it: each
@@ -282,8 +282,10 @@ class _Batch:
     weights, the step sizes and the normals) spans all d coordinates, so
     that its products take numpy's loop for same-shape contiguous
     operands.  Every buffer is allocated here, once per call, and only
-    the seed sums and the rows at a stride span the horizon: the step
-    sizes are formed per chunk, and X[0] ends as each lane's final iterate.
+    the seed sums and the rows at a stride span the horizon.  The stages
+    pass nothing but these buffers: `draw` fills `spread`, which the step
+    reads, and `freeze` and `record` read X, whose X[0] ends as each
+    lane's final iterate.
     Given `affine`, a batch whose every config is in the affine class
     also builds its `_AffineForm` and steps with `affine_step`, which
     solves a chunk as m = ceil(chunk / k) blocks of k = ceil(sqrt(chunk))
@@ -345,10 +347,10 @@ class _Batch:
 
         # One stream per (seed, row), drawn once for all configs: the used
         # agents', then the oracle's if there are oracle_bc lanes.  `draw`
-        # spreads the oracle's row over the oracle_bc lanes only, the last
-        # O, and scales it by each lane's std; it scales the agents' rows,
-        # spread over every lane, unless the batch has scaled noise, whose
-        # stds `step` forms, or takes the affine step, whose B holds them.
+        # spreads every row over every lane.  It scales the agents' rows
+        # unless the batch has scaled noise, whose stds `step` forms, or
+        # takes the affine step, whose B holds them; it scales the oracle's
+        # row only on the lanes that read it, the oracle_bc lanes, the last O.
         self.gens = [[rng_mod.agent_stream(s, a) for s in seeds]
                      for a in [*range(1, n_agents), 0][n_agents - used:]]
         if O:
@@ -358,14 +360,12 @@ class _Batch:
                                    for cfg in cfgs[C - O // S:]])
         self.cfgs = cfgs
 
-        rows = len(self.gens)
-        self.buf = np.empty((rows, S, chunk, d))  # each stream's draw
-        # The normals step-major and spread over the lanes that read them,
-        # so that a step reads each row contiguously; the affine step's
-        # blocks read them padded with zeros to m k steps.
-        self.spread = np.zeros((padded, used, C, S, d))
-        self.oracle_spread = np.empty((chunk, O // S, S, d))
-        # Each lane's step sizes, which the affine step holds in its form.
+        self.buf = np.empty((len(self.gens), S, chunk, d))  # each stream's draw
+        # The normals step-major and spread over the lanes, (steps, rows,
+        # L, d), so that a step reads each row contiguously; the affine
+        # step's blocks read them padded with zeros to m k steps.
+        self.spread = np.zeros((padded, len(self.gens), L, d))
+        # Each lane's step sizes, formed by `step`; the affine step's form holds them.
         self.eta_all = None if affine else np.empty((chunk, L, d))
 
         # The outputs, which `record` writes a chunk of steps at a time
@@ -394,8 +394,8 @@ class _Batch:
         # `state[0] = state[n]` carries a chunk's last state to the next.
         # The affine step stacks each lane's c under its x, per step, and
         # writes all m k rows of its blocks.
-        self.state = np.empty((padded + 1, 1 + bool(B), L, d) if affine else (chunk + 1, L, d))
-        self.X = self.state[:, 0] if affine else self.state
+        self.state = np.empty((padded + 1, 1 + bool(affine and B), L, d))
+        self.X = self.state[:, 0]
         self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
         self.grads = np.empty((used, L, d))
         G = np.empty((used * L + B + K * O, d))
@@ -426,7 +426,7 @@ class _Batch:
             if B:
                 self.state[0, 1, :L - B] = 0.0
                 self.state[0, 1, L - B:] = c
-            m, rows = padded // k, 1 + bool(B)
+            m, rows = padded // k, self.state.shape[1]
             # Block-major, so that each step of the local pass reads and
             # writes contiguous rows: work[j, :, b] is block b's step j,
             # first u_{bk+j} and then w_{b,j}.  A is repeated over the
@@ -438,38 +438,30 @@ class _Batch:
             self.starts = np.empty((m, rows, L, d))  # S_b, each block's start
             self.carry = np.empty((rows, L, d))
 
-    def draw(self, t0: int, n: int):
-        """The normals of steps t0 .. t0 + n - 1, drawn, spread over the
-        lanes that read them and scaled: the agents', (n, used, L, d), and
-        the oracle's on the oracle_bc lanes, (n, O, d); and those steps'
-        sizes, (n, L, d), or None on the affine step, whose form holds
-        them."""
-        used, O = self.used, self.O
-        buf = self.buf[:, :, :n]
+    def draw(self, n: int) -> None:
+        """The normals of a chunk's n steps, drawn into spread[:n], (n,
+        rows, L, d): every stream's row over every lane, the used agents'
+        then the oracle's.  The agents' rows are scaled by `stds`, where
+        the batch holds them, and the oracle's row by each oracle_bc lane's
+        std on those lanes, the last O."""
+        used, O, L = self.used, self.O, self.L
+        buf, z = self.buf[:, :, :n], self.spread[:n]
         for row, z_row in zip(self.gens, buf):
             for gen, out in zip(row, z_row):
                 gen.standard_normal(out=out)
-        np.copyto(self.spread[:n], buf[:used].transpose(2, 0, 1, 3)[:, :, None])
-        z = self.spread[:n].reshape(n, used, self.L, self.d)
+        np.copyto(z.reshape(n, len(buf), self.C, self.S, self.d),
+                  buf.transpose(2, 0, 1, 3)[:, :, None])
         if self.stds is not None:
-            z *= self.stds
-        z_oracle = self.oracle_spread[:n].reshape(n, O, self.d)
+            z[:, :used] *= self.stds
         if O:
-            np.copyto(self.oracle_spread[:n], buf[used].transpose(1, 0, 2)[:, None])
-            z_oracle *= self.oracle_std
-        if self.affine:
-            return z, z_oracle, None
-        eta = self.eta_all[:n]
-        steps = np.stack([_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)
-        np.copyto(eta.reshape(n, self.C, self.S, self.d), steps[:, :, None, None])
-        return z, z_oracle, eta
+            z[:, used, L - O:] *= self.oracle_std
 
-    def step(self, X, t0: int, z, z_oracle, eta) -> None:
-        """Steps t0 .. t0 + n - 1 from X[0], written to X[1:].
+    def step(self, X, t0: int) -> None:
+        """Steps t0 .. t0 + n - 1 from X[0], written to X[1:], on the
+        normals `draw` left in spread[:n] and the step sizes formed here.
 
         Lanes are independent, so a dead lane's overflow and NaNs stay in
-        its own row until `freeze` replaces them.  z and z_oracle are the
-        normals `draw` returns."""
+        its own row until `freeze` replaces them."""
         curv, opt, grads, samples, d = self.curv, self.opt, self.grads, self.samples, self.d
         var, scale, std_buf, sq = self.var, self.scale, self.std_buf, self.sq
         tau, coll, prods, c, b = self.tau, self.coll, self.prods, self.c, self.b
@@ -482,10 +474,14 @@ class _Batch:
         c_oracle, oracle_rest = c[B:], tuple(oracle_prods[1:])
         g, c_bc, first_bias = samples[-1], c[:B], self.first_bias
         true_coll, true_g0 = grads[:-1, L - O:], grads[-1, L - O:]
-        at_t0 = t0 == 0
+        at_t0, n = t0 == 0, len(X) - 1
+        z, eta = self.spread[:n], self.eta_all[:n]
+        np.copyto(eta.reshape(n, self.C, self.S, d), np.stack(
+            [_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)[:, :, None, None])
         with np.errstate(over="ignore", invalid="ignore"):
+            # The agents' rows, and the oracle's on the oracle_bc lanes.
             for x, x_next, z_i, z_oracle_i, eta_i in zip(
-                    X[:-1], X[1:], z, z_oracle, eta):
+                    X[:-1], X[1:], z[:, :used], z[:, -1, L - O:], eta):
                 # Each used agent's true and stochastic gradient.
                 np.multiply(curv, np.subtract(x, opt, grads), grads)
                 if scaled_noise:
@@ -513,7 +509,7 @@ class _Batch:
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
                 np.subtract(x, np.multiply(eta_i, g, x_next), x_next)
 
-    def affine_step(self, X, t0: int, z, z_oracle, eta) -> None:
+    def affine_step(self, X, t0: int) -> None:
         """Steps t0 .. t0 + n - 1 in the affine form s_{t+1} = A s_t + u_t,
         as m blocks of k steps: every u_t = b + B z_t of the chunk first,
         then w_{b,j} = A w_{b,j-1} + u_{bk+j} of each block from a zero
@@ -663,7 +659,8 @@ def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> 
         n = min(batch.chunk, T - t0)
         X = batch.X[:n + 1]
         if not batch.dead.all():  # a chunk of only dead lanes draws nothing
-            step(X, t0, *batch.draw(t0, n))
+            batch.draw(n)
+            step(X, t0)
         batch.freeze(X, t0)
         batch.record(X if t0 + n == T else X[:n], t0)  # the last chunk's include step T's
         batch.state[0] = batch.state[n]

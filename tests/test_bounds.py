@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -273,14 +274,20 @@ class TestSigmaTildeOneNumber:
 
     def test_expected_test_loss(self):
         # Started at the mean's fixed point, E[loss_1] = 1/2 a_0
-        # ((x_bar - x_0*)^2 + eta^2 sigma_tilde^2).
-        for alpha, s0, s1, n, _ in self.draws(200, 1):
-            main = QuadraticTask(1.5, 0.0, noise_std=np.sqrt(s0))
-            colls = [QuadraticTask(2.0, 1.0, noise_std=np.sqrt(s1))] * n
+        # ((x_bar - x_0*)^2 + eta^2 sigma_tilde^2).  sigma_k^2 is rounded
+        # as `**` rounds it (libm pow): the drawn sqrt(s) square back alike
+        # under pow and x * x, the fixed sigmas below do not.
+        drawn = [(alpha, np.sqrt(s0), np.sqrt(s1), n) for alpha, s0, s1, n, _ in self.draws(200, 1)]
+        fixed = itertools.product((0.0, 0.3, 0.5, 0.9),
+                                  (0.3808171146238585, 4.151589366717423, 1.0),
+                                  (0.3808171146238585, 0.9411298971417253, 2.0), (1, 3))
+        for alpha, sigma0, sigma1, n in [*drawn, *fixed]:
+            main = QuadraticTask(1.5, 0.0, noise_std=sigma0)
+            colls = [QuadraticTask(2.0, 1.0, noise_std=sigma1)] * n
             w = CollaborationWeights(alpha, [1.0 / n] * n)
             cfg = RunConfig(main, colls, "wga", w, 0.05, 3, 0.0)
             cfg = dataclasses.replace(cfg, x0=mean_fixed_point(cfg))
             st = sigma_tilde_sq(schedule_inputs(main, colls, w, 3, cfg.x0))
             dev = cfg.x0 - main.optimum
             assert expected_test_loss(cfg)[1] == 0.5 * np.sum(
-                main.curvature * (dev ** 2 + 0.05 ** 2 * st * 1.0))
+                main.curvature * (dev ** 2 + 0.05 ** 2 * st * 1.0)), (alpha, sigma0, sigma1, n)

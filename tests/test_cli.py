@@ -32,6 +32,13 @@ def read_bytes(path):
 
 
 class TestRunCommand:
+    def test_names_are_the_simulators(self):
+        # The run command's choices are the simulator's own constants.
+        [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
+        assert choices["aggregator"] == simulator.AGGREGATORS
+        assert choices["c0_policy"] == simulator.C0_POLICIES
+
     def test_trivial_run_hits_optimum(self, tmp_path):
         code = run_cli("run", "--aggregator", "alone", "--sigma", "0",
                        "--eta", "1", "--T", "2", "--seeds", "0", "--x0", "5",

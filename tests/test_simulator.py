@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cosgd import cli, figures, simulator
 from cosgd import rng as rng_mod
 from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
-                               oracle_bc_combine, wga_combine)
+                               oracle_bc_combine, oracle_noise_std, tau_sum,
+                               wga_combine)
 from cosgd.csvio import write_csv
 from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
 from cosgd.schedules import eta_max, schedule_inputs
@@ -948,9 +951,17 @@ class TestNoiseDraws:
                  for v in (0.5, 2.0)]
         self.assert_draws_once(draws, self.ROWS["oracle_bc"], d, cfgs)
         batch = simulator._Batch(cfgs, self.SEEDS, None)
-        z, z_oracle, _ = batch.draw(0, batch.chunk)
-        assert z.shape == (batch.chunk, 2, 6 * len(self.SEEDS), d)
-        assert z_oracle.shape == (batch.chunk, 2 * len(self.SEEDS), d)
+        n, S = batch.chunk, len(self.SEEDS)
+        batch.draw(n)
+        z = batch.spread[:n]
+        # Every stream's row over every lane: the two agents', then the oracle's.
+        assert z.shape == (n, 3, 6 * S, d)
+        # On the oracle_bc lanes, each oracle stream's normals times the lane's std.
+        oracle = np.stack([rng_mod.agent_stream(s, 0, rng_mod.ORACLE_CONTEXT)
+                           .standard_normal((n, d)) for s in self.SEEDS], axis=1)
+        for j, cfg in enumerate(cfgs[-2:]):
+            std = oracle_noise_std(cfg.oracle_v, 1, d)
+            np.testing.assert_array_equal(z[:, 2, (4 + j) * S:(5 + j) * S], oracle * std)
 
 
 class TestChunkLength:
@@ -1539,24 +1550,70 @@ class TestStages:
         plain = simulator._run_batch(cfgs, seeds, stride, affine)
         assert any((out[3] < 700).any() for out in plain)
         step = "affine_step" if affine else "step"
-        calls = {"draw": [], "step": [], "affine_step": [], "freeze": [], "record": []}
-        # Where each stage takes its chunk's first step t0.
-        for name, at in (("draw", 0), ("step", 1), ("affine_step", 1), ("freeze", 1),
-                         ("record", 1)):
-            def wrapper(batch, *args, stage=getattr(simulator._Batch, name), at=at,
-                        t0s=calls[name]):
-                t0s.append(args[at])
+        calls = []
+        # Each stage in call order, with its chunk's first step t0, or for
+        # `draw` its chunk's step count n.
+        for name in ("draw", "step", "affine_step", "freeze", "record"):
+            def wrapper(batch, *args, stage=getattr(simulator._Batch, name), name=name):
+                calls.append((name, args[0] if name == "draw" else args[1]))
                 return stage(batch, *args)
             monkeypatch.setattr(simulator._Batch, name, wrapper)
         wrapped = simulator._run_batch(cfgs, seeds, stride, affine)
-        assert calls == {"draw": stepped, "step": [], "affine_step": [],
-                         step: stepped, "freeze": [0, 256, 512], "record": [0, 256, 512]}
+        want = []
+        for t0, n in ((0, 256), (256, 256), (512, 188)):
+            if t0 in stepped:
+                want += [("draw", n), (step, t0)]
+            want += [("freeze", t0), ("record", t0)]
+        assert calls == want
         for rows, plain_rows in zip(wrapped, plain, strict=True):
             for out, plain_out in zip(rows, plain_rows, strict=True):
                 if plain_out is None:
                     assert out is None
                 else:
                     np.testing.assert_array_equal(out, plain_out)
+
+
+@st.composite
+def affine_batches(draw):
+    """A batch of the affine class and its 3 seeds: d and K in {1, 2, 3};
+    curvatures over two decades and noise stds over three, optima and x_0
+    in [-5, 5]; 1 to 4 configs of alone, wga and bc, sorted by kind, each
+    with its own tau on the simplex, alpha in [0, 1), beta in (0, 1], c_0
+    zero or warm-started and eta over three decades up to 2.2 / lambda_max,
+    so that some lanes diverge; configs `_validate` rejects are left out.
+    T is 1, 2, k - 1, k + 1 or chunk + 1 for the batch's chunk and block
+    length k at a long horizon."""
+    d, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def values(lo, hi, n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    def task():
+        return QuadraticTask(10.0 ** values(-1, 1, d), values(-5, 5, d),
+                             noise_std=10.0 ** draw(st.floats(-2, 1)))
+    main, colls, x0 = task(), [task() for _ in range(K)], values(-5, 5, d)
+    cfgs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind, tau = draw(st.sampled_from(["alone", "wga", "bc"])), values(0.01, 1.0, K)
+        w = CollaborationWeights(
+            0.0 if kind == "alone" else draw(st.floats(0.0, 1.0, exclude_max=True)),
+            tau / tau.sum(), draw(st.floats(0.0, 1.0, exclude_min=True)) if kind == "bc" else None)
+        # lambda_max, the largest curvature h of the mixed gradient's x term.
+        h = (1.0 - w.alpha) * main.curvature + w.alpha * tau_sum(w.tau, [c.curvature for c in colls])
+        cfg = RunConfig(main, colls, kind, w, 10.0 ** draw(st.floats(-3, 0)) * 2.2 / h.max(), 1,
+                        x0, c0_policy=draw(st.sampled_from(["zero", "warm_start"])))
+        try:
+            simulator._validate(cfg)
+        except ValueError:
+            continue
+        cfgs.append(cfg)
+    assume(cfgs)
+    cfgs.sort(key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=3, max_size=3, unique=True))
+    chunk = max(simulator._CHUNK_DRAWS // (len(cfgs) * len(seeds) * d), 256 // d, 2)
+    k = math.isqrt(chunk - 1) + 1
+    T = draw(st.sampled_from([1, 2, k - 1, k + 1, chunk + 1]))
+    return [dataclasses.replace(cfg, horizon=T) for cfg in cfgs], seeds
 
 
 class TestAffineStep:
@@ -1600,12 +1657,13 @@ class TestAffineStep:
         rng = np.random.default_rng(1)
         x, c = rng.normal(0.0, 2.0, (L, d)), np.zeros((L, d))
         c[L - B:] = rng.normal(0.0, 2.0, (B, d))
-        z, z_oracle, eta = loop.draw(0, 1)
-        unit, _, no_eta = batch.draw(0, 1)
-        assert no_eta is None and batch.eta_all is None  # A, b and B hold the step sizes
-        np.testing.assert_array_equal(z, unit * loop.stds)
+        loop.draw(1)
+        batch.draw(1)
+        unit = batch.spread[:1]
+        assert batch.eta_all is None  # A, b and B hold the step sizes
+        np.testing.assert_array_equal(loop.spread[:1], unit * loop.stds)
         loop.X[0], loop.c[:] = x, c[L - B:]
-        loop.step(loop.X[:2], 1, z, z_oracle, eta)
+        loop.step(loop.X[:2], 1)
         s = np.stack([x, c])
         want = (s + form.diag * s + form.off * s[::-1] + form.b
                 + np.sum(form.B * unit[0], axis=1))
@@ -1642,6 +1700,28 @@ class TestAffineStep:
             if cfg.aggregator != "bc":
                 exact = expected_test_loss(cfg)[simulator._plateau_start(cfg.horizon):].mean()
                 assert abs(affine.plateau_mean - exact) <= self.Z * affine.plateau_se
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(affine_batches())
+    # Powers beyond the float range: the batch keeps the loop.
+    @example(([make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=300)], [0, 1, 2]))
+    def test_fuzzed_batches_against_the_loop(self, batch):
+        """Per config, each seed completes as many steps on the affine step
+        as on the loop, and a completed seed's window, gradient sum and
+        final iterate agree; a batch whose powers overflow reports the
+        loop and returns its bits."""
+        cfgs, seeds = batch
+        assert not any(map(simulator._outside_affine_class, cfgs))
+        affine, loop = (simulator._run_batch(cfgs, seeds, None, flag) for flag in (True, False))
+        for out, ref in zip(affine, loop, strict=True):
+            np.testing.assert_array_equal(out[3], ref[3])
+            if not out[6]:
+                for value, want in zip(out[:6], ref[:6]):
+                    np.testing.assert_array_equal(value, want)
+                continue
+            ok = out[3] == cfgs[0].horizon
+            for i in (1, 2, 4):
+                self.assert_close(out[i][ok], ref[i][ok])
 
     def test_mixed_batch_against_the_loop(self):
         """At d = 3 and K = 2, every output of a batch of each kind, at a
