@@ -57,9 +57,10 @@ DIVERGENCE_LIMIT = 1e12
 MAX_HORIZON = np.iinfo(np.intp).max // 8 - 1
 # The plateau metric averages the test loss over this final share of steps.
 PLATEAU_FRACTION = 0.1
-# Standard normals per agent in one noise pre-draw chunk, once spread
-# over the lanes.  A chunk spans _CHUNK_DRAWS // (lanes * d) steps, so its
-# memory stays flat as lanes widen, but at least 256 // d steps: Philox
+# Standard normals per agent in one chunk of steps, once spread over the
+# lanes.  A loop batch's chunk spans _CHUNK_DRAWS // (lanes * d) steps, at
+# least 2, so that the buffers it sizes stay flat as lanes widen.  Its
+# draws come in blocks of whole chunks of at least 256 // d steps: Philox
 # costs about 1.5x as much per normal at 64 normals per call as at 256.
 _CHUNK_DRAWS = 1 << 14
 
@@ -282,15 +283,20 @@ class _Batch:
     weights, the step sizes and the normals) spans all d coordinates, so
     that its products take numpy's loop for same-shape contiguous
     operands.  Every buffer is allocated here, once per call, and only
-    the seed sums and the rows at a stride span the horizon.  The stages
-    pass nothing but these buffers: `draw` fills `spread`, which the step
-    reads, and `freeze` and `record` read X, whose X[0] ends as each
-    lane's final iterate.
+    the seed sums and the rows at a stride span the horizon; the others
+    span one chunk of steps, whose length follows memory (`_CHUNK_DRAWS`),
+    one block of draws per stream, whole chunks of at least 256 // d
+    steps, or one value per lane.  The stages pass nothing but these
+    buffers: `draw` fills `spread` from the block, which the step reads,
+    and `freeze` and `record` read X, whose X[0] ends as each lane's final
+    iterate.
     Given `affine`, a batch whose every config is in the affine class
     also builds its `_AffineForm` and steps with `affine_step`, which
     solves a chunk as m = ceil(chunk / k) blocks of k = ceil(sqrt(chunk))
     steps from each lane's powers A^j - I, j = 1 .. k (`_powers`), built
-    here; a batch whose powers leave the float range keeps the loop.
+    here; a batch whose powers leave the float range keeps the loop.  Its
+    chunk also spans 256 // d steps or more, as those blocks set its
+    rounding.
     """
 
     def __init__(self, cfgs, seeds, stride: int | None, affine: bool = False):
@@ -329,8 +335,9 @@ class _Batch:
                                + [1.0 - b for b in betas], d)
 
         # At least two steps, so that every block of seed sums spans two or
-        # more steps (see `record`).
-        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 256 // d, 2))
+        # more steps (see `record`); the affine step's also spans `floor`.
+        floor = 256 // d  # steps whose draw fills 256 normals per stream
+        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), floor if affine else 2, 2))
         if affine:
             self.form = form = _AffineForm(*(None if a is None else np.repeat(a, S, axis=-2)
                                              for a in _affine_form(cfgs, used)))
@@ -360,10 +367,16 @@ class _Batch:
                                    for cfg in cfgs[C - O // S:]])
         self.cfgs = cfgs
 
-        self.buf = np.empty((len(self.gens), S, chunk, d))  # each stream's draw
+        # Each stream's block of draws, whole chunks of at least `floor`
+        # steps, which `draw` refills once all its steps are read, the last
+        # time with the `left` steps not yet drawn; `at` is its next unread step.
+        block = min(T, -(-max(floor, chunk) // chunk) * chunk)
+        self.buf = np.empty((len(self.gens), S, block, d))
+        self.at, self.left = block, T
         # The normals step-major and spread over the lanes, (steps, rows,
         # L, d), so that a step reads each row contiguously; the affine
-        # step's blocks read them padded with zeros to m k steps.
+        # step's blocks read them padded to m k steps, with rows that are
+        # zero or an earlier chunk's and reach no output.
         self.spread = np.zeros((padded, len(self.gens), L, d))
         # Each lane's step sizes, formed by `step`; the affine step's form holds them.
         self.eta_all = None if affine else np.empty((chunk, L, d))
@@ -439,16 +452,22 @@ class _Batch:
             self.carry = np.empty((rows, L, d))
 
     def draw(self, n: int) -> None:
-        """The normals of a chunk's n steps, drawn into spread[:n], (n,
+        """The normals of a chunk's n steps, spread into spread[:n], (n,
         rows, L, d): every stream's row over every lane, the used agents'
-        then the oracle's.  The agents' rows are scaled by `stds`, where
-        the batch holds them, and the oracle's row by each oracle_bc lane's
+        then the oracle's.  They are the next n steps of `buf`, which a
+        chunk that starts a block first refills with one `standard_normal`
+        call per stream.  The agents' rows are scaled by `stds`, where the
+        batch holds them, and the oracle's row by each oracle_bc lane's
         std on those lanes, the last O."""
         used, O, L = self.used, self.O, self.L
-        buf, z = self.buf[:, :, :n], self.spread[:n]
-        for row, z_row in zip(self.gens, buf):
-            for gen, out in zip(row, z_row):
-                gen.standard_normal(out=out)
+        if self.at == self.buf.shape[2]:
+            block = self.buf[:, :, :self.left]
+            for row, row_block in zip(self.gens, block):
+                for gen, out in zip(row, row_block):
+                    gen.standard_normal(out=out)
+            self.at, self.left = 0, self.left - block.shape[2]
+        buf, z = self.buf[:, :, self.at:self.at + n], self.spread[:n]
+        self.at += n
         np.copyto(z.reshape(n, len(buf), self.C, self.S, self.d),
                   buf.transpose(2, 0, 1, 3)[:, :, None])
         if self.stds is not None:
@@ -518,14 +537,13 @@ class _Batch:
         A^{j+1} S_b + w_{b,j}, and the whole last state s_{t0+n}, which the
         next chunk starts from.  That is about 2 sqrt(n) passes of a few
         numpy calls, not n.  The normals are read from the spread buffer,
-        zero past step n; the iterates land in X, the stacked state's x,
-        where `freeze` and `record` read them; the step sizes are in A, b
-        and B, and there is no oracle."""
+        whose rows past step n reach no output; the iterates land in X,
+        the stacked state's x, where `freeze` and `record` read them; the
+        step sizes are in A, b and B, and there is no oracle."""
         form, n, (diag, off), work = self.form, len(X) - 1, self.A_blocks, self.work
         k, rows, m, L, d = work.shape
         (pow_diag, pow_off), starts = self.powers, self.starts
         off_term, carry = self.off_term, self.carry
-        self.spread[n:] = 0.0  # a short chunk's padding
         z_blocks = self.spread.reshape(m, k, self.used, L, d)
         np.add(np.einsum("rald,bjald->jrbld", form.B, z_blocks, out=work), form.b[:, None], work)
         with np.errstate(over="ignore", invalid="ignore"):

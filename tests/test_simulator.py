@@ -35,6 +35,13 @@ def make_cfg(aggregator="wga", alpha=0.5, beta=None, sigma0=1.0, sigma1=1.0,
     return RunConfig(main, [coll], aggregator, w, eta, T, x0, seed=seed, **kw)
 
 
+def set_chunk(monkeypatch, steps, lanes, d=1):
+    """Sets `_CHUNK_DRAWS` so that a loop batch of `lanes` lanes in
+    dimension d steps in chunks of `steps` steps, as does an affine batch
+    at `steps` >= 256 // d."""
+    monkeypatch.setattr(simulator, "_CHUNK_DRAWS", steps * lanes * d)
+
+
 class TestRunBasics:
     def test_exact_step_to_optimum(self):
         cfg = make_cfg("alone", alpha=0.0, sigma0=0.0, sigma1=0.0, eta=1.0, T=3)
@@ -295,10 +302,11 @@ class TestReferenceEquivalence:
 
     def test_bitwise_match_nonlinear_shape(self, monkeypatch):
         # Chunks of 256 // d = 16 steps: T = 49 ends on a one-step chunk.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         seeds = [0, 7, 13]
         for cfgs in self.nonlinear_cfgs():
+            set_chunk(monkeypatch, 16, len(seeds), 16)
             alone = [batch_traces([cfg], seeds)[0] for cfg in cfgs]
+            set_chunk(monkeypatch, 16, len(cfgs) * len(seeds), 16)
             for cfg, solo, batched in zip(cfgs, alone, batch_traces(cfgs, seeds), strict=True):
                 for seed, tr_solo, tr_batched in zip(seeds, solo, batched, strict=True):
                     ref = self.reference_run(dataclasses.replace(cfg, seed=seed))
@@ -410,8 +418,8 @@ class TestRunReplicated:
         a relative 1e-12 of numpy's pairwise mean of `run`'s trace (a
         step-order sum of T = 700 terms >= 0 is within 700 eps = 1.6e-13
         of the exact sum), and bitwise the step-order loop's."""
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)  # chunks of 256 steps
         T, seeds = 700, [0, 3, 5]
+        set_chunk(monkeypatch, 256, len(seeds))  # chunks of 256 steps
         cfg = make_cfg(aggregator, T=T, **kw)
         res = run_replicated(cfg, seeds)
         norms = [run(dataclasses.replace(cfg, seed=s)).grad_norm_sq[:T] for s in seeds]
@@ -885,9 +893,10 @@ class TestNoiseDraws:
             log["keys"].append((seed, agent, context))
             return Counted(original(seed, agent, context))
         monkeypatch.setattr(rng_mod, "agent_stream", counting)
-        # Chunks of the 256-normal floor, 256 // d steps, so the 600-step
-        # draws span several chunks and a short last one.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 100)
+        # Chunks of 256 // d steps in a call of 4 configs x 3 seeds at d = 1
+        # or 3 (256 * 12 // (12 * 3) = 85), so the 600-step draws span
+        # several chunks and a short last one, as do the 6-config call's.
+        set_chunk(monkeypatch, 256, 12)
         return log
 
     @staticmethod
@@ -974,13 +983,16 @@ class TestChunkLength:
     @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
     def test_traces_do_not_depend_on_chunk_length(self, monkeypatch, aggregator, d):
         base = dataclasses.replace(TestNoiseDraws.base_cfg(aggregator, d), horizon=700)
-        # Lanes of eta >= 1.35 diverge in some aggregators, mid-chunk: eta
-        # = 2.5 within the first chunk of the smallest chunk length (256 //
-        # d steps), and at least one other eta in a later chunk.
+        # Lanes of eta >= 1.35 diverge in some aggregators: eta = 2.5
+        # within the first 256 // d steps, and at least one other eta later.
         cfgs = [sweep_config(base, "eta", eta)
                 for eta in (0.05, 1.35, 1.4, 2.06, 2.5)]
+        lanes = len(cfgs) * len(self.SEEDS)
         batches = []
-        for draws in (1, simulator._CHUNK_DRAWS, 1 << 24):
+        # Chunks of 2 steps, in draw blocks of 256 (d = 1) or 86 (d = 3);
+        # of 60, in blocks of 300 or 120, which end on a short block of
+        # 100; the default's; and the whole horizon.
+        for draws in (1, 60 * lanes * d, simulator._CHUNK_DRAWS, 1 << 24):
             monkeypatch.setattr(simulator, "_CHUNK_DRAWS", draws)
             batches.append(batch_traces(cfgs, self.SEEDS))
         for batch in batches[1:]:
@@ -991,15 +1003,16 @@ class TestChunkLength:
                 if tr.diverged]
         assert not any(tr.diverged for tr in batches[0][0])
         assert any(256 // d < n for n in died)
-        assert all(n % (256 // d) for n in died)
+        # Every lane dies mid-block, and at chunks of 60 steps mid-chunk.
+        assert all(n % 60 and n % (256 if d == 1 else 86) for n in died)
 
     @pytest.mark.parametrize("stride", [1, 3, 7, 256, 700, 701])
     def test_rows_at_a_stride(self, monkeypatch, stride):
         """Rows at stride s are the stride-1 rows at steps 0, s, 2s, ...
         <= T, across chunk ends (chunks of 256 steps, T = 700) and diverged
         lanes."""
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in TestStages.mixed()]
+        set_chunk(monkeypatch, 256, len(cfgs) * len(self.SEEDS))
         every = batch_traces(cfgs, self.SEEDS)
         for out, traces in zip(simulator._run_batch(cfgs, self.SEEDS, stride), every,
                                strict=True):
@@ -1044,18 +1057,19 @@ class TestDivergingLanes:
         ("oracle_bc", dict(oracle_v=1.0)),
     ])
     def test_diverging_eta_lane(self, monkeypatch, aggregator, kw):
-        # Small chunks, so lanes die mid-chunk and the survivors run on
-        # through later chunks.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 40)
+        # Small chunks, of 40 steps, so lanes die mid-chunk and the
+        # survivors run on through later chunks.
         base = make_cfg(aggregator, T=300, **kw)
         # eta = 2.5 grows |x| about 1.5-fold a step: every seed diverges.
         cfgs = [sweep_config(base, "eta", eta) for eta in (0.05, 2.5, 0.1)]
         seeds = [0, 1, 2, 3]
+        set_chunk(monkeypatch, 40, len(cfgs) * len(seeds))
         batch = batch_traces(cfgs, seeds)
         for cfg, traces in zip(cfgs, batch):
             for seed, tr in zip(seeds, traces):
                 assert_traces_equal(tr, run(dataclasses.replace(cfg, seed=seed)))
-        assert all(tr.diverged and 0 < tr.steps_completed < 300 for tr in batch[1])
+        assert all(tr.diverged and 0 < tr.steps_completed < 300 and tr.steps_completed % 40
+                   for tr in batch[1])
         assert not any(tr.diverged for tr in batch[0] + batch[2])
         # A frozen lane reports its last finite loss for the rest of the run.
         tr = batch[1][0]
@@ -1242,10 +1256,10 @@ class TestMixedBatch:
     def test_each_lane_equals_its_solo_run(self, monkeypatch, d):
         # Chunks of 256 // d steps.  eta = 2.5 diverges in the first chunk,
         # 2.06 (d = 1) and 1.4 (d = 3) in a later one.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.4, 2.06, 2.5)
                        for cfg in self.kinds(d)),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        set_chunk(monkeypatch, 256 // d, len(cfgs) * len(self.SEEDS), d)
         died = []
         for cfg, traces in zip(cfgs, batch_traces(cfgs, self.SEEDS), strict=True):
             for seed, tr in zip(self.SEEDS, traces, strict=True):
@@ -1274,10 +1288,10 @@ class TestMixedBatch:
         # At d = 3 a chunk holds 256 // 3 = 85 steps, an odd count, so
         # every other chunk starts at an odd step.  eta = 2.5 diverges in
         # the first chunk, 1.4 in a later one.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.4, 2.5)
                        for cfg in self.two_collaborator_kinds()),
                       key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        set_chunk(monkeypatch, 85, len(cfgs) * len(self.SEEDS), 3)
         died = []
         for cfg, traces in zip(cfgs, batch_traces(cfgs, self.SEEDS), strict=True):
             for seed, tr in zip(self.SEEDS, traces, strict=True):
@@ -1321,8 +1335,8 @@ class TestStreamedReduction:
     def test_equals_reduce(self, monkeypatch, kernel_calls):
         # Chunks of 256 steps, so the diverging seed leaves in the second.
         # T = 513 ends on a one-step chunk, whose seeds a seed-axis
-        # reduction would add pairwise.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
+        # reduction would add pairwise.  The call has 4 configs x 8 seeds.
+        set_chunk(monkeypatch, 256, 4 * len(self.SEEDS))
         for T in (600, 513):
             self.assert_streamed_equals_reduce(kernel_calls, T)
 
@@ -1479,23 +1493,35 @@ class TestStreamedReduction:
         assert peak < 1.2 * trace_bytes, peak / trace_bytes
 
     def test_batch_spans_the_horizon_only_in_its_outputs(self):
-        """Building a batch without rows of fig2's whole eta grid and bc (9
-        configs, 20 seeds, T = 200 000) allocates at most 1.1x its
-        plateau windows and seed sums, 57.6 MB: every other array spans
-        one chunk of steps or one value per lane."""
-        T, seeds = 200_000, range(20)
-        cfgs = ([make_cfg("alone", alpha=0.0, eta=eta, T=T) for eta in figures.ETA_GRID]
+        """Building a loop batch without rows allocates its plateau windows
+        and seed sums, and under a stated bound beside them: every other
+        array spans one chunk of steps, one draw block of each stream, or
+        one value per lane.  fig2's whole eta grid and bc (9 configs, 20
+        seeds, T = 200 000) take chunks of 91 steps, in draw blocks of 3
+        chunks, and at most 0.1x their 57.6 MB of outputs beside them.
+        `cosgd run`'s one bc config over 256 seeds at T = 10 000 and d = 1
+        takes chunks of 64 steps, in draw blocks of 4 chunks, and under 3
+        MB beside its 2.2 MB of outputs, 1 MB of it the blocks (2 streams
+        x 256 seeds x 256 steps)."""
+        T = 200_000
+        fig2 = ([make_cfg("alone", alpha=0.0, eta=eta, T=T) for eta in figures.ETA_GRID]
                 + [make_cfg("wga", eta=eta, T=T) for eta in figures.ETA_GRID]
                 + [make_cfg("bc", beta=1e-4, eta=1e-4, T=T, c0_policy="zero")])
-        tracemalloc.start()
-        try:
-            batch = simulator._Batch(cfgs, seeds, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        outputs = batch.window.nbytes + batch.sums.nbytes + batch.grad_sums.nbytes
-        assert round(outputs / 1e6, 1) == 57.6
-        assert peak < 1.1 * outputs, peak / 1e6
+        wide = [make_cfg("bc", alpha=0.9090909090909091, beta=1e-3, eta=1e-3, T=10_000,
+                         c0_policy="warm_start")]
+        for cfgs, seeds, chunk, block, outputs_mb, rest_mb in (
+                (fig2, range(20), 91, 273, 57.6, 5.76), (wide, range(256), 64, 256, 2.2, 3.0)):
+            tracemalloc.start()
+            try:
+                batch = simulator._Batch(cfgs, seeds, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (batch.chunk, batch.buf.shape[2]) == (chunk, block)
+            outputs = batch.window.nbytes + batch.sums.nbytes + batch.grad_sums.nbytes
+            assert round(outputs / 1e6, 1) == outputs_mb
+            assert peak - outputs < rest_mb * 1e6, (peak - outputs) / 1e6
+            del batch  # fig2's outputs, before the next batch is built
 
 
 class TestOneCallPerFigure:
@@ -1544,9 +1570,9 @@ class TestStages:
     ])
     def test_each_stage_once_per_chunk(self, monkeypatch, cfgs, stepped, affine, rows):
         # Chunks of 256 steps; T = 700 ends on a chunk of 188.
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 1)
         cfgs = [dataclasses.replace(cfg, horizon=700) for cfg in cfgs]
         seeds, stride = [0, 3, 5], 3 if rows else None
+        set_chunk(monkeypatch, 256, len(cfgs) * len(seeds))
         plain = simulator._run_batch(cfgs, seeds, stride, affine)
         assert any((out[3] < 700).any() for out in plain)
         step = "affine_step" if affine else "step"
