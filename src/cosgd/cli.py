@@ -18,7 +18,7 @@ from .bounds import (BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex,
 from .config import ConfigError, ExperimentConfig, deprecated_workers, load_config
 from .csvio import CSV_STRIDE, fmt_value, write_csv
 from .objective import SimilarityParams
-from .rng import SEED_LIMIT
+from .rng import SEED_LIMIT, repeated_seeds
 from .schedules import ScheduleInputs, tau_qp, tau_qp_objective
 from .simulator import (AGGREGATORS, C0_POLICIES, MAX_HORIZON, AllSeedsDiverged,
                         RunConfig, _validate, run_replicated, sweep, sweep_names)
@@ -58,6 +58,8 @@ def _parse_seeds(spec: str):
     if not seeds or min(ends) < 0 or max(ends) >= SEED_LIMIT:
         raise ConfigError(f"invalid seed spec {spec!r}: expected a range 'A-B' "
                           "with A <= B, a list 'a,b,c' or one integer, in [0, 2^64)")
+    if isinstance(seeds, list) and (why := repeated_seeds(seeds)):  # a range has no repeats
+        raise ConfigError(f"invalid seed spec {spec!r}: {why}")
     return list(seeds)
 
 

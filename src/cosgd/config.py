@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .aggregators import CollaborationWeights
 from .csvio import CSV_STRIDE, write_text
 from .objective import QuadraticTask
-from .rng import SEED_LIMIT
+from .rng import SEED_LIMIT, repeated_seeds
 from .simulator import (SWEEP_AXES, DecreasingPlSchedule, RunConfig, _validate,
                         sweep_config, sweep_names)
 
@@ -202,6 +202,8 @@ class ExperimentConfig:
         if not seeds or min(seeds) < 0 or max(seeds) >= SEED_LIMIT:
             raise ConfigError("seeds must be one or more integers in [0, 2^64), "
                               f"got {seeds}")
+        if why := repeated_seeds(seeds):
+            raise ConfigError(why)
         csv_stride = _as_int(d.get("csv_stride", CSV_STRIDE), "csv_stride")
         if csv_stride < 1:
             raise ConfigError(f"csv_stride must be >= 1, got {csv_stride}")

@@ -6,6 +6,8 @@ independent and reproducible regardless of execution order or thread
 count, so a run is a pure function of its config.
 """
 
+from collections import Counter
+
 import numpy as np
 
 # Stream contexts.  Gradient noise, oracle bias noise and warm-start bias
@@ -17,6 +19,12 @@ WARMSTART_CONTEXT = 2
 
 # Seeds lie in [0, SEED_LIMIT): a Philox key word holds 64 bits.
 SEED_LIMIT = 1 << 64
+
+
+def repeated_seeds(seeds) -> str | None:
+    """Why `seeds` cannot be a run's seeds, each one independent run, or None."""
+    repeated = ", ".join(str(s) for s, n in Counter(seeds).items() if n > 1)
+    return f"seeds must differ, each being one run; repeated: {repeated}" if repeated else None
 
 
 def agent_stream(seed: int, agent: int, context: int = GRADIENT_CONTEXT) -> np.random.Generator:

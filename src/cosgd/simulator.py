@@ -23,8 +23,8 @@ is spread over their lanes.  The agents share one leading array axis,
 so a step forms every agent's gradient and noise with one numpy call
 each, and applies the combine rules of `aggregators` and the noise
 model of `objective` through their arithmetic cores.  A kernel call is
-one `_Batch`, whose stages `draw` (the normals alone), `step`, `freeze`
-and `record` each run once per chunk of steps, on the batch's buffers.
+one `_Batch`, which sets each bc lane's c_0 before step 0 and runs its
+stages `draw`, `step`, `freeze` and `record` once per chunk of steps.
 
 A batch whose every config is in the affine class (`_outside_affine_class`)
 can take a second step, `affine_step`, when its caller asks for it: each
@@ -45,8 +45,7 @@ import numpy as np
 from . import rng as rng_mod
 from .aggregators import (CollaborationWeights, check_alpha_guard, float_sq, mix,
                           oracle_noise_std, tau_chain, tau_sum)
-from .objective import (QuadraticTask, _as_vector, gradient_noise_std,
-                        noise_std, similarity_params, true_gradient)
+from .objective import QuadraticTask, _as_vector, noise_std, similarity_params
 from .schedules import ScheduleInputs, combined_variance, eta_decreasing_pl
 
 AGGREGATORS = ("alone", "wga", "bc", "oracle_bc")
@@ -62,6 +61,7 @@ PLATEAU_FRACTION = 0.1
 # least 2, so that the buffers it sizes stay flat as lanes widen.  Its
 # draws come in blocks of whole chunks of at least 256 // d steps: Philox
 # costs about 1.5x as much per normal at 64 normals per call as at 256.
+# The first block is drawn before step 0, whose normals first_bias's c_0 reads.
 _CHUNK_DRAWS = 1 << 14
 
 
@@ -175,13 +175,13 @@ def _batch_key(cfg: RunConfig) -> tuple:
 
 
 def _outside_affine_class(cfg: RunConfig) -> str | None:
-    """Why `cfg`'s lanes cannot take the affine step (`_AffineForm`), or None."""
+    """Why `cfg` is outside the affine step's class (bc, under any c0_policy, is in it), or None."""
     if any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
         return "affine step requires additive noise on every agent"
     if isinstance(cfg.step_size, DecreasingPlSchedule):
         return "affine step requires a constant step size"
-    if cfg.aggregator == "oracle_bc" or cfg.aggregator == "bc" and cfg.c0_policy == "first_bias":
-        return "affine step takes alone, wga, and bc whose c_0 is set before step 0"
+    if cfg.aggregator == "oracle_bc":
+        return "affine step takes alone, wga, and bc"
     return None
 
 
@@ -286,10 +286,11 @@ class _Batch:
     the seed sums and the rows at a stride span the horizon; the others
     span one chunk of steps, whose length follows memory (`_CHUNK_DRAWS`),
     one block of draws per stream, whole chunks of at least 256 // d
-    steps, or one value per lane.  The stages pass nothing but these
-    buffers: `draw` fills `spread` from the block, which the step reads,
-    and `freeze` and `record` read X, whose X[0] ends as each lane's final
-    iterate.
+    steps, or one value per lane.  Before step 0 the batch draws the first
+    block and sets every bc lane's c_0, so both steps start from the whole
+    state.  The stages pass nothing but these buffers: `draw` fills
+    `spread` from the block, which the step reads, and `freeze` and
+    `record` read X, whose X[0] ends as each lane's final iterate.
     Given `affine`, a batch whose every config is in the affine class
     also builds its `_AffineForm` and steps with `affine_step`, which
     solves a chunk as m = ceil(chunk / k) blocks of k = ceil(sqrt(chunk))
@@ -368,11 +369,12 @@ class _Batch:
         self.cfgs = cfgs
 
         # Each stream's block of draws, whole chunks of at least `floor`
-        # steps, which `draw` refills once all its steps are read, the last
-        # time with the `left` steps not yet drawn; `at` is its next unread step.
+        # steps, which `fill` draws, the first before step 0 and then in
+        # `draw` once all its steps are read, the last with the `left` steps
+        # not yet drawn; `at` is its next unread step.
         block = min(T, -(-max(floor, chunk) // chunk) * chunk)
         self.buf = np.empty((len(self.gens), S, block, d))
-        self.at, self.left = block, T
+        self.left = T
         # The normals step-major and spread over the lanes, (steps, rows,
         # L, d), so that a step reads each row contiguously; the affine
         # step's blocks read them padded to m k steps, with rows that are
@@ -425,15 +427,31 @@ class _Batch:
         self.std_buf, self.sq = ((np.empty((used, L, 1)), np.empty((used, L, d)))
                                  if scaled_noise else (None, None))
 
-        # The bc lanes' bias estimate: zero, warm-started, or set at t = 0.
-        c[:] = 0.0
-        warm = [j for j, cfg in enumerate(bc_cfgs) if cfg.c0_policy == "warm_start"]
-        if warm:
-            normals = _warm_start_normals(
-                n_agents, seeds, max(bc_cfgs[j].warm_start_samples for j in warm), d)
-            for j in warm:
-                c[j * S:(j + 1) * S] = _warm_start_bias(bc_cfgs[j], seeds, normals)
-        self.first_bias = np.repeat([cfg.c0_policy == "first_bias" for cfg in bc_cfgs], S)
+        # The bc lanes' c_0: the mean of a config's bias samples g_avg - g_0
+        # at x_0, formed as `objective.sample_gradient` forms them (sqrt(fl(σ²))
+        # is σ, so an additive agent's has the loop's bits) and summed in
+        # order: none under `zero`, step 0's own under `first_bias`, and under
+        # `warm_start` a prefix of one draw of the warm-start streams, made
+        # first.  A gradient beyond the float range freezes the lane at x_0.
+        n_warm = max([cfg.warm_start_samples for cfg in bc_cfgs if cfg.c0_policy == "warm_start"]
+                     or [0])
+        warm = n_warm and np.stack([[rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
+                                     .standard_normal((n_warm, d)) for s in seeds]
+                                    for a in [*range(1, n_agents), 0]])  # (used, S, k, d)
+        self.fill()
+        bc, c[:] = slice(L - B - O, L - O), 0.0
+        tau_bc = self.tau[:, bc.start - n_alone:bc.stop - n_alone, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = self.curv[:, bc, None] * (self.X[0, bc, None] - self.opt[:, bc, None])
+            std = noise_std(self.var[:, bc, None], self.scale[:, bc, None], grads, d)
+            for j, cfg in enumerate(bc_cfgs):
+                if cfg.c0_policy != "zero":
+                    z = (self.buf[:used, :, :1] if cfg.c0_policy == "first_bias"
+                         else warm[:, :, :cfg.warm_start_samples])
+                    lanes = slice(j * S, (j + 1) * S)
+                    samples = grads[:, lanes] + z * std[:, lanes]
+                    bias = tau_sum(tau_bc[:, lanes], samples[:-1]) - samples[-1]
+                    np.divide(np.add.accumulate(bias, axis=1)[:, -1], bias.shape[1], c[lanes])
 
         if affine:
             if B:
@@ -451,21 +469,24 @@ class _Batch:
             self.starts = np.empty((m, rows, L, d))  # S_b, each block's start
             self.carry = np.empty((rows, L, d))
 
+    def fill(self) -> None:
+        """Each stream's next block of `buf`, one `standard_normal` call per stream."""
+        for row, row_block in zip(self.gens, self.buf[:, :, :self.left]):
+            for gen, out in zip(row, row_block):
+                gen.standard_normal(out=out)
+        self.at, self.left = 0, self.left - min(self.left, self.buf.shape[2])
+
     def draw(self, n: int) -> None:
         """The normals of a chunk's n steps, spread into spread[:n], (n,
         rows, L, d): every stream's row over every lane, the used agents'
-        then the oracle's.  They are the next n steps of `buf`, which a
-        chunk that starts a block first refills with one `standard_normal`
-        call per stream.  The agents' rows are scaled by `stds`, where the
-        batch holds them, and the oracle's row by each oracle_bc lane's
-        std on those lanes, the last O."""
+        then the oracle's.  They are the next n steps of `buf`, whose
+        first block `__init__` draws and which a chunk that starts a later
+        block first refills (`fill`).  The agents' rows are scaled by
+        `stds`, where the batch holds them, and the oracle's row by each
+        oracle_bc lane's std on those lanes, the last O."""
         used, O, L = self.used, self.O, self.L
         if self.at == self.buf.shape[2]:
-            block = self.buf[:, :, :self.left]
-            for row, row_block in zip(self.gens, block):
-                for gen, out in zip(row, row_block):
-                    gen.standard_normal(out=out)
-            self.at, self.left = 0, self.left - block.shape[2]
+            self.fill()
         buf, z = self.buf[:, :, self.at:self.at + n], self.spread[:n]
         self.at += n
         np.copyto(z.reshape(n, len(buf), self.C, self.S, self.d),
@@ -491,9 +512,8 @@ class _Batch:
         # Each tau sum's first product row, which ends as the sum, and the rest.
         gavg, gavg_rest = prods[0], tuple(prods[1:])
         c_oracle, oracle_rest = c[B:], tuple(oracle_prods[1:])
-        g, c_bc, first_bias = samples[-1], c[:B], self.first_bias
-        true_coll, true_g0 = grads[:-1, L - O:], grads[-1, L - O:]
-        at_t0, n = t0 == 0, len(X) - 1
+        g, true_coll, true_g0 = samples[-1], grads[:-1, L - O:], grads[-1, L - O:]
+        n = len(X) - 1
         z, eta = self.spread[:n], self.eta_all[:n]
         np.copyto(eta.reshape(n, self.C, self.S, d), np.stack(
             [_step_sizes(cfg, t0, n) for cfg in self.cfgs], axis=1)[:, :, None, None])
@@ -520,9 +540,6 @@ class _Batch:
                         np.add(c_oracle, z_oracle_i, c_oracle)
                     if B:
                         np.subtract(gavg_bc, g0_bc, b)
-                        if at_t0:
-                            c_bc[first_bias] = b[first_bias]
-                            at_t0 = False
                     if B or O:
                         np.subtract(gavg_c, c, gavg_c)
                     mix(one_minus_w, w, mix_a, mix_b, mix_a, mix_b)
@@ -685,38 +702,6 @@ def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> 
     return batch.outputs()
 
 
-def _warm_start_normals(n_agents: int, seeds, k: int, d: int) -> list:
-    """Per agent, the (S, k, d) normals of the first k warm-start samples
-    of each seed, from the dedicated warm-start streams (which keep the
-    main gradient streams aligned).  A sample count below k uses a prefix
-    of these, as its own streams would draw it."""
-    return [np.stack([rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
-                      .standard_normal((k, d)) for s in seeds])
-            for a in range(n_agents)]
-
-
-def _warm_start_bias(cfg: RunConfig, seeds, normals) -> np.ndarray:
-    """c_0 = average of `warm_start_samples` bias samples at x_0, one row
-    per seed.  Sample k of agent a is the k-th `sample_gradient` call at
-    x_0 on that agent's warm-start stream.  `normals` are those of
-    `_warm_start_normals` for at least `warm_start_samples` samples, so
-    that the configs of a batch share one draw."""
-    K = cfg.warm_start_samples
-    tasks = [cfg.main_task] + list(cfg.collaborators)
-    # A gradient beyond the float range makes c_0 inf or nan, and the
-    # kernel then freezes the lane at x_0, as it would any diverged lane.
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = []
-        for task, z in zip(tasks, normals):
-            grad = true_gradient(task, cfg.x0)
-            samples.append(grad + z[:, :K] * gradient_noise_std(task, grad))  # (S, K, d)
-        bias = tau_sum(cfg.weights.tau, samples[1:]) - samples[0]
-        acc = np.zeros((len(seeds), cfg.main_task.dim))
-        for k in range(K):  # summed in sample order, as one seed at a time
-            acc += bias[:, k]
-        return acc / K
-
-
 def _traces(out) -> list:
     """One Trace per seed of a `_run_batch` output with rows, as views."""
     means, window, _, steps, finals, (losses, norms), _ = out
@@ -771,6 +756,8 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int =
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
+    if why := rng_mod.repeated_seeds(seeds):
+        raise ValueError(why)
     groups = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(_batch_key(cfg), []).append(i)

@@ -209,6 +209,29 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "2^64" in err and not out.exists()
 
+    @pytest.mark.parametrize("argv,repeated", [
+        (("run", "--seeds", "0,0,0"), "0"),
+        (("run", "--seeds", "2,7,2,9,7"), "2, 7"),
+        (("figure", "fig4", "--seeds", "3,3"), "3"),
+        (("run", "--config", "CONFIG"), "0"),
+    ], ids=["run", "two", "figure", "json"])
+    def test_repeated_seeds(self, tmp_path, capsys, argv, repeated):
+        """A seed listed twice would be reported as two independent runs,
+        with one trace file for both, so it is a config error naming it."""
+        d = TestConfigFile().make_config().to_dict()
+        d["seeds"] = [0, 0]
+        (tmp_path / "cfg.json").write_text(json.dumps(d))
+        argv = [str(tmp_path / "cfg.json") if a == "CONFIG" else a for a in argv]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--T", "50", "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"repeated: {repeated}\n" in err
+        assert not out.exists()
+
+    def test_seed_range_of_one(self, tmp_path):
+        assert run_cli("run", "--T", "5", "--seeds", "3-3", "--out-dir", str(tmp_path)) == 0
+        assert [p.name for p in tmp_path.glob("trace_seed*.csv")] == ["trace_seed3.csv"]
+
     def test_largest_seed_runs(self, tmp_path):
         assert run_cli("run", "--T", "5", "--seeds", f"{2 ** 64 - 2}-{2 ** 64 - 1}",
                        "--out-dir", str(tmp_path)) == 0

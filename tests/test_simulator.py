@@ -113,6 +113,13 @@ class TestReferenceEquivalence:
             acc += sum(w.tau[k] * s[1 + k] for k in range(len(s) - 1)) - s[0]
         return acc / cfg.warm_start_samples
 
+    def reference_first_bias(self, cfg):
+        """The first round's gavg - g0 of `reference_run`, its first_bias c_0."""
+        tasks = [cfg.main_task] + list(cfg.collaborators)
+        gens = [rng_mod.agent_stream(cfg.seed, a) for a in range(len(tasks))]
+        g0, *gks = [sample_gradient(task, cfg.x0, g) for task, g in zip(tasks, gens)]
+        return sum(cfg.weights.tau[k] * gks[k] for k in range(len(gks))) - g0
+
     def reference_run(self, cfg):
         tasks = [cfg.main_task] + list(cfg.collaborators)
         gens = [rng_mod.agent_stream(cfg.seed, a) for a in range(len(tasks))]
@@ -179,30 +186,37 @@ class TestReferenceEquivalence:
                         0.02, 40, [-3.0, 2.1], seed=18, c0_policy="warm_start")
         np.testing.assert_array_equal(run(cfg).test_loss, self.reference_run(cfg))
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_bitwise_match_warm_start_many_seeds(self, d):
-        # One run_replicated call builds c_0 for all seeds at once; each
-        # seed's c_0 and trace must equal its own single-seed reference.
-        # At d = 1 a numpy sum over the samples would round c_0 differently
-        # from the reference's running sum.
+    def assert_c0_many_seeds(self, d, policy, reference):
+        """One batch sets c_0 for all seeds at once, before step 0; each
+        seed's c_0 and trace must equal its own single-seed reference, on
+        scaled-noise tasks with two collaborators in dimension d."""
         curv = np.array([1.0, 2.0, 1.5, 2.5, 0.5, 3.0]).reshape(3, 2)[:, :d]
         main = QuadraticTask(curv[0], [0.0, 1.0][:d], noise_std=1.0, noise_scale=0.5)
         colls = [QuadraticTask(curv[1], [2.0, 0.0][:d], noise_std=2.0, noise_scale=0.2),
                  QuadraticTask(curv[2], [-1.0, 0.5][:d], noise_std=0.5, noise_scale=0.1)]
         cfg = RunConfig(main, colls, "bc", CollaborationWeights(0.3, [0.4, 0.6], beta=0.2),
-                        0.02, 40, [-3.0, 2.1][:d], c0_policy="warm_start")
+                        0.02, 40, [-3.0, 2.1][:d], c0_policy=policy)
         seeds = list(range(11, 21))
-        normals = simulator._warm_start_normals(1 + len(colls), seeds,
-                                                cfg.warm_start_samples, d)
-        c0 = simulator._warm_start_bias(cfg, seeds, normals)
-        for seed, row in zip(seeds, c0):
-            assert row.tobytes() == self.reference_c0(
-                dataclasses.replace(cfg, seed=seed)).tobytes()
+        c0 = simulator._Batch([cfg], seeds, None).c
+        assert c0.shape == (len(seeds), d)
+        for seed, row in zip(seeds, c0, strict=True):
+            assert row.tobytes() == reference(dataclasses.replace(cfg, seed=seed)).tobytes()
         res = run_replicated(cfg, seeds, keep_traces=True)
         assert not res.diverged_seeds
         for seed, tr in zip(seeds, res.traces):
             np.testing.assert_array_equal(
                 tr.test_loss, self.reference_run(dataclasses.replace(cfg, seed=seed)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_match_warm_start_many_seeds(self, d):
+        # At d = 1 a numpy sum over the samples would round c_0 differently
+        # from the reference's running sum.
+        self.assert_c0_many_seeds(d, "warm_start", self.reference_c0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bitwise_match_first_bias_many_seeds(self, d):
+        # c_0 is read from step 0's normals before the loop reads them again.
+        self.assert_c0_many_seeds(d, "first_bias", self.reference_first_bias)
 
     @staticmethod
     def mixed_noise_cfg(aggregator, d, scaled_main, **kw):
@@ -398,6 +412,17 @@ class TestRunReplicated:
         res = run_replicated(make_cfg(sigma0=0.0, sigma1=0.0), range(20))
         assert np.ptp(res.per_seed_final_gap) == 0.0
         assert res.final_gap_se < 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda seeds: run_replicated(make_cfg(), seeds),
+        lambda seeds: sweep(make_cfg(), "eta", [0.01, 0.02], seeds),
+        lambda seeds: simulator._replicate([make_cfg(), make_cfg("alone")], seeds),
+    ], ids=["run_replicated", "sweep", "_replicate"])
+    def test_repeated_seeds_rejected(self, call):
+        # Each seed is one independent run: a repeat would count one run twice.
+        with pytest.raises(ValueError, match="repeated: 1, 4$"):
+            call([1, 4, 2, 1, 4, 1])
+        call([1, 4, 2])
 
     def test_batch_equals_single_runs(self):
         cfg = make_cfg("bc", beta=0.3, T=80)
@@ -659,7 +684,7 @@ class TestClassRules:
         (make_cfg("wga"), True, None, None, None),
         (make_cfg("bc", beta=0.5, c0_policy="zero"), True, ONLY, ONLY, ONLY),
         (make_cfg("bc", beta=0.5, c0_policy="warm_start"), True, ONLY, ONLY, ONLY),
-        (make_cfg("bc", beta=0.5), False, ONLY, ONLY, ONLY),
+        (make_cfg("bc", beta=0.5), True, ONLY, ONLY, ONLY),
         (make_cfg("oracle_bc", oracle_v=1.0), False, ONLY, ONLY, ONLY),
         (make_cfg("wga", eta=DECREASING), False, CONSTANT, CONSTANT, None),
         (dataclasses.replace(make_cfg("alone", alpha=0.0), main_task=QuadraticTask(
@@ -1558,10 +1583,9 @@ class TestStages:
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("cfgs,stepped,affine", [
         pytest.param(mixed(), [0, 256, 512], False, id="cfgs0-stepped0"),
-        # Without its first_bias bc configs, a batch of the affine class.
-        pytest.param([cfg for cfg in mixed()
-                      if cfg.aggregator != "bc" or cfg.c0_policy != "first_bias"],
-                     [0, 256, 512], True, id="affine-cfgs0-stepped0"),
+        # The same batch on the affine step: each of its configs, bc under
+        # every c0_policy among them, is in the affine class.
+        pytest.param(mixed(), [0, 256, 512], True, id="affine-cfgs0-stepped0"),
         # Every lane dies in the first chunk: the later ones draw nothing.
         pytest.param([make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12)], [0], False,
                      id="cfgs1-stepped1"),
@@ -1605,7 +1629,7 @@ def affine_batches(draw):
     curvatures over two decades and noise stds over three, optima and x_0
     in [-5, 5]; 1 to 4 configs of alone, wga and bc, sorted by kind, each
     with its own tau on the simplex, alpha in [0, 1), beta in (0, 1], c_0
-    zero or warm-started and eta over three decades up to 2.2 / lambda_max,
+    under any c0_policy and eta over three decades up to 2.2 / lambda_max,
     so that some lanes diverge; configs `_validate` rejects are left out.
     T is 1, 2, k - 1, k + 1 or chunk + 1 for the batch's chunk and block
     length k at a long horizon."""
@@ -1627,7 +1651,7 @@ def affine_batches(draw):
         # lambda_max, the largest curvature h of the mixed gradient's x term.
         h = (1.0 - w.alpha) * main.curvature + w.alpha * tau_sum(w.tau, [c.curvature for c in colls])
         cfg = RunConfig(main, colls, kind, w, 10.0 ** draw(st.floats(-3, 0)) * 2.2 / h.max(), 1,
-                        x0, c0_policy=draw(st.sampled_from(["zero", "warm_start"])))
+                        x0, c0_policy=draw(st.sampled_from(["first_bias", "zero", "warm_start"])))
         try:
             simulator._validate(cfg)
         except ValueError:
@@ -1832,10 +1856,9 @@ class TestAffineStep:
 
     @pytest.mark.parametrize("outside", [
         dict(aggregator="oracle_bc", oracle_v=1.5),
-        dict(aggregator="bc", weights=CollaborationWeights(0.6, [1.0], beta=0.2)),
         dict(aggregator="wga", main_task=QuadraticTask(1.0, 0.0, noise_std=1.0,
                                                        noise_scale=0.5)),
-    ], ids=["oracle_bc", "first_bias", "scaled_noise"])
+    ], ids=["oracle_bc", "scaled_noise"])
     def test_outside_the_class_keeps_the_loop(self, steps_run, outside):
         """A batch asked for the affine step with one config outside its
         class runs the loop, and every lane equals the reference loop bit
