@@ -57,11 +57,11 @@ MAX_HORIZON = np.iinfo(np.intp).max // 8 - 1
 # The plateau metric averages the test loss over this final share of steps.
 PLATEAU_FRACTION = 0.1
 # Standard normals per agent in one chunk of steps, once spread over the
-# lanes.  A loop batch's chunk spans _CHUNK_DRAWS // (lanes * d) steps, at
-# least 2, so that the buffers it sizes stay flat as lanes widen.  Its
-# draws come in blocks of whole chunks of at least 256 // d steps: Philox
-# costs about 1.5x as much per normal at 64 normals per call as at 256.
-# The first block is drawn before step 0, whose normals first_bias's c_0 reads.
+# lanes.  A chunk spans _CHUNK_DRAWS // (lanes * d) steps, at least 2 (an
+# affine batch's in whole blocks), so that its buffers stay flat as lanes
+# widen.  Its draws come in blocks of whole chunks of at least 256 // d
+# steps: Philox costs about 1.5x as much per normal at 64 normals per call
+# as at 256.  The first block is drawn before step 0, for first_bias's c_0.
 _CHUNK_DRAWS = 1 << 14
 
 
@@ -111,11 +111,20 @@ class RunConfig:
         if not (isinstance(self.step_size, DecreasingPlSchedule)
                 or 0 < self.step_size < math.inf):
             raise ValueError("step_size must be finite and > 0")
-        if not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 entries must be finite")
+        if not np.all(np.abs(self.x0) <= DIVERGENCE_LIMIT):
+            raise ValueError(f"x0 entries must be finite and within {DIVERGENCE_LIMIT:g}")
         for task in [self.main_task] + list(self.collaborators):
             if task.dim != self.x0.shape[0]:
                 raise ValueError("all tasks must match the dimension of x0")
+        # A live lane's x lies in the box, so the squared gradient norm of a
+        # task the aggregator reads is at most d max_j (a_j (limit + |x*_j|))^2.
+        read = [self.main_task, *([] if self.aggregator == "alone" else self.collaborators)]
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(task.dim * np.max(np.square(
+                    task.curvature * (DIVERGENCE_LIMIT + np.abs(task.optimum)))))
+                    for task in read):
+                raise ValueError("a task's squared gradient norm in the box "
+                                 f"|x| <= {DIVERGENCE_LIMIT:g} overflows a float")
         if self.aggregator != "alone":
             if len(self.collaborators) != self.weights.n_collaborators:
                 raise ValueError("tau length must match number of collaborators")
@@ -293,11 +302,11 @@ class _Batch:
     `record` read X, whose X[0] ends as each lane's final iterate.
     Given `affine`, a batch whose every config is in the affine class
     also builds its `_AffineForm` and steps with `affine_step`, which
-    solves a chunk as m = ceil(chunk / k) blocks of k = ceil(sqrt(chunk))
-    steps from each lane's powers A^j - I, j = 1 .. k (`_powers`), built
-    here; a batch whose powers leave the float range keeps the loop.  Its
-    chunk also spans 256 // d steps or more, as those blocks set its
-    rounding.
+    solves a chunk as m blocks of k = ceil(sqrt(max(2, 256 // d))) steps
+    from each lane's powers A^j - I, j = 1 .. k (`_powers`), built here;
+    a batch whose powers leave the float range keeps the loop.  Its
+    chunk, in whole blocks, puts them at multiples of k from step 0, so a
+    lane's bits follow from its config, seed, k and T alone.
     """
 
     def __init__(self, cfgs, seeds, stride: int | None, affine: bool = False):
@@ -336,22 +345,22 @@ class _Batch:
                                + [1.0 - b for b in betas], d)
 
         # At least two steps, so that every block of seed sums spans two or
-        # more steps (see `record`); the affine step's also spans `floor`.
+        # more steps (see `record`).
         floor = 256 // d  # steps whose draw fills 256 normals per stream
-        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), floor if affine else 2, 2))
+        self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 2))
         if affine:
             self.form = form = _AffineForm(*(None if a is None else np.repeat(a, S, axis=-2)
                                              for a in _affine_form(cfgs, used)))
             A = 1.0 + form.diag, form.off  # 1 + (-eta H) has the bits of 1 - eta H
-            k = math.isqrt(chunk - 1) + 1
+            k = math.isqrt(max(2, floor) - 1) + 1
             self.powers = powers = _powers(*A, k)
             # Powers beyond the float range would turn a zero state into nan
             # where the loop's iterate stays finite: such a batch keeps the loop.
             affine = all(np.isfinite(p).all() for p in powers if p is not None)
         self.affine = affine
+        self.chunk = chunk = k * -(-chunk // k) if affine else chunk  # in whole blocks
         self.stds = None if scaled_noise or affine else col(
             _per_agent(cfgs, used, lambda t: t.noise_std))
-        padded = k * -(-chunk // k) if affine else chunk
 
         # One stream per (seed, row), drawn once for all configs: the used
         # agents', then the oracle's if there are oracle_bc lanes.  `draw`
@@ -377,9 +386,9 @@ class _Batch:
         self.left = T
         # The normals step-major and spread over the lanes, (steps, rows,
         # L, d), so that a step reads each row contiguously; the affine
-        # step's blocks read them padded to m k steps, with rows that are
-        # zero or an earlier chunk's and reach no output.
-        self.spread = np.zeros((padded, len(self.gens), L, d))
+        # step's blocks read all m k rows, where those past a last chunk's
+        # steps are zero or an earlier chunk's and reach no output.
+        self.spread = np.zeros((chunk, len(self.gens), L, d))
         # Each lane's step sizes, formed by `step`; the affine step's form holds them.
         self.eta_all = None if affine else np.empty((chunk, L, d))
 
@@ -409,7 +418,7 @@ class _Batch:
         # `state[0] = state[n]` carries a chunk's last state to the next.
         # The affine step stacks each lane's c under its x, per step, and
         # writes all m k rows of its blocks.
-        self.state = np.empty((padded + 1, 1 + bool(affine and B), L, d))
+        self.state = np.empty((chunk + 1, 1 + bool(affine and B), L, d))
         self.X = self.state[:, 0]
         self.X[0] = np.repeat(np.stack([cfg.x0 for cfg in cfgs]), S, axis=0)
         self.grads = np.empty((used, L, d))
@@ -457,7 +466,7 @@ class _Batch:
             if B:
                 self.state[0, 1, :L - B] = 0.0
                 self.state[0, 1, L - B:] = c
-            m, rows = padded // k, self.state.shape[1]
+            m, rows = chunk // k, self.state.shape[1]
             # Block-major, so that each step of the local pass reads and
             # writes contiguous rows: work[j, :, b] is block b's step j,
             # first u_{bk+j} and then w_{b,j}.  A is repeated over the
@@ -466,7 +475,7 @@ class _Batch:
             self.A_blocks = tuple(None if a is None else np.repeat(a[:, None], m, axis=1)
                                   for a in A)
             self.off_term = np.empty((rows, m, L, d))
-            self.starts = np.empty((m, rows, L, d))  # S_b, each block's start
+            self.starts = np.empty((m + 1, rows, L, d))  # S_b, each block's start, and S_m
             self.carry = np.empty((rows, L, d))
 
     def fill(self) -> None:
@@ -549,15 +558,15 @@ class _Batch:
         """Steps t0 .. t0 + n - 1 in the affine form s_{t+1} = A s_t + u_t,
         as m blocks of k steps: every u_t = b + B z_t of the chunk first,
         then w_{b,j} = A w_{b,j-1} + u_{bk+j} of each block from a zero
-        start, all blocks at once; then the blocks' starts S_{b+1} = A^k S_b
-        + w_{b,k-1} from S_0 = s_{t0}; then every x_{bk+j+1}, the x row of
-        A^{j+1} S_b + w_{b,j}, and the whole last state s_{t0+n}, which the
-        next chunk starts from.  That is about 2 sqrt(n) passes of a few
-        numpy calls, not n.  The normals are read from the spread buffer,
-        whose rows past step n reach no output; the iterates land in X,
-        the stacked state's x, where `freeze` and `record` read them; the
-        step sizes are in A, b and B, and there is no oracle."""
-        form, n, (diag, off), work = self.form, len(X) - 1, self.A_blocks, self.work
+        start, all blocks at once; then the starts S_{b+1} = A^k S_b +
+        w_{b,k-1} from S_0 = s_{t0} up to S_m; then every x_{bk+j+1}, the
+        x row of A^{j+1} S_b + w_{b,j}, added as S_{b+1} is, so that a
+        block's last is S_{b+1}'s, and S_m's c: the next chunk starts from
+        S_m.  That is about 2 sqrt(n) passes of a few numpy calls, not n.
+        The normals are read from the spread buffer, whose rows past step n
+        reach no output; the iterates land in X, the stacked state's x, where
+        `freeze` and `record` read them; A, b and B hold the step sizes."""
+        form, (diag, off), work = self.form, self.A_blocks, self.work
         k, rows, m, L, d = work.shape
         (pow_diag, pow_off), starts = self.powers, self.starts
         off_term, carry = self.off_term, self.carry
@@ -568,29 +577,24 @@ class _Batch:
                 np.add(w_next, np.multiply(diag, w, off_term), w_next)
                 if off is not None:  # A[x, c] c and A[c, x] x, from the reversed stack
                     np.add(w_next, np.multiply(off, w[::-1], off_term), w_next)
-            # S_{b+1} = w_{b,k-1} + (A^k - I) S_b + S_b, from w_{b,k-1}
-            # copied to contiguous rows.
+            # S_{b+1} = ((w_{b,k-1} + (A^k - I) S_b) + A^k_o S_b') + S_b, from
+            # w_{b,k-1} copied to contiguous rows.
             starts[0] = self.state[0]
-            np.copyto(starts[1:], work[-1, :, :-1].transpose(1, 0, 2, 3))
+            np.copyto(starts[1:], work[-1].transpose(1, 0, 2, 3))
             for start, start_next in zip(starts[:-1], starts[1:]):
                 np.add(start_next, np.multiply(pow_diag[-1], start, carry), start_next)
                 if off is not None:
                     np.add(start_next, np.multiply(pow_off[-1], start[::-1], carry), start_next)
                 np.add(start_next, start, start_next)
-            # x_{bk+j+1} = A^{j+1}[x, c] c_b + w_{b,j}[x] + (A^{j+1} - I)[x, x] x_b
-            # + x_b, with (x_b, c_b) = S_b, written step-major.
+            # x_{bk+j+1} = ((w_{b,j}[x] + (A^{j+1} - I)[x, x] x_b) + A^{j+1}[x, c] c_b)
+            # + x_b, with (x_b, c_b) = S_b, in the carry's order, step-major.
             x_rows = self.state[1:, 0].reshape(m, k, L, d).transpose(1, 0, 2, 3)
-            w_x, (x_b, *c_b) = work[:, 0], starts.transpose(1, 0, 2, 3)
+            w_x, (x_b, *c_b) = work[:, 0], starts[:-1].transpose(1, 0, 2, 3)
+            np.add(w_x, np.multiply(pow_diag[:, 0, None], x_b, x_rows), w_x)
             if off is not None:
-                np.add(np.multiply(pow_off[:, 0, None], c_b[0], x_rows), w_x, w_x)
-            np.add(np.multiply(pow_diag[:, 0, None], x_b, x_rows), w_x, w_x)
+                np.add(w_x, np.multiply(pow_off[:, 0, None], c_b[0], x_rows), w_x)
             np.add(w_x, x_b, x_rows)
-            if off is not None:  # and the last state's c, in the same order
-                b, j = divmod(n - 1, k)
-                c, x_b, c_b = self.state[n, 1], starts[b, 0], starts[b, 1]
-                np.add(np.multiply(pow_off[j, 1], x_b, c), work[j, 1, b], c)
-                np.add(np.multiply(pow_diag[j, 1], c_b, carry[1]), c, c)
-                np.add(c, c_b, c)
+            self.state[-1, 1:] = starts[-1, 1:]  # the next chunk's c, S_m's
 
     def freeze(self, X, t0: int) -> None:
         """Freeze each lane at its last iterate inside the box.
@@ -680,12 +684,11 @@ def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> 
     over the plateau window, its gradient norms summed over steps 0 .. T-1,
     its steps completed, its final iterate (x_T, or a frozen diverged one)
     and, given a stride s, its (2, T // s + 1) loss and gradient norm at
-    steps 0, s, 2s, ...; and whether it took the affine step.  On the loop,
-    each seed's values are bitwise those of its (config, seed) run alone:
-    every per-step operation is elementwise across lanes, each lane reads
-    its own seed's streams, and a diverged lane is frozen in its row.  The
-    affine step's blocks follow the chunk length, which the lane count sets,
-    so there they agree with those only to rounding.
+    steps 0, s, 2s, ...; and whether it took the affine step.  Each seed's
+    values are bitwise those of its (config, seed) run alone on the same
+    step: every per-step operation is elementwise across lanes, each lane
+    reads its own seed's streams, a diverged lane is frozen in its row,
+    and the affine step's blocks sit at multiples of a k that d sets.
     """
     batch = _Batch(cfgs, seeds, stride, affine)
     step = batch.affine_step if batch.affine else batch.step
@@ -727,7 +730,7 @@ def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
     """Seed aggregates of one config's `_run_batch` output, and a Trace per
     seed if it has rows.  Diverged seeds are left out: the seed means are
     then replayed over the others on the step the batch took (the streams
-    are counter-based), exactly on the loop (see `_run_batch`)."""
+    are counter-based), exactly (see `_run_batch`)."""
     means, window, grad_sums, steps, _, rows, affine = out
     T = cfg.horizon
     ok = steps == T

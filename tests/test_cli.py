@@ -124,6 +124,10 @@ class TestInputContract:
         ("--a0", "inf"),
         ("--sigma", "1e200"),  # its square is beyond the floats
         ("--N", "1" + "0" * 400),
+        # A start outside the divergence box, and a main task whose squared
+        # gradient norm overflows inside it.
+        ("--x0", "1e155", "--eta", "1"),
+        ("--x0", "1e10", "--a0", "1e150", "--eta", "1e-150"),
     ], ids=lambda flags: "=".join(flags)[:20])
     def test_bad_inline_parameter(self, tmp_path, capsys, flags):
         assert run_cli("run", "--T", "10", "--seeds", "0", *flags,

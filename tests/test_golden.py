@@ -84,18 +84,18 @@ def digests(argv) -> dict:
 DIGESTS = {
     "fig2": {
         "exit": 0,
-        "stdout": "6e91d719dc175cbd5d271f4e4e6188552f7fd54808ce488d4d30fe98bb3907cb",
+        "stdout": "93bafb894edfc78a5aaac2ce7286ba2474819a54999ffef54ac488c9b0335278",
         "fig2.gp": "b72e5f71c1fda53878dd68c23e145943bac545a05b4777ef4f00e9a5fa5c0939",
         "fig2_alone.csv": "d0204b0bb68346831ebdedbcecad6845baf048aeddc99d95cd08643c81c9fae1",
         "fig2_bc.csv": "5b812f9b919e93631fbda06908929f4887be1c9f85f977e2266775845442e6df",
-        "fig2_summary.csv": "659d93057abae76c066304fec4665266e9fde3f6755d56aef41fe5590536ffb9",
+        "fig2_summary.csv": "fcc33842643d54f20089bafbbdc031e9a4ef559b94818100e763310c2737dc3f",
         "fig2_wga.csv": "d65d9305068a36bfa2ffebead232db84e890af7da9d4f87aefb7618f00530f7c"
     },
     "fig3": {
         "exit": 0,
-        "stdout": "5d490a158590eb079fb1f391df652a39de25536a2293d123f490d7cca98103ab",
+        "stdout": "58d29c7b6357e0b1ae1ac09be9f9b18a373ea87b774840d45c52bc0cf78c8992",
         "fig3.gp": "f5021a67bc7c28ac47ca993f8ce42d2f442335b71d3c32936ee1fd1c885cd9a1",
-        "fig3_summary.csv": "834111c1708aeacce700660dec9c983d1fa0738e3a86ead03760dc4ceaf3fc82",
+        "fig3_summary.csv": "18015cb60bbb71c33798f4183f4ff7f0d079db795ae1f72cb84135c5a9c76b0d",
         "fig3_zeta1.csv": "34d20df971218ececa9f795050ea2ef5a7aa3fae23fd605ba9f9d5a14d1c1b44",
         "fig3_zeta16.csv": "a54b23385afd1007f03e73867257a0eb5cb0c27aa301ea63877ec3a355fc2ab3",
         "fig3_zeta4.csv": "4043aa6dac385ee9e0faa939c477c827c814151f1fc901111bd852bc22be9bab",

@@ -38,7 +38,8 @@ def make_cfg(aggregator="wga", alpha=0.5, beta=None, sigma0=1.0, sigma1=1.0,
 def set_chunk(monkeypatch, steps, lanes, d=1):
     """Sets `_CHUNK_DRAWS` so that a loop batch of `lanes` lanes in
     dimension d steps in chunks of `steps` steps, as does an affine batch
-    at `steps` >= 256 // d."""
+    when `steps` is a whole number of its blocks of k = ceil(sqrt(max(2,
+    256 // d))) steps, and else in the next whole number."""
     monkeypatch.setattr(simulator, "_CHUNK_DRAWS", steps * lanes * d)
 
 
@@ -90,6 +91,20 @@ class TestRunBasics:
         error = TypeError if key == "iterate_stride" else ValueError
         with pytest.raises(error, match=key):
             dataclasses.replace(make_cfg("oracle_bc"), **{key: value})
+
+    @pytest.mark.parametrize("aggregator,a0,a1,x0,eta,match", [
+        ("alone", 1.0, 2.0, 1e155, 1.0, "x0 entries"),
+        ("alone", 1e150, 2.0, 1e10, 1e-150, "gradient norm"),
+        ("wga", 1.0, 1e150, 5.0, 0.05, "gradient norm"),
+    ], ids=["x0-outside-the-box", "main-gradient-overflows", "collaborator-gradient-overflows"])
+    def test_overflowing_start_rejected(self, aggregator, a0, a1, x0, eta, match):
+        """A start outside the box |x| <= DIVERGENCE_LIMIT, or a task the
+        aggregator reads whose squared gradient norm can overflow inside
+        it, is a ValueError: the first two ran on as not diverged, from a
+        loss or gradient norm of inf, where the reference loop gives nan."""
+        with pytest.raises(ValueError, match=match):
+            run(dataclasses.replace(make_cfg(aggregator, alpha=0.0, a1=a1, eta=eta, T=3),
+                                    main_task=QuadraticTask(a0, 0.0, noise_std=1.0), x0=x0))
 
     def test_divergence_flagged_and_truncated(self):
         cfg = make_cfg("alone", alpha=0.0, a1=1.0, eta=2.5e12, sigma0=1.0, T=40)
@@ -999,37 +1014,74 @@ class TestNoiseDraws:
 
 
 class TestChunkLength:
-    """The pre-draw chunk length changes no bit of any trace, and a wide
-    batch draws at least 256 normals per generator call."""
+    """The pre-draw chunk length, a config's batch-mates and a seed's seed
+    list change no bit of its outputs, on the loop and on the affine step,
+    and a wide batch draws at least 256 normals per generator call."""
 
     SEEDS = [0, 3, 5]
 
+    @staticmethod
+    def batch(kind, d):
+        """(configs, affine) at T = 700.  For an aggregator, its eta sweep
+        on the loop, whose lanes of eta >= 1.35 diverge in some
+        aggregators: eta = 2.5 within the first 256 // d steps, and at
+        least one other eta later.  For "affine", alone, wga and bc (zero
+        and warm_start) at K = 2 (`TestAffineStep.kinds`) on the affine
+        step, at eta 0.05, at 1.13, whose wga and bc lanes diverge after
+        256 // d steps, and at 1.7, whose lanes diverge sooner."""
+        if kind == "affine":
+            return sorted((sweep_config(cfg, "eta", eta) for eta in (0.05, 1.13, 1.7)
+                           for cfg in TestAffineStep.kinds(d, T=700)),
+                          key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator)), True
+        base = dataclasses.replace(TestNoiseDraws.base_cfg(kind, d), horizon=700)
+        return [sweep_config(base, "eta", eta) for eta in (0.05, 1.35, 1.4, 2.06, 2.5)], False
+
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("aggregator", simulator.AGGREGATORS)
-    def test_traces_do_not_depend_on_chunk_length(self, monkeypatch, aggregator, d):
-        base = dataclasses.replace(TestNoiseDraws.base_cfg(aggregator, d), horizon=700)
-        # Lanes of eta >= 1.35 diverge in some aggregators: eta = 2.5
-        # within the first 256 // d steps, and at least one other eta later.
-        cfgs = [sweep_config(base, "eta", eta)
-                for eta in (0.05, 1.35, 1.4, 2.06, 2.5)]
-        lanes = len(cfgs) * len(self.SEEDS)
-        batches = []
-        # Chunks of 2 steps, in draw blocks of 256 (d = 1) or 86 (d = 3);
-        # of 60, in blocks of 300 or 120, which end on a short block of
-        # 100; the default's; and the whole horizon.
-        for draws in (1, 60 * lanes * d, simulator._CHUNK_DRAWS, 1 << 24):
+    @pytest.mark.parametrize("kind", [*simulator.AGGREGATORS, "affine"])
+    def test_traces_do_not_depend_on_chunk_length(self, monkeypatch, kind, d):
+        """Every `_run_batch` output of a config is bitwise that of the
+        config run alone, and the same under any `_CHUNK_DRAWS`."""
+        cfgs, affine = self.batch(kind, d)
+        lanes, default = len(cfgs) * len(self.SEEDS), simulator._CHUNK_DRAWS
+        # Each config alone; then the batch in chunks of 2 steps (on the
+        # affine step, of one block of k), in draw blocks of 256 (d = 1) or
+        # 86 (d = 3); of 60 (or 64 steps, at k = 16), in blocks of 300 or
+        # 120, which end on a short block of 100; the default's; and the
+        # whole horizon.
+        runs = [[simulator._run_batch([cfg], self.SEEDS, 1, affine)[0] for cfg in cfgs]]
+        for draws in (1, 60 * lanes * d, default, 1 << 24):
             monkeypatch.setattr(simulator, "_CHUNK_DRAWS", draws)
-            batches.append(batch_traces(cfgs, self.SEEDS))
-        for batch in batches[1:]:
-            for traces, first in zip(batch, batches[0], strict=True):
-                for tr, tr0 in zip(traces, first, strict=True):
-                    assert_traces_equal(tr, tr0)
-        died = [tr.steps_completed for traces in batches[0] for tr in traces
-                if tr.diverged]
-        assert not any(tr.diverged for tr in batches[0][0])
+            runs.append(simulator._run_batch(cfgs, self.SEEDS, 1, affine))
+        for outs in runs[1:]:
+            for out, first in zip(outs, runs[0], strict=True):
+                assert out[6] is first[6] is affine
+                for value, want in zip(out[:6], first[:6], strict=True):
+                    np.testing.assert_array_equal(value, want)
+        died = [n for out in runs[0] for n in out[3] if n < 700]
+        assert (runs[0][0][3] == 700).all()
         assert any(256 // d < n for n in died)
-        # Every lane dies mid-block, and at chunks of 60 steps mid-chunk.
-        assert all(n % 60 and n % (256 if d == 1 else 86) for n in died)
+        # Every lane dies mid-block, and at chunks of 60 steps mid-chunk;
+        # on the affine step, whose chunks there are 64 steps at d = 1,
+        # also mid-chunk and in the middle of a block of k = 16 or 10 steps.
+        periods = (60, 256 if d == 1 else 86) + (((64, 16) if d == 1 else (10,))
+                                                 if affine else ())
+        assert all(n % p for n in died for p in periods)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_affine_seed_does_not_depend_on_its_seed_list(self, d):
+        """On the affine step, as on the loop (`TestMixedBatch`), a seed's
+        window, gradient sum, steps completed, final iterate and rows are
+        bitwise equal within any seed list that holds it."""
+        cfgs, affine = self.batch("affine", d)
+        full = simulator._run_batch(cfgs, self.SEEDS, 1, affine)
+        for seeds in ([5], [3, 0], [5, 1, 0, 3]):
+            for out, ref in zip(simulator._run_batch(cfgs, seeds, 1, affine), full, strict=True):
+                for i, seed in enumerate(seeds):
+                    if seed in self.SEEDS:
+                        j = self.SEEDS.index(seed)
+                        for value, want in zip(out[1:5], ref[1:5], strict=True):
+                            np.testing.assert_array_equal(value[i], want[j])
+                        np.testing.assert_array_equal(out[5][:, i], ref[5][:, j])
 
     @pytest.mark.parametrize("stride", [1, 3, 7, 256, 700, 701])
     def test_rows_at_a_stride(self, monkeypatch, stride):
@@ -1631,8 +1683,9 @@ def affine_batches(draw):
     with its own tau on the simplex, alpha in [0, 1), beta in (0, 1], c_0
     under any c0_policy and eta over three decades up to 2.2 / lambda_max,
     so that some lanes diverge; configs `_validate` rejects are left out.
-    T is 1, 2, k - 1, k + 1 or chunk + 1 for the batch's chunk and block
-    length k at a long horizon."""
+    T is 1, 2, k - 1, k + 1 or chunk + 1 for the block length k, set by d,
+    and the batch's chunk at a long horizon, the loop's rounded up to
+    whole blocks."""
     d, K = draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
     def values(lo, hi, n):
@@ -1660,8 +1713,8 @@ def affine_batches(draw):
     assume(cfgs)
     cfgs.sort(key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
     seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=3, max_size=3, unique=True))
-    chunk = max(simulator._CHUNK_DRAWS // (len(cfgs) * len(seeds) * d), 256 // d, 2)
-    k = math.isqrt(chunk - 1) + 1
+    k = math.isqrt(max(2, 256 // d) - 1) + 1
+    chunk = k * -(-max(simulator._CHUNK_DRAWS // (len(cfgs) * len(seeds) * d), 2) // k)
     T = draw(st.sampled_from([1, 2, k - 1, k + 1, chunk + 1]))
     return [dataclasses.replace(cfg, horizon=T) for cfg in cfgs], seeds
 
@@ -1798,16 +1851,16 @@ class TestAffineStep:
                 self.assert_close(value, want)
         return died
 
-    @pytest.mark.parametrize("T", [1, 2, 18, 20, 342, 361],
+    @pytest.mark.parametrize("T", [1, 2, 9, 11, 351, 361],
                              ids=["1", "2", "k-1", "k+1", "chunk+1", "chunk+k+1"])
     def test_short_blocks_and_chunks(self, T):
         """Horizons whose one chunk, or last chunk, is shorter than a
-        block or not a multiple of k, for the chunk of 341 steps and k = 19
-        of this batch at a long horizon: the blocks past the last step
-        read zero normals."""
+        block or not a multiple of k, for k = 10 at d = 3 and this batch's
+        chunk of 350 steps at a long horizon, the loop's 341 rounded up to
+        whole blocks: the blocks past the last step read zero normals."""
         cfgs, seeds = self.kinds(3), range(4)
         batch = simulator._Batch(cfgs, seeds, None, True)
-        assert (batch.chunk, batch.work.shape[0]) == (341, 19)
+        assert (batch.chunk, batch.work.shape[0]) == (350, 10)
         self.assert_batch_close([dataclasses.replace(cfg, horizon=T) for cfg in cfgs], seeds)
 
     def test_batch_without_bc_lanes(self):
@@ -1821,12 +1874,12 @@ class TestAffineStep:
     @pytest.mark.parametrize("kind,eta", [(0, 2.01), (1, 1.12), (2, 1.1)],
                              ids=["alone", "wga", "bc"])
     def test_one_lane_diverges_in_a_late_block(self, kind, eta):
-        """One lane whose one chunk is the whole horizon, so that k is the
-        largest a batch takes, leaves the box several blocks in: it
-        completes as many steps as under the loop."""
+        """One lane whose one chunk is the whole horizon, 1024 blocks of
+        k = 16 steps, leaves the box several blocks in: it completes as
+        many steps as under the loop."""
         cfg = self.kinds(1, eta=eta, T=16384)[kind]
         batch = simulator._Batch([cfg], [0], None, True)
-        assert (batch.chunk, batch.work.shape[0]) == (16384, 128)
+        assert (batch.chunk, batch.work.shape[0]) == (16384, 16)
         assert self.assert_batch_close([cfg], [0]) == 1
 
     def test_overflowing_powers_keep_the_loop(self):
@@ -1843,8 +1896,10 @@ class TestAffineStep:
         """P's powers leave the float range, so a batch of P and Q asked for
         the affine step keeps the loop; Q's seeds that diverge are then
         left out of its seed means by a replay on the loop as well, and
-        every result equals the loop's bit for bit."""
-        P = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e10, T=1000)
+        every result equals the loop's bit for bit.  Beside batch-mates of
+        the class, Q takes the affine step, and its result is bitwise that
+        of its seeds that do not diverge, run alone."""
+        P = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=1000)
         Q = make_cfg("alone", alpha=0.0, sigma0=5e11, eta=0.5, T=1000)
         seeds = range(8)
         assert not simulator._Batch([P, Q], seeds, None, True).affine
@@ -1853,6 +1908,13 @@ class TestAffineStep:
         assert affine[1].diverged_seeds == [0, 1, 3, 5, 7]
         for a, b in zip(affine, loop, strict=True):
             assert_results_equal(a, b)
+        mates = [Q, make_cfg("wga", T=1000),
+                 make_cfg("bc", alpha=0.6, beta=0.2, T=1000, c0_policy="zero")]
+        assert simulator._Batch(mates, seeds, None, True).affine
+        mixed = simulator._replicate(mates, seeds, affine=True)[0]
+        assert mixed.diverged_seeds == [0, 1, 3, 5, 7]
+        assert_results_equal(dataclasses.replace(mixed, diverged_seeds=[]),
+                             simulator._replicate([Q], [2, 4, 6], affine=True)[0])
 
     @pytest.mark.parametrize("outside", [
         dict(aggregator="oracle_bc", oracle_v=1.5),
