@@ -10,14 +10,12 @@ simulator, and a CLI harness reproducing the noisy-quadratic
 experiments.
 """
 
-from .aggregators import (CollaborationWeights, bc_combine, bc_update,
-                          oracle_bc_combine, wga_combine)
+from .aggregators import CollaborationWeights
 from .bounds import (BoundInputs, bound_bc, bound_oracle,
                      bound_wga_nonconvex, bound_wga_pl,
                      bound_wga_pl_decreasing, gainfactor_surface)
 from .config import ConfigError, ExperimentConfig, load_config, save_config
 from .objective import (QuadraticTask, SimilarityParams, eval_loss,
-                        mean_estimation_task, sample_gradient,
                         similarity_params, true_gradient)
 from .schedules import (ScheduleInputs, alpha_opt_oracle, alpha_opt_wga_general,
                         alpha_opt_wga_m0, beta_bc, eta_bc, eta_decreasing_pl,

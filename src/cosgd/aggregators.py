@@ -8,13 +8,11 @@ Four strategies:
   - oracle BC: the bias estimate comes from a noisy oracle instead of the
     EMA, making the combined estimator exactly unbiased
 
-The rules take and return plain arrays (with leading batch axes
-allowed): gradients g_0 and g_k, and the bias estimate c_t.  Alone needs
-no rule, since g = g_0.  All combine functions are pure; `bc_update`
-returns the next c_t as a fresh array.  Each checks its inputs, then
-calls the validation-free cores `tau_sum`, `mix` and `oracle_noise_std`,
-which the simulator's kernel calls on its per-lane arrays as well, the
-first through its adds, `tau_chain`.
+The module holds the collaboration weights and the validation-free cores
+of these rules, which the simulator's kernel calls on its per-lane
+arrays: `tau_sum` (through its adds, `tau_chain`), `mix`, the alpha mix
+and the EMA step, and `oracle_noise_std`.  `float_sq`, `pl_guard` and
+`check_alpha_guard` serve the schedules, the bounds and the config checks.
 """
 
 import math
@@ -113,45 +111,3 @@ def oracle_noise_std(v: float, n: int, d: int) -> float:
     variance v^2/N split over d coordinates."""
     return v / math.sqrt(n * d)
 
-
-def _tau_average(gks, tau: np.ndarray) -> np.ndarray:
-    if len(gks) != tau.shape[0]:
-        raise ValueError("number of collaborator gradients must match tau")
-    return tau_sum(tau, gks)
-
-
-def wga_combine(g0, gks, w: CollaborationWeights) -> np.ndarray:
-    """g = (1-alpha) g_0 + alpha sum_k tau_k g_k."""
-    return mix(1.0 - w.alpha, w.alpha, g0, _tau_average(gks, w.tau))
-
-
-def bc_combine(g0, gks, w: CollaborationWeights, c):
-    """Corrected pseudo-gradient and the observed bias b_t.
-
-    g = (1-alpha) g_0 + alpha (g_avg - c_t),  b_t = g_avg - g_0.
-    Feed b_t to `bc_update` after the step.
-    """
-    gavg = _tau_average(gks, w.tau)
-    return mix(1.0 - w.alpha, w.alpha, g0, gavg - c), gavg - g0
-
-
-def bc_update(c, b, beta: float) -> np.ndarray:
-    """EMA step c_{t+1} = (1-beta) c_t + beta b_t."""
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1]")
-    return mix(1.0 - beta, beta, c, b)
-
-
-def oracle_bc_combine(g0, gks, w: CollaborationWeights, true_bias,
-                      z, v: float) -> np.ndarray:
-    """BC with a noisy unbiased bias oracle.
-
-    c_oracle = true_bias + n, where n is Gaussian with total variance
-    v^2/N split across coordinates, independent of the gradient samples;
-    `z` holds its pre-drawn standard normals, shaped like g_0.
-    """
-    if not v >= 0:
-        raise ValueError("v must be >= 0")
-    gavg = _tau_average(gks, w.tau)
-    c_oracle = true_bias + z * oracle_noise_std(v, len(gks), g0.shape[-1])
-    return mix(1.0 - w.alpha, w.alpha, g0, gavg - c_oracle)

@@ -6,10 +6,10 @@ zero-mean Gaussian noise whose total variance is
 
     sigma_k^2 + M_k * ||grad f_k(x)||^2,
 
-split isotropically across coordinates; `sample_gradient` returns one
-such gradient as a plain array.  The module also computes the
-closed-form similarity constants (L, mu, m, zeta_k^2, delta) between a
-main agent and its collaborators; these drive all schedules and bounds.
+split isotropically across coordinates; `noise_std` forms its std per
+coordinate.  The module also computes the closed-form similarity
+constants (L, mu, m, zeta_k^2, delta) between a main agent and its
+collaborators; these drive all schedules and bounds.
 """
 
 import math
@@ -122,8 +122,8 @@ def true_gradient(task: QuadraticTask, x) -> np.ndarray:
 
 def noise_std(var, scale, grad: np.ndarray, d: int, out=None,
               tmp=None) -> np.ndarray:
-    """sqrt(var + scale ||grad||^2 / d), the validation-free core of
-    `gradient_noise_std`; `var`, `scale` and `grad` broadcast.  Given
+    """sqrt(var + scale ||grad||^2 / d), the noise std per coordinate at a
+    true gradient `grad`; `var`, `scale` and `grad` broadcast.  Given
     `out`, shaped like the result, and `tmp`, shaped like `grad`, it
     writes grad * grad to `tmp` and the rest to `out`, and returns `out`."""
     # np.sum without its Python wrapper: the same reduction, once per step.
@@ -131,25 +131,6 @@ def noise_std(var, scale, grad: np.ndarray, d: int, out=None,
                         keepdims=True, out=out)
     std = np.divide(np.multiply(scale, gsq, out), d, out)
     return np.sqrt(np.add(var, std, out), out)
-
-
-def gradient_noise_std(task: QuadraticTask, grad: np.ndarray) -> np.ndarray:
-    """Per-coordinate noise std at a point with true gradient `grad`.
-
-    Total noise variance sigma^2 + M ||grad||^2 split evenly across the
-    d coordinates.  `grad` may carry leading batch axes.
-    """
-    return noise_std(task.noise_std ** 2, task.noise_scale, grad, task.dim)
-
-
-def sample_gradient(task: QuadraticTask, x, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased stochastic gradient: true gradient plus Gaussian noise.
-
-    Consumes exactly `dim` standard normals from `rng`, so the t-th call
-    on a fresh stream reproduces step t of a simulation.
-    """
-    grad = true_gradient(task, x)
-    return grad + rng.standard_normal(task.dim) * gradient_noise_std(task, grad)
 
 
 def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityParams:
@@ -198,7 +179,3 @@ def similarity_params(main: QuadraticTask, collaborators, tau) -> SimilarityPara
         noise_scale_cap=cap,
     )
 
-
-def mean_estimation_task(mu: float, sigma: float) -> QuadraticTask:
-    """1D task f(x) = 1/2 (x - mu)^2 with gradient samples x - z, z ~ N(mu, sigma^2)."""
-    return QuadraticTask(curvature=1.0, optimum=float(mu), noise_std=float(sigma))

@@ -26,14 +26,14 @@ model of `objective` through their arithmetic cores.  A kernel call is
 one `_Batch`, which sets each bc lane's c_0 before step 0 and runs its
 stages `draw`, `step`, `freeze` and `record` once per chunk of steps.
 
-A batch whose every config is in the affine class (`_outside_affine_class`)
-can take a second step, `affine_step`, when its caller asks for it: each
-lane then follows s_{t+1} = A s_t + b + B z_t, s = (x, c), from its
-`_AffineForm`, solved a chunk at a time in blocks from the powers of A.
-Its values agree with the loop's only to rounding; the figures ask for
-it, and `run`, `run_replicated` and `sweep` keep the loop.  The exact
-Alone/WGA moments (`_exact_mean`) read the same form, for a list of
-configs in one call.
+Configs of the affine class (`_outside_affine_class`) can take a second
+step, `affine_step`, when the caller asks for it, in a batch of their
+own: each lane then follows s_{t+1} = A s_t + b + B z_t, s = (x, c),
+from its `_AffineForm`, solved a chunk at a time in blocks from the
+powers of A.  Its values agree with the loop's only to rounding; the
+figures ask for it, and `run`, `run_replicated` and `sweep` keep the
+loop.  The exact Alone/WGA moments (`_exact_mean`) read the same form,
+for a list of configs in one call.
 """
 
 import math
@@ -183,15 +183,37 @@ def _batch_key(cfg: RunConfig) -> tuple:
     return cfg.horizon, cfg.main_task.dim, 1 + len(cfg.collaborators)
 
 
-def _outside_affine_class(cfg: RunConfig) -> str | None:
-    """Why `cfg` is outside the affine step's class (bc, under any c0_policy, is in it), or None."""
-    if any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
-        return "affine step requires additive noise on every agent"
-    if isinstance(cfg.step_size, DecreasingPlSchedule):
-        return "affine step requires a constant step size"
-    if cfg.aggregator == "oracle_bc":
-        return "affine step takes alone, wga, and bc"
-    return None
+def _outside_affine_class(cfgs) -> list:
+    """Why each of configs that share a `_batch_key` is outside the affine
+    step's class, or None: bc, under any c0_policy, is in it.  A config
+    whose `_AffineForm` or powers A^j - I (`_powers`) leave the float
+    range is outside it too, since they would turn a zero state into nan
+    where the loop's iterate stays finite.  Both are formed once, on the
+    config axis, with every agent and a c row, so that the rule reads
+    each config alone: a batch's form holds these values, or some of
+    their rows."""
+    reasons = []
+    for cfg in cfgs:
+        _validate(cfg)  # as `_Batch` does first: bc without beta has no form
+        if any(task.noise_scale != 0 for task in [cfg.main_task, *cfg.collaborators]):
+            reasons.append("affine step requires additive noise on every agent")
+        elif isinstance(cfg.step_size, DecreasingPlSchedule):
+            reasons.append("affine step requires a constant step size")
+        elif cfg.aggregator == "oracle_bc":
+            reasons.append("affine step takes alone, wga, and bc")
+        else:
+            reasons.append(None)
+    inside = [i for i, why in enumerate(reasons) if why is None]
+    if inside:
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = _affine_form([cfgs[i] for i in inside], 1 + len(cfgs[0].collaborators), 2)
+            powers = _powers(1.0 + form.diag, form.off, _block_length(cfgs[0].main_task.dim))
+        # Each array's config axis is its second last.
+        finite = np.all([np.isfinite(a).all(axis=-1).reshape(-1, len(inside)).all(axis=0)
+                         for a in (*form, *powers)], axis=0)
+        for i, ok in zip(inside, finite):
+            reasons[i] = None if ok else "affine step requires a form and powers in the float range"
+    return reasons
 
 
 def _per_agent(cfgs, used: int, value) -> np.ndarray:
@@ -228,10 +250,11 @@ def _step_weights(cfgs, K: int) -> np.ndarray:
                                   [cfg.weights.alpha, *cfg.weights.tau])] for cfg in cfgs]).T
 
 
-def _affine_form(cfgs, used: int) -> _AffineForm:
+def _affine_form(cfgs, used: int, rows: int) -> _AffineForm:
     """Each config's `_AffineForm`, on the config axis C, for a step that
-    reads the last `used` of its agents, from the cores the loop reads;
-    eta is the size of step 0, which is every step's in the affine class."""
+    reads the last `used` of its agents, with s = x (rows 1) or (x, c)
+    (rows 2), from the cores the loop reads; eta is the size of step 0,
+    which is every step's in the affine class."""
     ones = np.ones((len(cfgs), cfgs[0].main_task.dim))  # spreads each value over the coordinates
     (eta, beta, alpha), tau = np.split(ones * _step_weights(cfgs, used - 1)[..., None], [3])
     curv = _per_agent(cfgs, used, lambda t: t.curvature)
@@ -241,7 +264,6 @@ def _affine_form(cfgs, used: int) -> _AffineForm:
     H = mix(1.0 - alpha, alpha, curv[-1], sum_a)
     # tau_k s_k, then s_0.
     noise = np.concatenate([tau, ones[None]]) * _per_agent(cfgs, used, lambda t: [t.noise_std])
-    rows = 1 + any(cfg.aggregator == "bc" for cfg in cfgs)
     return _AffineForm(
         np.stack([-(eta * H), -beta])[:rows],
         np.stack([eta * alpha, beta * (sum_a - curv[-1])]) if rows > 1 else None,
@@ -272,6 +294,11 @@ def _powers(diag, off, k: int) -> tuple:
     return pow_diag, pow_off
 
 
+def _block_length(d: int) -> int:
+    """k = ceil(sqrt(max(2, 256 // d))), the affine step's block of steps in dimension d."""
+    return math.isqrt(max(2, 256 // d) - 1) + 1
+
+
 def _plateau_start(T: int) -> int:
     """First step of the plateau window, the last PLATEAU_FRACTION of T."""
     return T + 1 - max(1, int(round(PLATEAU_FRACTION * T)))
@@ -300,13 +327,12 @@ class _Batch:
     state.  The stages pass nothing but these buffers: `draw` fills
     `spread` from the block, which the step reads, and `freeze` and
     `record` read X, whose X[0] ends as each lane's final iterate.
-    Given `affine`, a batch whose every config is in the affine class
-    also builds its `_AffineForm` and steps with `affine_step`, which
-    solves a chunk as m blocks of k = ceil(sqrt(max(2, 256 // d))) steps
-    from each lane's powers A^j - I, j = 1 .. k (`_powers`), built here;
-    a batch whose powers leave the float range keeps the loop.  Its
-    chunk, in whole blocks, puts them at multiples of k from step 0, so a
-    lane's bits follow from its config, seed, k and T alone.
+    Given `affine`, for configs that must all be in the affine class, the
+    batch also builds its `_AffineForm` and steps with `affine_step`,
+    which solves a chunk as m blocks of k = ceil(sqrt(max(2, 256 // d)))
+    steps from each lane's powers A^j - I, j = 1 .. k (`_powers`), built
+    here.  Its chunk, in whole blocks, puts them at multiples of k from
+    step 0, so a lane's bits follow from its config, seed, k and T alone.
     """
 
     def __init__(self, cfgs, seeds, stride: int | None, affine: bool = False):
@@ -337,7 +363,6 @@ class _Batch:
         self.var = col(_per_agent(cfgs, used, lambda t: t.noise_std ** 2))
         self.scale = scale = col(_per_agent(cfgs, used, lambda t: t.noise_scale))
         self.scaled_noise = scaled_noise = bool(scale.any())
-        affine = affine and not any(map(_outside_affine_class, cfgs))
         betas = [cfg.weights.beta for cfg in bc_cfgs]
         self.tau = col([[cfg.weights.tau[k] for cfg in collab] for k in range(K)], d)
         self.w = col([cfg.weights.alpha for cfg in collab] + betas, d)
@@ -348,17 +373,14 @@ class _Batch:
         # more steps (see `record`).
         floor = 256 // d  # steps whose draw fills 256 normals per stream
         self.chunk = chunk = min(T, max(_CHUNK_DRAWS // (L * d), 2))
+        self.affine = affine
         if affine:
             self.form = form = _AffineForm(*(None if a is None else np.repeat(a, S, axis=-2)
-                                             for a in _affine_form(cfgs, used)))
+                                             for a in _affine_form(cfgs, used, 1 + bool(B))))
             A = 1.0 + form.diag, form.off  # 1 + (-eta H) has the bits of 1 - eta H
-            k = math.isqrt(max(2, floor) - 1) + 1
-            self.powers = powers = _powers(*A, k)
-            # Powers beyond the float range would turn a zero state into nan
-            # where the loop's iterate stays finite: such a batch keeps the loop.
-            affine = all(np.isfinite(p).all() for p in powers if p is not None)
-        self.affine = affine
-        self.chunk = chunk = k * -(-chunk // k) if affine else chunk  # in whole blocks
+            k = _block_length(d)
+            self.powers = _powers(*A, k)
+            self.chunk = chunk = k * -(-chunk // k)  # in whole blocks
         self.stds = None if scaled_noise or affine else col(
             _per_agent(cfgs, used, lambda t: t.noise_std))
 
@@ -437,11 +459,11 @@ class _Batch:
                                  if scaled_noise else (None, None))
 
         # The bc lanes' c_0: the mean of a config's bias samples g_avg - g_0
-        # at x_0, formed as `objective.sample_gradient` forms them (sqrt(fl(σ²))
-        # is σ, so an additive agent's has the loop's bits) and summed in
-        # order: none under `zero`, step 0's own under `first_bias`, and under
-        # `warm_start` a prefix of one draw of the warm-start streams, made
-        # first.  A gradient beyond the float range freezes the lane at x_0.
+        # at x_0, each agent's the true gradient plus a normal times its
+        # `noise_std` (sqrt(fl(σ²)) is σ, so an additive agent's has the
+        # loop's bits), summed in order: none under `zero`, step 0's own
+        # under `first_bias`, and under `warm_start` a prefix of one draw of
+        # the warm-start streams, made first.  A gradient beyond the float range freezes the lane at x_0.
         n_warm = max([cfg.warm_start_samples for cfg in bc_cfgs if cfg.c0_policy == "warm_start"]
                      or [0])
         warm = n_warm and np.stack([[rng_mod.agent_stream(s, a, rng_mod.WARMSTART_CONTEXT)
@@ -676,7 +698,7 @@ def _run_batch(cfgs, seeds, stride: int | None = None, affine: bool = False) -> 
     """Run configs that share a `_batch_key`, ordered by kind (alone |
     wga | bc | oracle_bc), under many seeds, as the lanes of one
     `_Batch`, one chunk of steps at a time: with `affine_step` given
-    `affine` and a batch of the affine class, else with `step`.
+    `affine`, for configs all of the affine class, else with `step`.
 
     Returns per config, as views of the call's arrays, (means, window, grad
     sums, steps, final iterates, rows, affine): the (2, T+1) seed means of
@@ -752,8 +774,9 @@ def _reduce(cfg: RunConfig, seeds: list, out) -> RunResult:
 def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int = 1,
                affine: bool = False) -> list:
     """One RunResult per config, in input order, with one kernel call per
-    group of configs that share a `_batch_key`.  Given `affine`, a group
-    takes the affine step where its `_Batch` can."""
+    group of configs that share a `_batch_key`.  Given `affine`, a group's
+    configs of the affine class take the affine step in one call and its
+    others the loop in another, so each config's step is its own."""
     if not (isinstance(trace_stride, (int, np.integer)) and trace_stride >= 1):
         raise ValueError(f"trace_stride must be an integer >= 1, got {trace_stride!r}")
     seeds = [int(s) for s in seeds]
@@ -766,11 +789,16 @@ def _replicate(cfgs: list, seeds, keep_traces: bool = False, trace_stride: int =
         groups.setdefault(_batch_key(cfg), []).append(i)
     results = [None] * len(cfgs)
     for members in groups.values():
-        members.sort(key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
-        group = [cfgs[i] for i in members]
-        outs = _run_batch(group, seeds, trace_stride if keep_traces else None, affine)
-        for i, out in zip(members, outs):
-            results[i] = _reduce(cfgs[i], seeds, out)
+        inside = ([why is None for why in _outside_affine_class([cfgs[i] for i in members])]
+                  if affine else [False] * len(members))
+        for step in (True, False):  # one batch per step taken
+            batch = sorted((i for i, ok in zip(members, inside) if ok == step),
+                           key=lambda i: AGGREGATORS.index(cfgs[i].aggregator))
+            if batch:
+                outs = _run_batch([cfgs[i] for i in batch], seeds,
+                                  trace_stride if keep_traces else None, step)
+                for i, out in zip(batch, outs):
+                    results[i] = _reduce(cfgs[i], seeds, out)
     return results
 
 
@@ -887,7 +915,7 @@ def _exact_mean(cfgs, steps) -> tuple:
         raise ValueError("mean dynamics oracle supports alone and wga only")
     if len(steps) and any(isinstance(cfg.step_size, DecreasingPlSchedule) for cfg in cfgs):
         raise ValueError("mean dynamics oracle requires a constant step size")
-    form = _affine_form(cfgs, 1 + len(cfgs[0].collaborators))
+    form = _affine_form(cfgs, 1 + len(cfgs[0].collaborators), 1)
     A, x_bar = 1.0 + form.diag[0][:, None], (-form.b[0] / form.diag[0])[:, None]
     x0 = np.array([cfg.x0 for cfg in cfgs])[:, None]
     return A, x_bar, x_bar + A ** np.asarray(steps)[:, None] * (x0 - x_bar)

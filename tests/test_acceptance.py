@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from cosgd import figures
-from cosgd.aggregators import CollaborationWeights, oracle_bc_combine, wga_combine
+from cosgd.aggregators import CollaborationWeights
 from cosgd.bounds import BoundInputs, bound_bc, bound_oracle, bound_wga_nonconvex, bound_wga_pl
 from cosgd.cli import main as cli_main
-from cosgd.objective import QuadraticTask, mean_estimation_task, true_gradient
+from cosgd.objective import QuadraticTask, true_gradient
 from cosgd.rng import agent_stream
 from cosgd.schedules import (alpha_opt_oracle, beta_bc, eta_bc, eta_max,
                              eta_wga_nonconvex, schedule_inputs, tau_qp,
                              tau_qp_objective)
 from cosgd.simulator import RunConfig, mean_dynamics_oracle, run, run_replicated
+from reference_rules import mean_estimation_task, oracle_bc_combine, wga_combine
 
 SEEDS = tuple(range(20))
 T_FULL = 200_000

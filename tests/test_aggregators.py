@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
-                               check_alpha_guard, mix, oracle_bc_combine, tau_sum,
-                               wga_combine)
-from cosgd.objective import (QuadraticTask, gradient_noise_std, sample_gradient,
-                             true_gradient)
+from cosgd.aggregators import CollaborationWeights, check_alpha_guard, mix, tau_sum
+from cosgd.objective import QuadraticTask, true_gradient
 from cosgd.rng import agent_stream
+from reference_rules import (bc_combine, bc_update, gradient_noise_std, oracle_bc_combine,
+                             sample_gradient, wga_combine)
 
 
 def gs(v):

@@ -351,12 +351,19 @@ class TestInputContract:
         ("step_size", '"0.01"'),
         ("oracle_v", "1e400"),
         ("iterate_stride", "1"),  # an unknown key: RunConfig has no such field
+        pytest.param("step_size", "1" + "0" * 400, id="step_size-10**400"),  # an integer
+        ("main_task", '{"curvature": [], "optimum": []}'),  # must not be empty
+        ("main_task", '{"curvature": [1.0]}'),  # missing key 'optimum'
+        pytest.param("horizon", None, id="horizon-left-out"),  # missing required key
     ], ids=lambda v: v)
     def test_config_bad_number(self, tmp_path, capsys, key, raw):
-        """JSON numbers (1e400 is inf) that do not fit their key fail as
-        config errors naming the key, before any run starts."""
+        """JSON values (1e400 is inf) that do not fit their key, or a
+        required key left out (None), fail as config errors naming the
+        key, before any run starts."""
         d = TestConfigFile().make_config().to_dict()
         d["aggregator"], d[key] = "oracle_bc", None
+        if raw is None:
+            del d[key]
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(d).replace(f'"{key}": null', f'"{key}": {raw}'))
         out = tmp_path / "out"
@@ -482,6 +489,14 @@ class TestConfigFile:
     def test_missing_file(self, tmp_path):
         assert run_cli("run", "--config", str(tmp_path / "nope.json")) == 1
 
+    def test_invalid_json(self, tmp_path, capsys):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(self.make_config().to_dict())[:-1])
+        assert run_cli("run", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid JSON in {path}")
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("flags,named", [
         (("--T", "7", "--seeds", "0-5", "--aggregator", "bc", "--csv-stride", "3"),
          "--T, --seeds, --aggregator, --csv-stride"),
@@ -530,6 +545,14 @@ class TestFigureCommand:
         with open(tmp_path / "gainfactor.csv") as fh:
             header = next(csv.reader(fh))
         assert header[0] == "ratio" and header[1] == "N1"
+
+    def test_internal_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A fault of the program, not of its input, exits 2."""
+        def fail(*args, **kwargs):
+            raise RuntimeError("a fault in the figure")
+        monkeypatch.setattr(figures, "sublinear", fail)
+        assert run_cli("figure", "sublinear", "--out-dir", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "internal error: a fault in the figure\n"
 
     def test_sublinear_writes_csv(self, tmp_path):
         assert run_cli("figure", "sublinear", "--out-dir", str(tmp_path)) == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosgd import figures
-from cosgd.csvio import fmt_value, write_csv
+from cosgd.csvio import fmt_value, write_csv, write_text
 
 
 def reference_fmt(v) -> str:
@@ -143,3 +143,18 @@ def test_files_take_the_umask_mode(tmp_path):
     modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
     assert "fig5.gp" in modes and "fig5_summary.csv" in modes
     assert set(modes.values()) == {0o640}, modes
+
+
+def test_failed_replace_keeps_the_target(tmp_path, monkeypatch):
+    """A write whose final rename fails re-raises, keeps the old bytes
+    and leaves no temporary file beside them."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write_text(str(path), "new\n")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

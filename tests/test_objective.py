@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cosgd.objective import (QuadraticTask, eval_loss, gradient_noise_std,
-                             mean_estimation_task, noise_std, sample_gradient,
-                             similarity_params, true_gradient)
+from cosgd.objective import (QuadraticTask, eval_loss, noise_std, similarity_params,
+                             true_gradient)
 from cosgd.rng import agent_stream
+from reference_rules import gradient_noise_std, mean_estimation_task, sample_gradient
 
 
 def task(a, xstar, sigma=0.0, scale=0.0):

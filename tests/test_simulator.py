@@ -6,20 +6,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cosgd import cli, figures, simulator
 from cosgd import rng as rng_mod
-from cosgd.aggregators import (CollaborationWeights, bc_combine, bc_update,
-                               oracle_bc_combine, oracle_noise_std, tau_sum,
-                               wga_combine)
+from cosgd.aggregators import CollaborationWeights, oracle_noise_std, tau_sum
 from cosgd.csvio import write_csv
-from cosgd.objective import QuadraticTask, eval_loss, sample_gradient, true_gradient
+from cosgd.objective import QuadraticTask, eval_loss, true_gradient
 from cosgd.schedules import eta_max, schedule_inputs
 from cosgd.simulator import (DecreasingPlSchedule, RunConfig, expected_test_loss,
                              mean_dynamics_oracle, mean_fixed_point, run,
                              run_replicated, sweep, sweep_config)
+from reference_rules import (bc_combine, bc_update, oracle_bc_combine, sample_gradient,
+                             wga_combine)
 
 
 def batch_traces(cfgs, seeds) -> list:
@@ -711,7 +711,7 @@ class TestClassRules:
     def test_accepts_and_rejects(self, cfg, in_class, loss, path, fixed_point):
         """Each moment function raises its message (or accepts the config),
         and the class rule names the affine step for a config outside it."""
-        reason = simulator._outside_affine_class(cfg)
+        [reason] = simulator._outside_affine_class([cfg])
         assert reason is None if in_class else reason.startswith("affine step")
         for moment, message in ((expected_test_loss, loss), (mean_dynamics_oracle, path),
                                 (mean_fixed_point, fixed_point)):
@@ -730,7 +730,22 @@ class TestClassRules:
             return simulator._replicate(cfgs, *args, **kwargs)
         monkeypatch.setattr(figures, "_replicate", replicate)
         getattr(figures, name)(str(tmp_path), horizon=40, seeds=[0])
-        assert ran and all(simulator._outside_affine_class(cfg) is None for cfg in ran)
+        assert ran and not any(simulator._outside_affine_class(ran))
+
+    def test_class_rule_reads_each_config_alone(self):
+        """Each config's reason, given beside configs in and outside the
+        class, is the one it gets alone: a form or powers beyond the float
+        range rule out only their own config."""
+        cfgs = [make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20),
+                make_cfg("wga", alpha=0.6), make_cfg("oracle_bc", oracle_v=1.0),
+                dataclasses.replace(make_cfg("alone", alpha=0.0), collaborators=[
+                    QuadraticTask(1e308, -100.0, noise_std=1.0)]),
+                make_cfg("bc", beta=0.5), make_cfg("alone", alpha=0.0)]
+        reasons = simulator._outside_affine_class(cfgs)
+        assert reasons == [simulator._outside_affine_class([cfg])[0] for cfg in cfgs]
+        assert [why is None for why in reasons] == [False, True, False, False, True, True]
+        assert reasons[0] == reasons[3] == ("affine step requires a form and powers "
+                                            "in the float range")
 
 
 def assert_results_equal(a, b):
@@ -1273,9 +1288,9 @@ class TestExactPick:
         calls = []
         form = simulator._affine_form
 
-        def counted(cfgs, used):
+        def counted(cfgs, *args):
             calls.append(len(cfgs))
-            return form(cfgs, used)
+            return form(cfgs, *args)
         monkeypatch.setattr(simulator, "_affine_form", counted)
         for base in figures._fig2_configs(500)[:2]:
             calls.clear()
@@ -1721,7 +1736,7 @@ def affine_batches(draw):
 
 class TestAffineStep:
     """`_Batch.affine_step` against the loop: one step of the form on
-    the same normals, whole runs on the same seeds, and the batches that
+    the same normals, whole runs on the same seeds, and the configs that
     keep the loop."""
 
     # The affine step rounds in another order than the loop, so runs on
@@ -1796,7 +1811,7 @@ class TestAffineStep:
         monkeypatch.setattr(figures, "_replicate", replicate)
         getattr(figures, name)(str(tmp_path), horizon=5000, seeds=self.SEEDS)
         [(cfgs, seeds, results)] = ran
-        assert not any(map(simulator._outside_affine_class, cfgs))
+        assert not any(simulator._outside_affine_class(cfgs))
         for cfg, affine, loop in zip(cfgs, results, simulator._replicate(cfgs, seeds),
                                      strict=True):
             self.assert_results_close(affine, loop)
@@ -1806,22 +1821,15 @@ class TestAffineStep:
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(affine_batches())
-    # Powers beyond the float range: the batch keeps the loop.
-    @example(([make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=300)], [0, 1, 2]))
     def test_fuzzed_batches_against_the_loop(self, batch):
         """Per config, each seed completes as many steps on the affine step
         as on the loop, and a completed seed's window, gradient sum and
-        final iterate agree; a batch whose powers overflow reports the
-        loop and returns its bits."""
+        final iterate agree."""
         cfgs, seeds = batch
-        assert not any(map(simulator._outside_affine_class, cfgs))
+        assert not any(simulator._outside_affine_class(cfgs))
         affine, loop = (simulator._run_batch(cfgs, seeds, None, flag) for flag in (True, False))
         for out, ref in zip(affine, loop, strict=True):
             np.testing.assert_array_equal(out[3], ref[3])
-            if not out[6]:
-                for value, want in zip(out[:6], ref[:6]):
-                    np.testing.assert_array_equal(value, want)
-                continue
             ok = out[3] == cfgs[0].horizon
             for i in (1, 2, 4):
                 self.assert_close(out[i][ok], ref[i][ok])
@@ -1882,60 +1890,70 @@ class TestAffineStep:
         assert (batch.chunk, batch.work.shape[0]) == (16384, 16)
         assert self.assert_batch_close([cfg], [0]) == 1
 
-    def test_overflowing_powers_keep_the_loop(self):
-        """A lane whose A^k is beyond the float range runs the loop, bit for
-        bit: here x stays at its optimum 0, where inf times 0 would be nan."""
+    def test_overflowing_powers_keep_the_loop(self, steps_run):
+        """A config whose A^k is beyond the float range is outside the class
+        and runs the loop, bit for bit: here x stays at its optimum 0, where
+        inf times 0 would be nan."""
         cfg = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=300)
-        assert not simulator._Batch([cfg], [0], 1, True).affine
-        out = simulator._run_batch([cfg], [0], 1, True)[0]
-        assert out[3][0] == 300 and not out[0].any()
-        for value, want in zip(out, simulator._run_batch([cfg], [0], 1)[0]):
-            np.testing.assert_array_equal(value, want)
+        assert simulator._outside_affine_class([cfg])[0].startswith("affine step")
+        res = simulator._replicate([cfg], [0], keep_traces=True, affine=True)[0]
+        assert set(steps_run) == {"step"}
+        assert not res.diverged_seeds and not res.mean_test_loss.any()
+        loop = simulator._replicate([cfg], [0], keep_traces=True)[0]
+        assert_results_equal(res, loop)
+        assert_traces_equal(res.traces[0], loop.traces[0])
 
-    def test_diverged_seeds_replay_on_the_step_taken(self):
-        """P's powers leave the float range, so a batch of P and Q asked for
-        the affine step keeps the loop; Q's seeds that diverge are then
-        left out of its seed means by a replay on the loop as well, and
-        every result equals the loop's bit for bit.  Beside batch-mates of
-        the class, Q takes the affine step, and its result is bitwise that
-        of its seeds that do not diverge, run alone."""
+    def test_diverged_seeds_replay_on_the_step_taken(self, kernel_calls):
+        """Q's seeds that diverge on the affine step are left out of its
+        seed means by a replay on that step, so its result is bitwise that
+        of its seeds that do not diverge, run alone.  P's powers leave the
+        float range, so beside Q it runs the loop, bitwise as alone, while
+        Q keeps the affine step; beside batch-mates of the class, too, Q's
+        result is its own."""
         P = make_cfg("alone", alpha=0.0, sigma0=0.0, x0=0.0, eta=1e20, T=1000)
         Q = make_cfg("alone", alpha=0.0, sigma0=5e11, eta=0.5, T=1000)
         seeds = range(8)
-        assert not simulator._Batch([P, Q], seeds, None, True).affine
-        affine, loop = (simulator._replicate([P, Q], seeds, affine=flag)
-                        for flag in (True, False))
-        assert affine[1].diverged_seeds == [0, 1, 3, 5, 7]
-        for a, b in zip(affine, loop, strict=True):
-            assert_results_equal(a, b)
+        alone = simulator._replicate([Q], seeds, affine=True)[0]
+        assert alone.diverged_seeds == [0, 1, 3, 5, 7]
+        assert_results_equal(dataclasses.replace(alone, diverged_seeds=[]),
+                             simulator._replicate([Q], [2, 4, 6], affine=True)[0])
+        kernel_calls.clear()
+        beside = simulator._replicate([P, Q], seeds, affine=True)
+        calls = kernel_calls[:]
+        assert_results_equal(beside[1], alone)
+        assert_results_equal(beside[0], simulator._replicate([P], seeds)[0])
+        assert sorted(calls) == [1, 1, 1]  # P's loop, Q's affine step and Q's replay
         mates = [Q, make_cfg("wga", T=1000),
                  make_cfg("bc", alpha=0.6, beta=0.2, T=1000, c0_policy="zero")]
-        assert simulator._Batch(mates, seeds, None, True).affine
-        mixed = simulator._replicate(mates, seeds, affine=True)[0]
-        assert mixed.diverged_seeds == [0, 1, 3, 5, 7]
-        assert_results_equal(dataclasses.replace(mixed, diverged_seeds=[]),
-                             simulator._replicate([Q], [2, 4, 6], affine=True)[0])
+        assert_results_equal(simulator._replicate(mates, seeds, affine=True)[0], alone)
 
     @pytest.mark.parametrize("outside", [
         dict(aggregator="oracle_bc", oracle_v=1.5),
         dict(aggregator="wga", main_task=QuadraticTask(1.0, 0.0, noise_std=1.0,
                                                        noise_scale=0.5)),
-    ], ids=["oracle_bc", "scaled_noise"])
+        # The form's sum_k tau_k a_k x_k* is inf, times an alone config's tau of 0.
+        dict(aggregator="alone", collaborators=[QuadraticTask(1e308, -100.0, noise_std=1.0)]),
+    ], ids=["oracle_bc", "scaled_noise", "overflowing_form"])
     def test_outside_the_class_keeps_the_loop(self, steps_run, outside):
-        """A batch asked for the affine step with one config outside its
-        class runs the loop, and every lane equals the reference loop bit
-        for bit."""
+        """Asked for the affine step, a config outside its class runs the
+        loop, every lane equal to the reference loop bit for bit, while
+        its batch-mates of the class take the affine step, each bitwise as
+        run alone."""
         inside = [make_cfg("alone", alpha=0.0, T=60), make_cfg("wga", alpha=0.6, T=60),
                   make_cfg("bc", alpha=0.6, beta=0.2, T=60, c0_policy="zero")]
         odd = dataclasses.replace(make_cfg(T=60), **outside)
-        assert simulator._outside_affine_class(odd)
-        cfgs = sorted(inside + [odd],
-                      key=lambda cfg: simulator.AGGREGATORS.index(cfg.aggregator))
+        assert simulator._outside_affine_class([odd])[0]
         seeds = [0, 12]
-        outs = simulator._run_batch(cfgs, seeds, 1, True)
-        assert set(steps_run) == {"step"}
+        results = simulator._replicate([odd, *inside], seeds, keep_traces=True, affine=True)
+        ran = steps_run[:]
         reference = TestReferenceEquivalence()
-        for cfg, out in zip(cfgs, outs, strict=True):
-            for seed, tr in zip(seeds, simulator._traces(out), strict=True):
-                np.testing.assert_array_equal(
-                    tr.test_loss, reference.reference_run(dataclasses.replace(cfg, seed=seed)))
+        for seed, tr in zip(seeds, results[0].traces, strict=True):
+            with np.errstate(over="ignore", invalid="ignore"):  # an unread gradient may overflow
+                want = reference.reference_run(dataclasses.replace(odd, seed=seed))
+            np.testing.assert_array_equal(tr.test_loss, want)
+        for cfg, res in zip(inside, results[1:], strict=True):
+            own = simulator._replicate([cfg], seeds, keep_traces=True, affine=True)[0]
+            assert_results_equal(res, own)
+            for tr, want in zip(res.traces, own.traces, strict=True):
+                assert_traces_equal(tr, want)
+        assert sorted(ran) == ["affine_step", "step"]
